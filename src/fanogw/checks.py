@@ -133,13 +133,10 @@ def check_convolution(tables: CoeffTables, stride: int = 1) -> bool:
     return True
 
 
-def run_geometry_suite(md: MultiDegree, pad: int = 0,
-                       tables: CoeffTables | None = None) -> list[CheckResult]:
-    """Every check on one geometry.  `tables` overrides the convolution
-    check's input (the corruption hook enters through here)."""
+def run_geometry_suite(md: MultiDegree, pad: int = 0) -> list[CheckResult]:
+    """Every check on one geometry."""
     label = md.label()
-    if tables is None:
-        tables = CoeffTables(md, p_max=md.n, beta_max=3)
+    tables = CoeffTables(md, p_max=md.n, beta_max=3)
     checks = [
         ("l-identity", lambda: check_l_identity(md, 12 + pad)),
         ("mu-dual-route", lambda: check_mu_routes(md, 8 + pad)),

@@ -25,9 +25,9 @@ from .checks import default_grid, run_geometry_suite
 from .geometry import MultiDegree
 from .invariants import invariant_table
 from .sums import check_proven_identities, evaluate_conjectures
-from .tables import CoeffTables
 
 TEXT, CSV, JSON = "text", "csv", "json"
+FORMATS = (TEXT, CSV, JSON)
 
 
 def fmt_rat(x: Fraction) -> str:
@@ -165,14 +165,8 @@ def cmd_compute(md: MultiDegree, max_b: int | None, pad: int,
 
 
 def cmd_check(geometries: list[MultiDegree], pad: int, fmt: str,
-              out_path: str | None, corrupt: tuple | None) -> int:
-    all_results = []
-    for i, md in enumerate(geometries):
-        tables = None
-        if corrupt is not None and i == 0:
-            tables = CoeffTables(md, p_max=md.n, beta_max=3) \
-                .with_corrupted_ctilde(*corrupt)
-        all_results.append((md, run_geometry_suite(md, pad=pad, tables=tables)))
+              out_path: str | None) -> int:
+    all_results = [(md, run_geometry_suite(md, pad=pad)) for md in geometries]
     ok = all(r.ok for _, results in all_results for r in results)
     if fmt == JSON:
         payload = {
@@ -286,8 +280,17 @@ def cmd_conjectures(geometries: list[MultiDegree], beta_max: int, hj,
 # argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors reach main's one-line handler (exit 1) instead of
+    argparse's usage dump and exit 2, which is kept for consistency
+    failures."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fanogw",
         description="Exact genus-1 one-point Gromov-Witten invariants of "
                     "Fano complete intersections.")
@@ -305,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--order", type=int, default=None,
                         help="extra q-truncation padding (results must not "
                              "change with it)")
-        sp.add_argument("--format", choices=(TEXT, CSV, JSON), default=None)
+        sp.add_argument("--format", choices=FORMATS, default=None)
         sp.add_argument("--out", type=str, default=None,
                         help="output file (default stdout)")
         sp.add_argument("--grid", type=str, default=None,
@@ -315,9 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", type=str, default=None,
                         help="key=value file presetting any flag "
                              "(flags override)")
-        if name == "check":
-            sp.add_argument("--corrupt-ctilde", dest="corrupt_ctilde",
-                            type=str, default=None, help=argparse.SUPPRESS)
     return ap
 
 
@@ -338,6 +338,9 @@ def _merge_config(args) -> None:
             val = cfg[key]
             if key in ("ambient", "max-b", "order"):
                 val = int(val)
+            elif key == "format" and val not in FORMATS:
+                raise ValueError(f"config format {val!r} is not one of "
+                                 f"{', '.join(FORMATS)}")
             setattr(args, attr, val)
 
 
@@ -352,8 +355,8 @@ def _geometries_from(args) -> list[MultiDegree]:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         _merge_config(args)
         pad = 0 if args.order is None else args.order
         if pad < 0:
@@ -369,11 +372,7 @@ def main(argv=None) -> int:
             return cmd_compute(md, args.max_b, pad, fmt, args.out)
 
         if args.command == "check":
-            corrupt = None
-            if args.corrupt_ctilde is not None:
-                p, l, beta = (int(x) for x in args.corrupt_ctilde.split(","))
-                corrupt = (p, l, beta)
-            return cmd_check(_geometries_from(args), pad, fmt, args.out, corrupt)
+            return cmd_check(_geometries_from(args), pad, fmt, args.out)
 
         if args.command == "conjectures":
             beta_max = 2 if args.max_b is None else args.max_b

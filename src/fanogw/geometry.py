@@ -12,8 +12,8 @@ class MultiDegree:
     degrees in P^{n-1}.  Degrees are normalized (sorted); all formulas
     are symmetric in them.
 
-    Rejects non-Fano input (index <= 0), linear factors (d < 2) and
-    dimension < 1.
+    Rejects projective space itself (no degrees), non-Fano input
+    (index <= 0), linear factors (d < 2) and dimension < 1.
     """
 
     __slots__ = ("n", "degrees")
@@ -21,6 +21,9 @@ class MultiDegree:
     def __init__(self, n: int, degrees):
         degs = tuple(sorted(int(d) for d in degrees))
         n = int(n)
+        if not degs:
+            raise ValueError(
+                "need at least one degree (r = 0 is projective space)")
         if any(d < 2 for d in degs):
             raise ValueError("every degree must be >= 2")
         if n - 1 - len(degs) < 1:

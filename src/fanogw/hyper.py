@@ -17,20 +17,13 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .geometry import MultiDegree
-from .series import BiSeries, LaurentPoly, QSeries
-from .tables import CoeffTables, _poly_mul, _unit_inverse
+from .series import (BiSeries, LaurentPoly, QSeries, linear_product,
+                     poly_inv, poly_mul)
+from .tables import CoeffTables
 
 
 # ---------------------------------------------------------------------------
 # slice-level builders
-
-
-def _linear_product(pairs, cap: int) -> list:
-    """prod (a + b*x) over (a, b) pairs, truncated at degree cap."""
-    out = [Fraction(1)]
-    for a, b in pairs:
-        out = _poly_mul(out, [Fraction(a), Fraction(b)], cap)
-    return out
 
 
 def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
@@ -40,15 +33,15 @@ def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
     slices, his = [], []
     for beta in range(order + 1):
         cap = hi + beta
-        num = _linear_product(((d, i) for d in md.degrees
-                               for i in range(1, d * beta + 1)), cap)
+        num = linear_product(((d, i) for d in md.degrees
+                              for i in range(1, d * beta + 1)), cap)
         unit = [Fraction(1)]
         for j in range(1, beta + 1):
             uj = [Fraction(comb(md.n, t + 1) * j**t, md.n)
                   for t in range(md.n)]
-            unit = _poly_mul(unit, uj, cap)
+            unit = poly_mul(unit, uj, cap)
         lead = Fraction(1, md.n**beta * factorial(beta))
-        vals = _poly_mul(num, _unit_inverse(unit, cap), cap)
+        vals = poly_mul(num, poly_inv(unit, cap), cap)
         slices.append(LaurentPoly(-beta, [lead * v for v in vals]))
         his.append(hi)
     return BiSeries(slices, his)
@@ -65,8 +58,8 @@ def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False,
     for beta in range(order + 1):
         shift = nu * beta
         cap = max(hi - shift, 0)
-        num = _linear_product(((i, d) for d in md.degrees
-                               for i in range(1, d * beta + 1)), cap)
+        num = linear_product(((i, d) for d in md.degrees
+                              for i in range(1, d * beta + 1)), cap)
         den = [Fraction(1)]
         for j in range(1, beta + 1):
             if tilde:
@@ -75,8 +68,8 @@ def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False,
             else:
                 dj = [Fraction(comb(md.n, t) * j**(md.n - t))
                       for t in range(md.n + 1)]
-            den = _poly_mul(den, dj, cap)
-        vals = _poly_mul(num, _unit_inverse(den, cap), cap)
+            den = poly_mul(den, dj, cap)
+        vals = poly_mul(num, poly_inv(den, cap), cap)
         slices.append(LaurentPoly(shift, vals))
         his.append(hi)
     return BiSeries(slices, his)

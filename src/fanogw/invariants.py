@@ -22,8 +22,8 @@ from math import comb, prod
 
 from .geometry import MultiDegree
 from .hyper import FanoContext
-from .series import BiSeries, LaurentPoly, QSeries, Rat
-from .tables import _poly_mul, _unit_inverse
+from .series import (BiSeries, LaurentPoly, QSeries, Rat, linear_product,
+                     poly_inv, poly_mul)
 
 
 class OutOfRange(ValueError):
@@ -66,11 +66,8 @@ def chern_degree0_oracle(md: MultiDegree) -> Rat:
     Chern class (1+h)^n / prod(1 + d_k h) of the complete intersection."""
     cap = md.dim - 1
     num = [Fraction(comb(md.n, j)) for j in range(min(md.n, cap) + 1)]
-    den = [Fraction(1)]
-    for d in md.degrees:
-        den = _poly_mul(den, [Fraction(1), Fraction(d)], cap)
-    series = _poly_mul(num, _unit_inverse(den, cap), cap)
-    coeff = series[cap] if cap < len(series) else Fraction(0)
+    den = linear_product(((1, d) for d in md.degrees), cap)
+    coeff = poly_mul(num, poly_inv(den, cap), cap)[cap]
     return -Fraction(prod(md.degrees), 24) * coeff
 
 
@@ -80,10 +77,8 @@ def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> list:
     num = [Fraction(comb(md.n, j)) for j in range(min(md.n, cap) + 1)]
     if minus_wn and md.n <= cap:
         num[md.n] -= 1
-    den = [Fraction(1)]
-    for d in md.degrees:
-        den = _poly_mul(den, [Fraction(1), Fraction(d)], cap)
-    return _poly_mul(num, _unit_inverse(den, cap), cap)
+    den = linear_product(((1, d) for d in md.degrees), cap)
+    return poly_mul(num, poly_inv(den, cap), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +243,8 @@ def _g_expansion(md: MultiDegree, hi: int) -> LaurentPoly:
     h^hi."""
     cap = hi + 2
     num = [Fraction(comb(md.n, j + 1)) for j in range(min(md.n, cap + 1))]
-    den = [Fraction(1)]
-    for d in md.degrees:
-        den = _poly_mul(den, [Fraction(d), Fraction(1)], cap)
-    vals = _poly_mul(num, _unit_inverse(den, cap), cap)
+    den = linear_product(((d, 1) for d in md.degrees), cap)
+    vals = poly_mul(num, poly_inv(den, cap), cap)
     return LaurentPoly(-2, vals)
 
 

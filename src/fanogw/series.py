@@ -15,6 +15,10 @@ Two series types:
   the largest auxiliary exponent that is exactly known; multiplication
   narrows these bounds conservatively.
 
+Both are built on one exact kernel over plain coefficient lists:
+poly_mul (truncated product), poly_inv (unit inverse) and
+linear_product.  Every other module uses it instead of its own loops.
+
 Everything is immutable; operations are pure functions, safe to share
 across threads.
 """
@@ -48,6 +52,46 @@ class WindowUnderflow(ArithmeticError):
 
 def _rat(x) -> Rat:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel: coefficient lists indexed by exponent, starting at 0
+
+
+def poly_mul(a, b, cap: int | None = None) -> list:
+    """Product of two coefficient lists, without the exponents above
+    `cap` (None keeps the whole product)."""
+    n = len(a) + len(b) - 1 if a and b else 0
+    if cap is not None:
+        n = max(min(n, cap + 1), 0)
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x == 0:
+            continue
+        for j, y in enumerate(b[: n - i]):
+            if y != 0:
+                out[i + j] += x * y
+    return out
+
+
+def poly_inv(a, cap: int) -> list:
+    """Inverse of a coefficient list with a(0) != 0, up to exponent cap."""
+    if not a or a[0] == 0:
+        raise ZeroConstantTerm("cannot invert a series with a(0) = 0")
+    b = [Fraction(1) / a[0]]
+    for m in range(1, cap + 1):
+        s = sum(a[k] * b[m - k] for k in range(1, min(m, len(a) - 1) + 1)
+                if a[k] != 0)
+        b.append(-s / a[0])
+    return b if cap >= 0 else []
+
+
+def linear_product(pairs, cap: int | None = None) -> list:
+    """prod (a + b*x) over (a, b) pairs, without the exponents above cap."""
+    out = [Fraction(1)]
+    for a, b in pairs:
+        out = poly_mul(out, [Fraction(a), Fraction(b)], cap)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +183,7 @@ class QSeries:
             c = _rat(other)
             return QSeries(self.order, [c * x for x in self.coeffs])
         b = min(self.order, other.order)
-        out = [Fraction(0)] * (b + 1)
-        for i, x in enumerate(self.coeffs[: b + 1]):
-            if x == 0:
-                continue
-            for j in range(b + 1 - i):
-                y = other.coeffs[j]
-                if y != 0:
-                    out[i + j] += x * y
-        return QSeries(b, out)
+        return QSeries(b, poly_mul(self.coeffs, other.coeffs, b))
 
     __rmul__ = __mul__
 
@@ -164,15 +200,7 @@ class QSeries:
 
     def inv(self) -> "QSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        a0 = self.coeffs[0]
-        if a0 == 0:
-            raise ZeroConstantTerm("cannot invert a series with a(0) = 0")
-        b = [Fraction(1) / a0]
-        for m in range(1, self.order + 1):
-            s = sum(self.coeffs[k] * b[m - k]
-                    for k in range(1, m + 1) if self.coeffs[k] != 0)
-            b.append(-s / a0)
-        return QSeries(self.order, b)
+        return QSeries(self.order, poly_inv(self.coeffs, self.order))
 
     def deriv(self) -> "QSeries":
         """d/dq; the truncation order drops by one (floored at 0)."""
@@ -309,16 +337,8 @@ class LaurentPoly:
             if c == 0:
                 return LaurentPoly.zero()
             return LaurentPoly(self.lo, [c * x for x in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(other.coeffs):
-                if y != 0:
-                    out[i + j] += x * y
-        return LaurentPoly(self.lo + other.lo, out)
+        return LaurentPoly(self.lo + other.lo,
+                           poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -353,6 +373,28 @@ def _slice_support_lo(poly: LaurentPoly, hi: int) -> int:
     # certified lower bound on the true support: everything <= hi is known
     s = poly.support_lo()
     return s if s is not None else (hi + 1 if hi < INF_EXP else INF_EXP)
+
+
+def _slice_product(u: LaurentPoly, v: LaurentPoly, h: int) -> LaurentPoly:
+    """u * v without the exponents above h (INF_EXP keeps them all)."""
+    lo = u.lo + v.lo
+    return LaurentPoly(lo, poly_mul(u.coeffs, v.coeffs,
+                                    None if h >= INF_EXP else h - lo))
+
+
+def _convolve_slices(terms) -> tuple[LaurentPoly, int]:
+    """sum of u * v over (u, u_hi, v, v_hi) terms, with its exact window.
+    The window depends only on the operands' windows and lowest
+    exponents, so it is fixed first and caps every product."""
+    terms = list(terms)
+    h = INF_EXP
+    for u, u_h, v, v_h in terms:
+        h = min(h, u_h + _slice_support_lo(v, v_h),
+                v_h + _slice_support_lo(u, u_h))
+    acc = LaurentPoly.zero()
+    for u, _, v, _ in terms:
+        acc = acc + _slice_product(u, v, h)
+    return acc, h
 
 
 class BiSeries:
@@ -394,17 +436,6 @@ class BiSeries:
     def order(self) -> int:
         return len(self.slices) - 1
 
-    @property
-    def window_lo(self) -> int:
-        """Global lower exponent bound (guarantee, not truncation)."""
-        los = [s.lo for s in self.slices if not s.is_zero()]
-        return min(los) if los else 0
-
-    @property
-    def window_hi(self) -> int:
-        """Largest exponent exact in every slice."""
-        return min(self.his)
-
     def slice(self, beta: int) -> LaurentPoly:
         if not 0 <= beta <= self.order:
             raise WindowUnderflow(f"q^{beta} slice beyond truncation order {self.order}")
@@ -433,16 +464,6 @@ class BiSeries:
             raise WindowUnderflow(
                 f"cannot extend q-order {self.order} to {order}")
         return BiSeries(self.slices[: order + 1], self.his[: order + 1])
-
-    def require_window(self, hi: int) -> "BiSeries":
-        """Assert every slice is exact up to aux^hi, then cut to that
-        uniform window; fails hard rather than padding with zeros."""
-        for b, h in enumerate(self.his):
-            if h < hi:
-                raise WindowUnderflow(
-                    f"slice q^{b} exact only to aux^{h}, needed aux^{hi}")
-        return BiSeries([s.cut_above(hi) for s in self.slices],
-                        [hi] * (self.order + 1))
 
     # -- arithmetic
 
@@ -486,15 +507,10 @@ class BiSeries:
         n = min(self.order, other.order)
         sl, hs = [], []
         for b in range(n + 1):
-            acc = LaurentPoly.zero()
-            h = INF_EXP
-            for b1 in range(b + 1):
-                a_p, a_h = self.slices[b1], self.his[b1]
-                b_p, b_h = other.slices[b - b1], other.his[b - b1]
-                acc = acc + a_p * b_p
-                pair = min(a_h + _slice_support_lo(b_p, b_h),
-                           b_h + _slice_support_lo(a_p, a_h))
-                h = min(h, min(pair, INF_EXP))
+            acc, h = _convolve_slices(
+                (self.slices[b1], self.his[b1],
+                 other.slices[b - b1], other.his[b - b1])
+                for b1 in range(b + 1))
             sl.append(acc)
             hs.append(h)
         return BiSeries(sl, hs)
@@ -518,25 +534,18 @@ class BiSeries:
         if top0 >= INF_EXP:
             raise WindowUnderflow(
                 "inverting a fully-known series needs an explicit window")
-        inv0 = _invert_unit_slice(a.slices[0], top0)
+        inv0 = LaurentPoly(0, poly_inv(a.slices[0].coeffs, top0))
         out_sl = [inv0]
         out_hs = [top0]
         for b in range(1, self.order + 1):
-            acc = LaurentPoly.zero()
-            h = INF_EXP
-            for j in range(1, b + 1):
-                u_p, u_h = a.slices[j], a.his[j]
-                v_p, v_h = out_sl[b - j], out_hs[b - j]
-                acc = acc + u_p * v_p
-                pair = min(u_h + _slice_support_lo(v_p, v_h),
-                           v_h + _slice_support_lo(u_p, u_h))
-                h = min(h, pair, INF_EXP)
-            pair = min(h + _slice_support_lo(inv0, top0),
-                       top0 + _slice_support_lo(acc, h))
-            h = min(h, pair, INF_EXP)
+            acc, h = _convolve_slices(
+                (a.slices[j], a.his[j], out_sl[b - j], out_hs[b - j])
+                for j in range(1, b + 1))
+            h = min(h, h + _slice_support_lo(inv0, top0),
+                    top0 + _slice_support_lo(acc, h))
             if cap is not None:
                 h = min(h, cap)
-            out_sl.append((-acc) * inv0)
+            out_sl.append(_slice_product(-acc, inv0, h))
             out_hs.append(h)
         res = BiSeries(out_sl, out_hs)
         return res.shift_aux(-m) if m else res
@@ -577,18 +586,3 @@ class BiSeries:
     def __repr__(self) -> str:
         rows = "; ".join(f"q^{b}: {s!r}" for b, s in enumerate(self.slices))
         return f"BiSeries[{rows}]"
-
-
-def _invert_unit_slice(poly: LaurentPoly, top: int) -> LaurentPoly:
-    """Inverse of a Laurent slice with unit lowest coefficient at
-    exponent 0, expanded up to exponent `top` (a finite bound)."""
-    if poly.lo != 0 or not poly.coeffs or poly.coeffs[0] == 0:
-        raise NotInvertible("slice is not a unit at exponent 0")
-    if top < 0:
-        return LaurentPoly.zero()
-    a = [poly.coeff(e) for e in range(top + 1)]
-    b = [Fraction(1) / a[0]]
-    for m in range(1, top + 1):
-        s = sum(a[k] * b[m - k] for k in range(1, m + 1) if a[k] != 0)
-        b.append(-s / a[0])
-    return LaurentPoly(0, b)

@@ -20,48 +20,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .geometry import MultiDegree
-from .series import Rat
-
-
-class InsufficientCBounds(Exception):
-    """A ct recursion step needed a c entry beyond the built bounds."""
+from .series import Rat, linear_product, poly_inv, poly_mul
 
 
 class InsufficientBounds(Exception):
-    """A consumer asked for table entries beyond the built bounds."""
-
-
-def _poly_mul(a: list, b: list, cap: int) -> list:
-    out = [Fraction(0)] * min(len(a) + len(b) - 1, cap + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > cap:
-            continue
-        for j in range(min(len(b), cap + 1 - i)):
-            y = b[j]
-            if y != 0:
-                out[i + j] += x * y
-    return out
-
-def _unit_inverse(a: list, cap: int) -> list:
-    b = [Fraction(1) / a[0]]
-    for m in range(1, cap + 1):
-        s = sum(a[k] * b[m - k] for k in range(1, min(m, len(a) - 1) + 1)
-                if a[k] != 0)
-        b.append(-s / a[0])
-    return b
+    """A table entry was asked for beyond the built bounds."""
 
 
 def _c_base_slice(md: MultiDegree, beta: int, cap: int) -> list:
     """prod_k prod_i (d_k w + i) / prod_j (w + j)^n as a w-series."""
-    num = [Fraction(1)]
-    for d in md.degrees:
-        for i in range(1, d * beta + 1):
-            num = _poly_mul(num, [Fraction(i), Fraction(d)], cap)
-    den = [Fraction(1)]
-    for j in range(1, beta + 1):
-        for _ in range(md.n):
-            den = _poly_mul(den, [Fraction(j), Fraction(1)], cap)
-    return _poly_mul(num, _unit_inverse(den, cap), cap)
+    num = linear_product(((i, d) for d in md.degrees
+                          for i in range(1, d * beta + 1)), cap)
+    den = linear_product(((j, 1) for j in range(1, beta + 1)
+                          for _ in range(md.n)), cap)
+    return poly_mul(num, poly_inv(den, cap), cap)
 
 
 class CoeffTables:
@@ -89,7 +61,7 @@ class CoeffTables:
             row = base
             for p in range(self.p_max + 1):
                 self._c[(p, beta)] = tuple(row) + (Fraction(0),) * (cap + 1 - len(row))
-                row = _poly_mul(row, [Fraction(beta), Fraction(1)], cap)
+                row = poly_mul(row, [Fraction(beta), Fraction(1)], cap)
 
     def _build_ct(self):
         nu = self.md.nu
@@ -118,7 +90,7 @@ class CoeffTables:
         if p < 0 or l < 0:
             return Fraction(0)
         if p > self.p_max or beta > self.beta_max or l > self.l_max:
-            raise InsufficientCBounds(
+            raise InsufficientBounds(
                 f"c({p},{l},{beta}) beyond built bounds "
                 f"(p<={self.p_max}, l<={self.l_max}, beta<={self.beta_max})")
         return self._c[(p, beta)][l]
@@ -155,20 +127,3 @@ class CoeffTables:
                     s += ck * self.c(k, l, beta - b1)
         want = Fraction(1) if (beta == 0 and p == l) else Fraction(0)
         return s - want
-
-    def with_corrupted_ctilde(self, p: int, l: int, beta: int) -> "CoeffTables":
-        """Copy with one ct entry bumped by 1.  Test-harness hook only:
-        used to prove the consistency checks actually bite."""
-        other = object.__new__(CoeffTables)
-        other.md = self.md
-        other.p_max = self.p_max
-        other.beta_max = self.beta_max
-        other.l_max = self.l_max
-        other._c = self._c
-        ct = dict(self._ct)
-        row = list(ct[(p, beta)])
-        row[l] += 1
-        ct[(p, beta)] = tuple(row)
-        other._ct = ct
-        return other
-

@@ -1,6 +1,6 @@
-"""Independent oracles used by the tests.
+"""Independent oracles used by the tests, and the one corruption hook.
 
-These deliberately avoid the library's own code paths: plain list
+The oracles deliberately avoid the library's own code paths: plain list
 arithmetic on Fractions, long division, fixpoint iteration.  Expected
 values asserted in the tests were computed with these and frozen.
 """
@@ -74,6 +74,14 @@ def chern_value_oracle(n, degrees):
         den = poly_mul(den, [Fraction(1), Fraction(d)], cap)
     series = long_division(num, den, cap)
     return -Fraction(prod(degrees), 24) * series[cap]
+
+
+def corrupt_ctilde(monkeypatch, tables, p, l, beta):
+    """Bump the entry ct[p, l, beta] of `tables` by 1 for one test, to
+    show that the consistency checks bite."""
+    row = list(tables._ct[(p, beta)])
+    row[l] += 1
+    monkeypatch.setitem(tables._ct, (p, beta), tuple(row))
 
 
 def ctilde_oracle(n, degrees, nu, p_max, beta_max):

@@ -3,7 +3,12 @@ and the round-trip stability of the JSON emission."""
 
 import json
 
+import pytest
+
+import fanogw.checks
 from fanogw.cli import main
+
+from helpers import corrupt_ctilde
 
 
 def run(capsys, *argv):
@@ -34,6 +39,50 @@ def test_compute_rejects_linear_degree(capsys):
 def test_compute_rejects_nonfano(capsys):
     code, _, err = run(capsys, "compute", "--ambient", "4", "--degrees", "2,2")
     assert code == 1 and "Fano" in err
+
+
+@pytest.mark.parametrize("degrees", [",", ""])
+def test_compute_rejects_projective_space(capsys, degrees):
+    code, out, err = run(capsys, "compute", "--ambient", "4",
+                         "--degrees", degrees)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "projective space" in err
+
+
+def test_grid_rejects_projective_space(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("5:3\n5\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", "--grid", str(grid))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "projective space" in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["compute", "--bogus"], 1),
+    (["compute", "--ambient", "x", "--degrees", "3"], 1),
+    (["compute", "--ambient", "5", "--degrees", "3", "--format", "xml"], 1),
+    (["frobnicate"], 1),
+    ([], 1),
+    (["--help"], 0),
+    (["compute", "--help"], 0),
+])
+def test_argument_exit_codes(capsys, argv, code):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # --help exits through argparse
+        got = exc.code
+    out = capsys.readouterr()
+    assert got == code
+    if code == 1:
+        assert out.out == "" and out.err.startswith("error: ")
+        assert out.err.count("\n") == 1
+
+
+def test_config_rejects_unknown_format(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ambient=5\ndegrees=3\nformat=xml\n", encoding="utf-8")
+    code, out, err = run(capsys, "compute", "--config", str(cfg))
+    assert code == 1 and out == "" and "xml" in err
 
 
 def test_compute_missing_geometry(capsys):
@@ -108,14 +157,19 @@ def test_check_single_geometry_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_check_corrupted_ctilde_fails_convolution(capsys):
+def test_check_corrupted_ctilde_fails_convolution(monkeypatch, capsys):
+    real = fanogw.checks.CoeffTables
+
+    def corrupted(md, **bounds):
+        tables = real(md, **bounds)
+        corrupt_ctilde(monkeypatch, tables, 3, 1, 1)
+        return tables
+
+    monkeypatch.setattr(fanogw.checks, "CoeffTables", corrupted)
     code, out, _ = run(capsys, "check", "--ambient", "5", "--degrees", "3",
-                       "--corrupt-ctilde", "3,1,1", "--format", "csv")
+                       "--format", "csv")
     assert code == 2
-    rows = dict((line.rsplit(",", 2)[0] + "," + line.split(",")[1],
-                 line.rsplit(",", 1)[1]) for line in out.splitlines()[1:])
-    assert "X_5(3),convolution-identity" in "\n".join(out.splitlines())
-    assert "convolution-identity,false" in out
+    assert "X_5(3),convolution-identity,false" in out.splitlines()
 
 
 def test_check_grid_file(tmp_path, capsys):

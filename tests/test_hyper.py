@@ -30,6 +30,8 @@ def test_multidegree_rejects_bad_geometry():
         MultiDegree(5, (1,))  # linear factor
     with pytest.raises(ValueError):
         MultiDegree(4, (2, 2, 2))  # dimension 0 before the index check
+    with pytest.raises(ValueError):
+        MultiDegree(5, ())  # r = 0: projective space itself
 
 
 def test_ftilde_hbar_slices():

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from fanogw.geometry import MultiDegree
-from fanogw.invariants import (OutOfRange, a_series, chern_degree0_oracle,
-                               context_for, invariant_row, invariant_table,
+from fanogw.invariants import (OutOfRange, _f_bracket, a_series,
+                               chern_degree0_oracle, context_for,
+                               invariant_row, invariant_table,
                                reduced_invariant, standard_invariant,
                                svr_difference, type_a, type_b)
 
@@ -145,6 +146,21 @@ def test_frozen_sample_values():
     rows = invariant_table(MD623)
     assert [r.standard for r in rows][:3] \
         == [Fraction(-1), Fraction(15, 2), Fraction(0)]
+
+
+def test_frozen_f_bracket_windows():
+    """The exact window of every F-bracket slice, row by row, as the
+    invariant table builds it (frozen; the products that build the
+    bracket are capped at these windows)."""
+    md = MultiDegree(8, (7,))
+    ctx = context_for(md, md.bmax)
+    assert [_f_bracket(ctx, 1 + md.nu * b).his for b in range(md.bmax + 1)] \
+        == [(8 + b,) + (7,) * 8 for b in range(8)]
+    ctx = context_for(MD623, MD623.bmax)
+    assert [_f_bracket(ctx, 1 + MD623.nu * b).his
+            for b in range(MD623.bmax + 1)] == [
+        (5, 4, 4, 4, 4, 4, 4), (6, 4, 4, 4, 4, 4, 4), (7, 4, 4, 4, 4, 4, 4),
+        (8, 4, 4, 4, 4, 4, 4), (9, 4, 4, 4, 4, 4, 4), (10, 4, 4, 4, 4, 4, 4)]
 
 
 def test_deep_index_one_geometry():

@@ -244,21 +244,6 @@ def test_bs_window_narrowing_matches_bruteforce():
                 prod.coeff(beta, h + 1)
 
 
-def test_require_window_asserts_up_front():
-    a = BiSeries([LaurentPoly(0, (1, 1, 1, 1))], his=[3])
-    cut = a.require_window(2)
-    assert cut.slice_hi(0) == 2 and cut.slice(0).hi == 2
-    with pytest.raises(WindowUnderflow):
-        a.require_window(5)
-
-
-def test_global_window_bounds():
-    a = BiSeries([LaurentPoly(-1, (1, 2)), LaurentPoly(2, (3,))],
-                 his=[4, 6])
-    assert a.window_lo == -1   # lower bound is a guarantee
-    assert a.window_hi == 4    # exact in every slice only up to here
-
-
 def test_apply_d_examples():
     one = BiSeries([LaurentPoly(0, (1,)), LaurentPoly.zero()])
     assert one.apply_D(-1).slice(0) == LaurentPoly(0, (1,))
