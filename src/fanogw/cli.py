@@ -50,18 +50,41 @@ def _emit(text: str, out_path: str | None):
 # config / input files
 
 
-def _load_config(path: str) -> dict:
-    cfg = {}
+def _parse_lines(path: str, parse) -> list:
+    """parse(line) for every line of the file that is neither blank nor a
+    # comment.  A line that does not parse is reported with the file,
+    the line number and its text."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
-    return cfg
+        raw_lines = fh.readlines()
+    out = []
+    for lineno, raw in enumerate(raw_lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            out.append(parse(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {line!r}: {exc}") from None
+    return out
+
+
+_CONFIG_KEYS = ("ambient", "degrees", "max-b", "order", "format", "out",
+                "grid", "hj-table")
+
+
+def _config_entry(line: str) -> tuple:
+    key, eq, val = line.partition("=")
+    key, val = key.strip(), val.strip()
+    if not eq:
+        raise ValueError("config line without '='")
+    if key not in _CONFIG_KEYS:
+        raise ValueError(f"unknown config key {key!r}")
+    if key in ("ambient", "max-b", "order"):
+        return key, int(val)
+    if key == "format" and val not in FORMATS:
+        raise ValueError(f"config format {val!r} is not one of "
+                         f"{', '.join(FORMATS)}")
+    return key, val
 
 
 def _parse_degrees(text: str) -> tuple:
@@ -71,28 +94,30 @@ def _parse_degrees(text: str) -> tuple:
         raise ValueError(f"cannot parse degrees {text!r}")
 
 
+def _grid_entry(line: str) -> MultiDegree:
+    n_part, _, d_part = line.partition(":")
+    return MultiDegree(int(n_part), _parse_degrees(d_part))
+
+
 def _load_grid(path: str) -> list[MultiDegree]:
-    cases = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            n_part, _, d_part = line.partition(":")
-            cases.append(MultiDegree(int(n_part), _parse_degrees(d_part)))
-    return sorted(cases, key=lambda md: (md.n, md.degrees))
+    return sorted(_parse_lines(path, _grid_entry),
+                  key=lambda md: (md.n, md.degrees))
+
+
+def _hj_entry(line: str) -> tuple:
+    parts = line.split()
+    if len(parts) != 3:
+        raise ValueError("expected 'j d value'")
+    j, d, val = parts
+    try:
+        return (int(j), int(d)), Fraction(val)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {val!r}") from None
 
 
 def _load_hj_table(path: str):
     """Lines "j d value" defining the otherwise-undefined h_j(d)."""
-    table = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            j, d, val = line.split()
-            table[(int(j), int(d))] = Fraction(val)
+    table = dict(_parse_lines(path, _hj_entry))
 
     def hj(j: int, d: int) -> Fraction:
         try:
@@ -321,26 +346,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_KEYS = ("ambient", "degrees", "max-b", "order", "format", "out",
-                "grid", "hj-table")
-
-
 def _merge_config(args) -> None:
     if args.config is None:
         return
-    cfg = _load_config(args.config)
-    unknown = set(cfg) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key in _CONFIG_KEYS:
+    cfg = dict(_parse_lines(args.config, _config_entry))  # last entry wins
+    for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr) is None and key in cfg:
-            val = cfg[key]
-            if key in ("ambient", "max-b", "order"):
-                val = int(val)
-            elif key == "format" and val not in FORMATS:
-                raise ValueError(f"config format {val!r} is not one of "
-                                 f"{', '.join(FORMATS)}")
+        if getattr(args, attr) is None:
             setattr(args, attr, val)
 
 

@@ -18,6 +18,9 @@ Two series types:
 Both are built on one exact kernel over plain coefficient lists:
 poly_mul (truncated product), poly_inv (unit inverse) and
 linear_product.  Every other module uses it instead of its own loops.
+The kernel computes on integer numerators over one common denominator
+and returns lowest-term Fractions: one normalisation per output
+coefficient, not one per term.
 
 Everything is immutable; operations are pure functions, safe to share
 across threads.
@@ -26,6 +29,7 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 Rat = Fraction
@@ -58,40 +62,86 @@ def _rat(x) -> Rat:
 # the exact kernel: coefficient lists indexed by exponent, starting at 0
 
 
-def poly_mul(a, b, cap: int | None = None) -> list:
-    """Product of two coefficient lists, without the exponents above
-    `cap` (None keeps the whole product)."""
-    n = len(a) + len(b) - 1 if a and b else 0
-    if cap is not None:
-        n = max(min(n, cap + 1), 0)
-    out = [Fraction(0)] * n
+def _lift(xs) -> tuple[list, int]:
+    """(numerators, d) with xs[k] == numerators[k] / d, d the lcm of the
+    denominators (ints count as denominator 1)."""
+    d = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _int_mul(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product of two int lists."""
+    out = [0] * n
     for i, x in enumerate(a[:n]):
-        if x == 0:
-            continue
-        for j, y in enumerate(b[: n - i]):
-            if y != 0:
-                out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b[: n - i], i):
+                out[j] += x * y
     return out
 
 
+def _product_length(a, b, cap: int | None) -> int:
+    n = len(a) + len(b) - 1 if a and b else 0
+    return n if cap is None else max(min(n, cap + 1), 0)
+
+
+def poly_mul(a, b, cap: int | None = None) -> list:
+    """Product of two coefficient lists, without the exponents above
+    `cap` (None keeps the whole product)."""
+    n = _product_length(a, b, cap)
+    if not n:
+        return []
+    na, da = _lift(a[:n])
+    nb, db = _lift(b[:n])
+    d = da * db
+    return [Fraction(c, d) for c in _int_mul(na, nb, n)]
+
+
 def poly_inv(a, cap: int) -> list:
-    """Inverse of a coefficient list with a(0) != 0, up to exponent cap."""
+    """Inverse of a coefficient list with a(0) != 0, up to exponent cap.
+
+    With a = g*A/d for a primitive int list A, the inverse is d/(g*A),
+    and c[m] = A(0)^(m+1) [x^m] 1/A is an integer:
+    c[0] = 1, c[m] = -sum_k A(k) A(0)^(k-1) c[m-k]."""
     if not a or a[0] == 0:
         raise ZeroConstantTerm("cannot invert a series with a(0) = 0")
-    b = [Fraction(1) / a[0]]
+    if cap < 0:
+        return []
+    na, d = _lift(a[: cap + 1])
+    g = gcd(*na)
+    a0 = na[0] // g
+    # A(k) * A(0)^(k-1), for k = 1..len-1
+    scaled, p = [], 1
+    for x in na[1:]:
+        scaled.append(x // g * p)
+        p *= a0
+    c = [1]
     for m in range(1, cap + 1):
-        s = sum(a[k] * b[m - k] for k in range(1, min(m, len(a) - 1) + 1)
-                if a[k] != 0)
-        b.append(-s / a[0])
-    return b if cap >= 0 else []
+        s = 0
+        for k, x in enumerate(scaled[:m], 1):
+            if x:
+                s += x * c[m - k]
+        c.append(-s)
+    out, p = [], g * a0
+    for x in c:
+        out.append(Fraction(d * x, p))
+        p *= a0
+    return out
 
 
 def linear_product(pairs, cap: int | None = None) -> list:
     """prod (a + b*x) over (a, b) pairs, without the exponents above cap."""
-    out = [Fraction(1)]
+    p, den = [1], 1
     for a, b in pairs:
-        out = poly_mul(out, [Fraction(a), Fraction(b)], cap)
-    return out
+        (na, nb), d = _lift((a, b))
+        den *= d
+        n = _product_length(p, (na, nb), cap)
+        q = [na * x for x in p[:n]]
+        if n > len(p):
+            q.append(0)
+        for k in range(1, n):
+            q[k] += nb * p[k - 1]
+        p = q
+    return [Fraction(x, den) for x in p]
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +425,28 @@ def _slice_support_lo(poly: LaurentPoly, hi: int) -> int:
     return s if s is not None else (hi + 1 if hi < INF_EXP else INF_EXP)
 
 
-def _slice_product(u: LaurentPoly, v: LaurentPoly, h: int) -> LaurentPoly:
-    """u * v without the exponents above h (INF_EXP keeps them all)."""
-    lo = u.lo + v.lo
-    return LaurentPoly(lo, poly_mul(u.coeffs, v.coeffs,
-                                    None if h >= INF_EXP else h - lo))
+def _sum_of_products(pairs, h: int) -> LaurentPoly:
+    """sum of u * v over (u, v) pairs, without the exponents above h
+    (INF_EXP keeps them all), added up on one common denominator."""
+    parts = []  # (lowest exponent, int coefficients, denominator)
+    for u, v in pairs:
+        lo = u.lo + v.lo
+        n = _product_length(u.coeffs, v.coeffs,
+                            None if h >= INF_EXP else h - lo)
+        if n:
+            nu, du = _lift(u.coeffs[:n])
+            nv, dv = _lift(v.coeffs[:n])
+            parts.append((lo, _int_mul(nu, nv, n), du * dv))
+    if not parts:
+        return LaurentPoly.zero()
+    lo = min(p[0] for p in parts)
+    d = lcm(*[p[2] for p in parts])
+    acc = [0] * (max(p[0] + len(p[1]) for p in parts) - lo)
+    for p_lo, cs, p_d in parts:
+        s = d // p_d
+        for k, c in enumerate(cs, p_lo - lo):
+            acc[k] += c * s
+    return LaurentPoly(lo, [Fraction(c, d) for c in acc])
 
 
 def _convolve_slices(terms) -> tuple[LaurentPoly, int]:
@@ -391,10 +458,7 @@ def _convolve_slices(terms) -> tuple[LaurentPoly, int]:
     for u, u_h, v, v_h in terms:
         h = min(h, u_h + _slice_support_lo(v, v_h),
                 v_h + _slice_support_lo(u, u_h))
-    acc = LaurentPoly.zero()
-    for u, _, v, _ in terms:
-        acc = acc + _slice_product(u, v, h)
-    return acc, h
+    return _sum_of_products(((u, v) for u, _, v, _ in terms), h), h
 
 
 class BiSeries:
@@ -545,7 +609,7 @@ class BiSeries:
                     top0 + _slice_support_lo(acc, h))
             if cap is not None:
                 h = min(h, cap)
-            out_sl.append(_slice_product(-acc, inv0, h))
+            out_sl.append(_sum_of_products([(-acc, inv0)], h))
             out_hs.append(h)
         res = BiSeries(out_sl, out_hs)
         return res.shift_aux(-m) if m else res

@@ -226,3 +226,20 @@ def test_text_output_lists_all_rows(capsys):
     assert code == 0
     assert out.count("\n") == 2 + 6  # header lines + six degrees
     assert "15/2" in out
+
+
+@pytest.mark.parametrize("verb,flag,text,lineno", [
+    ("check", "--grid", "5:3\nabc\n", 2),
+    ("conjectures", "--hj-table", "1 2\n", 1),
+    ("conjectures", "--hj-table", "# h_j(d)\n1 2 1/0\n", 2),
+    ("compute", "--config", "degrees=3\nambient=x\n", 2),
+])
+def test_input_file_errors_name_file_and_line(tmp_path, capsys, verb, flag,
+                                              text, lineno):
+    path = tmp_path / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, verb, flag, str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"{path}:{lineno}:" in err
+    assert repr(text.splitlines()[lineno - 1]) in err
