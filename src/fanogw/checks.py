@@ -75,12 +75,14 @@ def check_regularizable(md: MultiDegree, order: int = 8) -> bool:
 
 
 def check_w_regular(md: MultiDegree, order: int = 8) -> bool:
-    """F_p has no negative w powers for p <= n-1."""
+    """F_p has no negative w powers for p <= n-1.  The window of F_p
+    falls p below the one requested, so asking for max(order, p) keeps
+    every negative exponent known; a window below -1 fails the check."""
     ctx = FanoContext(md, order)
     for p in range(md.n):
-        fp = ctx.fp_w(p, order)
-        if any(exp < 0 for b in range(fp.order + 1)
-               for exp, _ in fp.slice(b).items()):
+        fp = ctx.fp_w(p, max(order, p))
+        if min(fp.his) < -1 or any(exp < 0 for b in range(fp.order + 1)
+                                   for exp, _ in fp.slice(b).items()):
             return False
     return True
 

@@ -14,11 +14,11 @@ The two must agree exactly; the check suite enforces this.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .geometry import MultiDegree
-from .series import (BiSeries, LaurentPoly, QSeries, linear_product,
-                     poly_inv, poly_mul)
+from .series import (INF_EXP, BiSeries, LaurentPoly, QSeries, linear_product,
+                     poly_inv, poly_mul, sum_of_products)
 from .tables import CoeffTables
 
 
@@ -90,30 +90,56 @@ def exp_neg_mu_over_aux(mu: QSeries, order: int) -> BiSeries:
 
 
 def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeries:
-    """F_p from a D-operator chain over `base`:
-    sum over beta1 <= p/nu, l <= p - nu*beta1 of
-    ct[p,l,beta1] * q^beta1 * aux^(sign) * D^l(base),
-    with aux exponent l + nu*beta1 - p in the w presentation
-    (shift=-1) and its negative in the hbar presentation (shift=+1)."""
-    md, nu = tables.md, tables.md.nu
-    order = base.order
-    chain = [base]
-    for _ in range(p):
-        chain.append(chain[-1].apply_D(shift))
-    total = None
+    """F_p = sum over beta1 <= p/nu, l <= p - nu*beta1 of
+    ct[p,l,beta1] * q^beta1 * aux^e * D^l(base), where
+    D = 1 + aux^shift * q d/dq and e = l + nu*beta1 - p in the w
+    presentation (shift=-1), -e in the hbar presentation (shift=+1).
+
+    q d/dq multiplies q^b by b, so D^l is (1 + b*aux^shift)^l on slice
+    b, and with s = -shift the ct-weighted factor in front of slice b
+    is the Laurent polynomial
+
+        P[beta1, b] = aux^(s*(nu*beta1 - p)) * sum_l ct[p,l,beta1] (b + aux^s)^l.
+
+    Slice B of F_p is the capped sum of P[beta1, B-beta1] * base[B-beta1]
+    over beta1 <= B.  Its window is the one the chain of D's gives:
+    the least h[B-beta1] + e - l*[shift = -1 and B-beta1 >= 1] over the
+    nonzero ct (each w-side D lowers the window of a slice b >= 1 by
+    one; fully known slices stay fully known, and so does every slice
+    when all ct vanish)."""
+    nu, order, s = tables.md.nu, base.order, -shift
+    rows = []  # (beta1, ct numerators over den, den, l of the nonzero ct)
     for beta1 in range(min(order, p // nu) + 1):
-        for l in range(p - nu * beta1 + 1):
-            ct = tables.ctilde(p, l, beta1)
-            if ct == 0:
-                continue
-            e = l + nu * beta1 - p
-            if shift == 1:
-                e = -e
-            term = chain[l].scale(ct).shift_aux(e).shift_q(beta1).truncate(order)
-            total = term if total is None else total + term
-    if total is None:  # only possible when every ct vanished
-        total = BiSeries.zero(order)
-    return total
+        row = [tables.ctilde(p, l, beta1) for l in range(p - nu * beta1 + 1)]
+        nonzero = [l for l, c in enumerate(row) if c]
+        if nonzero:
+            den = lcm(*[c.denominator for c in row])
+            rows.append((beta1, [c.numerator * (den // c.denominator) for c in row],
+                         den, nonzero))
+    slices, his = [], []
+    for B in range(order + 1):
+        pairs, h = [], INF_EXP
+        for beta1, nums, den, nonzero in rows:
+            b = B - beta1
+            if b < 0:
+                break
+            if base.his[b] < INF_EXP:
+                drop = shift == -1 and b > 0
+                h = min(h, base.his[b] + min(s * (l + nu * beta1 - p) - l * drop
+                                             for l in nonzero))
+            # sum_l nums[l] (b + x)^l by Horner, x = aux^s
+            poly = []
+            for c in reversed(nums):
+                poly = [b * x + y for x, y in zip(poly + [0], [0] + poly)]
+                poly[0] += c
+            poly = [Fraction(c, den) for c in poly]
+            lead = s * (nu * beta1 - p)
+            fac = (LaurentPoly(lead, poly) if s == 1
+                   else LaurentPoly(lead - len(poly) + 1, poly[::-1]))
+            pairs.append((fac, base.slices[b]))
+        slices.append(sum_of_products(pairs, h))
+        his.append(h)
+    return BiSeries(slices, his)
 
 
 # ---------------------------------------------------------------------------

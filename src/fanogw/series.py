@@ -17,7 +17,8 @@ Two series types:
 
 Both are built on one exact kernel over plain coefficient lists:
 poly_mul (truncated product), poly_inv (unit inverse) and
-linear_product.  Every other module uses it instead of its own loops.
+linear_product, plus sum_of_products, the capped sum of products of
+Laurent slices.  Every other module uses it instead of its own loops.
 The kernel computes on integer numerators over one common denominator
 and returns lowest-term Fractions: one normalisation per output
 coefficient, not one per term.
@@ -158,7 +159,8 @@ class QSeries:
     def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [_rat(c) for c in coeffs][: order + 1]
+        cs = [c if c.__class__ is Fraction else Fraction(c)
+              for c in coeffs][: order + 1]
         cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -327,7 +329,7 @@ class LaurentPoly:
     __slots__ = ("lo", "coeffs")
 
     def __init__(self, lo: int, coeffs: Iterable = ()):
-        cs = [_rat(c) for c in coeffs]
+        cs = [c if c.__class__ is Fraction else Fraction(c) for c in coeffs]
         # trim zero margins so `lo` doubles as a tight support bound
         while cs and cs[0] == 0:
             cs.pop(0)
@@ -425,9 +427,10 @@ def _slice_support_lo(poly: LaurentPoly, hi: int) -> int:
     return s if s is not None else (hi + 1 if hi < INF_EXP else INF_EXP)
 
 
-def _sum_of_products(pairs, h: int) -> LaurentPoly:
-    """sum of u * v over (u, v) pairs, without the exponents above h
-    (INF_EXP keeps them all), added up on one common denominator."""
+def sum_of_products(pairs, h: int) -> LaurentPoly:
+    """sum of u * v over (u, v) pairs of LaurentPolys, without the
+    exponents above h (INF_EXP keeps them all), added up on one common
+    denominator: one Fraction per output coefficient."""
     parts = []  # (lowest exponent, int coefficients, denominator)
     for u, v in pairs:
         lo = u.lo + v.lo
@@ -458,7 +461,7 @@ def _convolve_slices(terms) -> tuple[LaurentPoly, int]:
     for u, u_h, v, v_h in terms:
         h = min(h, u_h + _slice_support_lo(v, v_h),
                 v_h + _slice_support_lo(u, u_h))
-    return _sum_of_products(((u, v) for u, _, v, _ in terms), h), h
+    return sum_of_products(((u, v) for u, _, v, _ in terms), h), h
 
 
 class BiSeries:
@@ -523,12 +526,6 @@ class BiSeries:
         """Coefficient of aux^{-1} across q-degrees."""
         return self.coeff_of_aux(-1)
 
-    def truncate(self, order: int) -> "BiSeries":
-        if order > self.order:
-            raise WindowUnderflow(
-                f"cannot extend q-order {self.order} to {order}")
-        return BiSeries(self.slices[: order + 1], self.his[: order + 1])
-
     # -- arithmetic
 
     def __add__(self, other) -> "BiSeries":
@@ -556,14 +553,6 @@ class BiSeries:
     def shift_aux(self, k: int) -> "BiSeries":
         his = [h if h >= INF_EXP else h + k for h in self.his]
         return BiSeries([s.shift(k) for s in self.slices], his)
-
-    def shift_q(self, k: int) -> "BiSeries":
-        """Multiply by q^k; the new low slices are exactly zero."""
-        if k < 0:
-            raise ValueError("shift exponent must be >= 0")
-        sl = [LaurentPoly.zero()] * k + list(self.slices)
-        hs = [INF_EXP] * k + list(self.his)
-        return BiSeries(sl, hs)
 
     def __mul__(self, other) -> "BiSeries":
         if not isinstance(other, BiSeries):
@@ -609,23 +598,10 @@ class BiSeries:
                     top0 + _slice_support_lo(acc, h))
             if cap is not None:
                 h = min(h, cap)
-            out_sl.append(_sum_of_products([(-acc, inv0)], h))
+            out_sl.append(sum_of_products([(-acc, inv0)], h))
             out_hs.append(h)
         res = BiSeries(out_sl, out_hs)
         return res.shift_aux(-m) if m else res
-
-    def apply_D(self, shift: int) -> "BiSeries":
-        """The operator 1 + aux^shift * q d/dq (shift = -1 in the w
-        presentation, +1 in the hbar presentation)."""
-        sl, hs = [self.slices[0]], [self.his[0]]
-        for b in range(1, self.order + 1):
-            extra = self.slices[b].shift(shift) * b
-            sl.append(self.slices[b] + extra)
-            h = self.his[b]
-            if h < INF_EXP:
-                h = min(h, h + shift)
-            hs.append(h)
-        return BiSeries(sl, hs)
 
     def log(self) -> "BiSeries":
         """log of a series with q^0 slice exactly 1."""

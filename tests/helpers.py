@@ -6,9 +6,12 @@ values asserted in the tests were computed with these and frozen.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import prod
+from types import SimpleNamespace
 
-from fanogw.series import QSeries
+from fanogw.geometry import MultiDegree
+from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
 
 
 def poly_mul(a, b, cap):
@@ -103,3 +106,84 @@ def ctilde_oracle(n, degrees, nu, p_max, beta_max):
                                                        beta - b1)
                 ct[(p, l, beta)] = v
     return ct
+
+
+def valid_geometries(n_max, r_max):
+    """Every valid MultiDegree with n <= n_max and r <= r_max."""
+    return [MultiDegree(n, ds)
+            for n in range(3, n_max + 1) for r in range(1, r_max + 1)
+            for ds in combinations_with_replacement(range(2, n), r)
+            if n - 1 - r >= 1 and n - sum(ds) >= 1]
+
+
+def _laurent(coeffs, hi):
+    """LaurentPoly from an {exponent: Fraction} dict, cut above hi."""
+    kept = {e: c for e, c in coeffs.items() if c != 0 and e <= hi}
+    if not kept:
+        return LaurentPoly.zero()
+    lo = min(kept)
+    return LaurentPoly(lo, [kept.get(e, Fraction(0))
+                            for e in range(lo, max(kept) + 1)])
+
+
+def _d_step(slices, his, shift):
+    """D = 1 + aux^shift q d/dq on dict slices: slice b gains b times
+    itself times aux^shift, and a known window of a slice b >= 1 becomes
+    min(h, h + shift)."""
+    out_sl, out_hs = [], []
+    for b, (s, h) in enumerate(zip(slices, his)):
+        t = dict(s)
+        if b:
+            for e, c in s.items():
+                t[e + shift] = t.get(e + shift, Fraction(0)) + b * c
+            if h < INF_EXP:
+                h = min(h, h + shift)
+        out_sl.append({e: c for e, c in t.items() if e <= h})
+        out_hs.append(h)
+    return out_sl, out_hs
+
+
+def apply_d(base, shift, times=1):
+    """D^times(base) for a BiSeries, one D at a time."""
+    slices, his = [dict(s.items()) for s in base.slices], list(base.his)
+    for _ in range(times):
+        slices, his = _d_step(slices, his, shift)
+    return BiSeries([_laurent(s, h) for s, h in zip(slices, his)], his)
+
+
+def fp_series_by_d_chain(tables, base, p, shift):
+    """F_p by the chain D^0(base), ..., D^p(base): the sum of
+    ct[p,l,beta1] q^beta1 aux^e D^l(base) with e = l + nu*beta1 - p
+    (w presentation, shift = -1) or -e (hbar, shift = +1).  A term's
+    window is its chain window moved by e; a slice's window is the least
+    over its terms (fully known when it has none)."""
+    nu, order = tables.md.nu, base.order
+    chain = [([dict(s.items()) for s in base.slices], list(base.his))]
+    for _ in range(p):
+        chain.append(_d_step(*chain[-1], shift))
+    acc = [{} for _ in range(order + 1)]
+    his = [INF_EXP] * (order + 1)
+    for beta1 in range(min(order, p // nu) + 1):
+        for l in range(p - nu * beta1 + 1):
+            ct = tables.ctilde(p, l, beta1)
+            if ct == 0:
+                continue
+            e = l + nu * beta1 - p
+            if shift == 1:
+                e = -e
+            slices, hs = chain[l]
+            for b in range(order + 1 - beta1):
+                t = acc[b + beta1]
+                for x, c in slices[b].items():
+                    t[x + e] = t.get(x + e, Fraction(0)) + ct * c
+                if hs[b] < INF_EXP:
+                    his[b + beta1] = min(his[b + beta1], hs[b] + e)
+    return BiSeries([_laurent(s, h) for s, h in zip(acc, his)], his)
+
+
+def d_power_tables(nu, p):
+    """A stand-in for CoeffTables with ct[p,l,beta] = 1 exactly when
+    l = p and beta = 0: F_p over these tables is D^p(base)."""
+    return SimpleNamespace(
+        md=SimpleNamespace(nu=nu),
+        ctilde=lambda pp, l, beta: Fraction(int(l == pp == p and beta == 0)))

@@ -5,12 +5,17 @@ handful of directly computable coefficients."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fanogw.checks import check_w_regular
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import FanoContext, ftilde_hbar, f_w
-from fanogw.series import QSeries
+from fanogw.hyper import FanoContext, fp_series, ftilde_hbar, f_w
+from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
+from fanogw.tables import CoeffTables
 
-from helpers import l_fixpoint_oracle
+from helpers import (corrupt_ctilde, fp_series_by_d_chain, l_fixpoint_oracle,
+                     valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -135,3 +140,57 @@ def test_fp_w_regular_at_zero():
             fp = ctx.fp_w(p, 6)
             for b in range(fp.order + 1):
                 assert all(exp >= 0 for exp, _ in fp.slice(b).items()), (md, p, b)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(valid_geometries(9, 3)), st.data())
+def test_fp_series_matches_the_d_chain(md, data):
+    """Slices and windows of F_p against the reference chain of D's, in
+    both presentations, over w-side bases with and without tilde and the
+    hbar-side base, with windows down to 8 - n and some slices fully
+    known."""
+    order = data.draw(st.integers(0, 3), label="order")
+    p = data.draw(st.integers(0, md.n), label="p")
+    hi = data.draw(st.integers(0, 8), label="hi")
+    shift = data.draw(st.sampled_from((-1, 1)), label="shift")
+    kind = data.draw(st.sampled_from(("w", "w-tilde", "hbar")), label="base")
+    known = data.draw(st.lists(st.booleans(), min_size=order + 1,
+                               max_size=order + 1), label="fully known")
+    base = (ftilde_hbar(md, order, hi) if kind == "hbar"
+            else f_w(md, order, hi, tilde=kind == "w-tilde"))
+    base = BiSeries(base.slices,
+                    [INF_EXP if k else h for k, h in zip(known, base.his)])
+    tables = CoeffTables(md, p_max=md.n, beta_max=order)
+    got = fp_series(tables, base, p, shift)
+    want = fp_series_by_d_chain(tables, base, p, shift)
+    assert got.his == want.his
+    assert got.slices == want.slices
+
+
+@pytest.mark.parametrize("n, degrees", [(10, (9,)), (12, (2, 2)),
+                                        (11, (2, 2, 2)), (10, (3, 3)),
+                                        (12, (11,))])
+def test_w_regularity_beyond_the_grid(n, degrees):
+    assert check_w_regular(MultiDegree(n, degrees))
+
+
+def test_w_regularity_reads_every_negative_exponent(monkeypatch):
+    """At the pinned order 8 the window of F_11 on X_12(2,2) would fall
+    to -3: a ct entry bumped so that w^-2 enters the q^1 slice of F_11
+    must fail the check all the same."""
+    md = MultiDegree(12, (2, 2))
+    build = CoeffTables.__init__
+
+    def corrupted(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        corrupt_ctilde(monkeypatch, self, 11, 1, 1)
+
+    monkeypatch.setattr(CoeffTables, "__init__", corrupted)
+    assert FanoContext(md, 8).fp_w(11, 11).coeff(1, -2) == 1
+    assert not check_w_regular(md)
+
+
+def test_w_regularity_fails_below_a_known_window(monkeypatch):
+    unknown = BiSeries([LaurentPoly(0, (1,))], [-2])
+    monkeypatch.setattr(FanoContext, "fp_w", lambda self, p, hi, tilde=False: unknown)
+    assert not check_w_regular(MD53)

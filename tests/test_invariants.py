@@ -4,6 +4,8 @@ residue/route oracles and the stability properties."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanogw.geometry import MultiDegree
 from fanogw.invariants import (OutOfRange, _f_bracket, a_series,
@@ -12,7 +14,7 @@ from fanogw.invariants import (OutOfRange, _f_bracket, a_series,
                                reduced_invariant, standard_invariant,
                                svr_difference, type_a, type_b)
 
-from helpers import chern_value_oracle
+from helpers import chern_value_oracle, valid_geometries
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -30,6 +32,14 @@ def test_degree0_equals_chern():
     for md in (MD53, MD722, MD623):
         assert invariant_table(md, max_b=0)[0].standard \
             == chern_degree0_oracle(md)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(valid_geometries(9, 3)))
+def test_degree0_chern_axiom_on_random_geometries(md):
+    want = chern_degree0_oracle(md)
+    assert want == chern_value_oracle(md.n, md.degrees)
+    assert invariant_table(md, max_b=0)[0].standard == want
 
 
 def test_a_series_vanishes_at_zero():

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from fanogw.hyper import fp_series
 from fanogw.series import (BiSeries, LaurentPoly, QSeries, BadConstantTerm,
                            NotInvertible, WindowUnderflow, ZeroConstantTerm)
 
+from helpers import apply_d, d_power_tables
 from helpers import poly_mul as oracle_mul
 
 
@@ -262,13 +264,24 @@ def test_bs_window_narrowing_matches_bruteforce():
 
 
 def test_apply_d_examples():
+    """D = 1 + aux^shift q d/dq by the reference chain and by fp_series
+    (whose F_p over d_power_tables is D^p)."""
     one = BiSeries([LaurentPoly(0, (1,)), LaurentPoly.zero()])
-    assert one.apply_D(-1).slice(0) == LaurentPoly(0, (1,))
-    assert one.apply_D(-1).slice(1).is_zero()
-    # D(q w) = q w + q in the w presentation
+    # D(q w) = q w + q in the w presentation, q hbar + q hbar^2 in hbar
     qw = BiSeries([LaurentPoly.zero(), LaurentPoly(1, (1,))])
-    got = qw.apply_D(-1)
-    assert got.slice(1) == LaurentPoly(0, (1, 1))
+    qw2 = BiSeries([LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly(1, (1,))])
+    for d in (apply_d,
+              lambda base, shift, p=1: fp_series(d_power_tables(1, p), base, p,
+                                                 shift)):
+        assert d(one, -1) == one
+        assert d(qw, -1).slice(1) == LaurentPoly(0, (1, 1))
+        assert d(qw, 1).slice(1) == LaurentPoly(1, (1, 1))
+        # D^2(q^2 w) = q^2 (w + 2)^2 / w
+        assert d(qw2, -1, 2).slice(2) == LaurentPoly(-1, (4, 4, 1))
+        # each w-side D lowers a known window of slice b >= 1 by one
+        cut = BiSeries(qw2.slices, (5, 5, 5))
+        assert d(cut, -1, 2).his == (5, 3, 3)
+        assert d(cut, 1, 2).his == (5, 5, 5)
 
 
 def test_immutability():

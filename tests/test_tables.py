@@ -9,7 +9,7 @@ from fanogw.geometry import MultiDegree
 from fanogw.hyper import f_w
 from fanogw.tables import CoeffTables, InsufficientBounds
 
-from helpers import c_entry_oracle, corrupt_ctilde, ctilde_oracle
+from helpers import apply_d, c_entry_oracle, corrupt_ctilde, ctilde_oracle
 
 MD53 = MultiDegree(5, (3,))
 
@@ -96,10 +96,7 @@ def test_generating_function_reproduces_c_table():
         base = f_w(md, order, hi, with_w_power=False)
         t = CoeffTables(md, p_max=3, beta_max=order, l_max=hi)
         for p in range(4):
-            series = base
-            for _ in range(p):
-                series = series.apply_D(-1)
-            series = series.shift_aux(p)
+            series = apply_d(base, -1, p).shift_aux(p)
             for beta in range(order + 1):
                 for l in range(hi - p + 1):
                     assert series.coeff(beta, l) == t.c(p, l, beta), \
