@@ -124,15 +124,12 @@ def check_truncation_stability(md: MultiDegree, extra: int = 2) -> bool:
     return invariant_table(md) == invariant_table(md, pad=extra)
 
 
-def check_convolution(tables: CoeffTables, stride: int = 1) -> bool:
-    md = tables.md
-    for p in range(0, tables.p_max + 1, stride):
-        for beta in range(tables.beta_max + 1):
-            top = p - md.nu * beta
-            for l in range(0, top + 1, stride):
-                if tables.convolution_defect(p, l, beta) != 0:
-                    return False
-    return True
+def check_convolution(tables: CoeffTables) -> bool:
+    nu = tables.md.nu
+    return all(tables.convolution_defect(p, l, beta) == 0
+               for p in range(tables.p_max + 1)
+               for beta in range(tables.beta_max + 1)
+               for l in range(p - nu * beta + 1))
 
 
 def run_geometry_suite(md: MultiDegree, pad: int = 0) -> list[CheckResult]:

@@ -1,8 +1,9 @@
 """Hypergeometric series attached to a Fano complete intersection, and
 the mirror-map package mu, L, Phi0, Phi1, Theta built from them.
 
-Everything that feeds the genus-1 formula is computed by two
-independent routes:
+mu, Phi0, Phi1 and Theta are each computed by two independent routes
+(L = 1 + q mu' has its closed form only, checked against its algebraic
+identity):
 
 * a series route working directly on the hypergeometric sums (residues
   of exact Laurent windows in the auxiliary variable), and
@@ -13,8 +14,11 @@ The two must agree exactly; the check suite enforces this.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, lcm
+from operator import mul
 
 from .geometry import MultiDegree
 from .series import (INF_EXP, BiSeries, LaurentPoly, QSeries, linear_product,
@@ -208,6 +212,10 @@ def phi1_closed(md: MultiDegree, order: int) -> QSeries:
 # the bundled context
 
 
+#: the six ct-L sums of one insertion power (`FanoContext.ct_sums`)
+CtSums = namedtuple("CtSums", "s0 s1 s2 s3 s0_at_1 s1_at_1")
+
+
 class FanoContext:
     """All series data for one geometry at one q-order, built lazily
     and cached.  Immutable from the outside; share freely."""
@@ -264,14 +272,8 @@ class FanoContext:
             return self._get(("mu_res",), build)
         raise ValueError(f"unknown mu route {route!r}")
 
-    def L(self, route: str = "closed") -> QSeries:
-        if route == "closed":
-            return self._get(("L",), lambda: l_closed(self.md, self.order))
-        if route == "residue":
-            return self._get(
-                ("L_res",),
-                lambda: 1 + QSeries.q(self.order) * self.mu("residue").deriv())
-        raise ValueError(f"unknown L route {route!r}")
+    def L(self) -> QSeries:
+        return self._get(("L",), lambda: l_closed(self.md, self.order))
 
     def phi0(self, route: str = "closed") -> QSeries:
         if route == "closed":
@@ -304,40 +306,46 @@ class FanoContext:
                 lambda: self.regularized_fp(p, self.order + 2).coeff_of_aux(level))
         raise ValueError(f"unknown theta route {route!r}")
 
-    def ct_l_sum(self, p: int, idx_drop: int, powfn, weightfn,
-                 qshift: int = 0) -> QSeries:
-        """sum over beta (with e = p - nu*beta) of
+    def ct_sums(self, p: int) -> CtSums:
+        """The ct-L sums of insertion power p, over beta with
+        e = p - nu*beta, built once from one list L^0..L^n:
 
-            ct[p, e - idx_drop] * weightfn(e) * q^(beta + qshift)
-                                * L(q)^powfn(e).
+            s0 = sum ct[p,e,beta] q^beta L^e
+            s1 = sum ct[p,e-1,beta] q^beta L^(e-1)
+            s2 = sum e ct[p,e,beta] q^(beta+1) L^(e-1)      = q dS0/dL
+            s3 = sum C(e,2) ct[p,e,beta] q^(beta+1) L^(e-2) = (q/2) d2S0/dL2
 
-        Every sum in the Theta lemmas and in the genus-1 formula rows is
-        an instance of this shape."""
-        md, L = self.md, self.L()
-        out = QSeries.zero(self.order)
-        for beta in range(min(self.order, p // md.nu) + 1):
-            e = p - md.nu * beta
-            if e - idx_drop < 0:
-                continue
-            ct = self.tables.ctilde(p, e - idx_drop, beta)
-            if ct == 0:
-                continue
-            wgt = Fraction(weightfn(e))
-            if wgt == 0:
-                continue
-            term = L.pow(powfn(e)) * (ct * wgt)
-            out = out + term.shift(beta + qshift).truncate(self.order)
-        return out
+        where S0 is s0 read as a polynomial in L; s0_at_1 and s1_at_1
+        are s0 and s1 at L = 1."""
+        return self._get(("ct", p), lambda: self._ct_sums(p))
+
+    def _ct_sums(self, p: int) -> CtSums:
+        order, nu, ct = self.order, self.md.nu, self.tables.ctilde
+        pows = self._get(("Lpow",), lambda: list(accumulate(
+            [self.L()] * self.md.n, mul, initial=QSeries.one(order))))
+        acc = [[Fraction(0)] * (order + 1) for _ in range(6)]
+
+        def add(i, c, k, shift):  # acc[i] += c q^shift L^k
+            if c:
+                for j, x in enumerate(pows[k].coeffs[: order + 1 - shift], shift):
+                    acc[i][j] += c * x
+
+        for beta in range(min(order, p // nu) + 1):
+            e = p - nu * beta
+            c0, c1 = ct(p, e, beta), ct(p, e - 1, beta)
+            add(0, c0, e, beta)
+            add(1, c1, e - 1, beta)
+            add(2, e * c0, e - 1, beta + 1)
+            add(3, comb(e, 2) * c0, e - 2, beta + 1)
+            add(4, c0, 0, beta)
+            add(5, c1, 0, beta)
+        return CtSums(*(QSeries(order, a) for a in acc))
 
     def _theta_lemma(self, p: int, level: int) -> QSeries:
-        phi0 = self.phi0()
-        s0 = self.ct_l_sum(p, 0, lambda e: e, lambda e: 1)
+        phi0, s = self.phi0(), self.ct_sums(p)
         if level == 0:
-            return phi0 * s0
-        s1 = self.ct_l_sum(p, 1, lambda e: e - 1, lambda e: 1)
-        s2 = self.ct_l_sum(p, 0, lambda e: e - 1, lambda e: e, qshift=1)
-        s3 = self.ct_l_sum(p, 0, lambda e: e - 2, lambda e: comb(e, 2),
-                           qshift=1)
-        return (phi0 * s1 + self.phi1() * s0
-                + phi0.deriv() * s2
-                + self.L().deriv() * phi0 * s3)
+            return phi0 * s.s0
+        return (phi0 * s.s1 + self.phi1() * s.s0
+                + phi0.deriv() * s.s2
+                + self.L().deriv() * phi0 * s.s3)
+

@@ -153,19 +153,12 @@ def n24_block(ctx: FanoContext, p: int) -> QSeries:
     """The L/Phi0 rows of the genus-1 formula for insertion power p, in
     difference form: each row carries (L^k - 1) rather than L^k, so the
     block vanishes at q = 0 (matching the degree-0 genus-1 axiom)."""
-    md = ctx.md
-    e2 = Fraction(md.n - 1, 2) - md.inv_degree_sum()
-    s_l = ctx.ct_l_sum(p, 0, lambda e: e, lambda e: 1)
-    s_1 = ctx.ct_l_sum(p, 0, lambda e: 0, lambda e: 1)
-    s2 = ctx.ct_l_sum(p, 0, lambda e: e - 1, lambda e: e, qshift=1)
-    s3 = ctx.ct_l_sum(p, 0, lambda e: e - 2, lambda e: comb(e, 2), qshift=1)
-    t_l = ctx.ct_l_sum(p, 1, lambda e: e - 1, lambda e: 1)
-    t_1 = ctx.ct_l_sum(p, 1, lambda e: 0, lambda e: 1)
-    phi0 = ctx.phi0()
-    return (-e2 * (s_l - s_1)
-            - ctx.L().deriv() * s3
-            - phi0.deriv() * phi0.inv() * s2
-            - (t_l - t_1))
+    e2 = Fraction(ctx.md.n - 1, 2) - ctx.md.inv_degree_sum()
+    s, phi0 = ctx.ct_sums(p), ctx.phi0()
+    return (-e2 * (s.s0 - s.s0_at_1)
+            - ctx.L().deriv() * s.s3
+            - phi0.deriv() * phi0.inv() * s.s2
+            - (s.s1 - s.s1_at_1))
 
 
 def ct_residue_row(ctx: FanoContext, b: int) -> Rat:

@@ -7,7 +7,7 @@ values asserted in the tests were computed with these and frozen.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import prod
+from math import comb, prod
 from types import SimpleNamespace
 
 from fanogw.geometry import MultiDegree
@@ -70,7 +70,6 @@ def chern_value_oracle(n, degrees):
     division."""
     dim = n - 1 - len(degrees)
     cap = dim - 1
-    from math import comb
     num = [Fraction(comb(n, j)) for j in range(min(n, cap) + 1)]
     den = [Fraction(1)]
     for d in degrees:
@@ -187,3 +186,34 @@ def d_power_tables(nu, p):
     return SimpleNamespace(
         md=SimpleNamespace(nu=nu),
         ctilde=lambda pp, l, beta: Fraction(int(l == pp == p and beta == 0)))
+
+
+def ct_l_sum(ctx, p, idx_drop, powfn, weightfn, qshift=0):
+    """sum over beta (with e = p - nu*beta) of
+    ct[p, e - idx_drop, beta] * weightfn(e) * q^(beta + qshift) * L^powfn(e),
+    one `QSeries.pow`, `shift` and `truncate` per term."""
+    md, L = ctx.md, ctx.L()
+    out = QSeries.zero(ctx.order)
+    for beta in range(min(ctx.order, p // md.nu) + 1):
+        e = p - md.nu * beta
+        if e - idx_drop < 0:
+            continue
+        ct = ctx.tables.ctilde(p, e - idx_drop, beta)
+        wgt = Fraction(weightfn(e))
+        if ct == 0 or wgt == 0:
+            continue
+        term = L.pow(powfn(e)) * (ct * wgt)
+        out = out + term.shift(beta + qshift).truncate(ctx.order)
+    return out
+
+
+def ct_sums_by_terms(ctx, p):
+    """The six sums of `FanoContext.ct_sums`, in its field order, each
+    built term by term with `ct_l_sum`."""
+    return (ct_l_sum(ctx, p, 0, lambda e: e, lambda e: 1),
+            ct_l_sum(ctx, p, 1, lambda e: e - 1, lambda e: 1),
+            ct_l_sum(ctx, p, 0, lambda e: e - 1, lambda e: e, qshift=1),
+            ct_l_sum(ctx, p, 0, lambda e: e - 2, lambda e: comb(e, 2),
+                     qshift=1),
+            ct_l_sum(ctx, p, 0, lambda e: 0, lambda e: 1),
+            ct_l_sum(ctx, p, 1, lambda e: 0, lambda e: 1))

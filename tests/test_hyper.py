@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from fanogw.checks import check_w_regular
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import FanoContext, fp_series, ftilde_hbar, f_w
+from fanogw.hyper import CtSums, FanoContext, fp_series, ftilde_hbar, f_w
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
 from fanogw.tables import CoeffTables
 
-from helpers import (corrupt_ctilde, fp_series_by_d_chain, l_fixpoint_oracle,
-                     valid_geometries)
+from helpers import (corrupt_ctilde, ct_sums_by_terms, fp_series_by_d_chain,
+                     l_fixpoint_oracle, valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -165,6 +165,21 @@ def test_fp_series_matches_the_d_chain(md, data):
     want = fp_series_by_d_chain(tables, base, p, shift)
     assert got.his == want.his
     assert got.slices == want.slices
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(valid_geometries(9, 3)), st.integers(0, 6))
+def test_ct_sums_match_the_term_by_term_reference(md, order):
+    """Every ct-L sum, for every insertion power p <= n, equals the sum
+    built one L.pow term at a time; a second call returns the cached
+    set."""
+    ctx = FanoContext(md, order)
+    for p in range(md.n + 1):
+        sums = ctx.ct_sums(p)
+        for name, got, want in zip(CtSums._fields, sums,
+                                   ct_sums_by_terms(ctx, p)):
+            assert got == want, (md.label(), order, p, name)
+        assert ctx.ct_sums(p) is sums
 
 
 @pytest.mark.parametrize("n, degrees", [(10, (9,)), (12, (2, 2)),
