@@ -24,7 +24,8 @@ from fractions import Fraction
 from .checks import default_grid, run_geometry_suite
 from .geometry import MultiDegree
 from .invariants import invariant_table
-from .sums import check_proven_identities, evaluate_conjectures
+from .sums import (check_proven_identities, evaluate_conjectures,
+                   tables_for_sums)
 
 TEXT, CSV, JSON = "text", "csv", "json"
 FORMATS = (TEXT, CSV, JSON)
@@ -230,11 +231,9 @@ def cmd_check(geometries: list[MultiDegree], pad: int, fmt: str,
 
 def cmd_conjectures(geometries: list[MultiDegree], beta_max: int, hj,
                     fmt: str, out_path: str | None) -> int:
-    lemma_rows = []
-    for md in geometries:
-        for c in check_proven_identities(md, beta_max):
-            lemma_rows.append(c)
-    reports = evaluate_conjectures([(md, beta_max) for md in geometries], hj=hj)
+    grid = [tables_for_sums(md, beta_max) for md in geometries]
+    lemma_rows = [c for tables in grid for c in check_proven_identities(tables)]
+    reports = evaluate_conjectures(grid, hj=hj)
     lemma_fail = sum(0 if c.ok else 1 for c in lemma_rows)
 
     if fmt == JSON:

@@ -74,6 +74,16 @@ class MultiDegree:
         """Degrees above this have standard = reduced a priori."""
         return (self.n - 2 - self.r) // self.nu
 
+    def theta_pairs(self) -> tuple[tuple, tuple]:
+        """The insertion pairs (p1, p2) over which the type-A term pairs
+        Theta^{(1)}_{p1} with Theta^{(0)}_{p2}, as two blocks:
+        (p, n-1-r-p) for 0 <= p < n-r, and (n-p, n-1-r+p) for
+        1 <= p <= r.  The structure sums U* and V* are these blocks
+        with the Theta closed forms put in."""
+        n, r = self.n, self.r
+        return (tuple((p, n - 1 - r - p) for p in range(n - r)),
+                tuple((n - p, n - 1 - r + p) for p in range(1, r + 1)))
+
     def inv_degree_sum(self) -> Fraction:
         return sum((Fraction(1, d) for d in self.degrees), Fraction(0))
 

@@ -51,16 +51,12 @@ def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
     return BiSeries(slices, his)
 
 
-def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False,
-        with_w_power: bool = True) -> BiSeries:
+def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False) -> BiSeries:
     """F(w, q) (or Ft(w, q) when tilde=True): regular at w = 0, with the
-    q^beta slice carrying an explicit w^{nu*beta} prefactor.  Setting
-    with_w_power=False drops that prefactor, which is the generating
-    series of the c table after the substitution q -> q / w^nu."""
-    nu = md.nu if with_w_power else 0
+    q^beta slice carrying an explicit w^{nu*beta} prefactor."""
     slices, his = [], []
     for beta in range(order + 1):
-        shift = nu * beta
+        shift = md.nu * beta
         cap = max(hi - shift, 0)
         num = linear_product(((i, d) for d in md.degrees
                               for i in range(1, d * beta + 1)), cap)
@@ -274,6 +270,14 @@ class FanoContext:
 
     def L(self) -> QSeries:
         return self._get(("L",), lambda: l_closed(self.md, self.order))
+
+    def A(self) -> QSeries:
+        """The localization series A(q): Theta^{(1)}_{p1} Theta^{(0)}_{p2}
+        summed over both blocks of `MultiDegree.theta_pairs`."""
+        return self._get(("A",), lambda: sum(
+            (self.theta(p1, 1) * self.theta(p2, 0)
+             for block in self.md.theta_pairs() for p1, p2 in block),
+            QSeries.zero(self.order)))
 
     def phi0(self, route: str = "closed") -> QSeries:
         if route == "closed":

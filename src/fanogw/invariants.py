@@ -85,30 +85,19 @@ def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> list:
 # type A
 
 
-def _a_pairs(md: MultiDegree) -> list[tuple[int, int]]:
-    pairs = [(p, md.n - 1 - md.r - p) for p in range(md.n - md.r)]
-    pairs += [(md.n - p, md.n - 1 - md.r + p) for p in range(1, md.r + 1)]
-    return pairs
-
-
-def a_series(ctx: FanoContext, route: str = "theta",
-             theta_route: str = "lemma") -> QSeries:
+def a_series(ctx: FanoContext, route: str = "theta") -> QSeries:
     """The localization series A(q): pairings of Theta^{(1)} against
-    Theta^{(0)}, or the independent double-residue of the two-variable
-    hypergeometric pairing (expanded where |h2| < |h1|)."""
-    pairs = _a_pairs(ctx.md)
+    Theta^{(0)} (`FanoContext.A`), or the independent double-residue of
+    the two-variable hypergeometric pairing (expanded where
+    |h2| < |h1|)."""
     if route == "theta":
-        out = None
-        for p1, p2 in pairs:
-            term = ctx.theta(p1, 1, theta_route) * ctx.theta(p2, 0, theta_route)
-            out = term if out is None else out + term
-        return out
+        return ctx.A()
     if route == "double_residue":
-        return _a_double_residue(ctx, pairs)
+        return _a_double_residue(ctx)
     raise ValueError(f"unknown A route {route!r}")
 
 
-def _a_double_residue(ctx: FanoContext, pairs) -> QSeries:
+def _a_double_residue(ctx: FanoContext) -> QSeries:
     """Res_{h1} Res_{h2} of e^{-mu(1/h1+1/h2)} F(1/h1, 1/h2, q) divided
     by h1 h2 (h1 + h2), with 1/(h1+h2) expanded in the region
     |h2| < |h1|.  Works on the raw Laurent data: regularity of the
@@ -116,6 +105,7 @@ def _a_double_residue(ctx: FanoContext, pairs) -> QSeries:
     honestly (its terms vanish exactly when regularizability holds)."""
     B = ctx.order
     hi = 2 * B + 3
+    pairs = [pq for block in ctx.md.theta_pairs() for pq in block]
     xs = {}
     for p in {p for pq in pairs for p in pq}:
         xs[p] = ctx.exp_neg_mu() * ctx.fp_hbar(p, hi)
@@ -137,11 +127,10 @@ def _a_double_residue(ctx: FanoContext, pairs) -> QSeries:
     return QSeries(B, coeffs)
 
 
-def type_a(ctx: FanoContext, b: int, theta_route: str = "lemma") -> Rat:
+def type_a(ctx: FanoContext, b: int) -> Rat:
     _check_range(ctx.md, b)
     p = 1 + ctx.md.nu * b
-    series = ctx.theta(p, 0, theta_route) \
-        * a_series(ctx, "theta", theta_route) * ctx.phi0().inv()
+    series = ctx.theta(p, 0) * ctx.A() * ctx.phi0().inv()
     return Fraction(1, 2) * series.coeff(b)
 
 

@@ -227,9 +227,6 @@ class QSeries:
     def __sub__(self, other) -> "QSeries":
         return self + (-other if isinstance(other, QSeries) else -_rat(other))
 
-    def __rsub__(self, other) -> "QSeries":
-        return (-self) + other
-
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             c = _rat(other)
@@ -300,9 +297,6 @@ class QSeries:
         if self.coeffs[0] != 1:
             raise BadConstantTerm("fractional power needs constant term 1")
         return (self.log() * a).exp()
-
-    def __pow__(self, alpha) -> "QSeries":
-        return self.pow(alpha)
 
     def _int_pow(self, e: int) -> "QSeries":
         base = self.inv() if e < 0 else self
@@ -379,9 +373,6 @@ class LaurentPoly:
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.lo, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
@@ -543,9 +534,6 @@ class BiSeries:
 
     def __sub__(self, other) -> "BiSeries":
         return self + (-other if isinstance(other, BiSeries) else -_rat(other))
-
-    def __rsub__(self, other) -> "BiSeries":
-        return (-self) + other
 
     def scale(self, c) -> "BiSeries":
         return BiSeries([s * c for s in self.slices], self.his)

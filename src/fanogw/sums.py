@@ -2,11 +2,13 @@
 proven closed forms, and the conjecture harness.
 
 The six sums U1..U3, V1..V3 are finite double sums of products of two
-ct entries.  Some have proven formulas (acceptance-gated: they must
-hold exactly), the rest only conjectured ones (report-only: a mismatch
-is recorded verbatim, never asserted).  The u1 formula at level beta=2
-involves a symbol h_j(d) with no definition anywhere; it is evaluated
-only against a user-supplied interpretation table and skipped otherwise.
+ct entries, U over the first block of the Theta pairing
+(`MultiDegree.theta_pairs`) and V over the second.  Some have proven
+formulas (acceptance-gated: they must hold exactly), the rest only
+conjectured ones (report-only: a mismatch is recorded verbatim, never
+asserted).  The u1 formula at level beta=2 involves a symbol h_j(d)
+with no definition anywhere; it is evaluated only against a
+user-supplied interpretation table and skipped otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .tables import CoeffTables, InsufficientBounds
 
 @dataclass(frozen=True)
 class SumValues:
+    """The sums of both blocks of the Theta pairing at one degree: U*
+    over the first block of `MultiDegree.theta_pairs`, V* over the
+    second, each with its linear and binomial weighted sums."""
     md: MultiDegree
     beta: int
     u1: Rat
@@ -30,6 +35,10 @@ class SumValues:
     v1: Rat
     v2: Rat
     v3: Rat
+    u_linear: Rat
+    u_binomial: Rat
+    v_linear: Rat
+    v_binomial: Rat
 
 
 def tables_for_sums(md: MultiDegree, beta_max: int) -> CoeffTables:
@@ -37,89 +46,49 @@ def tables_for_sums(md: MultiDegree, beta_max: int) -> CoeffTables:
     return CoeffTables(md, p_max=md.n - 1, beta_max=beta_max)
 
 
-def _ct(tables: CoeffTables, p: int, l: int, beta: int) -> Rat:
-    if p < 0 or l < 0:
-        return Fraction(0)
-    top = p - tables.md.nu * beta
-    if top < 0 or l > top:
-        return Fraction(0)
-    return tables.ctilde(p, l, beta)
+def _block_sums(tables: CoeffTables, block, beta: int) -> tuple:
+    """(S1, S2, S3, linear, binomial) over the pairs (p1, p2) of one
+    block and b1 + b2 = beta, with e1 = p1 - nu*b2, e2 = p2 - nu*b1:
 
-
-def _u_sum(tables: CoeffTables, beta: int, second_drop: int, weight) -> Rat:
-    md = tables.md
-    total = Fraction(0)
-    for p in range(md.n - md.r):
-        pp = md.n - 1 - md.r - p
+        S1       = sum ct[p2,e2,b1] ct[p1,e1-1,b2]
+        S2       = sum ct[p2,e2,b1] ct[p1,e1,b2]
+        S3       = sum ct[p2,e2,b1] ct[p1,e1,b2] e1 e2
+        linear   = sum ct[p2,e2,b1] ct[p1,e1,b2] e1
+        binomial = sum ct[p2,e2,b1] ct[p1,e1,b2] C(e1,2)"""
+    nu, ct = tables.md.nu, tables.ctilde
+    s1 = s2 = s3 = lin = binw = Fraction(0)
+    for p1, p2 in block:
         for b1 in range(beta + 1):
             b2 = beta - b1
-            left = _ct(tables, pp, pp - md.nu * b1, b1)
+            e1, e2 = p1 - nu * b2, p2 - nu * b1
+            left = ct(p2, e2, b1)
             if left == 0:
                 continue
-            right = _ct(tables, p, p - md.nu * b2 - second_drop, b2)
+            s1 += left * ct(p1, e1 - 1, b2)
+            right = left * ct(p1, e1, b2)
             if right == 0:
                 continue
-            total += left * right * weight(p, b1, b2)
-    return total
-
-
-def _v_sum(tables: CoeffTables, beta: int, second_drop: int, weight) -> Rat:
-    md = tables.md
-    total = Fraction(0)
-    for p in range(1, md.r + 1):
-        left_p = md.n - 1 - md.r + p
-        right_p = md.n - p
-        for b1 in range(beta + 1):
-            b2 = beta - b1
-            left = _ct(tables, left_p, left_p - md.nu * b1, b1)
-            if left == 0:
-                continue
-            right = _ct(tables, right_p, right_p - md.nu * b2 - second_drop, b2)
-            if right == 0:
-                continue
-            total += left * right * weight(p, b1, b2)
-    return total
+            s2 += right
+            s3 += right * e1 * e2
+            lin += right * e1
+            binw += right * comb(e1, 2)
+    return s1, s2, s3, lin, binw
 
 
 def compute_sums(tables: CoeffTables, beta: int) -> SumValues:
-    """All six sums at one degree, by brute force over the ct tables."""
+    """All ten sums at one degree, by brute force over the ct tables."""
     md = tables.md
     if beta > tables.beta_max or tables.p_max < md.n - 1:
         raise InsufficientBounds(
             f"sums at beta={beta} need p_max>={md.n - 1}, "
             f"beta_max>={beta}; built (p<={tables.p_max}, "
             f"beta<={tables.beta_max})")
-    one = lambda p, b1, b2: 1
-    u3w = lambda p, b1, b2: (p - md.nu * b2) * (md.n - 1 - md.r - p - md.nu * b1)
-    v3w = lambda p, b1, b2: (md.n - 1 - md.r + p - md.nu * b1) * (md.n - p - md.nu * b2)
-    return SumValues(
-        md=md, beta=beta,
-        u1=_u_sum(tables, beta, 1, one),
-        u2=_u_sum(tables, beta, 0, one),
-        u3=_u_sum(tables, beta, 0, u3w),
-        v1=_v_sum(tables, beta, 1, one),
-        v2=_v_sum(tables, beta, 0, one),
-        v3=_v_sum(tables, beta, 0, v3w),
-    )
-
-
-def weighted_u_sums(tables: CoeffTables, beta: int) -> tuple[Rat, Rat]:
-    """The (p - nu*b2)-weighted and binomial-weighted mixed U sums."""
-    md = tables.md
-    lin = _u_sum(tables, beta, 0, lambda p, b1, b2: p - md.nu * b2)
-    binw = _u_sum(tables, beta, 0,
-                  lambda p, b1, b2: comb(p - md.nu * b2, 2)
-                  if p - md.nu * b2 >= 2 else 0)
-    return lin, binw
-
-
-def weighted_v_sums(tables: CoeffTables, beta: int) -> tuple[Rat, Rat]:
-    md = tables.md
-    lin = _v_sum(tables, beta, 0, lambda p, b1, b2: md.n - p - md.nu * b2)
-    binw = _v_sum(tables, beta, 0,
-                  lambda p, b1, b2: comb(md.n - p - md.nu * b2, 2)
-                  if md.n - p - md.nu * b2 >= 2 else 0)
-    return lin, binw
+    u_block, v_block = md.theta_pairs()
+    u1, u2, u3, u_lin, u_bin = _block_sums(tables, u_block, beta)
+    v1, v2, v3, v_lin, v_bin = _block_sums(tables, v_block, beta)
+    return SumValues(md=md, beta=beta, u1=u1, u2=u2, u3=u3,
+                     v1=v1, v2=v2, v3=v3, u_linear=u_lin, u_binomial=u_bin,
+                     v_linear=v_lin, v_binomial=v_bin)
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +134,14 @@ class IdentityCheck:
         return self.computed == self.expected
 
 
-def check_proven_identities(md: MultiDegree, beta_max: int,
-                            tables: CoeffTables | None = None) -> list[IdentityCheck]:
-    """Every structure-sum identity with a proof, evaluated exactly:
-    the U2 closed form, the beta=1 U1 closed form, the U1 vanishing
-    criterion and the four weighted identities tying the mixed sums
-    back to U2/U3 and V2/V3."""
-    if tables is None:
-        tables = tables_for_sums(md, beta_max)
+def check_proven_identities(tables: CoeffTables) -> list[IdentityCheck]:
+    """Every structure-sum identity with a proof, evaluated exactly for
+    beta up to the table's bound: the U2 closed form, the beta=1 U1
+    closed form, the U1 vanishing criterion and the four weighted
+    identities tying the mixed sums back to U2/U3 and V2/V3."""
+    md = tables.md
     out = []
-    for beta in range(beta_max + 1):
+    for beta in range(tables.beta_max + 1):
         sv = compute_sums(tables, beta)
         out.append(IdentityCheck("u2-closed-form", md, beta, sv.u2,
                                  u2_lemma(md, beta)))
@@ -185,18 +152,16 @@ def check_proven_identities(md: MultiDegree, beta_max: int,
             out.append(IdentityCheck("u1-vanishing", md, beta, sv.u1,
                                      Fraction(0)))
         e = md.n - 1 - md.r - md.nu * beta
-        lin_u, bin_u = weighted_u_sums(tables, beta)
-        out.append(IdentityCheck("u-weighted-linear", md, beta, lin_u,
+        out.append(IdentityCheck("u-weighted-linear", md, beta, sv.u_linear,
                                  Fraction(e, 2) * sv.u2))
         out.append(IdentityCheck(
-            "u-weighted-binomial", md, beta, bin_u,
+            "u-weighted-binomial", md, beta, sv.u_binomial,
             Fraction(e * (e - 1), 4) * sv.u2 - Fraction(1, 2) * sv.u3))
         f = 2 * md.n - 1 - md.r - md.nu * beta
-        lin_v, bin_v = weighted_v_sums(tables, beta)
-        out.append(IdentityCheck("v-weighted-linear", md, beta, lin_v,
+        out.append(IdentityCheck("v-weighted-linear", md, beta, sv.v_linear,
                                  Fraction(f, 2) * sv.v2))
         out.append(IdentityCheck(
-            "v-weighted-binomial", md, beta, bin_v,
+            "v-weighted-binomial", md, beta, sv.v_binomial,
             Fraction(f * (f - 1), 4) * sv.v2 - Fraction(1, 2) * sv.v3))
     return out
 
@@ -307,19 +272,21 @@ class ConjectureReport:
     cases: list[ConjectureCase] = field(default_factory=list)
 
 
-def evaluate_conjectures(grid, hj=None) -> list[ConjectureReport]:
+def evaluate_conjectures(grid: list[CoeffTables],
+                         hj=None) -> list[ConjectureReport]:
     """Per-case comparison of brute force against the conjectured
-    formulas on a list of (MultiDegree, beta_max) pairs.  Disagreements
-    become report rows, never errors."""
+    formulas on a grid of `CoeffTables`, one per geometry, each for
+    beta up to its own bound.  Disagreements become report rows, never
+    errors."""
     u3 = ConjectureReport("U3")
     u1v = ConjectureReport("U1_vanishing")
     u1b2 = ConjectureReport("U1_beta2")
     v1 = ConjectureReport("V1")
     v2 = ConjectureReport("V2")
     v3 = ConjectureReport("V3")
-    for md, beta_max in grid:
-        tables = tables_for_sums(md, beta_max)
-        for beta in range(beta_max + 1):
+    for tables in grid:
+        md = tables.md
+        for beta in range(tables.beta_max + 1):
             sv = compute_sums(tables, beta)
             u3.cases.append(ConjectureCase(md, beta, u3_conjectured(md, beta), sv.u3))
             v1.cases.append(ConjectureCase(md, beta, v1_conjectured(md, beta), sv.v1))

@@ -39,23 +39,21 @@ def _c_base_slice(md: MultiDegree, beta: int, cap: int) -> list:
 class CoeffTables:
     """Both tables for one geometry, built once and shared read-only."""
 
-    __slots__ = ("md", "p_max", "beta_max", "l_max", "_c", "_ct")
+    __slots__ = ("md", "p_max", "beta_max", "_c", "_ct")
 
-    def __init__(self, md: MultiDegree, p_max: int, beta_max: int,
-                 l_max: int | None = None):
+    def __init__(self, md: MultiDegree, p_max: int, beta_max: int):
         if p_max < 0 or beta_max < 0:
             raise ValueError("table bounds must be >= 0")
         self.md = md
         self.p_max = p_max
         self.beta_max = beta_max
-        self.l_max = p_max if l_max is None else max(l_max, p_max)
         self._c = {}
         self._ct = {}
         self._build_c()
         self._build_ct()
 
     def _build_c(self):
-        cap = self.l_max
+        cap = self.p_max
         for beta in range(self.beta_max + 1):
             base = _c_base_slice(self.md, beta, cap)
             row = base
@@ -89,10 +87,10 @@ class CoeffTables:
     def c(self, p: int, l: int, beta: int) -> Rat:
         if p < 0 or l < 0:
             return Fraction(0)
-        if p > self.p_max or beta > self.beta_max or l > self.l_max:
+        if max(p, l) > self.p_max or beta > self.beta_max:
             raise InsufficientBounds(
                 f"c({p},{l},{beta}) beyond built bounds "
-                f"(p<={self.p_max}, l<={self.l_max}, beta<={self.beta_max})")
+                f"(p, l<={self.p_max}, beta<={self.beta_max})")
         return self._c[(p, beta)][l]
 
     def ctilde(self, p: int, l: int, beta: int) -> Rat:

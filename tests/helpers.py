@@ -217,3 +217,76 @@ def ct_sums_by_terms(ctx, p):
                      qshift=1),
             ct_l_sum(ctx, p, 0, lambda e: 0, lambda e: 1),
             ct_l_sum(ctx, p, 1, lambda e: 0, lambda e: 1))
+
+
+def _ct_or_zero(tables, p, l, beta):
+    if p < 0 or l < 0:
+        return Fraction(0)
+    top = p - tables.md.nu * beta
+    if top < 0 or l > top:
+        return Fraction(0)
+    return tables.ctilde(p, l, beta)
+
+
+def _u_sum(tables, beta, second_drop, weight):
+    md = tables.md
+    total = Fraction(0)
+    for p in range(md.n - md.r):
+        pp = md.n - 1 - md.r - p
+        for b1 in range(beta + 1):
+            b2 = beta - b1
+            left = _ct_or_zero(tables, pp, pp - md.nu * b1, b1)
+            if left == 0:
+                continue
+            right = _ct_or_zero(tables, p, p - md.nu * b2 - second_drop, b2)
+            if right == 0:
+                continue
+            total += left * right * weight(p, b1, b2)
+    return total
+
+
+def _v_sum(tables, beta, second_drop, weight):
+    md = tables.md
+    total = Fraction(0)
+    for p in range(1, md.r + 1):
+        left_p = md.n - 1 - md.r + p
+        right_p = md.n - p
+        for b1 in range(beta + 1):
+            b2 = beta - b1
+            left = _ct_or_zero(tables, left_p, left_p - md.nu * b1, b1)
+            if left == 0:
+                continue
+            right = _ct_or_zero(tables, right_p,
+                                right_p - md.nu * b2 - second_drop, b2)
+            if right == 0:
+                continue
+            total += left * right * weight(p, b1, b2)
+    return total
+
+
+def structure_sums_reference(tables, beta):
+    """The ten fields of `sums.SumValues` (bar md and beta), each by its
+    own weighted double loop: U over p in 0..n-r-1 paired with
+    n-1-r-p, V over n-p paired with n-1-r+p for p in 1..r."""
+    md, nu = tables.md, tables.md.nu
+    one = lambda p, b1, b2: 1
+    u_e1 = lambda p, b1, b2: p - nu * b2
+    v_e1 = lambda p, b1, b2: md.n - p - nu * b2
+    return {
+        "u1": _u_sum(tables, beta, 1, one),
+        "u2": _u_sum(tables, beta, 0, one),
+        "u3": _u_sum(tables, beta, 0, lambda p, b1, b2:
+                     u_e1(p, b1, b2) * (md.n - 1 - md.r - p - nu * b1)),
+        "v1": _v_sum(tables, beta, 1, one),
+        "v2": _v_sum(tables, beta, 0, one),
+        "v3": _v_sum(tables, beta, 0, lambda p, b1, b2:
+                     (md.n - 1 - md.r + p - nu * b1) * v_e1(p, b1, b2)),
+        "u_linear": _u_sum(tables, beta, 0, u_e1),
+        "u_binomial": _u_sum(tables, beta, 0, lambda p, b1, b2:
+                             comb(u_e1(p, b1, b2), 2)
+                             if u_e1(p, b1, b2) >= 2 else 0),
+        "v_linear": _v_sum(tables, beta, 0, v_e1),
+        "v_binomial": _v_sum(tables, beta, 0, lambda p, b1, b2:
+                             comb(v_e1(p, b1, b2), 2)
+                             if v_e1(p, b1, b2) >= 2 else 0),
+    }

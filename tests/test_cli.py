@@ -2,11 +2,14 @@
 and the round-trip stability of the JSON emission."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 import fanogw.checks
-from fanogw.cli import main
+from fanogw.cli import fmt_rat, main
+from fanogw.geometry import MultiDegree
+from fanogw.sums import u1_beta2_conjectured
 
 from helpers import corrupt_ctilde
 
@@ -213,6 +216,38 @@ def test_conjectures_hj_table(tmp_path, capsys):
                 if r["conjecture"] == "U1_beta2")
     assert all(c["verdict"] != "skipped: undefined symbol"
                for c in u1b2["cases"])
+
+
+HJ_34 = {(1, 3): "2/7", (1, 4): "-1/3", (2, 3): "5", (2, 4): "1/2"}
+
+
+def _hj_34_run(tmp_path, capsys, table):
+    path = tmp_path / "hj.txt"
+    path.write_text("".join(f"{j} {d} {v}\n" for (j, d), v in table.items()),
+                    encoding="utf-8")
+    return run(capsys, "conjectures", "--ambient", "8", "--degrees", "3,4",
+               "--hj-table", str(path), "--format", "csv")
+
+
+def test_conjectures_hj_table_lookups(tmp_path, capsys):
+    """X_8(3,4) has 2|d| - n - r - 2 = 2, so U1 at beta = 2 reads every
+    h_j(d) with j <= 2 from the table."""
+    code, out, _ = _hj_34_run(tmp_path, capsys, HJ_34)
+    assert code == 0
+    md = MultiDegree(8, (3, 4))
+    vals = {k: Fraction(v) for k, v in HJ_34.items()}
+    want = u1_beta2_conjectured(md, lambda j, d: vals[(j, d)])
+    row = next(ln for ln in out.splitlines()
+               if ln.startswith("conjecture,U1_beta2,"))
+    assert row == f"conjecture,U1_beta2,X_8(3,4),2,{fmt_rat(want)},1306656,disagree"
+    assert want == Fraction(-13123584, 49)
+
+
+def test_conjectures_hj_table_missing_entry(tmp_path, capsys):
+    table = {k: v for k, v in HJ_34.items() if k != (2, 4)}
+    code, out, err = _hj_34_run(tmp_path, capsys, table)
+    assert code == 1 and out == ""
+    assert err == "error: h_j table has no entry for j=2, d=4\n"
 
 
 def test_invalid_order_rejected(capsys):

@@ -103,7 +103,7 @@ def test_phi_normalization_and_dual_route():
 
 
 def test_theta_dual_route_and_specials():
-    for md in (MD53, MD722):
+    for md in (MD53, MD722, MultiDegree(6, (2, 3))):
         ctx = FanoContext(md, 6)
         assert ctx.theta(0, 0).matches(ctx.phi0())
         # p = n occurs in the invariant formula whenever nu divides n-1

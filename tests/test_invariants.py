@@ -50,7 +50,9 @@ def test_a_series_vanishes_at_zero():
 def test_a_double_residue_oracle():
     for md in (MD53, MD722):
         ctx = context_for(md, 5)
-        assert a_series(ctx, "theta").matches(a_series(ctx, "double_residue"))
+        a = a_series(ctx, "theta")
+        assert a.matches(a_series(ctx, "double_residue"))
+        assert a_series(ctx) is a  # built once per context
 
 
 def test_a_series_from_structure_sums():
@@ -58,8 +60,7 @@ def test_a_series_from_structure_sums():
     pairing sums and collect; the ct products collapse to the structure
     sums U1..U3 (first block) and V1..V3 (second block)."""
     from fanogw.series import QSeries
-    from fanogw.sums import (compute_sums, tables_for_sums, weighted_u_sums,
-                             weighted_v_sums)
+    from fanogw.sums import compute_sums, tables_for_sums
     for md in (MD53, MD722, MD623):
         order = 5
         ctx = context_for(md, order - 1)
@@ -71,10 +72,10 @@ def test_a_series_from_structure_sums():
         for block, top in (("u", md.n - 1 - md.r), ("v", 2 * md.n - 1 - md.r)):
             for beta in range(order + 1):
                 sv = compute_sums(t, beta)
-                s1, s2, s3 = ((sv.u1, sv.u2, sv.u3) if block == "u"
-                              else (sv.v1, sv.v2, sv.v3))
-                lin, binw = (weighted_u_sums(t, beta) if block == "u"
-                             else weighted_v_sums(t, beta))
+                s1, s2, s3, lin, binw = (
+                    (sv.u1, sv.u2, sv.u3, sv.u_linear, sv.u_binomial)
+                    if block == "u" else
+                    (sv.v1, sv.v2, sv.v3, sv.v_linear, sv.v_binomial))
                 e = top - md.nu * beta
                 rows = (phi0 * phi0 * L.pow(e - 1) * s1
                         + phi0 * phi1 * L.pow(e) * s2
@@ -82,13 +83,6 @@ def test_a_series_from_structure_sums():
                            + phi0 * phi0 * lprime * L.pow(e - 2) * binw).shift(1))
                 out = out + rows.shift(beta).truncate(order)
         assert out.matches(a_series(ctx, "theta")), md
-
-
-def test_type_a_route_swap():
-    for md in (MD53, MD623):
-        ctx = context_for(md, md.bmax)
-        for b in range(md.bmax + 1):
-            assert type_a(ctx, b, "lemma") == type_a(ctx, b, "residue")
 
 
 def test_type_a_degree0_is_zero():

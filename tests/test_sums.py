@@ -1,17 +1,22 @@
 """Structure sums: proven lemmas are exact assertions, conjectures are
 report rows with verdict mechanics."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanogw.geometry import MultiDegree
-from fanogw.sums import (check_proven_identities, compute_sums,
+from fanogw.sums import (SumValues, check_proven_identities, compute_sums,
                          evaluate_conjectures, tables_for_sums,
                          u1_beta2_conjectured, u1_degree1_hypersurface,
                          u1_degree1_lemma, u1_vanishing_hypothesis, u2_lemma,
                          v2_conjectured, v3_conjectured)
 from fanogw.tables import InsufficientBounds
+
+from helpers import structure_sums_reference, valid_geometries
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -56,8 +61,22 @@ def test_u1_vanishing_lemma():
 
 def test_weighted_identities_on_grid():
     for md in GRID:
-        for chk in check_proven_identities(md, 3):
+        for chk in check_proven_identities(tables_for_sums(md, 3)):
             assert chk.ok, (chk.name, md, chk.beta, chk.computed, chk.expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(valid_geometries(9, 3)), st.integers(0, 3))
+def test_sums_match_the_weighted_loop_reference(md, beta):
+    """Every field of `SumValues`, built in one pass per block of the
+    Theta pairing, equals its own weighted double loop."""
+    tables = tables_for_sums(md, beta)
+    sv = compute_sums(tables, beta)
+    want = structure_sums_reference(tables, beta)
+    names = [f.name for f in fields(SumValues)][2:]
+    assert sorted(names) == sorted(want)
+    for name in names:
+        assert getattr(sv, name) == want[name], (md.label(), beta, name)
 
 
 def test_insufficient_bounds():
@@ -67,7 +86,7 @@ def test_insufficient_bounds():
 
 
 def test_v2_u3_conjectures_agree_on_grid():
-    reports = evaluate_conjectures([(md, 2) for md in GRID])
+    reports = evaluate_conjectures([tables_for_sums(md, 2) for md in GRID])
     by_name = {r.conjecture: r for r in reports}
     for name in ("V2", "U3"):
         assert all(c.verdict == "agree" for c in by_name[name].cases), name
@@ -85,7 +104,7 @@ def test_u3_conjecture_value():
 def test_v3_conjecture_disagreement_is_reported_not_raised():
     """The printed beta=2 closed form does not match brute force; the
     harness must record the mismatch verbatim."""
-    reports = evaluate_conjectures([(MD53, 2)])
+    reports = evaluate_conjectures([tables_for_sums(MD53, 2)])
     v3 = next(r for r in reports if r.conjecture == "V3")
     beta2 = next(c for c in v3.cases if c.beta == 2)
     assert beta2.verdict == "disagree"
@@ -93,7 +112,8 @@ def test_v3_conjecture_disagreement_is_reported_not_raised():
 
 
 def test_u1_strict_vanishing_conjecture_cases():
-    reports = evaluate_conjectures([(MD53, 3), (MultiDegree(6, (2, 3)), 2)])
+    reports = evaluate_conjectures([tables_for_sums(MD53, 3),
+                                    tables_for_sums(MultiDegree(6, (2, 3)), 2)])
     u1v = next(r for r in reports if r.conjecture == "U1_vanishing")
     assert u1v.cases and all(c.verdict == "agree" for c in u1v.cases)
     # below-threshold nonzero case: X_6(2,3) at beta=1 has U1 != 0
@@ -102,7 +122,7 @@ def test_u1_strict_vanishing_conjecture_cases():
 
 
 def test_u1_beta2_skipped_without_hj():
-    reports = evaluate_conjectures([(MD53, 2)])
+    reports = evaluate_conjectures([tables_for_sums(MD53, 2)])
     u1b2 = next(r for r in reports if r.conjecture == "U1_beta2")
     assert [c.verdict for c in u1b2.cases] == ["skipped: undefined symbol"]
 

@@ -7,6 +7,7 @@ import pytest
 
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import f_w
+from fanogw.series import BiSeries
 from fanogw.tables import CoeffTables, InsufficientBounds
 
 from helpers import apply_d, c_entry_oracle, corrupt_ctilde, ctilde_oracle
@@ -93,8 +94,13 @@ def test_generating_function_reproduces_c_table():
     """w^p D^p F(w, q/w^nu) has the c numbers as its coefficients."""
     for md in (MD53, MultiDegree(7, (2, 2))):
         order, hi = 2, 6
-        base = f_w(md, order, hi, with_w_power=False)
-        t = CoeffTables(md, p_max=3, beta_max=order, l_max=hi)
+        # q -> q/w^nu moves slice beta down by nu*beta; build F wide
+        # enough that every slice is still known up to w^hi
+        full = f_w(md, order, hi + md.nu * order)
+        base = BiSeries([s.shift(-md.nu * beta)
+                         for beta, s in enumerate(full.slices)],
+                        [hi] * (order + 1))
+        t = CoeffTables(md, p_max=hi, beta_max=order)
         for p in range(4):
             series = apply_d(base, -1, p).shift_aux(p)
             for beta in range(order + 1):
