@@ -313,35 +313,39 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+#: every flag and its argparse settings
+_FLAGS = {
+    "ambient": dict(type=int, help="n: the ambient space is P^{n-1}"),
+    "degrees": dict(help="comma-separated hypersurface degrees, e.g. 2,3"),
+    "max-b": dict(type=int,
+                  help="largest degree b (compute) / beta (conjectures)"),
+    "order": dict(type=int, help="extra q-truncation padding (results must "
+                                 "not change with it)"),
+    "format": dict(choices=FORMATS),
+    "out": dict(help="output file (default stdout)"),
+    "grid": dict(help="file of geometries, one 'n:d1,d2' per line"),
+    "hj-table": dict(help="file of 'j d value' rows interpreting h_j(d)"),
+    "config": dict(help="key=value file presetting any flag (flags override)"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="fanogw",
         description="Exact genus-1 one-point Gromov-Witten invariants of "
                     "Fano complete intersections.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, blurb in (("compute", "invariant table for one geometry"),
-                        ("check", "run the exact identity suite"),
-                        ("conjectures", "brute force vs conjectured formulas")):
+    # each verb takes only the flags it reads: any other is an error
+    for name, blurb, own in (
+            ("compute", "invariant table for one geometry", "max-b order"),
+            ("check", "run the exact identity suite", "order grid"),
+            ("conjectures", "brute force vs conjectured formulas",
+             "max-b grid hj-table")):
         sp = sub.add_parser(name, help=blurb)
-        sp.add_argument("--ambient", type=int, default=None,
-                        help="n: the ambient space is P^{n-1}")
-        sp.add_argument("--degrees", type=str, default=None,
-                        help="comma-separated hypersurface degrees, e.g. 2,3")
-        sp.add_argument("--max-b", dest="max_b", type=int, default=None,
-                        help="largest degree b (compute) / beta (conjectures)")
-        sp.add_argument("--order", type=int, default=None,
-                        help="extra q-truncation padding (results must not "
-                             "change with it)")
-        sp.add_argument("--format", choices=FORMATS, default=None)
-        sp.add_argument("--out", type=str, default=None,
-                        help="output file (default stdout)")
-        sp.add_argument("--grid", type=str, default=None,
-                        help="file of geometries, one 'n:d1,d2' per line")
-        sp.add_argument("--hj-table", dest="hj_table", type=str, default=None,
-                        help="file of 'j d value' rows interpreting h_j(d)")
-        sp.add_argument("--config", type=str, default=None,
-                        help="key=value file presetting any flag "
-                             "(flags override)")
+        reads = own.split() + ["ambient", "degrees", "format", "out", "config"]
+        for flag, settings in _FLAGS.items():
+            if flag in reads:
+                sp.add_argument("--" + flag, default=None, **settings)
     return ap
 
 
@@ -351,7 +355,9 @@ def _merge_config(args) -> None:
     cfg = dict(_parse_lines(args.config, _config_entry))  # last entry wins
     for key, val in cfg.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr) is None:
+        # a config file may serve every verb: keys this verb rejects as
+        # flags are ignored
+        if attr in vars(args) and getattr(args, attr) is None:
             setattr(args, attr, val)
 
 
@@ -369,21 +375,20 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _merge_config(args)
-        pad = 0 if args.order is None else args.order
-        if pad < 0:
-            raise ValueError("--order must be >= 0")
+        for flag in ("order", "max-b"):
+            if (vars(args).get(flag.replace("-", "_")) or 0) < 0:
+                raise ValueError(f"--{flag} must be >= 0")
         fmt = args.format or TEXT
-        if args.max_b is not None and args.max_b < 0:
-            raise ValueError("--max-b must be >= 0")
 
         if args.command == "compute":
             if args.ambient is None or args.degrees is None:
                 raise ValueError("compute needs --ambient and --degrees")
             md = MultiDegree(args.ambient, _parse_degrees(args.degrees))
-            return cmd_compute(md, args.max_b, pad, fmt, args.out)
+            return cmd_compute(md, args.max_b, args.order or 0, fmt, args.out)
 
         if args.command == "check":
-            return cmd_check(_geometries_from(args), pad, fmt, args.out)
+            return cmd_check(_geometries_from(args), args.order or 0, fmt,
+                             args.out)
 
         if args.command == "conjectures":
             beta_max = 2 if args.max_b is None else args.max_b

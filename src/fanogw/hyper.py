@@ -22,7 +22,7 @@ from operator import mul
 
 from .geometry import MultiDegree
 from .series import (INF_EXP, BiSeries, LaurentPoly, QSeries, linear_product,
-                     poly_inv, poly_mul, sum_of_products)
+                     poly_div, poly_mul, sum_of_products)
 from .tables import CoeffTables
 
 
@@ -39,14 +39,11 @@ def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
         cap = hi + beta
         num = linear_product(((d, i) for d in md.degrees
                               for i in range(1, d * beta + 1)), cap)
-        unit = [Fraction(1)]
+        den = [factorial(beta)]  # beta! prod_j ((1 + j*hbar)^n - 1)/hbar
         for j in range(1, beta + 1):
-            uj = [Fraction(comb(md.n, t + 1) * j**t, md.n)
-                  for t in range(md.n)]
-            unit = poly_mul(unit, uj, cap)
-        lead = Fraction(1, md.n**beta * factorial(beta))
-        vals = poly_mul(num, poly_inv(unit, cap), cap)
-        slices.append(LaurentPoly(-beta, [lead * v for v in vals]))
+            den = poly_mul(den, [comb(md.n, t + 1) * j**t
+                                 for t in range(md.n)], cap)
+        slices.append(LaurentPoly(-beta, poly_div(num, den, cap)))
         his.append(hi)
     return BiSeries(slices, his)
 
@@ -60,17 +57,11 @@ def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False) -> BiSeries:
         cap = max(hi - shift, 0)
         num = linear_product(((i, d) for d in md.degrees
                               for i in range(1, d * beta + 1)), cap)
-        den = [Fraction(1)]
-        for j in range(1, beta + 1):
-            if tilde:
-                dj = [Fraction(comb(md.n, t) * j**(md.n - t))
-                      for t in range(md.n)]  # (w+j)^n - w^n
-            else:
-                dj = [Fraction(comb(md.n, t) * j**(md.n - t))
-                      for t in range(md.n + 1)]
-            den = poly_mul(den, dj, cap)
-        vals = poly_mul(num, poly_inv(den, cap), cap)
-        slices.append(LaurentPoly(shift, vals))
+        den = [1]
+        for j in range(1, beta + 1):  # (w+j)^n, less w^n for Ft
+            den = poly_mul(den, [comb(md.n, t) * j**(md.n - t)
+                                 for t in range(md.n + (not tilde))], cap)
+        slices.append(LaurentPoly(shift, poly_div(num, den, cap)))
         his.append(hi)
     return BiSeries(slices, his)
 
@@ -233,8 +224,14 @@ class FanoContext:
         return self._get(("fth", hi), lambda: ftilde_hbar(self.md, self.order, hi))
 
     def f_w(self, hi: int, tilde: bool = False) -> BiSeries:
-        return self._get(("fw", hi, tilde),
-                         lambda: f_w(self.md, self.order, hi, tilde=tilde))
+        """F (or Ft) cut at window hi, from one build per `tilde` at the
+        widest window asked for and at least 2n - r (F-bracket windows
+        are n - r + p with p <= n)."""
+        wide = self._cache.get(("fw", tilde))
+        if wide is None or wide.his[0] < hi:
+            wide = self._cache[("fw", tilde)] = f_w(
+                self.md, self.order, max(hi, 2 * self.md.n - self.md.r), tilde=tilde)
+        return BiSeries(wide.slices, [hi] * (self.order + 1))
 
     def fp_hbar(self, p: int, hi: int) -> BiSeries:
         return self._get(("fph", p, hi),

@@ -23,7 +23,7 @@ from math import comb, prod
 from .geometry import MultiDegree
 from .hyper import FanoContext
 from .series import (BiSeries, LaurentPoly, QSeries, Rat, linear_product,
-                     poly_inv, poly_mul)
+                     poly_div)
 
 
 class OutOfRange(ValueError):
@@ -64,11 +64,7 @@ def context_for(md: MultiDegree, max_b: int, pad: int = 0) -> FanoContext:
 def chern_degree0_oracle(md: MultiDegree) -> Rat:
     """-(1/24) integral of c_{dim-1}(T_X) cup h, by expanding the total
     Chern class (1+h)^n / prod(1 + d_k h) of the complete intersection."""
-    cap = md.dim - 1
-    num = [Fraction(comb(md.n, j)) for j in range(min(md.n, cap) + 1)]
-    den = linear_product(((1, d) for d in md.degrees), cap)
-    coeff = poly_mul(num, poly_inv(den, cap), cap)[cap]
-    return -Fraction(prod(md.degrees), 24) * coeff
+    return -Fraction(prod(md.degrees), 24) * _ch_coeffs(md, md.dim - 1)[-1]
 
 
 def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> list:
@@ -78,7 +74,7 @@ def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> list:
     if minus_wn and md.n <= cap:
         num[md.n] -= 1
     den = linear_product(((1, d) for d in md.degrees), cap)
-    return poly_mul(num, poly_inv(den, cap), cap)
+    return poly_div(num, den, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +126,7 @@ def _a_double_residue(ctx: FanoContext) -> QSeries:
 def type_a(ctx: FanoContext, b: int) -> Rat:
     _check_range(ctx.md, b)
     p = 1 + ctx.md.nu * b
-    series = ctx.theta(p, 0) * ctx.A() * ctx.phi0().inv()
+    series = ctx.theta(p, 0) * ctx.A() / ctx.phi0()
     return Fraction(1, 2) * series.coeff(b)
 
 
@@ -146,7 +142,7 @@ def n24_block(ctx: FanoContext, p: int) -> QSeries:
     s, phi0 = ctx.ct_sums(p), ctx.phi0()
     return (-e2 * (s.s0 - s.s0_at_1)
             - ctx.L().deriv() * s.s3
-            - phi0.deriv() * phi0.inv() * s.s2
+            - phi0.deriv() * s.s2 / phi0
             - (s.s1 - s.s1_at_1))
 
 
@@ -226,8 +222,7 @@ def _g_expansion(md: MultiDegree, hi: int) -> LaurentPoly:
     cap = hi + 2
     num = [Fraction(comb(md.n, j + 1)) for j in range(min(md.n, cap + 1))]
     den = linear_product(((d, 1) for d in md.degrees), cap)
-    vals = poly_mul(num, poly_inv(den, cap), cap)
-    return LaurentPoly(-2, vals)
+    return LaurentPoly(-2, poly_div(num, den, cap))
 
 
 def _ct_polynomial(ctx: FanoContext, p: int, sign: int) -> BiSeries:

@@ -16,12 +16,15 @@ Two series types:
   narrows these bounds conservatively.
 
 Both are built on one exact kernel over plain coefficient lists:
-poly_mul (truncated product), poly_inv (unit inverse) and
-linear_product, plus sum_of_products, the capped sum of products of
-Laurent slices.  Every other module uses it instead of its own loops.
-The kernel computes on integer numerators over one common denominator
-and returns lowest-term Fractions: one normalisation per output
-coefficient, not one per term.
+poly_mul (truncated product), poly_div (truncated quotient by a unit),
+poly_pow (rational power of a unit) and linear_product, plus
+sum_of_products, the capped sum of products of Laurent slices.  Every
+other module uses it instead of its own loops.  poly_pow needs no log
+or exp: g = a**alpha solves a g' = alpha a' g, which fixes each
+coefficient of g from the lower ones in one short sum.  The kernel
+computes on integer numerators over one common denominator and returns
+lowest-term Fractions: one normalisation per output coefficient, not
+one per term.
 
 Everything is immutable; operations are pure functions, safe to share
 across threads.
@@ -30,7 +33,7 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, perm
 from typing import Iterable
 
 Rat = Fraction
@@ -40,11 +43,12 @@ INF_EXP = 10**9
 
 
 class ZeroConstantTerm(ArithmeticError):
-    """Inversion of a power series with vanishing constant term."""
+    """Division by, or a power of, a series with constant term 0."""
 
 
 class BadConstantTerm(ArithmeticError):
-    """log/pow need constant term 1; exp needs constant term 0."""
+    """A fractional power of a series whose constant term is not 1, or
+    a BiSeries log whose q^0 slice is not 1."""
 
 
 class NotInvertible(ArithmeticError):
@@ -97,35 +101,68 @@ def poly_mul(a, b, cap: int | None = None) -> list:
     return [Fraction(c, d) for c in _int_mul(na, nb, n)]
 
 
-def poly_inv(a, cap: int) -> list:
-    """Inverse of a coefficient list with a(0) != 0, up to exponent cap.
+def poly_div(num, den, cap: int) -> list:
+    """num / den up to exponent cap (cap + 1 coefficients), den(0) != 0.
 
-    With a = g*A/d for a primitive int list A, the inverse is d/(g*A),
-    and c[m] = A(0)^(m+1) [x^m] 1/A is an integer:
-    c[0] = 1, c[m] = -sum_k A(k) A(0)^(k-1) c[m-k]."""
-    if not a or a[0] == 0:
-        raise ZeroConstantTerm("cannot invert a series with a(0) = 0")
-    if cap < 0:
-        return []
-    na, d = _lift(a[: cap + 1])
+    With num = N/e and den = g*A/d for int lists N, A (A primitive), the
+    quotient is d/(e*g) * N/A, and c[m] = A(0)^(m+1) [x^m] N/A is an
+    integer:  c[m] = A(0)^m N(m) - sum_k A(k) A(0)^(k-1) c[m-k]."""
+    if not den or den[0] == 0:
+        raise ZeroConstantTerm("cannot divide by a series with constant term 0")
+    na, d = _lift(den[: max(cap, 0) + 1])
+    nn, e = _lift(num[: cap + 1])
+    nn += [0] * (cap + 1 - len(nn))
     g = gcd(*na)
     a0 = na[0] // g
-    # A(k) * A(0)^(k-1), for k = 1..len-1
-    scaled, p = [], 1
+    scaled, p = [], 1  # A(k) A(0)^(k-1), for k = 1..len-1
     for x in na[1:]:
         scaled.append(x // g * p)
         p *= a0
-    c = [1]
-    for m in range(1, cap + 1):
-        s = 0
+    c, out, p = [], [], 1  # p = A(0)^m
+    for m in range(cap + 1):
+        s = nn[m] * p
         for k, x in enumerate(scaled[:m], 1):
             if x:
-                s += x * c[m - k]
-        c.append(-s)
-    out, p = [], g * a0
-    for x in c:
-        out.append(Fraction(d * x, p))
+                s -= x * c[m - k]
+        c.append(s)
+        out.append(Fraction(d * s, e * g * a0 * p))
         p *= a0
+    return out
+
+
+def poly_pow(a, alpha, cap: int) -> list:
+    """a**alpha up to exponent cap (cap + 1 coefficients), for rational
+    alpha and a(0) != 0; a fractional alpha needs a(0) = 1.
+
+    g = a**alpha solves a g' = alpha a' g, that is
+
+        k a(0) g[k] = sum_{j=1..k} ((alpha + 1) j - k) a[j] g[k-j].
+
+    With a = A/d for an int list A (d cancels) and alpha = u/v, the
+    integers H[k] = g[k]/g[0] * k! (v A(0))^k obey
+    H[k] = sum_j ((u + v) j - v k) A(j) (v A(0))^(j-1) (k-1)!/(k-j)! H[k-j]."""
+    if not a or a[0] == 0:
+        raise ZeroConstantTerm("cannot raise a series with a(0) = 0 to a power")
+    alpha = _rat(alpha)
+    u, v = alpha.numerator, alpha.denominator
+    if v != 1 and a[0] != 1:
+        raise BadConstantTerm("fractional power needs constant term 1")
+    g0 = _rat(a[0]) ** u if v == 1 else Fraction(1)
+    na, _ = _lift(a[: max(cap, 0) + 1])
+    va0 = v * na[0]
+    scaled, p = [], 1  # A(j) (v A(0))^(j-1), for j = 1..len-1
+    for x in na[1:]:
+        scaled.append(x * p)
+        p *= va0
+    h, out, p = [], [], g0.denominator  # p = g0.denominator * k! (v A(0))^k
+    for k in range(cap + 1):
+        s = 0 if k else 1
+        for j, x in enumerate(scaled[:k], 1):
+            if x:
+                s += ((u + v) * j - v * k) * x * perm(k - 1, j - 1) * h[k - j]
+        h.append(s)
+        out.append(Fraction(g0.numerator * s, p))
+        p *= (k + 1) * va0
     return out
 
 
@@ -236,6 +273,11 @@ class QSeries:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other: "QSeries") -> "QSeries":
+        """Quotient; the divisor needs a nonzero constant term."""
+        b = min(self.order, other.order)
+        return QSeries(b, poly_div(self.coeffs, other.coeffs, b))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, QSeries) and self.coeffs == other.coeffs
 
@@ -249,7 +291,7 @@ class QSeries:
 
     def inv(self) -> "QSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        return QSeries(self.order, poly_inv(self.coeffs, self.order))
+        return QSeries(self.order, poly_div([1], self.coeffs, self.order))
 
     def deriv(self) -> "QSeries":
         """d/dq; the truncation order drops by one (floored at 0)."""
@@ -264,51 +306,10 @@ class QSeries:
             raise ValueError("shift exponent must be >= 0")
         return QSeries(self.order + k, (0,) * k + self.coeffs)
 
-    def log(self) -> "QSeries":
-        if self.coeffs[0] != 1:
-            raise BadConstantTerm("log needs constant term 1")
-        t = self - 1  # valuation >= 1, so powers terminate
-        out = QSeries.zero(self.order)
-        tk = QSeries.one(self.order)
-        for k in range(1, self.order + 1):
-            tk = tk * t
-            out = out + tk * Fraction((-1) ** (k + 1), k)
-        return out
-
-    def exp(self) -> "QSeries":
-        if self.coeffs[0] != 0:
-            raise BadConstantTerm("exp needs constant term 0")
-        out = QSeries.one(self.order)
-        tk = QSeries.one(self.order)
-        fact = 1
-        for k in range(1, self.order + 1):
-            tk = tk * self
-            fact *= k
-            out = out + tk * Fraction(1, fact)
-        return out
-
     def pow(self, alpha) -> "QSeries":
-        """self**alpha.  Integer alpha needs only an invertible constant
-        term (for alpha < 0); fractional alpha needs constant term 1 and
-        goes through exp(alpha*log)."""
-        a = _rat(alpha)
-        if a.denominator == 1:
-            return self._int_pow(a.numerator)
-        if self.coeffs[0] != 1:
-            raise BadConstantTerm("fractional power needs constant term 1")
-        return (self.log() * a).exp()
-
-    def _int_pow(self, e: int) -> "QSeries":
-        base = self.inv() if e < 0 else self
-        e = abs(e)
-        out = QSeries.one(self.order)
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        """self**alpha for rational alpha: needs a nonzero constant term,
+        and constant term 1 when alpha is fractional."""
+        return QSeries(self.order, poly_pow(self.coeffs, alpha, self.order))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +576,7 @@ class BiSeries:
         if top0 >= INF_EXP:
             raise WindowUnderflow(
                 "inverting a fully-known series needs an explicit window")
-        inv0 = LaurentPoly(0, poly_inv(a.slices[0].coeffs, top0))
+        inv0 = LaurentPoly(0, poly_div([1], a.slices[0].coeffs, top0))
         out_sl = [inv0]
         out_hs = [top0]
         for b in range(1, self.order + 1):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from .geometry import MultiDegree
-from .series import Rat, linear_product, poly_inv, poly_mul
+from .series import Rat, linear_product, poly_div, poly_mul
 
 
 class InsufficientBounds(Exception):
@@ -33,7 +33,7 @@ def _c_base_slice(md: MultiDegree, beta: int, cap: int) -> list:
                           for i in range(1, d * beta + 1)), cap)
     den = linear_product(((j, 1) for j in range(1, beta + 1)
                           for _ in range(md.n)), cap)
-    return poly_mul(num, poly_inv(den, cap), cap)
+    return poly_div(num, den, cap)
 
 
 class CoeffTables:

@@ -1,10 +1,14 @@
 """CLI contracts: formats, exit codes, config/grid files, determinism
 and the round-trip stability of the JSON emission."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fanogw.checks
 from fanogw.cli import fmt_rat, main
@@ -68,6 +72,12 @@ def test_grid_rejects_projective_space(tmp_path, capsys):
     ([], 1),
     (["--help"], 0),
     (["compute", "--help"], 0),
+    # each verb rejects the flags it never reads
+    (["compute", "--ambient", "5", "--degrees", "3", "--grid", "g.txt"], 1),
+    (["compute", "--ambient", "5", "--degrees", "3", "--hj-table", "h"], 1),
+    (["check", "--ambient", "5", "--degrees", "3", "--max-b", "1"], 1),
+    (["check", "--ambient", "5", "--degrees", "3", "--hj-table", "h"], 1),
+    (["conjectures", "--order", "1"], 1),
 ])
 def test_argument_exit_codes(capsys, argv, code):
     try:
@@ -144,6 +154,26 @@ def test_config_file_presets_and_flag_override(tmp_path, capsys):
     code, out, _ = run(capsys, "compute", "--config", str(cfg),
                        "--format", "json")
     assert code == 0 and out.lstrip().startswith("{")
+
+
+@pytest.mark.parametrize("verb,foreign", [
+    ("compute", "grid = missing.txt\nhj-table = missing.txt\n"),
+    ("check", "max-b = -1\nhj-table = missing.txt\n"),
+    ("conjectures", "order = -1\n"),
+], ids=["compute", "check", "conjectures"])
+def test_config_keys_for_other_verbs_are_ignored(tmp_path, capsys, verb,
+                                                  foreign):
+    # a config file is shared by all verbs: a key for a flag this verb
+    # rejects on the command line is accepted and ignored
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("ambient = 5\ndegrees = 3\nformat = csv\n",
+                     encoding="utf-8")
+    shared = tmp_path / "shared.cfg"
+    shared.write_text(plain.read_text(encoding="utf-8") + foreign,
+                      encoding="utf-8")
+    want = run(capsys, verb, "--config", str(plain))
+    assert want[0] == 0
+    assert run(capsys, verb, "--config", str(shared)) == want
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -278,3 +308,78 @@ def test_input_file_errors_name_file_and_line(tmp_path, capsys, verb, flag,
     assert err.count("\n") == 1 and err.startswith("error: ")
     assert f"{path}:{lineno}:" in err
     assert repr(text.splitlines()[lineno - 1]) in err
+
+
+# -- fuzzing the flag grammar
+
+FLAGS = ("--ambient", "--degrees", "--max-b", "--order", "--format", "--out",
+         "--grid", "--hj-table", "--config", "--bogus")
+#: input files for the path flags, by name
+FILES = {
+    "cfg": "ambient = 5\ndegrees = 3\n",
+    "cfg_bad": "ambient = five\n",
+    "grid": "5:3\n",
+    "grid_bad": "5:1\n",
+    "hj": "1 2 1\n2 3 -1/2\n",
+    "hj_bad": "1 2\n",
+}
+JUNK = ("", "x", ",", "-", "--", "1/0", "nan", "2,,3", "3,x", "1e3", " ")
+#: the flags that pick a geometry for `check` instead of the default grid
+GEOMETRY = {"--ambient", "--degrees", "--grid", "--config"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, text in FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+@st.composite
+def argvs(draw, root):
+    """A verb, often a geometry, and up to four more flags (repeats
+    allowed).  Each flag mostly gets a value of its own kind (a small
+    integer, a degree list, a format, an input file that is valid,
+    malformed or missing), otherwise a junk token, any small integer or
+    no value at all.  --out only ever names a file or the directory
+    under root."""
+    ints = st.integers(-1, 9).map(str)
+    path = st.sampled_from(sorted(FILES) + ["missing"]).map(
+        lambda name: str(root / name))
+    own = {
+        "--ambient": ints,
+        "--degrees": st.lists(st.integers(1, 6), max_size=3).map(
+            lambda ds: ",".join(map(str, ds))),
+        "--max-b": st.integers(-1, 3).map(str),
+        "--order": st.integers(-1, 3).map(str),
+        "--format": st.sampled_from(("text", "csv", "json")),
+        "--out": st.sampled_from((str(root / "out.txt"), str(root))),
+        "--grid": path, "--hj-table": path, "--config": path,
+        "--bogus": st.none(),
+    }
+    stray = st.one_of(st.sampled_from(JUNK), ints, st.none())
+    argv = [draw(st.sampled_from(("compute", "check", "conjectures") * 3
+                                 + ("frobnicate",)))]
+    if draw(st.booleans()):  # mostly a valid geometry
+        argv += ["--ambient", str(draw(st.integers(3, 9))), "--degrees",
+                 ",".join(map(str, draw(st.lists(st.integers(2, 5),
+                                                 min_size=1, max_size=2))))]
+    for flag in draw(st.lists(st.sampled_from(FLAGS), max_size=4)):
+        kind = own[flag]
+        v = draw(kind if flag == "--out" else st.one_of(kind, kind, stray))
+        argv += [flag] if v is None else [flag, v]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(fuzz_dir, data):
+    argv = data.draw(argvs(fuzz_dir))
+    # the full default-grid check is slow and covered elsewhere
+    assume(argv[0] != "check" or GEOMETRY & set(argv))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1

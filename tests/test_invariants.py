@@ -42,6 +42,22 @@ def test_degree0_chern_axiom_on_random_geometries(md):
     assert invariant_table(md, max_b=0)[0].standard == want
 
 
+def test_rows_above_dimension_vanish():
+    """A row whose insertion power 1 + nu*b exceeds dim X inserts h^p = 0,
+    so all three values are zero: on every valid geometry with n <= 9
+    and r <= 3 (90 such rows on 48 geometries)."""
+    rows = 0
+    for md in valid_geometries(9, 3):
+        bs = [b for b in range(md.bmax + 1) if 1 + md.nu * b > md.dim]
+        ctx = context_for(md, md.bmax) if bs else None
+        for b in bs:
+            row = invariant_row(md, b, ctx=ctx)
+            assert row.standard == row.reduced == row.difference == 0, \
+                (md.label(), row)
+            rows += 1
+    assert rows == 90
+
+
 def test_a_series_vanishes_at_zero():
     for md in (MD53, MD722):
         assert a_series(context_for(md, 2)).coeff(0) == 0

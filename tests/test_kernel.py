@@ -1,8 +1,9 @@
-"""The exact kernel in `fanogw.series` (truncated product, unit inverse,
-product of linear factors) against the independent list arithmetic in
-`helpers`, on random Fraction lists.  The kernel computes on integer
-numerators over a common denominator; every output element must still
-be a Fraction in lowest terms."""
+"""The exact kernel in `fanogw.series` (truncated product, quotient by a
+unit, rational power of a unit, product of linear factors) against the
+independent list arithmetic in `helpers` (products, long division), on
+random Fraction lists.  The kernel computes on integer numerators over
+a common denominator; every output element must still be a Fraction in
+lowest terms."""
 
 from fractions import Fraction
 from math import prod
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanogw.series import ZeroConstantTerm, linear_product, poly_inv, poly_mul
+from fanogw.series import (BadConstantTerm, ZeroConstantTerm, linear_product,
+                           poly_div, poly_mul, poly_pow)
 
 from helpers import long_division
 from helpers import poly_mul as oracle_mul
@@ -60,12 +62,12 @@ def test_poly_mul_uncapped_is_the_whole_product(a, b):
 
 @kernel
 @given(polys, caps)
-def test_poly_inv_matches_long_division(a, cap):
+def test_poly_div_unit_numerator_matches_long_division(a, cap):
     if not a or a[0] == 0:
         with pytest.raises(ZeroConstantTerm):
-            poly_inv(a, cap)
+            poly_div([Fraction(1)], a, cap)
         return
-    got = poly_inv(a, cap)
+    got = poly_div([Fraction(1)], a, cap)
     assert got == long_division([Fraction(1)], a, cap) and fractions(got)
     assert padded(poly_mul(a, got, cap), cap) \
         == [Fraction(1)] + [Fraction(0)] * cap
@@ -74,10 +76,69 @@ def test_poly_inv_matches_long_division(a, cap):
 @kernel
 @given(st.one_of(rats, big).filter(lambda x: x not in (0, 1, -1)), polys,
        caps)
-def test_poly_inv_with_a_constant_term_other_than_a_sign(a0, rest, cap):
+def test_poly_div_with_a_constant_term_other_than_a_sign(a0, rest, cap):
     a = [a0] + rest
-    got = poly_inv(a, cap)
+    got = poly_div([Fraction(1)], a, cap)
     assert got == long_division([Fraction(1)], a, cap) and fractions(got)
+
+
+units = st.one_of(rats, big).filter(lambda x: x != 0)
+
+
+# polys may be empty or all zero and are drawn with lengths on both
+# sides of the cap
+@kernel
+@given(polys, coeffs, polys, caps)
+def test_poly_div_matches_long_division(num, a0, rest, cap):
+    den = [a0] + rest
+    if a0 == 0:
+        with pytest.raises(ZeroConstantTerm):
+            poly_div(num, den, cap)
+        return
+    got = poly_div(num, den, cap)
+    assert got == long_division(num, den, cap) and fractions(got)
+
+
+def oracle_pow(a, e, cap):
+    """a**e for an int e >= 0 by repeated oracle products."""
+    out = padded([Fraction(1)], cap)
+    for _ in range(e):
+        out = oracle_mul(out, a, cap)
+    return out
+
+
+@kernel
+@given(polys, st.integers(-4, 4), st.integers(2, 5), caps)
+def test_poly_pow_fractional_exponent(rest, u, v, cap):
+    a = [Fraction(1)] + rest
+    got = poly_pow(a, Fraction(u, v), cap)
+    assert len(got) == cap + 1 and fractions(got)
+    assert got[0] == 1
+    want = (oracle_pow(a, u, cap) if u >= 0
+            else long_division([Fraction(1)], oracle_pow(a, -u, cap), cap))
+    assert oracle_pow(got, v, cap) == want
+
+
+@kernel
+@given(units, polys, st.integers(-4, 4), caps)
+def test_poly_pow_integer_exponent(a0, rest, e, cap):
+    a = [a0] + rest
+    got = poly_pow(a, e, cap)
+    assert fractions(got)
+    if e >= 0:
+        assert got == oracle_pow(a, e, cap)
+    else:
+        assert got == long_division([Fraction(1)], oracle_pow(a, -e, cap), cap)
+
+
+@kernel
+@given(polys, st.fractions(-5, 5, max_denominator=5), caps)
+def test_poly_pow_error_cases(rest, alpha, cap):
+    with pytest.raises(ZeroConstantTerm):
+        poly_pow([Fraction(0)] + rest, alpha, cap)
+    if alpha.denominator != 1:
+        with pytest.raises(BadConstantTerm):
+            poly_pow([Fraction(2)] + rest, alpha, cap)
 
 
 # ints too: the library passes int pairs
@@ -97,7 +158,10 @@ def test_linear_product_matches_oracle(pairs, cap):
 def test_kernel_edge_cases():
     assert poly_mul([], [Fraction(1)], 3) == []
     assert poly_mul([Fraction(1), Fraction(2)], [Fraction(3)], -1) == []
-    assert poly_inv([Fraction(2)], -1) == []
+    assert poly_div([Fraction(1)], [Fraction(2)], -1) == []
+    assert poly_div([], [Fraction(2)], 2) == [0, 0, 0]
+    assert poly_pow([Fraction(2)], 3, -1) == []
+    assert poly_pow([Fraction(2), 1], 0, 2) == [1, 0, 0]
     assert linear_product([], 0) == [Fraction(1)]
     assert linear_product([(1, 1)] * 3) == [1, 3, 3, 1]
     assert fractions(poly_mul([1, 2], [3], 5))
