@@ -69,22 +69,21 @@ def _parse_lines(path: str, parse) -> list:
     return out
 
 
-_CONFIG_KEYS = ("ambient", "degrees", "max-b", "order", "format", "out",
-                "grid", "hj-table")
-
-
 def _config_entry(line: str) -> tuple:
+    """A `key = value` line: any flag but `config` itself, its value
+    typed and checked as the flag's `_FLAGS` settings say."""
     key, eq, val = line.partition("=")
     key, val = key.strip(), val.strip()
     if not eq:
         raise ValueError("config line without '='")
-    if key not in _CONFIG_KEYS:
+    settings = _FLAGS.get(key) if key != "config" else None
+    if settings is None:
         raise ValueError(f"unknown config key {key!r}")
-    if key in ("ambient", "max-b", "order"):
-        return key, int(val)
-    if key == "format" and val not in FORMATS:
-        raise ValueError(f"config format {val!r} is not one of "
-                         f"{', '.join(FORMATS)}")
+    val = settings.get("type", str)(val)
+    choices = settings.get("choices")
+    if choices is not None and val not in choices:
+        raise ValueError(f"config {key} {val!r} is not one of "
+                         f"{', '.join(choices)}")
     return key, val
 
 

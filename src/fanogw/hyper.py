@@ -17,13 +17,13 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial, lcm
+from math import comb, factorial
 from operator import mul
 
 from .geometry import MultiDegree
 from .series import (INF_EXP, BiSeries, LaurentPoly, QSeries, linear_product,
-                     poly_div, poly_mul, sum_of_products)
-from .tables import CoeffTables
+                     poly_div, poly_mul, poly_shift, sum_of_products)
+from .tables import CoeffTables, f_w_slice
 
 
 # ---------------------------------------------------------------------------
@@ -50,20 +50,12 @@ def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
 
 def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False) -> BiSeries:
     """F(w, q) (or Ft(w, q) when tilde=True): regular at w = 0, with the
-    q^beta slice carrying an explicit w^{nu*beta} prefactor."""
-    slices, his = [], []
-    for beta in range(order + 1):
-        shift = md.nu * beta
-        cap = max(hi - shift, 0)
-        num = linear_product(((i, d) for d in md.degrees
-                              for i in range(1, d * beta + 1)), cap)
-        den = [1]
-        for j in range(1, beta + 1):  # (w+j)^n, less w^n for Ft
-            den = poly_mul(den, [comb(md.n, t) * j**(md.n - t)
-                                 for t in range(md.n + (not tilde))], cap)
-        slices.append(LaurentPoly(shift, poly_div(num, den, cap)))
-        his.append(hi)
-    return BiSeries(slices, his)
+    q^beta slice carrying an explicit w^{nu*beta} prefactor in front of
+    `tables.f_w_slice`."""
+    slices = [LaurentPoly(md.nu * beta, f_w_slice(
+        md, beta, max(hi - md.nu * beta, 0), tilde))
+        for beta in range(order + 1)]
+    return BiSeries(slices, [hi] * (order + 1))
 
 
 def exp_neg_mu_over_aux(mu: QSeries, order: int) -> BiSeries:
@@ -90,7 +82,12 @@ def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeri
     b, and with s = -shift the ct-weighted factor in front of slice b
     is the Laurent polynomial
 
-        P[beta1, b] = aux^(s*(nu*beta1 - p)) * sum_l ct[p,l,beta1] (b + aux^s)^l.
+        P[beta1, b] = aux^(s*(nu*beta1 - p)) * T(b + aux^s),
+
+    where T(x) = sum_l ct[p,l,beta1] x^l is the ct row and T(x + b)
+    its Taylor shift, `series.poly_shift`.  Over the unit series
+    (`BiSeries.one`) F_p is sum ct[p,l,beta] q^beta aux^(-s*(p-nu*beta-l)),
+    since D^l 1 = 1.
 
     Slice B of F_p is the capped sum of P[beta1, B-beta1] * base[B-beta1]
     over beta1 <= B.  Its window is the one the chain of D's gives:
@@ -99,18 +96,16 @@ def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeri
     one; fully known slices stay fully known, and so does every slice
     when all ct vanish)."""
     nu, order, s = tables.md.nu, base.order, -shift
-    rows = []  # (beta1, ct numerators over den, den, l of the nonzero ct)
+    rows = []  # (beta1, ct row, l of the nonzero ct)
     for beta1 in range(min(order, p // nu) + 1):
         row = [tables.ctilde(p, l, beta1) for l in range(p - nu * beta1 + 1)]
         nonzero = [l for l, c in enumerate(row) if c]
         if nonzero:
-            den = lcm(*[c.denominator for c in row])
-            rows.append((beta1, [c.numerator * (den // c.denominator) for c in row],
-                         den, nonzero))
+            rows.append((beta1, row, nonzero))
     slices, his = [], []
     for B in range(order + 1):
         pairs, h = [], INF_EXP
-        for beta1, nums, den, nonzero in rows:
+        for beta1, row, nonzero in rows:
             b = B - beta1
             if b < 0:
                 break
@@ -118,12 +113,7 @@ def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeri
                 drop = shift == -1 and b > 0
                 h = min(h, base.his[b] + min(s * (l + nu * beta1 - p) - l * drop
                                              for l in nonzero))
-            # sum_l nums[l] (b + x)^l by Horner, x = aux^s
-            poly = []
-            for c in reversed(nums):
-                poly = [b * x + y for x, y in zip(poly + [0], [0] + poly)]
-                poly[0] += c
-            poly = [Fraction(c, den) for c in poly]
+            poly = poly_shift(row, b)  # T(b + x), x = aux^s
             lead = s * (nu * beta1 - p)
             fac = (LaurentPoly(lead, poly) if s == 1
                    else LaurentPoly(lead - len(poly) + 1, poly[::-1]))

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb, prod
 
 from .geometry import MultiDegree
-from .hyper import FanoContext
+from .hyper import FanoContext, fp_series
 from .series import (BiSeries, LaurentPoly, QSeries, Rat, linear_product,
                      poly_div)
 
@@ -225,27 +225,6 @@ def _g_expansion(md: MultiDegree, hi: int) -> LaurentPoly:
     return LaurentPoly(-2, poly_div(num, den, cap))
 
 
-def _ct_polynomial(ctx: FanoContext, p: int, sign: int) -> BiSeries:
-    """sum over beta, l of ct[p,l,beta] q^beta aux^{sign*(p-nu*beta-l)}:
-    the fully known polynomial part subtracted when moving the residue
-    at h = -d to h = 0 and infinity (sign=+1 is the hbar presentation,
-    sign=-1 the w presentation)."""
-    md = ctx.md
-    slices = [LaurentPoly.zero() for _ in range(ctx.order + 1)]
-    for beta in range(min(ctx.order, p // md.nu) + 1):
-        vals = {}
-        for l in range(p - md.nu * beta + 1):
-            ct = ctx.tables.ctilde(p, l, beta)
-            if ct != 0:
-                vals[sign * (p - md.nu * beta - l)] = ct
-        if vals:
-            lo = min(vals)
-            width = max(vals) - lo + 1
-            coeffs = [vals.get(lo + i, Fraction(0)) for i in range(width)]
-            slices[beta] = LaurentPoly(lo, coeffs)
-    return BiSeries(slices)
-
-
 def _residue_against_g(md: MultiDegree, series: BiSeries) -> QSeries:
     """Res_{h=0} of G(h) * series, G = ((1+h)^n - 1)/(h^3 prod(d_k+h))."""
     lows = [s.support_lo() for s in series.slices]
@@ -275,8 +254,10 @@ def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
     main = (ft - ftp) * ft.inv()
     res0_main = _residue_against_g(md, main)
 
-    res0_poly = _residue_against_g(
-        md, BiSeries.one(B) - _ct_polynomial(ctx, p, +1))
+    # the fully known polynomial part subtracted when moving the
+    # residue at h = -d to h = 0 and infinity: F_p of the unit series
+    one = BiSeries.one(B)
+    res0_poly = _residue_against_g(md, one - fp_series(ctx.tables, one, p, +1))
 
     target = md.n - 2 - md.r
     hi_w = target + p + 2
@@ -286,7 +267,7 @@ def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
     main_w = head * (ftw - ftpw) * ftw.inv()
     resinf_main = -main_w.coeff_of_aux(target)
 
-    poly_w = head * (BiSeries.one(B) - _ct_polynomial(ctx, p, -1))
+    poly_w = head * (one - fp_series(ctx.tables, one, p, -1))
     resinf_poly = -poly_w.coeff_of_aux(target)
 
     series = res0_main + resinf_main - res0_poly - resinf_poly

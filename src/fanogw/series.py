@@ -17,7 +17,8 @@ Two series types:
 
 Both are built on one exact kernel over plain coefficient lists:
 poly_mul (truncated product), poly_div (truncated quotient by a unit),
-poly_pow (rational power of a unit) and linear_product, plus
+poly_pow (rational power of a unit), poly_shift (Taylor shift
+a(x) -> a(x + s)) and linear_product, plus
 sum_of_products, the capped sum of products of Laurent slices.  Every
 other module uses it instead of its own loops.  poly_pow needs no log
 or exp: g = a**alpha solves a g' = alpha a' g, which fixes each
@@ -164,6 +165,20 @@ def poly_pow(a, alpha, cap: int) -> list:
         out.append(Fraction(g0.numerator * s, p))
         p *= (k + 1) * va0
     return out
+
+
+def poly_shift(a, s: int) -> list:
+    """The coefficients of a(x + s) for an int s: Horner's rule
+    a(x + s) = (...(a[m] (x + s) + a[m-1]) (x + s) + ...) + a[0] on the
+    integer numerators of a."""
+    if not a:
+        return []
+    na, d = _lift(a)
+    out = []
+    for c in reversed(na):
+        out = [s * x + y for x, y in zip(out + [0], [0] + out)]
+        out[0] += c
+    return [Fraction(c, d) for c in out]
 
 
 def linear_product(pairs, cap: int | None = None) -> list:

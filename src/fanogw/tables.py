@@ -1,45 +1,65 @@
 """Rational coefficient tables c_{p,l}^{(beta)} and ct_{p,l}^{(beta)}.
 
-The c numbers are read off a generating function: for each beta expand
+Both are read off the base slices: for each beta the power series in w
 
-    (w + beta)^p * prod_k prod_{i=1..d_k*beta} (d_k w + i)
-    -----------------------------------------------------
-                prod_{j=1..beta} (w + j)^n
+    base_beta(w) = prod_k prod_{i=1..d_k*beta} (d_k w + i)
+                   / prod_{j=1..beta} (w + j)^n,
 
-as a power series in w.  The ct numbers invert them through the
-convolution
+the q^beta slice of F(w, q) without its w^{nu*beta} (`f_w_slice`).  The
+c numbers are c[p,l,beta] = [w^l] (w + beta)^p base_beta(w); no c table
+is stored, `CoeffTables.c` reads each entry on demand as
+sum_j C(p,j) beta^(p-j) base_beta[l-j].
+
+The ct numbers invert them through the convolution
 
     sum_{b1+b2=beta} sum_{k=0}^{p - nu*b1} ct[p,k,b1] c[k,l,b2]
-        = delta(beta,0) delta(p,l),   for l <= p - nu*beta,
+        = delta(beta,0) delta(p,l),   for l <= p - nu*beta.
 
-which pins every entry recursively in beta.  Entries with l < 0 or
+With the row T_{p,beta}(w) = sum_l ct[p,l,beta] w^l the sum over k is
+T_{p,b1}(w + b2) base_b2(w), so T_{p,0} = w^p and each higher row is
+one capped sum of Taylor-shifted rows (`series.poly_shift`) against
+base slices:
+
+    T_{p,beta}(w) = - sum_{b1<beta} T_{p,b1}(w + beta - b1) base_{beta-b1}(w)
+                    up to w^(p - nu*beta).
+
+`convolution_defect` (behind `checks.check_convolution`) evaluates the
+convolution entry by entry from the binomial c reads: a different
+computation from this solve, not a rerun of it.  Entries with l < 0 or
 p < 0 count as zero; at beta = 0 both tables are Kronecker deltas.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+
 from .geometry import MultiDegree
-from .series import Rat, linear_product, poly_div, poly_mul
+from .series import (LaurentPoly, Rat, linear_product, poly_div, poly_mul,
+                     poly_shift, sum_of_products)
 
 
 class InsufficientBounds(Exception):
     """A table entry was asked for beyond the built bounds."""
 
 
-def _c_base_slice(md: MultiDegree, beta: int, cap: int) -> list:
-    """prod_k prod_i (d_k w + i) / prod_j (w + j)^n as a w-series."""
+def f_w_slice(md: MultiDegree, beta: int, cap: int, tilde: bool = False) -> list:
+    """The q^beta slice of F(w, q) (of Ft(w, q) when tilde) without its
+    w^{nu*beta}, up to w^cap:
+    prod_k prod_i (d_k w + i) / prod_j ((w + j)^n - [tilde] w^n)."""
     num = linear_product(((i, d) for d in md.degrees
                           for i in range(1, d * beta + 1)), cap)
-    den = linear_product(((j, 1) for j in range(1, beta + 1)
-                          for _ in range(md.n)), cap)
+    den = [1]
+    for j in range(1, beta + 1):
+        den = poly_mul(den, [comb(md.n, t) * j**(md.n - t)
+                             for t in range(md.n + (not tilde))], cap)
     return poly_div(num, den, cap)
 
 
 class CoeffTables:
     """Both tables for one geometry, built once and shared read-only."""
 
-    __slots__ = ("md", "p_max", "beta_max", "_c", "_ct")
+    __slots__ = ("md", "p_max", "beta_max", "_base", "_ct")
 
     def __init__(self, md: MultiDegree, p_max: int, beta_max: int):
         if p_max < 0 or beta_max < 0:
@@ -47,40 +67,20 @@ class CoeffTables:
         self.md = md
         self.p_max = p_max
         self.beta_max = beta_max
-        self._c = {}
+        self._base = [f_w_slice(md, beta, p_max) for beta in range(beta_max + 1)]
         self._ct = {}
-        self._build_c()
-        self._build_ct()
+        for p in range(p_max + 1):
+            self._ct[(p, 0)] = tuple(Fraction(int(l == p)) for l in range(p + 1))
+            for beta in range(1, min(beta_max, p // md.nu) + 1):
+                self._ct[(p, beta)] = self._solve_ct(p, beta)
 
-    def _build_c(self):
-        cap = self.p_max
-        for beta in range(self.beta_max + 1):
-            base = _c_base_slice(self.md, beta, cap)
-            row = base
-            for p in range(self.p_max + 1):
-                self._c[(p, beta)] = tuple(row) + (Fraction(0),) * (cap + 1 - len(row))
-                row = poly_mul(row, [Fraction(beta), Fraction(1)], cap)
-
-    def _build_ct(self):
-        nu = self.md.nu
-        for beta in range(self.beta_max + 1):
-            for p in range(self.p_max + 1):
-                top = p - nu * beta
-                if top < 0:
-                    continue
-                vals = []
-                for l in range(top + 1):
-                    v = Fraction(1) if (beta == 0 and p == l) else Fraction(0)
-                    for b1 in range(beta):
-                        ct_row = self._ct.get((p, b1))
-                        if ct_row is None:
-                            continue
-                        b2 = beta - b1
-                        for k, ck in enumerate(ct_row):
-                            if ck != 0:
-                                v -= ck * self.c(k, l, b2)
-                    vals.append(v)
-                self._ct[(p, beta)] = tuple(vals)
+    def _solve_ct(self, p: int, beta: int) -> tuple:
+        top = p - self.md.nu * beta
+        row = sum_of_products(
+            ((LaurentPoly(0, poly_shift(self._ct[(p, b1)], beta - b1)),
+              LaurentPoly(0, self._base[beta - b1])) for b1 in range(beta)),
+            top)
+        return tuple(-row.coeff(l) for l in range(top + 1))
 
     # -- accessors (out-of-range index conventions live here)
 
@@ -91,7 +91,9 @@ class CoeffTables:
             raise InsufficientBounds(
                 f"c({p},{l},{beta}) beyond built bounds "
                 f"(p, l<={self.p_max}, beta<={self.beta_max})")
-        return self._c[(p, beta)][l]
+        base = self._base[beta]
+        return sum((comb(p, j) * beta**(p - j) * base[l - j]
+                    for j in range(min(p, l) + 1)), Fraction(0))
 
     def ctilde(self, p: int, l: int, beta: int) -> Rat:
         if p < 0 or l < 0:

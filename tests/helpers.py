@@ -180,6 +180,64 @@ def fp_series_by_d_chain(tables, base, p, shift):
     return BiSeries([_laurent(s, h) for s, h in zip(acc, his)], his)
 
 
+def ct_polynomial(tables, order, p, sign):
+    """sum over beta, l of ct[p,l,beta] q^beta aux^{sign*(p-nu*beta-l)}
+    (sign=+1 is the hbar presentation, sign=-1 the w presentation),
+    placed entry by entry: the reference for F_p of the unit series."""
+    nu = tables.md.nu
+    slices = [LaurentPoly.zero() for _ in range(order + 1)]
+    for beta in range(min(order, p // nu) + 1):
+        vals = {}
+        for l in range(p - nu * beta + 1):
+            ct = tables.ctilde(p, l, beta)
+            if ct != 0:
+                vals[sign * (p - nu * beta - l)] = ct
+        if vals:
+            lo = min(vals)
+            width = max(vals) - lo + 1
+            coeffs = [vals.get(lo + i, Fraction(0)) for i in range(width)]
+            slices[beta] = LaurentPoly(lo, coeffs)
+    return BiSeries(slices)
+
+
+def power(base, e, cap):
+    """base**e by repeated `poly_mul`, up to exponent cap."""
+    out = [Fraction(1)]
+    for _ in range(e):
+        out = poly_mul(out, base, cap)
+    return out
+
+
+def f_slice_oracle(md, beta, cap, tilde=False):
+    """prod_k prod_i (i + d_k w) / prod_j ((w + j)^n - [tilde] w^n) up to
+    w^cap, every factor multiplied out plainly."""
+    num = [Fraction(1)]
+    for d in md.degrees:
+        for i in range(1, d * beta + 1):
+            num = poly_mul(num, [Fraction(i), Fraction(d)], cap)
+    den = [Fraction(1)]
+    for j in range(1, beta + 1):
+        factor = power([Fraction(j), Fraction(1)], md.n, md.n)
+        if tilde:
+            factor[md.n] -= 1
+        den = poly_mul(den, factor, cap)
+    return long_division(num, den, cap)
+
+
+def ftilde_hbar_slice_oracle(md, beta, cap):
+    """prod_k prod_i (d_k + i hbar) / prod_j (((1 + j hbar)^n - 1)/hbar)
+    up to hbar^cap, every factor multiplied out plainly."""
+    num = [Fraction(1)]
+    for d in md.degrees:
+        for i in range(1, d * beta + 1):
+            num = poly_mul(num, [Fraction(d), Fraction(i)], cap)
+    den = [Fraction(1)]
+    for j in range(1, beta + 1):
+        den = poly_mul(den, power([Fraction(1), Fraction(j)], md.n, md.n)[1:],
+                       cap)
+    return long_division(num, den, cap)
+
+
 def d_power_tables(nu, p):
     """A stand-in for CoeffTables with ct[p,l,beta] = 1 exactly when
     l = p and beta = 0: F_p over these tables is D^p(base)."""

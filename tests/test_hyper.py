@@ -14,8 +14,10 @@ from fanogw.hyper import CtSums, FanoContext, fp_series, ftilde_hbar, f_w
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
 from fanogw.tables import CoeffTables
 
-from helpers import (corrupt_ctilde, ct_sums_by_terms, fp_series_by_d_chain,
-                     l_fixpoint_oracle, valid_geometries)
+from helpers import (corrupt_ctilde, ct_polynomial, ct_sums_by_terms,
+                     f_slice_oracle, fp_series_by_d_chain,
+                     ftilde_hbar_slice_oracle, l_fixpoint_oracle,
+                     valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -52,6 +54,41 @@ def test_f_w_slices():
     # lowest w-exponent of the q^beta slice is nu*beta
     assert fw.slice(1).lo == 2 and fw.slice(2).lo == 4
     assert fw.coeff(1, 2) == 6
+
+
+def test_slices_match_long_division():
+    """Every F, Ft (w side) and Ft (hbar side) slice against plainly
+    multiplied factors and long division, within its window."""
+    order = 3
+    for md in valid_geometries(7, 3):
+        hi = 2 * md.n - md.r
+        for tilde in (False, True):
+            fw = f_w(md, order, hi, tilde)
+            assert fw.his == (hi,) * (order + 1)
+            for beta in range(order + 1):
+                shift = md.nu * beta
+                want = f_slice_oracle(md, beta, max(hi - shift, 0), tilde)
+                assert fw.slice(beta) == LaurentPoly(shift, want).cut_above(hi), \
+                    (md, tilde, beta)
+        hi = 2 * order + 3
+        ft = ftilde_hbar(md, order, hi)
+        assert ft.his == (hi,) * (order + 1)
+        for beta in range(order + 1):
+            want = ftilde_hbar_slice_oracle(md, beta, hi + beta)
+            assert ft.slice(beta) == LaurentPoly(-beta, want), (md, beta)
+
+
+def test_fp_of_the_unit_series_is_the_ct_polynomial():
+    """D^l 1 = 1, so F_p of BiSeries.one is the ct entries placed at
+    aux^{sign*(p - nu*beta - l)}, fully known."""
+    order = 3
+    for md in valid_geometries(9, 3):
+        tables = CoeffTables(md, p_max=md.n, beta_max=order)
+        one = BiSeries.one(order)
+        for p in range(md.n + 1):
+            for sign in (1, -1):
+                assert fp_series(tables, one, p, sign) \
+                    == ct_polynomial(tables, order, p, sign), (md, p, sign)
 
 
 def test_fp_specials():

@@ -1,9 +1,9 @@
 """The exact kernel in `fanogw.series` (truncated product, quotient by a
-unit, rational power of a unit, product of linear factors) against the
-independent list arithmetic in `helpers` (products, long division), on
-random Fraction lists.  The kernel computes on integer numerators over
-a common denominator; every output element must still be a Fraction in
-lowest terms."""
+unit, rational power of a unit, Taylor shift, product of linear factors)
+against the independent list arithmetic in `helpers` (products, long
+division), on random Fraction lists.  The kernel computes on integer
+numerators over a common denominator; every output element must still
+be a Fraction in lowest terms."""
 
 from fractions import Fraction
 from math import prod
@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw.series import (BadConstantTerm, ZeroConstantTerm, linear_product,
-                           poly_div, poly_mul, poly_pow)
+                           poly_div, poly_mul, poly_pow, poly_shift)
 
-from helpers import long_division
+from helpers import long_division, power
 from helpers import poly_mul as oracle_mul
 
 kernel = settings(max_examples=150, deadline=None)
@@ -155,6 +155,18 @@ def test_linear_product_matches_oracle(pairs, cap):
     assert padded(got, cap) == want and fractions(got)
 
 
+@kernel
+@given(polys, st.integers(-9, 9))
+def test_poly_shift_matches_expanded_powers(a, s):
+    want = [Fraction(0)] * len(a)
+    for k, c in enumerate(a):  # c (x + s)^k
+        for j, x in enumerate(power([Fraction(s), Fraction(1)], k, k)):
+            want[j] += c * x
+    got = poly_shift(a, s)
+    assert got == want and fractions(got)
+    assert poly_shift(got, -s) == a
+
+
 def test_kernel_edge_cases():
     assert poly_mul([], [Fraction(1)], 3) == []
     assert poly_mul([Fraction(1), Fraction(2)], [Fraction(3)], -1) == []
@@ -163,5 +175,6 @@ def test_kernel_edge_cases():
     assert poly_pow([Fraction(2)], 3, -1) == []
     assert poly_pow([Fraction(2), 1], 0, 2) == [1, 0, 0]
     assert linear_product([], 0) == [Fraction(1)]
+    assert poly_shift([], 3) == []
     assert linear_product([(1, 1)] * 3) == [1, 3, 3, 1]
     assert fractions(poly_mul([1, 2], [3], 5))

@@ -10,7 +10,8 @@ from fanogw.hyper import f_w
 from fanogw.series import BiSeries
 from fanogw.tables import CoeffTables, InsufficientBounds
 
-from helpers import apply_d, c_entry_oracle, corrupt_ctilde, ctilde_oracle
+from helpers import (apply_d, c_entry_oracle, corrupt_ctilde, ctilde_oracle,
+                     valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 
@@ -107,3 +108,18 @@ def test_generating_function_reproduces_c_table():
                 for l in range(hi - p + 1):
                     assert series.coeff(beta, l) == t.c(p, l, beta), \
                         (md, p, l, beta)
+
+
+def test_tables_match_the_oracles_over_valid_geometries():
+    """Every ct and every c entry at p_max = n, beta_max = 2, c rows
+    with beta > p_max // nu included (the ct solve never reads them)."""
+    for md in valid_geometries(7, 3):
+        t = CoeffTables(md, p_max=md.n, beta_max=2)
+        for (p, l, beta), v in ctilde_oracle(md.n, md.degrees, md.nu,
+                                             md.n, 2).items():
+            assert t.ctilde(p, l, beta) == v, (md, p, l, beta)
+        for p in range(md.n + 1):
+            for l in range(md.n + 1):
+                for beta in range(3):
+                    assert t.c(p, l, beta) == c_entry_oracle(
+                        md.n, md.degrees, p, l, beta), (md, p, l, beta)
