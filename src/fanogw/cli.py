@@ -16,6 +16,7 @@ are serialized as lowest-term "p/q" strings, never floats.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import sys
@@ -151,14 +152,21 @@ def _rows_payload(md: MultiDegree, rows) -> dict:
     }
 
 
-def _rows_csv(rows) -> str:
+def _csv(header: str, rows) -> str:
+    """A header line and the rows, quoted where a field needs it (a
+    geometry label such as X_7(2,2) holds commas)."""
     buf = io.StringIO()
-    buf.write("b,insertion_power,standard,reduced,difference,consistent\n")
-    for r in rows:
-        buf.write(f"{r.b},{r.insertion_power},{fmt_rat(r.standard)},"
-                  f"{fmt_rat(r.reduced)},{fmt_rat(r.difference)},"
-                  f"{'true' if r.consistent else 'false'}\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(header.split(","))
+    out.writerows(rows)
     return buf.getvalue()
+
+
+def _rows_csv(rows) -> str:
+    return _csv("b,insertion_power,standard,reduced,difference,consistent",
+                ((r.b, r.insertion_power, fmt_rat(r.standard),
+                  fmt_rat(r.reduced), fmt_rat(r.difference),
+                  "true" if r.consistent else "false") for r in rows))
 
 
 def _rows_text(md: MultiDegree, rows) -> str:
@@ -208,12 +216,10 @@ def cmd_check(geometries: list[MultiDegree], pad: int, fmt: str,
         }
         _emit(_dump_json(payload), out_path)
     elif fmt == CSV:
-        buf = io.StringIO()
-        buf.write("geometry,check,pass\n")
-        for md, results in all_results:
-            for r in results:
-                buf.write(f"{md.label()},{r.name},{'true' if r.ok else 'false'}\n")
-        _emit(buf.getvalue(), out_path)
+        _emit(_csv("geometry,check,pass",
+                   ((md.label(), r.name, "true" if r.ok else "false")
+                    for md, results in all_results for r in results)),
+              out_path)
     else:
         buf = io.StringIO()
         for md, results in all_results:
@@ -272,18 +278,15 @@ def cmd_conjectures(geometries: list[MultiDegree], beta_max: int, hj,
         }
         _emit(_dump_json(payload), out_path)
     elif fmt == CSV:
-        buf = io.StringIO()
-        buf.write("kind,name,geometry,beta,expected,computed,verdict\n")
-        for c in lemma_rows:
-            buf.write(f"lemma,{c.name},{c.md.label()},{c.beta},"
-                      f"{fmt_rat(c.expected)},{fmt_rat(c.computed)},"
-                      f"{'pass' if c.ok else 'fail'}\n")
-        for rep in reports:
-            for c in rep.cases:
-                exp = "" if c.expected is None else fmt_rat(c.expected)
-                buf.write(f"conjecture,{rep.conjecture},{c.md.label()},"
-                          f"{c.beta},{exp},{fmt_rat(c.computed)},{c.verdict}\n")
-        _emit(buf.getvalue(), out_path)
+        lemmas = (("lemma", c.name, c.md.label(), c.beta, fmt_rat(c.expected),
+                   fmt_rat(c.computed), "pass" if c.ok else "fail")
+                  for c in lemma_rows)
+        cases = (("conjecture", rep.conjecture, c.md.label(), c.beta,
+                  "" if c.expected is None else fmt_rat(c.expected),
+                  fmt_rat(c.computed), c.verdict)
+                 for rep in reports for c in rep.cases)
+        _emit(_csv("kind,name,geometry,beta,expected,computed,verdict",
+                   [*lemmas, *cases]), out_path)
     else:
         buf = io.StringIO()
         for c in lemma_rows:

@@ -312,25 +312,21 @@ class FanoContext:
 
     def _ct_sums(self, p: int) -> CtSums:
         order, nu, ct = self.order, self.md.nu, self.tables.ctilde
-        pows = self._get(("Lpow",), lambda: list(accumulate(
-            [self.L()] * self.md.n, mul, initial=QSeries.one(order))))
-        acc = [[Fraction(0)] * (order + 1) for _ in range(6)]
-
-        def add(i, c, k, shift):  # acc[i] += c q^shift L^k
-            if c:
-                for j, x in enumerate(pows[k].coeffs[: order + 1 - shift], shift):
-                    acc[i][j] += c * x
-
+        pows = self._get(("Lpow",), lambda: [  # L^0..L^n as q-slices
+            LaurentPoly(0, s.coeffs) for s in accumulate(
+                [self.L()] * self.md.n, mul, initial=QSeries.one(order))])
+        terms = [[] for _ in range(6)]  # (c q^shift, L^k) pairs of each sum
         for beta in range(min(order, p // nu) + 1):
             e = p - nu * beta
             c0, c1 = ct(p, e, beta), ct(p, e - 1, beta)
-            add(0, c0, e, beta)
-            add(1, c1, e - 1, beta)
-            add(2, e * c0, e - 1, beta + 1)
-            add(3, comb(e, 2) * c0, e - 2, beta + 1)
-            add(4, c0, 0, beta)
-            add(5, c1, 0, beta)
-        return CtSums(*(QSeries(order, a) for a in acc))
+            for i, c, k, shift in ((0, c0, e, beta), (1, c1, e - 1, beta),
+                                   (2, e * c0, e - 1, beta + 1),
+                                   (3, comb(e, 2) * c0, e - 2, beta + 1),
+                                   (4, c0, 0, beta), (5, c1, 0, beta)):
+                if c:
+                    terms[i].append((LaurentPoly(shift, (c,)), pows[k]))
+        return CtSums(*(QSeries(order, [s.coeff(j) for j in range(order + 1)])
+                        for s in (sum_of_products(t, order) for t in terms)))
 
     def _theta_lemma(self, p: int, level: int) -> QSeries:
         phi0, s = self.phi0(), self.ct_sums(p)

@@ -22,8 +22,8 @@ from math import comb, prod
 
 from .geometry import MultiDegree
 from .hyper import FanoContext, fp_series
-from .series import (BiSeries, LaurentPoly, QSeries, Rat, linear_product,
-                     poly_div)
+from .series import (INF_EXP, BiSeries, LaurentPoly, QSeries, Rat,
+                     linear_product, poly_div)
 
 
 class OutOfRange(ValueError):
@@ -96,31 +96,26 @@ def a_series(ctx: FanoContext, route: str = "theta") -> QSeries:
 def _a_double_residue(ctx: FanoContext) -> QSeries:
     """Res_{h1} Res_{h2} of e^{-mu(1/h1+1/h2)} F(1/h1, 1/h2, q) divided
     by h1 h2 (h1 + h2), with 1/(h1+h2) expanded in the region
-    |h2| < |h1|.  Works on the raw Laurent data: regularity of the
-    factors is not assumed, so the alternating tail over j is summed
-    honestly (its terms vanish exactly when regularizability holds)."""
-    B = ctx.order
-    hi = 2 * B + 3
+    |h2| < |h1|: for each pair the aux^1 coefficient of
+    x_{p1}(aux) x_{p2}(-aux), the second factor cut to aux^{<=0}.
+    Works on the raw Laurent data: regularity of the factors is not
+    assumed, so the alternating tail is summed honestly (its terms
+    vanish exactly when regularizability holds)."""
+    hi = 2 * ctx.order + 3
     pairs = [pq for block in ctx.md.theta_pairs() for pq in block]
-    xs = {}
-    for p in {p for pq in pairs for p in pq}:
-        xs[p] = ctx.exp_neg_mu() * ctx.fp_hbar(p, hi)
-    coeffs = []
-    for btot in range(B + 1):
-        total = Fraction(0)
-        for p1, p2 in pairs:
-            x1, x2 = xs[p1], xs[p2]
-            for b1 in range(btot + 1):
-                b2 = btot - b1
-                lo2 = x2.slice(b2).support_lo()
-                if lo2 is None:
-                    continue
-                for j in range(0, -lo2 + 1):
-                    c2 = x2.coeff(b2, -j)
-                    if c2 != 0:
-                        total += (-1) ** j * x1.coeff(b1, j + 1) * c2
-        coeffs.append(total)
-    return QSeries(B, coeffs)
+    xs = {p: ctx.exp_neg_mu() * ctx.fp_hbar(p, hi)
+          for p in {p for pq in pairs for p in pq}}
+    return sum(((xs[p1] * _reflect(xs[p2])).coeff_of_aux(1)
+                for p1, p2 in pairs), QSeries.zero(ctx.order))
+
+
+def _reflect(x: BiSeries) -> BiSeries:
+    """x(-aux) cut to aux^{<=0}: fully known where x is known up to
+    aux^0, otherwise with x's window."""
+    slices = [LaurentPoly(s.lo, [-c if e % 2 else c
+                                 for e, c in enumerate(s.coeffs, s.lo)])
+              .cut_above(0) for s in x.slices]
+    return BiSeries(slices, [INF_EXP if h >= 0 else h for h in x.his])
 
 
 def type_a(ctx: FanoContext, b: int) -> Rat:
@@ -152,16 +147,19 @@ def ct_residue_row(ctx: FanoContext, b: int) -> Rat:
     md = ctx.md
     p = 1 + md.nu * b
     g = _ch_coeffs(md, md.n - md.r - 1)
-    c0 = ctx.tables.ctilde(p, 0, b)
-    c1 = ctx.tables.ctilde(p, 1, b) if p - md.nu * b >= 1 else Fraction(0)
-    out = c0 * g[md.n - md.r - 1]
-    if md.n - md.r - 2 >= 0:
-        out += c1 * g[md.n - md.r - 2]
-    return out
+    return (ctx.tables.ctilde(p, 0, b) * g[md.n - md.r - 1]
+            + ctx.tables.ctilde(p, 1, b) * g[md.n - md.r - 2])
 
 
 # ---------------------------------------------------------------------------
 # the w-residue of the F-family (shared by type B and the SvR difference)
+
+
+def _q0_series(poly: LaurentPoly, hi: int, order: int) -> BiSeries:
+    """poly, known up to aux^hi, as the q^0 slice of a BiSeries whose
+    other slices are exactly zero."""
+    return BiSeries([poly] + [LaurentPoly.zero()] * order,
+                    [hi] + [INF_EXP] * order)
 
 
 def _f_bracket(ctx: FanoContext, p: int) -> BiSeries:
@@ -171,8 +169,7 @@ def _f_bracket(ctx: FanoContext, p: int) -> BiSeries:
     hi = target + p + 2
     f0 = ctx.f_w(hi)
     fp = ctx.fp_w(p, hi)
-    ch = _ch_coeffs(md, hi)
-    front = BiSeries([LaurentPoly(0, ch)] + [LaurentPoly.zero()] * ctx.order)
+    front = _q0_series(LaurentPoly(0, _ch_coeffs(md, hi)), hi, ctx.order)
     return front * (f0 - fp) * f0.inv()
 
 
@@ -226,19 +223,13 @@ def _g_expansion(md: MultiDegree, hi: int) -> LaurentPoly:
 
 
 def _residue_against_g(md: MultiDegree, series: BiSeries) -> QSeries:
-    """Res_{h=0} of G(h) * series, G = ((1+h)^n - 1)/(h^3 prod(d_k+h))."""
+    """Res_{h=0} of G(h) * series, G = ((1+h)^n - 1)/(h^3 prod(d_k+h))
+    from h^-2 up to what the series reads: WindowUnderflow unless every
+    slice of the series is known up to h^1."""
     lows = [s.support_lo() for s in series.slices]
     depth = max((-lo for lo in lows if lo is not None), default=0)
-    g = _g_expansion(md, depth - 1)
-    out = []
-    for beta in range(series.order + 1):
-        if series.slice_hi(beta) < 1:
-            raise ValueError("series window too small for the G residue")
-        total = Fraction(0)
-        for e, c in g.items():
-            total += c * series.coeff(beta, -1 - e)
-        out.append(total)
-    return QSeries(series.order, out)
+    g = _q0_series(_g_expansion(md, depth - 1), depth - 1, series.order)
+    return (g * series).residue()
 
 
 def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
@@ -263,7 +254,8 @@ def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
     hi_w = target + p + 2
     ftw = ctx.f_w(hi_w, tilde=True)
     ftpw = ctx.fp_w(p, hi_w, tilde=True)
-    head = _ch_minus_wn_series(md, hi_w, B)
+    head = _q0_series(LaurentPoly(0, _ch_coeffs(md, hi_w, minus_wn=True)),
+                      hi_w, B)
     main_w = head * (ftw - ftpw) * ftw.inv()
     resinf_main = -main_w.coeff_of_aux(target)
 
@@ -272,12 +264,6 @@ def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
 
     series = res0_main + resinf_main - res0_poly - resinf_poly
     return Fraction(prod(md.degrees), 24) * series.coeff(b)
-
-
-def _ch_minus_wn_series(md: MultiDegree, hi: int, order: int) -> BiSeries:
-    ch = _ch_coeffs(md, hi, minus_wn=True)
-    return BiSeries([LaurentPoly(0, ch)] + [LaurentPoly.zero()] * order,
-                    [hi] * (order + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,14 @@ Two series types:
 Both are built on one exact kernel over plain coefficient lists:
 poly_mul (truncated product), poly_div (truncated quotient by a unit),
 poly_pow (rational power of a unit), poly_shift (Taylor shift
-a(x) -> a(x + s)) and linear_product, plus
-sum_of_products, the capped sum of products of Laurent slices.  Every
-other module uses it instead of its own loops.  poly_pow needs no log
-or exp: g = a**alpha solves a g' = alpha a' g, which fixes each
-coefficient of g from the lower ones in one short sum.  The kernel
-computes on integer numerators over one common denominator and returns
-lowest-term Fractions: one normalisation per output coefficient, not
-one per term.
+a(x) -> a(x + s)) and linear_product, plus sum_of_products, the capped
+sum of products of Laurent slices.  Every other module uses it instead
+of its own loops.  poly_pow needs no log or exp: g = a**alpha solves
+a g' = alpha a' g, which fixes each coefficient of g from the lower
+ones in one short sum.  BiSeries.log is one slice recurrence too, from
+D(log F) F = D F.  The kernel computes on integer numerators over one
+common denominator and returns lowest-term Fractions: one
+normalisation per output coefficient, not one per term.
 
 Everything is immutable; operations are pure functions, safe to share
 across threads.
@@ -608,17 +608,23 @@ class BiSeries:
         return res.shift_aux(-m) if m else res
 
     def log(self) -> "BiSeries":
-        """log of a series with q^0 slice exactly 1."""
-        s0 = self.slices[0]
-        if not (s0.coeffs == (Fraction(1),) and s0.lo == 0):
+        """log of a series F with q^0 slice 1.  With D = q d/dq,
+        D(log F) F = D F: the slices m_b = b l_b of D log F solve
+        m_b = b f_b - sum_{0<k<b} m_k f_{b-k}.  f_0 = 1 is known up to
+        his[0] only, which bounds each window as in `inv`."""
+        f, fh = self.slices, self.his
+        if not (f[0].coeffs == (Fraction(1),) and f[0].lo == 0):
             raise BadConstantTerm("BiSeries log needs q^0 slice 1")
-        t = self - BiSeries.one(self.order)
-        out = BiSeries.zero(self.order)
-        tk = BiSeries.one(self.order)
-        for k in range(1, self.order + 1):
-            tk = tk * t
-            out = out + tk.scale(Fraction((-1) ** (k + 1), k))
-        return out
+        neg = [-s for s in f]
+        m, mh = [LaurentPoly.zero()], [fh[0]]  # l_0 = 0 as far as f_0 = 1
+        for b in range(1, self.order + 1):
+            acc, h = _convolve_slices(
+                [(LaurentPoly(0, (b,)), INF_EXP, f[b], fh[b])]
+                + [(m[k], mh[k], neg[b - k], fh[b - k]) for k in range(1, b)])
+            m.append(acc)
+            mh.append(min(h, fh[0] + _slice_support_lo(acc, h)))
+        return BiSeries([m[0]] + [m[b] * Fraction(1, b) for b in range(1, len(m))],
+                        mh)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BiSeries)

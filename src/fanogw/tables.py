@@ -8,7 +8,9 @@ Both are read off the base slices: for each beta the power series in w
 the q^beta slice of F(w, q) without its w^{nu*beta} (`f_w_slice`).  The
 c numbers are c[p,l,beta] = [w^l] (w + beta)^p base_beta(w); no c table
 is stored, `CoeffTables.c` reads each entry on demand as
-sum_j C(p,j) beta^(p-j) base_beta[l-j].
+sum_j C(p,j) beta^(p-j) base_beta[l-j].  Only the base slices the ct
+solve reads (beta <= p_max // nu) are stored; a c read at a larger beta
+builds its slice and drops it.
 
 The ct numbers invert them through the convolution
 
@@ -67,7 +69,8 @@ class CoeffTables:
         self.md = md
         self.p_max = p_max
         self.beta_max = beta_max
-        self._base = [f_w_slice(md, beta, p_max) for beta in range(beta_max + 1)]
+        self._base = [f_w_slice(md, beta, p_max)
+                      for beta in range(min(beta_max, p_max // md.nu) + 1)]
         self._ct = {}
         for p in range(p_max + 1):
             self._ct[(p, 0)] = tuple(Fraction(int(l == p)) for l in range(p + 1))
@@ -91,7 +94,8 @@ class CoeffTables:
             raise InsufficientBounds(
                 f"c({p},{l},{beta}) beyond built bounds "
                 f"(p, l<={self.p_max}, beta<={self.beta_max})")
-        base = self._base[beta]
+        base = (self._base[beta] if beta < len(self._base)
+                else f_w_slice(self.md, beta, self.p_max))
         return sum((comb(p, j) * beta**(p - j) * base[l - j]
                     for j in range(min(p, l) + 1)), Fraction(0))
 

@@ -11,6 +11,7 @@ from math import comb, prod
 from types import SimpleNamespace
 
 from fanogw.geometry import MultiDegree
+from fanogw.invariants import _g_expansion
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
 
 
@@ -348,3 +349,67 @@ def structure_sums_reference(tables, beta):
                              comb(v_e1(p, b1, b2), 2)
                              if v_e1(p, b1, b2) >= 2 else 0),
     }
+
+
+def log_by_mercator(f):
+    """log F = sum_k (-1)^(k+1) (F - 1)^k / k over k <= order, one full
+    BiSeries product per power (F's q^0 slice is 1)."""
+    t = f - BiSeries.one(f.order)
+    out = BiSeries.zero(f.order)
+    tk = BiSeries.one(f.order)
+    for k in range(1, f.order + 1):
+        tk = tk * t
+        out = out + tk.scale(Fraction((-1) ** (k + 1), k))
+    return out
+
+
+def pairing_by_terms(x1, x2, order):
+    """sum over b1 + b2 = beta and j >= 0 of
+    (-1)^j x1[b1, aux^(j+1)] x2[b2, aux^(-j)], coefficient by
+    coefficient: the aux^1 coefficient of x1(aux) x2(-aux) with x2 cut
+    to aux^{<=0}."""
+    coeffs = []
+    for btot in range(order + 1):
+        total = Fraction(0)
+        for b1 in range(btot + 1):
+            b2 = btot - b1
+            lo2 = x2.slice(b2).support_lo()
+            if lo2 is None:
+                continue
+            for j in range(0, -lo2 + 1):
+                c2 = x2.coeff(b2, -j)
+                if c2 != 0:
+                    total += (-1) ** j * x1.coeff(b1, j + 1) * c2
+        coeffs.append(total)
+    return QSeries(order, coeffs)
+
+
+def a_double_residue_by_terms(ctx):
+    """A(q) as the double residue, each Theta pair summed by
+    `pairing_by_terms`."""
+    hi = 2 * ctx.order + 3
+    pairs = [pq for block in ctx.md.theta_pairs() for pq in block]
+    xs = {p: ctx.exp_neg_mu() * ctx.fp_hbar(p, hi)
+          for p in {p for pq in pairs for p in pq}}
+    total = QSeries.zero(ctx.order)
+    for p1, p2 in pairs:
+        total = total + pairing_by_terms(xs[p1], xs[p2], ctx.order)
+    return total
+
+
+def residue_against_g_by_terms(md, series):
+    """Res_{h=0} G(h) series(h) slice by slice, as the sum of
+    G[e] series[-1 - e] over the exponents e of G; a slice window below
+    1 is refused."""
+    lows = [s.support_lo() for s in series.slices]
+    depth = max((-lo for lo in lows if lo is not None), default=0)
+    g = _g_expansion(md, depth - 1)
+    out = []
+    for beta in range(series.order + 1):
+        if series.slice_hi(beta) < 1:
+            raise ValueError("series window too small for the G residue")
+        total = Fraction(0)
+        for e, c in g.items():
+            total += c * series.coeff(beta, -1 - e)
+        out.append(total)
+    return QSeries(series.order, out)

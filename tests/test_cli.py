@@ -1,6 +1,7 @@
 """CLI contracts: formats, exit codes, config/grid files, determinism
 and the round-trip stability of the JSON emission."""
 
+import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -112,6 +113,23 @@ def test_compute_csv(capsys):
     assert lines[1] == "0,1,-1/2,-1/2,0,true"
     assert lines[2] == "1,4,-4/3,0,-4/3,true"
     assert lines[3] == "2,7,0,0,0,true"
+
+
+def test_csv_rows_parse_on_the_default_grid(capsys):
+    """Every verb's CSV parses with csv.reader into rows of the header's
+    width, and the geometry column holds whole labels: X_7(2,2) is one
+    field."""
+    grid = fanogw.checks.default_grid()
+    verbs = [["compute", "--ambient", str(md.n),
+              "--degrees", ",".join(map(str, md.degrees))] for md in grid]
+    for argv in verbs + [["check"], ["conjectures"]]:
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        head, *rows = csv.reader(io.StringIO(out))
+        assert rows and all(len(row) == len(head) for row in rows), argv
+        if "geometry" in head:
+            col = head.index("geometry")
+            assert {row[col] for row in rows} == {md.label() for md in grid}
 
 
 def test_compute_degrees_are_normalized(capsys):
@@ -269,7 +287,7 @@ def test_conjectures_hj_table_lookups(tmp_path, capsys):
     want = u1_beta2_conjectured(md, lambda j, d: vals[(j, d)])
     row = next(ln for ln in out.splitlines()
                if ln.startswith("conjecture,U1_beta2,"))
-    assert row == f"conjecture,U1_beta2,X_8(3,4),2,{fmt_rat(want)},1306656,disagree"
+    assert row == f'conjecture,U1_beta2,"X_8(3,4)",2,{fmt_rat(want)},1306656,disagree'
     assert want == Fraction(-13123584, 49)
 
 

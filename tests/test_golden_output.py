@@ -57,11 +57,11 @@ DIGESTS = {
     "compute --ambient 8 --degrees 7 --format text":
         "df6a70ce3f9b30978593a051b82e812437af36dc4edfa1dbf268e37a6380a03b",
     "check --format csv":
-        "578e038ac9499e3678600bc24c264e3a070be5bb4e1745be6a10cec9f5065379",
+        "30ae59653a06934c2e0d4d0d2e0ce40c6ff661e9de7fb52e0d8d610311b58b74",
     "conjectures --format json":
         "4bbf3e09201e3f8c54185853567b3ce41bb68e6dee02d8a1bb54d7b57bdebf02",
     "conjectures --format csv":
-        "c22410ccc01775a04c8d00daac72d024c60e74d388e92a8f13ffb5914f4372ca",
+        "edb4fe35269a68c7bd2b1bbb1b5294bbf118600e1682423729fc3367af8969ae",
     "conjectures --format text":
         "11616420cddb1dd6d518b1069c4746b13a8cc445f24a6842aabb3b09d84de46d",
 }

@@ -8,13 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw.geometry import MultiDegree
-from fanogw.invariants import (OutOfRange, _f_bracket, a_series,
+from fanogw.hyper import FanoContext
+from fanogw.invariants import (OutOfRange, _f_bracket, _reflect,
+                               _residue_against_g, a_series,
                                chern_degree0_oracle, context_for,
                                invariant_row, invariant_table,
                                reduced_invariant, standard_invariant,
                                svr_difference, type_a, type_b)
+from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
 
-from helpers import chern_value_oracle, valid_geometries
+from helpers import (a_double_residue_by_terms, chern_value_oracle,
+                     pairing_by_terms, residue_against_g_by_terms,
+                     valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -99,6 +104,61 @@ def test_a_series_from_structure_sums():
                            + phi0 * phi0 * lprime * L.pow(e - 2) * binw).shift(1))
                 out = out + rows.shift(beta).truncate(order)
         assert out.matches(a_series(ctx, "theta")), md
+
+
+fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reflected_product_is_the_pairing(data):
+    """The aux^1 coefficient of x1 * _reflect(x2) is the alternating
+    pairing sum of `helpers.pairing_by_terms`, on random slices with
+    negative exponents and random windows (x2 known at least up to
+    aux^0); where the sum reads past a window, so does the product."""
+    order = data.draw(st.integers(0, 3))
+
+    def series(windows):
+        return BiSeries(
+            [LaurentPoly(data.draw(st.integers(-4, 2)),
+                         data.draw(st.lists(fracs, max_size=6)))
+             for _ in range(order + 1)],
+            [data.draw(windows) for _ in range(order + 1)])
+
+    x1 = series(st.just(INF_EXP) | st.integers(-1, 6))
+    x2 = series(st.just(INF_EXP) | st.integers(0, 6))
+    try:
+        want = pairing_by_terms(x1, x2, order)
+    except WindowUnderflow:
+        with pytest.raises(WindowUnderflow):
+            (x1 * _reflect(x2)).coeff_of_aux(1)
+    else:
+        assert (x1 * _reflect(x2)).coeff_of_aux(1) == want
+
+
+def test_kernel_residues_match_the_term_sums():
+    """The double residue of A(q) and the G residue of type B, as kernel
+    products, equal their coefficient-by-coefficient sums (`helpers`)
+    on every valid geometry with n <= 9 and r <= 3 at order 3, the G
+    residue on (Ft - Ft_p) / Ft for every p <= n."""
+    for md in valid_geometries(9, 3):
+        ctx = FanoContext(md, 3)
+        assert a_series(ctx, "double_residue") == a_double_residue_by_terms(ctx)
+        hi = 2 * ctx.order + 3
+        ft = ctx.ftilde_hbar(hi)
+        inv = ft.inv()
+        for p in range(md.n + 1):
+            series = (ft - ctx.fp_hbar(p, hi)) * inv
+            assert _residue_against_g(md, series) \
+                == residue_against_g_by_terms(md, series), (md.label(), p)
+
+
+def test_g_residue_needs_slice_windows_of_at_least_1():
+    series = BiSeries([LaurentPoly(-1, (1, 2)), LaurentPoly(-2, (3,))])
+    assert _residue_against_g(MD53, BiSeries(series.slices, [1, 1])) \
+        == residue_against_g_by_terms(MD53, series)
+    with pytest.raises(WindowUnderflow):
+        _residue_against_g(MD53, BiSeries(series.slices, [1, 0]))
 
 
 def test_type_a_degree0_is_zero():

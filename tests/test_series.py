@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanogw.hyper import fp_series
 from fanogw.series import (BiSeries, LaurentPoly, QSeries, BadConstantTerm,
                            NotInvertible, WindowUnderflow, ZeroConstantTerm)
 
-from helpers import apply_d, d_power_tables
+from helpers import apply_d, d_power_tables, log_by_mercator
 from helpers import poly_mul as oracle_mul
 
 
@@ -250,6 +252,32 @@ def test_bs_window_narrowing_matches_bruteforce():
                 assert prod.coeff(beta, e) == full.get(e, 0)
             with pytest.raises(WindowUnderflow):
                 prod.coeff(beta, h + 1)
+
+
+fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_log_inside_its_windows_matches_mercator(data):
+    """log of F cut to random windows reports only coefficients of the
+    log of the uncut F, taken as the Mercator sum
+    (`helpers.log_by_mercator`); on the uncut F it is that sum exactly,
+    windows included."""
+    order = data.draw(st.integers(0, 4))
+    slices = [LaurentPoly(0, (1,))] + [
+        LaurentPoly(data.draw(st.integers(-3, 2)),
+                    data.draw(st.lists(fracs, max_size=5)))
+        for _ in range(order)]
+    his = [data.draw(st.integers(0, 6))] + [
+        data.draw(st.integers(-3, 6)) for _ in range(order)]
+    full = BiSeries(slices)
+    want = log_by_mercator(full)
+    assert full.log() == want
+    got = BiSeries(slices, his).log()
+    for b in range(order + 1):
+        for e in range(-3 * b, got.slice_hi(b) + 1):
+            assert got.coeff(b, e) == want.coeff(b, e), (b, e)
 
 
 def test_apply_d_examples():
