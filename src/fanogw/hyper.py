@@ -109,10 +109,9 @@ def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeri
             b = B - beta1
             if b < 0:
                 break
-            if base.his[b] < INF_EXP:
-                drop = shift == -1 and b > 0
-                h = min(h, base.his[b] + min(s * (l + nu * beta1 - p) - l * drop
-                                             for l in nonzero))
+            drop = shift == -1 and b > 0
+            h = min(h, base.his[b] + min(s * (l + nu * beta1 - p) - l * drop
+                                         for l in nonzero))
             poly = poly_shift(row, b)  # T(b + x), x = aux^s
             lead = s * (nu * beta1 - p)
             fac = (LaurentPoly(lead, poly) if s == 1
@@ -140,28 +139,28 @@ def mu_closed(md: MultiDegree, order: int) -> QSeries:
 
 
 def l_closed(md: MultiDegree, order: int) -> QSeries:
-    """L(q) = 1 + q mu'(q); satisfies L^n - q d^d L^{|d|} = 1."""
-    n, t, dd = md.n, md.total, md.dd
-    coeffs = []
-    for k in range(order + 1):
-        num = 1
-        for i in range(1, k):
-            num *= k * t + 1 - i * n
-        coeffs.append(Fraction(num, factorial(k)) * Fraction(dd, n)**k)
-    return QSeries(order, coeffs)
+    """L(q) = 1 + q mu'(q), read off `mu_closed` (L_k = k mu_k);
+    satisfies L^n - q d^d L^{|d|} = 1."""
+    mu = mu_closed(md, order)
+    return QSeries(order, [1] + [k * c for k, c in enumerate(mu.coeffs) if k])
 
 
-def phi0_closed(md: MultiDegree, order: int) -> QSeries:
+def _l_and_y(md: MultiDegree, order: int) -> tuple[QSeries, QSeries]:
+    """L and y = 1 + q d^d (n - |d|)/n L^{|d|}, shared by Phi0 and Phi1."""
     L = l_closed(md, order)
     y = 1 + QSeries.q(order) * Fraction(md.dd * (md.n - md.total), md.n) \
         * L.pow(md.total)
+    return L, y
+
+
+def phi0_closed(md: MultiDegree, order: int) -> QSeries:
+    L, y = _l_and_y(md, order)
     return L.pow(Fraction(md.r + 1, 2)) * y.pow(Fraction(-1, 2))
 
 
 def phi1_closed(md: MultiDegree, order: int) -> QSeries:
     n, t, r = md.n, md.total, md.r
-    L = l_closed(md, order)
-    y = 1 + QSeries.q(order) * Fraction(md.dd * (n - t), n) * L.pow(t)
+    L, y = _l_and_y(md, order)
     lead = Fraction(3 * r**2 - 1, 24 * t) \
         - md.inv_degree_sum() * Fraction(2, 24)
     first = lead * L.pow(Fraction(r - 1, 2)) * (L - 1) * y.pow(Fraction(-1, 2))

@@ -284,14 +284,11 @@ def reduced_invariant(ctx: FanoContext, b: int) -> Rat:
     return type_a(ctx, b) + type_b(ctx, b)
 
 
-def invariant_row(md: MultiDegree, b: int, pad: int = 0,
-                  ctx: FanoContext | None = None) -> InvariantRow:
-    _check_range(md, b)
-    if ctx is None:
-        ctx = context_for(md, b, pad)
+def invariant_row(ctx: FanoContext, b: int) -> InvariantRow:
+    _check_range(ctx.md, b)
     return InvariantRow(
         b=b,
-        insertion_power=1 + md.nu * b,
+        insertion_power=1 + ctx.md.nu * b,
         standard=standard_invariant(ctx, b),
         reduced=reduced_invariant(ctx, b),
         difference=svr_difference(ctx, b),
@@ -302,4 +299,4 @@ def invariant_table(md: MultiDegree, max_b: int | None = None,
                     pad: int = 0) -> list[InvariantRow]:
     top = md.bmax if max_b is None else min(max_b, md.bmax)
     ctx = context_for(md, top, pad)
-    return [invariant_row(md, b, ctx=ctx) for b in range(top + 1)]
+    return [invariant_row(ctx, b) for b in range(top + 1)]

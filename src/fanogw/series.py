@@ -12,8 +12,14 @@ Two series types:
   order B (coefficients of q^{B+1} and beyond are unknown).
 * BiSeries -- series in q whose q^beta coefficients are Laurent
   polynomials in one auxiliary variable (w or hbar).  Each slice carries
-  the largest auxiliary exponent that is exactly known; multiplication
-  narrows these bounds conservatively.
+  its window: the largest auxiliary exponent that is exactly known, or
+  INF_EXP (math.inf) for a fully known slice, which adding a finite
+  exponent leaves fixed.  Products, inverses and logs take their windows
+  from one rule, `_window`: u known up to u_hi times v known up to v_hi
+  is known up to min(u_hi + lowest(v), v_hi + lowest(u)), a slice that
+  is zero up to its window having lowest exponent window + 1.
+  BiSeries.inv reads its input's window; a fully known q^0 slice has an
+  infinite inverse and raises WindowUnderflow.
 
 Both are built on one exact kernel over plain coefficient lists:
 poly_mul (truncated product), poly_div (truncated quotient by a unit),
@@ -34,13 +40,14 @@ across threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, perm
+from math import gcd, inf, lcm, perm
 from typing import Iterable
 
 Rat = Fraction
 
-#: sentinel: "this slice is known exactly at every exponent"
-INF_EXP = 10**9
+#: the window of a slice known exactly at every exponent, and the cap
+#: that keeps a whole product: adding a finite exponent leaves it fixed
+INF_EXP = inf
 
 
 class ZeroConstantTerm(ArithmeticError):
@@ -85,14 +92,14 @@ def _int_mul(a: list, b: list, n: int) -> list:
     return out
 
 
-def _product_length(a, b, cap: int | None) -> int:
+def _product_length(a, b, cap) -> int:
     n = len(a) + len(b) - 1 if a and b else 0
-    return n if cap is None else max(min(n, cap + 1), 0)
+    return max(min(n, cap + 1), 0)
 
 
-def poly_mul(a, b, cap: int | None = None) -> list:
+def poly_mul(a, b, cap=INF_EXP) -> list:
     """Product of two coefficient lists, without the exponents above
-    `cap` (None keeps the whole product)."""
+    `cap` (INF_EXP keeps the whole product)."""
     n = _product_length(a, b, cap)
     if not n:
         return []
@@ -181,7 +188,7 @@ def poly_shift(a, s: int) -> list:
     return [Fraction(c, d) for c in out]
 
 
-def linear_product(pairs, cap: int | None = None) -> list:
+def linear_product(pairs, cap=INF_EXP) -> list:
     """prod (a + b*x) over (a, b) pairs, without the exponents above cap."""
     p, den = [1], 1
     for a, b in pairs:
@@ -428,21 +435,22 @@ class LaurentPoly:
 # bivariate series: q-power series of Laurent slices
 
 
-def _slice_support_lo(poly: LaurentPoly, hi: int) -> int:
-    # certified lower bound on the true support: everything <= hi is known
-    s = poly.support_lo()
-    return s if s is not None else (hi + 1 if hi < INF_EXP else INF_EXP)
+def _window(u: LaurentPoly, u_hi, v: LaurentPoly, v_hi):
+    """The exact window of u * v for u known up to u_hi and v up to
+    v_hi.  A slice that is zero up to its window has lowest exponent
+    window + 1 (INF_EXP when fully known)."""
+    return min(u_hi + (v.lo if v.coeffs else v_hi + 1),
+               v_hi + (u.lo if u.coeffs else u_hi + 1))
 
 
-def sum_of_products(pairs, h: int) -> LaurentPoly:
+def sum_of_products(pairs, h) -> LaurentPoly:
     """sum of u * v over (u, v) pairs of LaurentPolys, without the
     exponents above h (INF_EXP keeps them all), added up on one common
     denominator: one Fraction per output coefficient."""
     parts = []  # (lowest exponent, int coefficients, denominator)
     for u, v in pairs:
         lo = u.lo + v.lo
-        n = _product_length(u.coeffs, v.coeffs,
-                            None if h >= INF_EXP else h - lo)
+        n = _product_length(u.coeffs, v.coeffs, h - lo)
         if n:
             nu, du = _lift(u.coeffs[:n])
             nv, dv = _lift(v.coeffs[:n])
@@ -460,14 +468,12 @@ def sum_of_products(pairs, h: int) -> LaurentPoly:
 
 
 def _convolve_slices(terms) -> tuple[LaurentPoly, int]:
-    """sum of u * v over (u, u_hi, v, v_hi) terms, with its exact window.
-    The window depends only on the operands' windows and lowest
-    exponents, so it is fixed first and caps every product."""
+    """sum of u * v over (u, u_hi, v, v_hi) terms, with its exact window:
+    the least `_window` of the terms, fixed first to cap every product."""
     terms = list(terms)
     h = INF_EXP
-    for u, u_h, v, v_h in terms:
-        h = min(h, u_h + _slice_support_lo(v, v_h),
-                v_h + _slice_support_lo(u, u_h))
+    for t in terms:
+        h = min(h, _window(*t))
     return sum_of_products(((u, v) for u, _, v, _ in terms), h), h
 
 
@@ -502,10 +508,6 @@ class BiSeries:
     def one(order: int) -> "BiSeries":
         return BiSeries([LaurentPoly(0, (1,))] + [LaurentPoly.zero()] * order)
 
-    @staticmethod
-    def zero(order: int) -> "BiSeries":
-        return BiSeries([LaurentPoly.zero()] * (order + 1))
-
     @property
     def order(self) -> int:
         return len(self.slices) - 1
@@ -514,9 +516,6 @@ class BiSeries:
         if not 0 <= beta <= self.order:
             raise WindowUnderflow(f"q^{beta} slice beyond truncation order {self.order}")
         return self.slices[beta]
-
-    def slice_hi(self, beta: int) -> int:
-        return self.his[beta]
 
     def coeff(self, beta: int, e: int) -> Rat:
         """Exact coefficient of q^beta aux^e."""
@@ -535,32 +534,23 @@ class BiSeries:
 
     # -- arithmetic
 
-    def __add__(self, other) -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            other = BiSeries.one(self.order) * _rat(other)
+    def __add__(self, other: "BiSeries") -> "BiSeries":
         n = min(self.order, other.order)
         sl = [self.slices[b] + other.slices[b] for b in range(n + 1)]
         hs = [min(self.his[b], other.his[b]) for b in range(n + 1)]
         return BiSeries(sl, hs)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "BiSeries":
         return BiSeries([-s for s in self.slices], self.his)
 
-    def __sub__(self, other) -> "BiSeries":
-        return self + (-other if isinstance(other, BiSeries) else -_rat(other))
-
-    def scale(self, c) -> "BiSeries":
-        return BiSeries([s * c for s in self.slices], self.his)
+    def __sub__(self, other: "BiSeries") -> "BiSeries":
+        return self + -other
 
     def shift_aux(self, k: int) -> "BiSeries":
-        his = [h if h >= INF_EXP else h + k for h in self.his]
-        return BiSeries([s.shift(k) for s in self.slices], his)
+        return BiSeries([s.shift(k) for s in self.slices],
+                        [h + k for h in self.his])
 
-    def __mul__(self, other) -> "BiSeries":
-        if not isinstance(other, BiSeries):
-            return self.scale(other)
+    def __mul__(self, other: "BiSeries") -> "BiSeries":
         n = min(self.order, other.order)
         sl, hs = [], []
         for b in range(n + 1):
@@ -572,25 +562,20 @@ class BiSeries:
             hs.append(h)
         return BiSeries(sl, hs)
 
-    __rmul__ = __mul__
-
-    def inv(self, hi: int | None = None) -> "BiSeries":
+    def inv(self) -> "BiSeries":
         """Inverse of a series whose q^0 slice is a monomial times a
-        unit; the monomial is factored out, per the exact-window rules.
-
-        `hi` requests the exact window of the result; it is mandatory
-        when the input is fully known (the inverse expansion is infinite
-        and must be bounded somewhere)."""
+        unit; the monomial is factored out.  The windows follow from the
+        input's by `_window`; a fully known q^0 slice has an infinite
+        inverse, so it raises WindowUnderflow."""
         s0 = self.slices[0]
-        m = s0.support_lo()
-        if m is None:
+        if s0.is_zero():
             raise NotInvertible("q^0 slice is zero within its window")
+        m = s0.lo
         a = self.shift_aux(-m) if m else self  # unit at exponent 0
-        cap = None if hi is None else hi + m
-        top0 = a.his[0] if cap is None else min(a.his[0], cap)
-        if top0 >= INF_EXP:
-            raise WindowUnderflow(
-                "inverting a fully-known series needs an explicit window")
+        top0 = a.his[0]
+        if top0 == INF_EXP:
+            raise WindowUnderflow("the inverse of a fully known q^0 slice "
+                                  "has no window")
         inv0 = LaurentPoly(0, poly_div([1], a.slices[0].coeffs, top0))
         out_sl = [inv0]
         out_hs = [top0]
@@ -598,10 +583,7 @@ class BiSeries:
             acc, h = _convolve_slices(
                 (a.slices[j], a.his[j], out_sl[b - j], out_hs[b - j])
                 for j in range(1, b + 1))
-            h = min(h, h + _slice_support_lo(inv0, top0),
-                    top0 + _slice_support_lo(acc, h))
-            if cap is not None:
-                h = min(h, cap)
+            h = _window(acc, h, inv0, top0)
             out_sl.append(sum_of_products([(-acc, inv0)], h))
             out_hs.append(h)
         res = BiSeries(out_sl, out_hs)
@@ -622,7 +604,7 @@ class BiSeries:
                 [(LaurentPoly(0, (b,)), INF_EXP, f[b], fh[b])]
                 + [(m[k], mh[k], neg[b - k], fh[b - k]) for k in range(1, b)])
             m.append(acc)
-            mh.append(min(h, fh[0] + _slice_support_lo(acc, h)))
+            mh.append(_window(acc, h, f[0], fh[0]))
         return BiSeries([m[0]] + [m[b] * Fraction(1, b) for b in range(1, len(m))],
                         mh)
 

@@ -136,8 +136,7 @@ def _d_step(slices, his, shift):
         if b:
             for e, c in s.items():
                 t[e + shift] = t.get(e + shift, Fraction(0)) + b * c
-            if h < INF_EXP:
-                h = min(h, h + shift)
+            h = min(h, h + shift)
         out_sl.append({e: c for e, c in t.items() if e <= h})
         out_hs.append(h)
     return out_sl, out_hs
@@ -176,8 +175,7 @@ def fp_series_by_d_chain(tables, base, p, shift):
                 t = acc[b + beta1]
                 for x, c in slices[b].items():
                     t[x + e] = t.get(x + e, Fraction(0)) + ct * c
-                if hs[b] < INF_EXP:
-                    his[b + beta1] = min(his[b + beta1], hs[b] + e)
+                his[b + beta1] = min(his[b + beta1], hs[b] + e)
     return BiSeries([_laurent(s, h) for s, h in zip(acc, his)], his)
 
 
@@ -355,11 +353,12 @@ def log_by_mercator(f):
     """log F = sum_k (-1)^(k+1) (F - 1)^k / k over k <= order, one full
     BiSeries product per power (F's q^0 slice is 1)."""
     t = f - BiSeries.one(f.order)
-    out = BiSeries.zero(f.order)
+    out = BiSeries([LaurentPoly.zero()] * (f.order + 1))
     tk = BiSeries.one(f.order)
     for k in range(1, f.order + 1):
         tk = tk * t
-        out = out + tk.scale(Fraction((-1) ** (k + 1), k))
+        c = Fraction((-1) ** (k + 1), k)
+        out = out + BiSeries([s * c for s in tk.slices], tk.his)
     return out
 
 
@@ -406,7 +405,7 @@ def residue_against_g_by_terms(md, series):
     g = _g_expansion(md, depth - 1)
     out = []
     for beta in range(series.order + 1):
-        if series.slice_hi(beta) < 1:
+        if series.his[beta] < 1:
             raise ValueError("series window too small for the G residue")
         total = Fraction(0)
         for e, c in g.items():

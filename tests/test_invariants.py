@@ -56,7 +56,7 @@ def test_rows_above_dimension_vanish():
         bs = [b for b in range(md.bmax + 1) if 1 + md.nu * b > md.dim]
         ctx = context_for(md, md.bmax) if bs else None
         for b in bs:
-            row = invariant_row(md, b, ctx=ctx)
+            row = invariant_row(ctx, b)
             assert row.standard == row.reduced == row.difference == 0, \
                 (md.label(), row)
             rows += 1
@@ -260,8 +260,8 @@ def test_deep_index_one_geometry():
 
 def test_truncation_stability():
     assert invariant_table(MD53) == invariant_table(MD53, pad=2)
-    row_a = invariant_row(MD722, 1)
-    row_b = invariant_row(MD722, 1, pad=2)
+    row_a = invariant_row(context_for(MD722, 1), 1)
+    row_b = invariant_row(context_for(MD722, 1, 2), 1)
     assert row_a == row_b
 
 

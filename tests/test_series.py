@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanogw.hyper import fp_series
-from fanogw.series import (BiSeries, LaurentPoly, QSeries, BadConstantTerm,
-                           NotInvertible, WindowUnderflow, ZeroConstantTerm)
+from fanogw.geometry import MultiDegree
+from fanogw.hyper import FanoContext, fp_series
+from fanogw.series import (INF_EXP, BiSeries, LaurentPoly, QSeries,
+                           BadConstantTerm, NotInvertible, WindowUnderflow,
+                           ZeroConstantTerm)
 
 from helpers import apply_d, d_power_tables, log_by_mercator
 from helpers import poly_mul as oracle_mul
@@ -165,29 +167,32 @@ def test_bs_mul_trivial():
 
 
 def test_bs_inv_geometric_window():
-    a = BiSeries([LaurentPoly(0, (1, 1))])
-    inv = a.inv(hi=3)
+    inv = BiSeries([LaurentPoly(0, (1, 1))], [3]).inv()
     assert inv.slice(0) == LaurentPoly(0, (1, -1, 1, -1))
-    assert inv.slice_hi(0) == 3
+    assert inv.his[0] == 3
 
 
 def test_bs_inv_needs_window_for_fully_known():
-    a = BiSeries([LaurentPoly(0, (1, 1))])
-    with pytest.raises(WindowUnderflow):
-        a.inv()
+    """Also for a product of fully known slices with negative exponents,
+    which is fully known itself."""
+    prod = BiSeries([LaurentPoly(-1, (1,))]) * BiSeries([LaurentPoly(2, (1, 1))])
+    assert prod.his == (INF_EXP,)
+    for a in (BiSeries([LaurentPoly(0, (1, 1))]), prod):
+        with pytest.raises(WindowUnderflow):
+            a.inv()
 
 
 def test_bs_inv_monomial_unit():
     # 1 / (w^2 (1 + w)) = w^{-2} - w^{-1} + 1 - w ...
-    a = BiSeries([LaurentPoly(2, (1, 1))])
-    inv = a.inv(hi=0)
+    inv = BiSeries([LaurentPoly(2, (1, 1))], [4]).inv()
     assert inv.slice(0) == LaurentPoly(-2, (1, -1, 1))
+    assert inv.his[0] == 0
 
 
 def test_bs_inv_zero_slice_not_invertible():
     a = BiSeries([LaurentPoly.zero(), LaurentPoly(0, (1,))])
     with pytest.raises(NotInvertible):
-        a.inv(hi=2)
+        a.inv()
 
 
 def test_bs_residue_examples():
@@ -227,6 +232,10 @@ def _bruteforce_slice(a, b, beta):
 
 
 def test_bs_window_narrowing_matches_bruteforce():
+    """Reads inside the product's windows agree with the product of the
+    uncut operands, for supports starting below 0 and either operand
+    cut or fully known; the product of two fully known operands is
+    fully known."""
     rng = random.Random(42)
     for _ in range(25):
         def rand_bs(order):
@@ -239,19 +248,32 @@ def test_bs_window_narrowing_matches_bruteforce():
                          for _ in range(width)]))
             return BiSeries(slices)
         a, b = rand_bs(3), rand_bs(3)
-        # truncate knowledge and verify reads inside the window agree
-        ah = rng.randint(0, 3)
-        bh = rng.randint(0, 3)
-        a_cut = BiSeries(a.slices, [ah] * 4)
-        b_cut = BiSeries(b.slices, [bh] * 4)
-        prod = a_cut * b_cut
-        for beta in range(4):
-            full = _bruteforce_slice(a, b, beta)
-            h = prod.slice_hi(beta)
-            for e in range(-6, h + 1):
-                assert prod.coeff(beta, e) == full.get(e, 0)
-            with pytest.raises(WindowUnderflow):
-                prod.coeff(beta, h + 1)
+        ah, bh = rng.randint(0, 3), rng.randint(0, 3)
+        for ah, bh in ((INF_EXP, INF_EXP), (INF_EXP, bh), (ah, INF_EXP),
+                       (ah, bh)):
+            prod = BiSeries(a.slices, [ah] * 4) * BiSeries(b.slices, [bh] * 4)
+            for beta in range(4):
+                full = _bruteforce_slice(a, b, beta)
+                h = prod.his[beta]
+                if ah == bh == INF_EXP:
+                    assert h == INF_EXP
+                if h == INF_EXP:
+                    assert dict(prod.slice(beta).items()) \
+                        == {e: c for e, c in full.items() if c}
+                    continue
+                for e in range(-6, h + 1):
+                    assert prod.coeff(beta, e) == full.get(e, 0)
+                with pytest.raises(WindowUnderflow):
+                    prod.coeff(beta, h + 1)
+
+
+def test_fully_known_windows_survive_products_and_shifts():
+    """exp(-mu/hbar) has slices down to hbar^-beta, all exact: its square
+    and that square times hbar^5 stay fully known on every slice."""
+    e = FanoContext(MultiDegree(5, (3,)), 3).exp_neg_mu()
+    sq = e * e
+    assert sq.his == (INF_EXP,) * 4
+    assert sq.shift_aux(5).his == (INF_EXP,) * 4
 
 
 fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -276,7 +298,7 @@ def test_log_inside_its_windows_matches_mercator(data):
     assert full.log() == want
     got = BiSeries(slices, his).log()
     for b in range(order + 1):
-        for e in range(-3 * b, got.slice_hi(b) + 1):
+        for e in range(-3 * b, got.his[b] + 1):
             assert got.coeff(b, e) == want.coeff(b, e), (b, e)
 
 
