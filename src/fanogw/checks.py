@@ -7,7 +7,8 @@ q-orders pinned:
 * the algebraic L identity to q-order 12;
 * dual-route equality (mu, Phi0, Phi1, Theta) to q-order 8;
 * regularizability and w-regularity to q-order 8;
-* the degree-0 Chern value, three-path consistency, SvR vanishing;
+* the degree-0 Chern value, three-path consistency (with the degree-1
+  vanishing of the reduced invariant), SvR vanishing;
 * the double-residue oracle for A(q) to q-order 6;
 * the proven structure-sum lemmas for beta <= 3;
 * truncation stability and the ct*c convolution identity.
@@ -93,7 +94,12 @@ def check_degree0(md: MultiDegree) -> bool:
 
 
 def check_three_path(md: MultiDegree, pad: int = 0) -> bool:
-    return all(r.consistent for r in invariant_table(md, pad=pad))
+    """Every row consistent, and the reduced invariant 0 in degree 1:
+    no smooth genus-1 curve maps with degree 1, so the main component
+    of the reduced moduli space is empty there."""
+    rows = invariant_table(md, pad=pad)
+    return (all(r.consistent for r in rows)
+            and (md.bmax < 1 or rows[1].reduced == 0))
 
 
 def check_svr_vanishing(md: MultiDegree) -> bool:

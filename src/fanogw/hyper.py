@@ -39,11 +39,12 @@ def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
         cap = hi + beta
         num = linear_product(((d, i) for d in md.degrees
                               for i in range(1, d * beta + 1)), cap)
-        den = [factorial(beta)]  # beta! prod_j ((1 + j*hbar)^n - 1)/hbar
+        # beta! prod_j ((1 + j*hbar)^n - 1)/hbar
+        den = LaurentPoly.from_ints(0, (factorial(beta),))
         for j in range(1, beta + 1):
-            den = poly_mul(den, [comb(md.n, t + 1) * j**t
-                                 for t in range(md.n)], cap)
-        slices.append(LaurentPoly(-beta, poly_div(num, den, cap)))
+            den = poly_mul(den, LaurentPoly.from_ints(
+                0, [comb(md.n, t + 1) * j**t for t in range(md.n)]), cap)
+        slices.append(poly_div(num, den, cap).shift(-beta))
         his.append(hi)
     return BiSeries(slices, his)
 
@@ -52,9 +53,8 @@ def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False) -> BiSeries:
     """F(w, q) (or Ft(w, q) when tilde=True): regular at w = 0, with the
     q^beta slice carrying an explicit w^{nu*beta} prefactor in front of
     `tables.f_w_slice`."""
-    slices = [LaurentPoly(md.nu * beta, f_w_slice(
-        md, beta, max(hi - md.nu * beta, 0), tilde))
-        for beta in range(order + 1)]
+    slices = [f_w_slice(md, beta, max(hi - md.nu * beta, 0), tilde)
+              .shift(md.nu * beta) for beta in range(order + 1)]
     return BiSeries(slices, [hi] * (order + 1))
 
 
@@ -96,26 +96,24 @@ def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeri
     one; fully known slices stay fully known, and so does every slice
     when all ct vanish)."""
     nu, order, s = tables.md.nu, base.order, -shift
-    rows = []  # (beta1, ct row, l of the nonzero ct)
-    for beta1 in range(min(order, p // nu) + 1):
-        row = [tables.ctilde(p, l, beta1) for l in range(p - nu * beta1 + 1)]
-        nonzero = [l for l, c in enumerate(row) if c]
-        if nonzero:
-            rows.append((beta1, row, nonzero))
+    rows = [(beta1, tables.ct_row(p, beta1))
+            for beta1 in range(min(order, p // nu) + 1)]
+    rows = [(beta1, row) for beta1, row in rows if not row.is_zero()]
     slices, his = [], []
     for B in range(order + 1):
         pairs, h = [], INF_EXP
-        for beta1, row, nonzero in rows:
+        for beta1, row in rows:
             b = B - beta1
             if b < 0:
                 break
             drop = shift == -1 and b > 0
+            # linear in l, so least at the lowest or highest nonzero ct
             h = min(h, base.his[b] + min(s * (l + nu * beta1 - p) - l * drop
-                                         for l in nonzero))
+                                         for l in (row.lo, row.hi)))
             poly = poly_shift(row, b)  # T(b + x), x = aux^s
             lead = s * (nu * beta1 - p)
-            fac = (LaurentPoly(lead, poly) if s == 1
-                   else LaurentPoly(lead - len(poly) + 1, poly[::-1]))
+            fac = (poly.shift(lead) if s == 1 else LaurentPoly.from_ints(
+                lead - poly.hi, poly.nums[::-1], poly.den))
             pairs.append((fac, base.slices[b]))
         slices.append(sum_of_products(pairs, h))
         his.append(h)
@@ -141,8 +139,7 @@ def mu_closed(md: MultiDegree, order: int) -> QSeries:
 def l_closed(md: MultiDegree, order: int) -> QSeries:
     """L(q) = 1 + q mu'(q), read off `mu_closed` (L_k = k mu_k);
     satisfies L^n - q d^d L^{|d|} = 1."""
-    mu = mu_closed(md, order)
-    return QSeries(order, [1] + [k * c for k, c in enumerate(mu.coeffs) if k])
+    return mu_closed(md, order).deriv().shift(1) + 1
 
 
 def _l_and_y(md: MultiDegree, order: int) -> tuple[QSeries, QSeries]:
@@ -312,7 +309,7 @@ class FanoContext:
     def _ct_sums(self, p: int) -> CtSums:
         order, nu, ct = self.order, self.md.nu, self.tables.ctilde
         pows = self._get(("Lpow",), lambda: [  # L^0..L^n as q-slices
-            LaurentPoly(0, s.coeffs) for s in accumulate(
+            s.poly for s in accumulate(
                 [self.L()] * self.md.n, mul, initial=QSeries.one(order))])
         terms = [[] for _ in range(6)]  # (c q^shift, L^k) pairs of each sum
         for beta in range(min(order, p // nu) + 1):
@@ -323,9 +320,10 @@ class FanoContext:
                                    (3, comb(e, 2) * c0, e - 2, beta + 1),
                                    (4, c0, 0, beta), (5, c1, 0, beta)):
                 if c:
-                    terms[i].append((LaurentPoly(shift, (c,)), pows[k]))
-        return CtSums(*(QSeries(order, [s.coeff(j) for j in range(order + 1)])
-                        for s in (sum_of_products(t, order) for t in terms)))
+                    terms[i].append((LaurentPoly.from_ints(
+                        shift, (c.numerator,), c.denominator), pows[k]))
+        return CtSums(*(QSeries.from_poly(order, sum_of_products(t, order))
+                        for t in terms))
 
     def _theta_lemma(self, p: int, level: int) -> QSeries:
         phi0, s = self.phi0(), self.ct_sums(p)

@@ -64,17 +64,18 @@ def context_for(md: MultiDegree, max_b: int, pad: int = 0) -> FanoContext:
 def chern_degree0_oracle(md: MultiDegree) -> Rat:
     """-(1/24) integral of c_{dim-1}(T_X) cup h, by expanding the total
     Chern class (1+h)^n / prod(1 + d_k h) of the complete intersection."""
-    return -Fraction(prod(md.degrees), 24) * _ch_coeffs(md, md.dim - 1)[-1]
+    return -Fraction(prod(md.degrees), 24) \
+        * _ch_coeffs(md, md.dim - 1).coeff(md.dim - 1)
 
 
-def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> list:
-    """(1+w)^n / prod(1 + d_k w) as a list up to degree cap; optionally
-    with the numerator replaced by (1+w)^n - w^n."""
-    num = [Fraction(comb(md.n, j)) for j in range(min(md.n, cap) + 1)]
+def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> LaurentPoly:
+    """(1+w)^n / prod(1 + d_k w) up to degree cap; optionally with the
+    numerator replaced by (1+w)^n - w^n."""
+    num = [comb(md.n, j) for j in range(min(md.n, cap) + 1)]
     if minus_wn and md.n <= cap:
         num[md.n] -= 1
     den = linear_product(((1, d) for d in md.degrees), cap)
-    return poly_div(num, den, cap)
+    return poly_div(LaurentPoly.from_ints(0, num), den, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +113,9 @@ def _a_double_residue(ctx: FanoContext) -> QSeries:
 def _reflect(x: BiSeries) -> BiSeries:
     """x(-aux) cut to aux^{<=0}: fully known where x is known up to
     aux^0, otherwise with x's window."""
-    slices = [LaurentPoly(s.lo, [-c if e % 2 else c
-                                 for e, c in enumerate(s.coeffs, s.lo)])
-              .cut_above(0) for s in x.slices]
+    slices = [LaurentPoly.from_ints(s.lo, [-c if e % 2 else c
+                                          for e, c in enumerate(s.nums, s.lo)],
+                                    s.den).cut_above(0) for s in x.slices]
     return BiSeries(slices, [INF_EXP if h >= 0 else h for h in x.his])
 
 
@@ -147,8 +148,8 @@ def ct_residue_row(ctx: FanoContext, b: int) -> Rat:
     md = ctx.md
     p = 1 + md.nu * b
     g = _ch_coeffs(md, md.n - md.r - 1)
-    return (ctx.tables.ctilde(p, 0, b) * g[md.n - md.r - 1]
-            + ctx.tables.ctilde(p, 1, b) * g[md.n - md.r - 2])
+    return (ctx.tables.ctilde(p, 0, b) * g.coeff(md.n - md.r - 1)
+            + ctx.tables.ctilde(p, 1, b) * g.coeff(md.n - md.r - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def _f_bracket(ctx: FanoContext, p: int) -> BiSeries:
     hi = target + p + 2
     f0 = ctx.f_w(hi)
     fp = ctx.fp_w(p, hi)
-    front = _q0_series(LaurentPoly(0, _ch_coeffs(md, hi)), hi, ctx.order)
+    front = _q0_series(_ch_coeffs(md, hi), hi, ctx.order)
     return front * (f0 - fp) * f0.inv()
 
 
@@ -217,9 +218,9 @@ def _g_expansion(md: MultiDegree, hi: int) -> LaurentPoly:
     """((1+h)^n - 1) / (h^3 prod(d_k + h)) expanded from h^{-2} up to
     h^hi."""
     cap = hi + 2
-    num = [Fraction(comb(md.n, j + 1)) for j in range(min(md.n, cap + 1))]
+    num = [comb(md.n, j + 1) for j in range(min(md.n, cap + 1))]
     den = linear_product(((d, 1) for d in md.degrees), cap)
-    return LaurentPoly(-2, poly_div(num, den, cap))
+    return poly_div(LaurentPoly.from_ints(0, num), den, cap).shift(-2)
 
 
 def _residue_against_g(md: MultiDegree, series: BiSeries) -> QSeries:
@@ -254,8 +255,7 @@ def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
     hi_w = target + p + 2
     ftw = ctx.f_w(hi_w, tilde=True)
     ftpw = ctx.fp_w(p, hi_w, tilde=True)
-    head = _q0_series(LaurentPoly(0, _ch_coeffs(md, hi_w, minus_wn=True)),
-                      hi_w, B)
+    head = _q0_series(_ch_coeffs(md, hi_w, minus_wn=True), hi_w, B)
     main_w = head * (ftw - ftpw) * ftw.inv()
     resinf_main = -main_w.coeff_of_aux(target)
 

@@ -1,15 +1,23 @@
 """Exact truncated power series and windowed Laurent series over Q.
 
-All coefficients are `fractions.Fraction`; there are no floats and no
-rounding anywhere.  Truncation orders and exponent windows are explicit
+There are no floats and no rounding anywhere.  A polynomial is stored
+in the exact kernel's own form: its lowest exponent, a tuple of integer
+numerators and one positive common denominator, kept canonical (no
+zero margins, and the numerators share no factor with the denominator),
+so equal polynomials are equal triples.  Reads -- `coeff`, `items`,
+`coeffs`, `repr` -- build `fractions.Fraction`s when called; arithmetic
+never does.  Truncation orders and exponent windows are explicit
 constructor data, never global state.  A coefficient is only reported
 when it is provably exact: reading past a window raises WindowUnderflow
 instead of returning a silent zero.
 
-Two series types:
+Three types:
 
+* LaurentPoly -- a Laurent polynomial in one variable, the kernel's
+  form itself.
 * QSeries -- univariate power series in q, truncated at an explicit
-  order B (coefficients of q^{B+1} and beyond are unknown).
+  order B (coefficients of q^{B+1} and beyond are unknown): a
+  LaurentPoly with exponents 0..B.
 * BiSeries -- series in q whose q^beta coefficients are Laurent
   polynomials in one auxiliary variable (w or hbar).  Each slice carries
   its window: the largest auxiliary exponent that is exactly known, or
@@ -21,17 +29,18 @@ Two series types:
   BiSeries.inv reads its input's window; a fully known q^0 slice has an
   infinite inverse and raises WindowUnderflow.
 
-Both are built on one exact kernel over plain coefficient lists:
-poly_mul (truncated product), poly_div (truncated quotient by a unit),
-poly_pow (rational power of a unit), poly_shift (Taylor shift
+All three are built on one exact kernel that takes and returns
+LaurentPolys: poly_mul (capped product), poly_div (capped quotient by a
+unit), poly_pow (rational power of a unit), poly_shift (Taylor shift
 a(x) -> a(x + s)) and linear_product, plus sum_of_products, the capped
 sum of products of Laurent slices.  Every other module uses it instead
 of its own loops.  poly_pow needs no log or exp: g = a**alpha solves
 a g' = alpha a' g, which fixes each coefficient of g from the lower
 ones in one short sum.  BiSeries.log is one slice recurrence too, from
-D(log F) F = D F.  The kernel computes on integer numerators over one
-common denominator and returns lowest-term Fractions: one
-normalisation per output coefficient, not one per term.
+D(log F) F = D F.  The kernel loops on the stored numerators and
+brings each result to canonical form with one gcd over its numerators;
+rationals from outside (Fraction or int lists) are lifted to that form
+once, by `_lift`, when a LaurentPoly or QSeries is constructed.
 
 Everything is immutable; operations are pure functions, safe to share
 across threads.
@@ -67,12 +76,7 @@ class WindowUnderflow(ArithmeticError):
     """A coefficient outside the exact window was requested."""
 
 
-def _rat(x) -> Rat:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-# ---------------------------------------------------------------------------
-# the exact kernel: coefficient lists indexed by exponent, starting at 0
+_set = object.__setattr__
 
 
 def _lift(xs) -> tuple[list, int]:
@@ -82,65 +86,240 @@ def _lift(xs) -> tuple[list, int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def _int_mul(a: list, b: list, n: int) -> list:
-    """The first n coefficients of the product of two int lists."""
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[: n - i], i):
-                out[j] += x * y
-    return out
+def _canon(lo: int, nums, den: int) -> tuple[int, tuple, int]:
+    """lo, nums/den in canonical form: zero margins trimmed (zero is
+    (0, (), 1)), the numerators over a positive denominator they share
+    no factor with."""
+    i, j = 0, len(nums)
+    while i < j and not nums[i]:
+        i += 1
+    while j > i and not nums[j - 1]:
+        j -= 1
+    if i == j:
+        return 0, (), 1
+    nums = nums[i:j]
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return lo + i, tuple(nums), den
 
 
-def _product_length(a, b, cap) -> int:
-    n = len(a) + len(b) - 1 if a and b else 0
-    return max(min(n, cap + 1), 0)
+# ---------------------------------------------------------------------------
+# Laurent polynomials: the kernel's form
 
 
-def poly_mul(a, b, cap=INF_EXP) -> list:
-    """Product of two coefficient lists, without the exponents above
-    `cap` (INF_EXP keeps the whole product)."""
-    n = _product_length(a, b, cap)
-    if not n:
-        return []
-    na, da = _lift(a[:n])
-    nb, db = _lift(b[:n])
-    d = da * db
-    return [Fraction(c, d) for c in _int_mul(na, nb, n)]
+class LaurentPoly:
+    """Laurent polynomial in one variable: the numerators `nums` of the
+    exponents lo, lo+1, ... over the positive denominator `den`, in
+    canonical form.  Standalone instances are complete objects; inside
+    a BiSeries the enclosing window says how far up the slice is
+    exact."""
+
+    __slots__ = ("lo", "nums", "den")
+
+    def __init__(self, lo: int, coeffs: Iterable = ()):
+        """The rationals (ints or Fractions) `coeffs` at exponents lo,
+        lo+1, ..."""
+        for name, value in zip(self.__slots__, _canon(lo, *_lift(list(coeffs)))):
+            _set(self, name, value)
+
+    @staticmethod
+    def from_ints(lo: int, nums, den: int = 1) -> "LaurentPoly":
+        """The integers `nums` over `den` (nonzero, any sign) at
+        exponents lo, lo+1, ..."""
+        return _raw(*_canon(lo, nums, den))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LaurentPoly is immutable")
+
+    @staticmethod
+    def zero() -> "LaurentPoly":
+        return _ZERO
+
+    @property
+    def hi(self) -> int:
+        """Largest exponent with a stored coefficient (lo-1 when zero)."""
+        return self.lo + len(self.nums) - 1
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of exponents lo..hi, as Fractions built on
+        each read."""
+        d = self.den
+        return tuple(Fraction(c, d) for c in self.nums)
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def support_lo(self) -> int | None:
+        return self.lo if self.nums else None
+
+    def coeff(self, e: int) -> Rat:
+        if self.lo <= e <= self.hi:
+            return Fraction(self.nums[e - self.lo], self.den)
+        return Fraction(0)
+
+    def items(self):
+        for e, c in enumerate(self.nums, self.lo):
+            if c:
+                yield e, Fraction(c, self.den)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not self.nums:
+            return other
+        if not other.nums:
+            return self
+        return _sum([(self.lo, self.nums, self.den),
+                     (other.lo, other.nums, other.den)])
+
+    def __neg__(self) -> "LaurentPoly":
+        return _raw(self.lo, tuple(-c for c in self.nums), self.den)
+
+    def __mul__(self, other) -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):  # an int or Fraction
+            return LaurentPoly.from_ints(
+                self.lo, [other.numerator * c for c in self.nums],
+                other.denominator * self.den)
+        return poly_mul(self, other)
+
+    __rmul__ = __mul__
+
+    def shift(self, k: int) -> "LaurentPoly":
+        """Multiply by aux^k (any sign)."""
+        return _raw(self.lo + k, self.nums, self.den) if self.nums else self
+
+    def cut_above(self, hi: int) -> "LaurentPoly":
+        """Drop all exponents above hi."""
+        if self.hi <= hi:
+            return self
+        n = hi - self.lo + 1
+        return LaurentPoly.from_ints(self.lo, self.nums[:n], self.den) \
+            if n > 0 else _ZERO
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LaurentPoly) and self.lo == other.lo
+                and self.den == other.den and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.lo, self.nums, self.den))
+
+    def __repr__(self) -> str:
+        terms = ", ".join(f"{e}: {c}" for e, c in self.items()) or "0"
+        return f"LaurentPoly{{{terms}}}"
 
 
-def poly_div(num, den, cap: int) -> list:
-    """num / den up to exponent cap (cap + 1 coefficients), den(0) != 0.
+def _raw(lo: int, nums: tuple, den: int) -> LaurentPoly:
+    """A LaurentPoly from a triple already in canonical form."""
+    p = object.__new__(LaurentPoly)
+    _set(p, "lo", lo)
+    _set(p, "nums", nums)
+    _set(p, "den", den)
+    return p
 
-    With num = N/e and den = g*A/d for int lists N, A (A primitive), the
-    quotient is d/(e*g) * N/A, and c[m] = A(0)^(m+1) [x^m] N/A is an
-    integer:  c[m] = A(0)^m N(m) - sum_k A(k) A(0)^(k-1) c[m-k]."""
-    if not den or den[0] == 0:
+
+_ZERO = _raw(0, (), 1)
+_ONE = _raw(0, (1,), 1)
+
+
+def _sum(parts) -> LaurentPoly:
+    """The sum of the polynomials nums/den at exponents lo, lo+1, ...
+    over (lo, nums, den) parts, added up on one common denominator."""
+    if not parts:
+        return _ZERO
+    lo = min(p[0] for p in parts)
+    d = lcm(*[p[2] for p in parts])
+    acc = [0] * (max(p[0] + len(p[1]) for p in parts) - lo)
+    for p_lo, cs, p_d in parts:
+        s = d // p_d
+        for k, c in enumerate(cs, p_lo - lo):
+            acc[k] += c * s
+    return LaurentPoly.from_ints(lo, acc, d)
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel: LaurentPolys in, LaurentPolys out, integer loops
+
+
+def sum_of_products(pairs, h) -> LaurentPoly:
+    """sum of u * v over (u, v) pairs of LaurentPolys, without the
+    exponents above h (INF_EXP keeps them all): one schoolbook loop over
+    the numerators, accumulated on one common denominator."""
+    terms = []  # (lowest exponent, coefficients kept, numerators, den)
+    for u, v in pairs:
+        a, b = u.nums, v.nums
+        if a and b:
+            lo = u.lo + v.lo
+            n = min(len(a) + len(b) - 1, h - lo + 1)
+            if n > 0:
+                terms.append((lo, n, a, b, u.den * v.den))
+    if not terms:
+        return _ZERO
+    lo = min([t[0] for t in terms])
+    d = lcm(*[t[4] for t in terms])
+    acc = [0] * (max([t[0] + t[1] for t in terms]) - lo)
+    for t_lo, n, a, b, t_d in terms:
+        s, k0 = d // t_d, t_lo - lo
+        for i, x in enumerate(a[:n]):
+            if x:
+                if s != 1:
+                    x *= s
+                for j, y in enumerate(b[: n - i], k0 + i):
+                    acc[j] += x * y
+    return LaurentPoly.from_ints(lo, acc, d)
+
+
+def poly_mul(a: LaurentPoly, b: LaurentPoly, cap=INF_EXP) -> LaurentPoly:
+    """a * b without the exponents above `cap` (INF_EXP keeps the whole
+    product)."""
+    return sum_of_products(((a, b),), cap)
+
+
+def poly_div(num: LaurentPoly, den: LaurentPoly, cap: int) -> LaurentPoly:
+    """num / den up to exponent cap, for den(0) != 0 (den.lo == 0).
+
+    With num = x^lo N/e and den = g*A/d for int lists N, A (A primitive,
+    A(0) > 0), the quotient is x^lo d/(e*g) * N/A, and
+    c[m] = A(0)^(m+1) [x^m] N/A is an integer:
+    c[m] = A(0)^m N(m) - sum_k A(k) A(0)^(k-1) c[m-k].  Over the common
+    denominator e*g*A(0)^(M+1), M = cap - lo, the numerator of x^(lo+m)
+    is d c[m] A(0)^(M-m)."""
+    if not den.nums or den.lo != 0:
         raise ZeroConstantTerm("cannot divide by a series with constant term 0")
-    na, d = _lift(den[: max(cap, 0) + 1])
-    nn, e = _lift(num[: cap + 1])
-    nn += [0] * (cap + 1 - len(nn))
+    top = cap - num.lo
+    if top < 0 or not num.nums:
+        return _ZERO
+    na = den.nums[: top + 1]
     g = gcd(*na)
+    if na[0] < 0:
+        g = -g
     a0 = na[0] // g
     scaled, p = [], 1  # A(k) A(0)^(k-1), for k = 1..len-1
     for x in na[1:]:
         scaled.append(x // g * p)
         p *= a0
-    c, out, p = [], [], 1  # p = A(0)^m
-    for m in range(cap + 1):
+    nn = list(num.nums[: top + 1])
+    nn += [0] * (top + 1 - len(nn))
+    c, p = [], 1  # p = A(0)^m
+    for m in range(top + 1):
         s = nn[m] * p
         for k, x in enumerate(scaled[:m], 1):
             if x:
                 s -= x * c[m - k]
         c.append(s)
-        out.append(Fraction(d * s, e * g * a0 * p))
         p *= a0
-    return out
+    t = den.den  # d A(0)^(M-m)
+    for m in range(top, -1, -1):
+        c[m] *= t
+        t *= a0
+    return LaurentPoly.from_ints(num.lo, c, num.den * g * p)
 
 
-def poly_pow(a, alpha, cap: int) -> list:
-    """a**alpha up to exponent cap (cap + 1 coefficients), for rational
-    alpha and a(0) != 0; a fractional alpha needs a(0) = 1.
+def poly_pow(a: LaurentPoly, alpha, cap: int) -> LaurentPoly:
+    """a**alpha up to exponent cap, for rational alpha (int or Fraction)
+    and a(0) != 0; a fractional alpha needs a(0) = 1.
 
     g = a**alpha solves a g' = alpha a' g, that is
 
@@ -148,60 +327,70 @@ def poly_pow(a, alpha, cap: int) -> list:
 
     With a = A/d for an int list A (d cancels) and alpha = u/v, the
     integers H[k] = g[k]/g[0] * k! (v A(0))^k obey
-    H[k] = sum_j ((u + v) j - v k) A(j) (v A(0))^(j-1) (k-1)!/(k-j)! H[k-j]."""
-    if not a or a[0] == 0:
+    H[k] = sum_j ((u + v) j - v k) A(j) (v A(0))^(j-1) (k-1)!/(k-j)! H[k-j];
+    over the common denominator M! (v A(0))^M, M = cap, the numerator of
+    g[k]/g[0] is H[k] M!/k! (v A(0))^(M-k)."""
+    if not a.nums or a.lo != 0:
         raise ZeroConstantTerm("cannot raise a series with a(0) = 0 to a power")
-    alpha = _rat(alpha)
     u, v = alpha.numerator, alpha.denominator
-    if v != 1 and a[0] != 1:
+    if v != 1 and a.nums[0] != a.den:
         raise BadConstantTerm("fractional power needs constant term 1")
-    g0 = _rat(a[0]) ** u if v == 1 else Fraction(1)
-    na, _ = _lift(a[: max(cap, 0) + 1])
+    if cap < 0:
+        return _ZERO
+    # g[0] = a(0)**u when alpha is an int, else 1
+    g0n, g0d = (a.nums[0], a.den) if u >= 0 else (a.den, a.nums[0])
+    g0n, g0d = (g0n ** abs(u), g0d ** abs(u)) if v == 1 else (1, 1)
+    na = a.nums[: cap + 1]
     va0 = v * na[0]
     scaled, p = [], 1  # A(j) (v A(0))^(j-1), for j = 1..len-1
     for x in na[1:]:
         scaled.append(x * p)
         p *= va0
-    h, out, p = [], [], g0.denominator  # p = g0.denominator * k! (v A(0))^k
+    h = []
     for k in range(cap + 1):
         s = 0 if k else 1
         for j, x in enumerate(scaled[:k], 1):
             if x:
                 s += ((u + v) * j - v * k) * x * perm(k - 1, j - 1) * h[k - j]
         h.append(s)
-        out.append(Fraction(g0.numerator * s, p))
-        p *= (k + 1) * va0
-    return out
+    t = 1  # M!/k! (v A(0))^(M-k)
+    for k in range(cap, -1, -1):
+        h[k] *= g0n * t
+        if k:
+            t *= k * va0
+    return LaurentPoly.from_ints(0, h, g0d * t)
 
 
-def poly_shift(a, s: int) -> list:
-    """The coefficients of a(x + s) for an int s: Horner's rule
-    a(x + s) = (...(a[m] (x + s) + a[m-1]) (x + s) + ...) + a[0] on the
-    integer numerators of a."""
-    if not a:
-        return []
-    na, d = _lift(a)
+def poly_shift(a: LaurentPoly, s: int) -> LaurentPoly:
+    """a(x + s) for a polynomial a (no negative exponent) and an int s:
+    Horner's rule a(x + s) = (...(a[m] (x + s) + a[m-1]) (x + s) + ...)
+    + a[0] on the numerators of a."""
+    if not a.nums:
+        return _ZERO
+    if a.lo < 0:
+        raise ValueError("Taylor shift of a polynomial with negative exponents")
     out = []
-    for c in reversed(na):
+    for c in reversed((0,) * a.lo + a.nums):
         out = [s * x + y for x, y in zip(out + [0], [0] + out)]
         out[0] += c
-    return [Fraction(c, d) for c in out]
+    return LaurentPoly.from_ints(0, out, a.den)
 
 
-def linear_product(pairs, cap=INF_EXP) -> list:
-    """prod (a + b*x) over (a, b) pairs, without the exponents above cap."""
-    p, den = [1], 1
-    for a, b in pairs:
-        (na, nb), d = _lift((a, b))
-        den *= d
-        n = _product_length(p, (na, nb), cap)
+def linear_product(pairs, cap=INF_EXP) -> LaurentPoly:
+    """prod (a + b*x) over (a, b) pairs of rationals, without the
+    exponents above cap: every a and b lifted at once to numerators over
+    one d, each factor then (A + B*x)/d."""
+    flat, d = _lift([x for pair in pairs for x in pair])
+    p = [1]
+    for na, nb in zip(flat[::2], flat[1::2]):
+        n = max(min(len(p) + 1, cap + 1), 0)
         q = [na * x for x in p[:n]]
         if n > len(p):
             q.append(0)
         for k in range(1, n):
             q[k] += nb * p[k - 1]
         p = q
-    return [Fraction(x, den) for x in p]
+    return LaurentPoly.from_ints(0, p, d ** (len(flat) // 2))
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +399,30 @@ def linear_product(pairs, cap=INF_EXP) -> list:
 
 class QSeries:
     """Power series in q with exact rational coefficients, truncated at
-    an explicit order.  Binary operations truncate at the smaller order
-    of the two operands."""
+    an explicit order: `poly` holds the known coefficients, exponents 0
+    to `order`.  Binary operations truncate at the smaller order of the
+    two operands."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("order", "poly")
 
     def __init__(self, order: int, coeffs: Iterable = ()):
+        """The rationals `coeffs` at q^0, q^1, ..., cut at `order`."""
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [c if c.__class__ is Fraction else Fraction(c)
-              for c in coeffs][: order + 1]
-        cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
-        object.__setattr__(self, "coeffs", tuple(cs))
+        _set(self, "order", order)
+        _set(self, "poly", LaurentPoly(0, list(coeffs)[: order + 1]))
+
+    @staticmethod
+    def from_poly(order: int, poly: LaurentPoly) -> "QSeries":
+        """poly, which has no negative exponent, cut at `order`."""
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        if poly.lo < 0:
+            raise ValueError("a power series has no negative exponents")
+        s = object.__new__(QSeries)
+        _set(s, "order", order)
+        _set(s, "poly", poly.cut_above(order))
+        return s
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("QSeries is immutable")
@@ -230,81 +431,80 @@ class QSeries:
 
     @staticmethod
     def zero(order: int) -> "QSeries":
-        return QSeries(order)
+        return QSeries.from_poly(order, _ZERO)
 
     @staticmethod
     def one(order: int) -> "QSeries":
-        return QSeries(order, (1,))
+        return QSeries.from_poly(order, _ONE)
 
     @staticmethod
     def q(order: int) -> "QSeries":
-        return QSeries(order, (0, 1))
+        return QSeries.from_poly(order, _ONE.shift(1))
 
     # -- basic queries
 
     @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        """The coefficients of q^0..q^order, as Fractions built on each
+        read."""
+        return tuple(self.poly.coeff(k) for k in range(self.order + 1))
 
     def coeff(self, k: int) -> Rat:
         """Coefficient of q^k; k beyond the truncation order is unknown."""
-        if k < 0:
-            return Fraction(0)
         if k > self.order:
             raise WindowUnderflow(
                 f"coefficient of q^{k} unknown at truncation order {self.order}")
-        return self.coeffs[k]
+        return self.poly.coeff(k)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return self.poly.is_zero()
 
     def matches(self, other: "QSeries") -> bool:
         """Exact equality on the common truncation order."""
         b = min(self.order, other.order)
-        return self.coeffs[: b + 1] == other.coeffs[: b + 1]
+        return self.poly.cut_above(b) == other.poly.cut_above(b)
 
     def truncate(self, order: int) -> "QSeries":
         if order > self.order:
             raise WindowUnderflow(
                 f"cannot extend truncation order {self.order} to {order}")
-        return QSeries(order, self.coeffs)
+        return QSeries.from_poly(order, self.poly)
 
     # -- ring operations
 
     def __add__(self, other) -> "QSeries":
-        if not isinstance(other, QSeries):
-            return QSeries(self.order,
-                           (self.coeffs[0] + _rat(other),) + self.coeffs[1:])
-        b = min(self.order, other.order)
-        return QSeries(b, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+        if not isinstance(other, QSeries):  # an int or Fraction
+            return QSeries.from_poly(self.order, self.poly + _ONE * other)
+        return QSeries.from_poly(min(self.order, other.order),
+                                 self.poly + other.poly)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.order, [-x for x in self.coeffs])
+        return QSeries.from_poly(self.order, -self.poly)
 
     def __sub__(self, other) -> "QSeries":
-        return self + (-other if isinstance(other, QSeries) else -_rat(other))
+        return self + -other
 
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
-            c = _rat(other)
-            return QSeries(self.order, [c * x for x in self.coeffs])
+            return QSeries.from_poly(self.order, self.poly * other)
         b = min(self.order, other.order)
-        return QSeries(b, poly_mul(self.coeffs, other.coeffs, b))
+        return QSeries.from_poly(b, poly_mul(self.poly, other.poly, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Quotient; the divisor needs a nonzero constant term."""
         b = min(self.order, other.order)
-        return QSeries(b, poly_div(self.coeffs, other.coeffs, b))
+        return QSeries.from_poly(b, poly_div(self.poly, other.poly, b))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QSeries) and self.coeffs == other.coeffs
+        return (isinstance(other, QSeries) and self.order == other.order
+                and self.poly == other.poly)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.order, self.poly))
 
     def __repr__(self) -> str:
         return f"QSeries({self.order}, {list(self.coeffs)!r})"
@@ -313,122 +513,28 @@ class QSeries:
 
     def inv(self) -> "QSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
-        return QSeries(self.order, poly_div([1], self.coeffs, self.order))
+        return QSeries.from_poly(self.order,
+                                 poly_div(_ONE, self.poly, self.order))
 
     def deriv(self) -> "QSeries":
         """d/dq; the truncation order drops by one (floored at 0)."""
         if self.order == 0:
-            return QSeries(0)
-        return QSeries(self.order - 1,
-                       [(k + 1) * c for k, c in enumerate(self.coeffs[1:])])
+            return QSeries.zero(0)
+        p = self.poly
+        return QSeries.from_poly(self.order - 1, LaurentPoly.from_ints(
+            p.lo - 1, [e * c for e, c in enumerate(p.nums, p.lo)], p.den))
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k (k >= 0); known order grows by k."""
         if k < 0:
             raise ValueError("shift exponent must be >= 0")
-        return QSeries(self.order + k, (0,) * k + self.coeffs)
+        return QSeries.from_poly(self.order + k, self.poly.shift(k))
 
     def pow(self, alpha) -> "QSeries":
         """self**alpha for rational alpha: needs a nonzero constant term,
         and constant term 1 when alpha is fractional."""
-        return QSeries(self.order, poly_pow(self.coeffs, alpha, self.order))
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomials (single q-degree slices)
-
-
-class LaurentPoly:
-    """Laurent polynomial in one variable: exponents below `lo` are
-    exactly zero.  Standalone instances are complete objects; inside a
-    BiSeries the enclosing window says how far up the slice is exact."""
-
-    __slots__ = ("lo", "coeffs")
-
-    def __init__(self, lo: int, coeffs: Iterable = ()):
-        cs = [c if c.__class__ is Fraction else Fraction(c) for c in coeffs]
-        # trim zero margins so `lo` doubles as a tight support bound
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lo += 1
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "lo", lo if cs else 0)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly(0, ())
-
-    @property
-    def hi(self) -> int:
-        """Largest exponent with a stored coefficient (lo-1 when zero)."""
-        return self.lo + len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def support_lo(self) -> int | None:
-        return self.lo if self.coeffs else None
-
-    def coeff(self, e: int) -> Rat:
-        if self.lo <= e <= self.hi:
-            return self.coeffs[e - self.lo]
-        return Fraction(0)
-
-    def items(self):
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                yield self.lo + i, c
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return LaurentPoly(lo, [self.coeff(e) + other.coeff(e)
-                                for e in range(lo, hi + 1)])
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.lo, [-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            c = _rat(other)
-            if c == 0:
-                return LaurentPoly.zero()
-            return LaurentPoly(self.lo, [c * x for x in self.coeffs])
-        return LaurentPoly(self.lo + other.lo,
-                           poly_mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by aux^k (any sign)."""
-        return LaurentPoly(self.lo + k, self.coeffs)
-
-    def cut_above(self, hi: int) -> "LaurentPoly":
-        """Drop all exponents above hi."""
-        if self.hi <= hi:
-            return self
-        n = hi - self.lo + 1
-        return LaurentPoly(self.lo, self.coeffs[:n]) if n > 0 else LaurentPoly.zero()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LaurentPoly)
-                and self.lo == other.lo and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.lo, self.coeffs))
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{e}: {c}" for e, c in self.items()) or "0"
-        return f"LaurentPoly{{{terms}}}"
+        return QSeries.from_poly(self.order,
+                                 poly_pow(self.poly, alpha, self.order))
 
 
 # ---------------------------------------------------------------------------
@@ -439,32 +545,8 @@ def _window(u: LaurentPoly, u_hi, v: LaurentPoly, v_hi):
     """The exact window of u * v for u known up to u_hi and v up to
     v_hi.  A slice that is zero up to its window has lowest exponent
     window + 1 (INF_EXP when fully known)."""
-    return min(u_hi + (v.lo if v.coeffs else v_hi + 1),
-               v_hi + (u.lo if u.coeffs else u_hi + 1))
-
-
-def sum_of_products(pairs, h) -> LaurentPoly:
-    """sum of u * v over (u, v) pairs of LaurentPolys, without the
-    exponents above h (INF_EXP keeps them all), added up on one common
-    denominator: one Fraction per output coefficient."""
-    parts = []  # (lowest exponent, int coefficients, denominator)
-    for u, v in pairs:
-        lo = u.lo + v.lo
-        n = _product_length(u.coeffs, v.coeffs, h - lo)
-        if n:
-            nu, du = _lift(u.coeffs[:n])
-            nv, dv = _lift(v.coeffs[:n])
-            parts.append((lo, _int_mul(nu, nv, n), du * dv))
-    if not parts:
-        return LaurentPoly.zero()
-    lo = min(p[0] for p in parts)
-    d = lcm(*[p[2] for p in parts])
-    acc = [0] * (max(p[0] + len(p[1]) for p in parts) - lo)
-    for p_lo, cs, p_d in parts:
-        s = d // p_d
-        for k, c in enumerate(cs, p_lo - lo):
-            acc[k] += c * s
-    return LaurentPoly(lo, [Fraction(c, d) for c in acc])
+    return min(u_hi + (v.lo if v.nums else v_hi + 1),
+               v_hi + (u.lo if u.nums else u_hi + 1))
 
 
 def _convolve_slices(terms) -> tuple[LaurentPoly, int]:
@@ -506,7 +588,7 @@ class BiSeries:
 
     @staticmethod
     def one(order: int) -> "BiSeries":
-        return BiSeries([LaurentPoly(0, (1,))] + [LaurentPoly.zero()] * order)
+        return BiSeries([_ONE] + [_ZERO] * order)
 
     @property
     def order(self) -> int:
@@ -517,16 +599,24 @@ class BiSeries:
             raise WindowUnderflow(f"q^{beta} slice beyond truncation order {self.order}")
         return self.slices[beta]
 
-    def coeff(self, beta: int, e: int) -> Rat:
-        """Exact coefficient of q^beta aux^e."""
+    def _known(self, beta: int, e: int) -> None:
         if e > self.his[beta]:
             raise WindowUnderflow(
                 f"aux^{e} of q^{beta} slice outside exact window (hi={self.his[beta]})")
+
+    def coeff(self, beta: int, e: int) -> Rat:
+        """Exact coefficient of q^beta aux^e."""
+        self._known(beta, e)
         return self.slice(beta).coeff(e)
 
     def coeff_of_aux(self, e: int) -> QSeries:
         """The QSeries of aux^e coefficients across q-degrees."""
-        return QSeries(self.order, [self.coeff(b, e) for b in range(self.order + 1)])
+        parts = []
+        for b, s in enumerate(self.slices):
+            self._known(b, e)
+            if s.lo <= e <= s.hi:
+                parts.append((b, (s.nums[e - s.lo],), s.den))
+        return QSeries.from_poly(self.order, _sum(parts))
 
     def residue(self) -> QSeries:
         """Coefficient of aux^{-1} across q-degrees."""
@@ -576,7 +666,7 @@ class BiSeries:
         if top0 == INF_EXP:
             raise WindowUnderflow("the inverse of a fully known q^0 slice "
                                   "has no window")
-        inv0 = LaurentPoly(0, poly_div([1], a.slices[0].coeffs, top0))
+        inv0 = poly_div(_ONE, a.slices[0], top0)
         out_sl = [inv0]
         out_hs = [top0]
         for b in range(1, self.order + 1):
@@ -595,13 +685,13 @@ class BiSeries:
         m_b = b f_b - sum_{0<k<b} m_k f_{b-k}.  f_0 = 1 is known up to
         his[0] only, which bounds each window as in `inv`."""
         f, fh = self.slices, self.his
-        if not (f[0].coeffs == (Fraction(1),) and f[0].lo == 0):
+        if f[0] != _ONE:
             raise BadConstantTerm("BiSeries log needs q^0 slice 1")
         neg = [-s for s in f]
-        m, mh = [LaurentPoly.zero()], [fh[0]]  # l_0 = 0 as far as f_0 = 1
+        m, mh = [_ZERO], [fh[0]]  # l_0 = 0 as far as f_0 = 1
         for b in range(1, self.order + 1):
             acc, h = _convolve_slices(
-                [(LaurentPoly(0, (b,)), INF_EXP, f[b], fh[b])]
+                [(_raw(0, (b,), 1), INF_EXP, f[b], fh[b])]
                 + [(m[k], mh[k], neg[b - k], fh[b - k]) for k in range(1, b)])
             m.append(acc)
             mh.append(_window(acc, h, f[0], fh[0]))

@@ -45,16 +45,17 @@ class InsufficientBounds(Exception):
     """A table entry was asked for beyond the built bounds."""
 
 
-def f_w_slice(md: MultiDegree, beta: int, cap: int, tilde: bool = False) -> list:
+def f_w_slice(md: MultiDegree, beta: int, cap: int, tilde: bool = False) -> LaurentPoly:
     """The q^beta slice of F(w, q) (of Ft(w, q) when tilde) without its
     w^{nu*beta}, up to w^cap:
     prod_k prod_i (d_k w + i) / prod_j ((w + j)^n - [tilde] w^n)."""
     num = linear_product(((i, d) for d in md.degrees
                           for i in range(1, d * beta + 1)), cap)
-    den = [1]
+    den = LaurentPoly.from_ints(0, (1,))
     for j in range(1, beta + 1):
-        den = poly_mul(den, [comb(md.n, t) * j**(md.n - t)
-                             for t in range(md.n + (not tilde))], cap)
+        den = poly_mul(den, LaurentPoly.from_ints(
+            0, [comb(md.n, t) * j**(md.n - t)
+                for t in range(md.n + (not tilde))]), cap)
     return poly_div(num, den, cap)
 
 
@@ -73,17 +74,15 @@ class CoeffTables:
                       for beta in range(min(beta_max, p_max // md.nu) + 1)]
         self._ct = {}
         for p in range(p_max + 1):
-            self._ct[(p, 0)] = tuple(Fraction(int(l == p)) for l in range(p + 1))
+            self._ct[(p, 0)] = LaurentPoly.from_ints(p, (1,))
             for beta in range(1, min(beta_max, p // md.nu) + 1):
                 self._ct[(p, beta)] = self._solve_ct(p, beta)
 
-    def _solve_ct(self, p: int, beta: int) -> tuple:
-        top = p - self.md.nu * beta
-        row = sum_of_products(
-            ((LaurentPoly(0, poly_shift(self._ct[(p, b1)], beta - b1)),
-              LaurentPoly(0, self._base[beta - b1])) for b1 in range(beta)),
-            top)
-        return tuple(-row.coeff(l) for l in range(top + 1))
+    def _solve_ct(self, p: int, beta: int) -> LaurentPoly:
+        return -sum_of_products(
+            ((poly_shift(self._ct[(p, b1)], beta - b1), self._base[beta - b1])
+             for b1 in range(beta)),
+            p - self.md.nu * beta)
 
     # -- accessors (out-of-range index conventions live here)
 
@@ -96,23 +95,28 @@ class CoeffTables:
                 f"(p, l<={self.p_max}, beta<={self.beta_max})")
         base = (self._base[beta] if beta < len(self._base)
                 else f_w_slice(self.md, beta, self.p_max))
-        return sum((comb(p, j) * beta**(p - j) * base[l - j]
-                    for j in range(min(p, l) + 1)), Fraction(0))
+        return Fraction(sum(comb(p, j) * beta**(p - j) * base.nums[l - j - base.lo]
+                            for j in range(max(l - base.hi, 0),
+                                           min(p, l - base.lo) + 1)),
+                        base.den)
+
+    def ct_row(self, p: int, beta: int) -> LaurentPoly:
+        """T_{p,beta}(w) = sum_l ct[p,l,beta] w^l, zero when
+        p - nu*beta < 0."""
+        if p > self.p_max or beta > self.beta_max:
+            raise InsufficientBounds(
+                f"ct row ({p},{beta}) beyond built bounds "
+                f"(p<={self.p_max}, beta<={self.beta_max})")
+        return self._ct.get((p, beta), LaurentPoly.zero())
 
     def ctilde(self, p: int, l: int, beta: int) -> Rat:
         if p < 0 or l < 0:
             return Fraction(0)
-        if p > self.p_max or beta > self.beta_max:
-            raise InsufficientBounds(
-                f"ct({p},{l},{beta}) beyond built bounds "
-                f"(p<={self.p_max}, beta<={self.beta_max})")
-        top = p - self.md.nu * beta
-        if top < 0:
-            return Fraction(0)
-        if l > top:
+        row = self.ct_row(p, beta)
+        if l > p - self.md.nu * beta >= 0:
             raise ValueError(
                 f"ct({p},{l},{beta}) with l > p - nu*beta is never defined")
-        return self._ct[(p, beta)][l]
+        return row.coeff(l)
 
     def convolution_defect(self, p: int, l: int, beta: int) -> Rat:
         """LHS of the defining convolution minus its Kronecker RHS;

@@ -7,7 +7,7 @@ values asserted in the tests were computed with these and frozen.
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, prod
+from math import comb, gcd, prod
 from types import SimpleNamespace
 
 from fanogw.geometry import MultiDegree
@@ -24,6 +24,47 @@ def poly_mul(a, b, cap):
             if y != 0:
                 out[i + j] += x * y
     return out
+
+
+def is_canonical(p):
+    """p is in the kernel's canonical form: int numerators without zero
+    margins over a positive denominator they share no factor with, and
+    zero as lo = 0, no numerators, denominator 1."""
+    if not p.nums:
+        return p.lo == 0 and p.den == 1
+    return (type(p.nums) is tuple and all(type(x) is int for x in p.nums)
+            and p.nums[0] != 0 and p.nums[-1] != 0
+            and type(p.den) is int and p.den > 0 and gcd(p.den, *p.nums) == 1)
+
+
+def laurent_terms(lo, coeffs):
+    """{exponent: Fraction} of the nonzero coefficients of the list
+    coeffs at exponents lo, lo+1, ..."""
+    return {lo + i: Fraction(c) for i, c in enumerate(coeffs) if c != 0}
+
+
+def terms_product(x, y, cap):
+    """The {exponent: Fraction} product of two term dicts, without the
+    exponents above cap."""
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            if e1 + e2 <= cap:
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def terms_sum(x, y):
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def laurent_repr(terms):
+    """The repr of the LaurentPoly with these {exponent: Fraction} terms."""
+    body = ", ".join(f"{e}: {c}" for e, c in sorted(terms.items()))
+    return f"LaurentPoly{{{body or '0'}}}"
 
 
 def long_division(num, den, cap):
@@ -82,9 +123,8 @@ def chern_value_oracle(n, degrees):
 def corrupt_ctilde(monkeypatch, tables, p, l, beta):
     """Bump the entry ct[p, l, beta] of `tables` by 1 for one test, to
     show that the consistency checks bite."""
-    row = list(tables._ct[(p, beta)])
-    row[l] += 1
-    monkeypatch.setitem(tables._ct, (p, beta), tuple(row))
+    monkeypatch.setitem(tables._ct, (p, beta),
+                        tables._ct[(p, beta)] + LaurentPoly(l, (1,)))
 
 
 def ctilde_oracle(n, degrees, nu, p_max, beta_max):
@@ -242,7 +282,8 @@ def d_power_tables(nu, p):
     l = p and beta = 0: F_p over these tables is D^p(base)."""
     return SimpleNamespace(
         md=SimpleNamespace(nu=nu),
-        ctilde=lambda pp, l, beta: Fraction(int(l == pp == p and beta == 0)))
+        ctilde=lambda pp, l, beta: Fraction(int(l == pp == p and beta == 0)),
+        ct_row=lambda pp, beta: LaurentPoly(p, (int(pp == p and beta == 0),)))
 
 
 def ct_l_sum(ctx, p, idx_drop, powfn, weightfn, qshift=0):

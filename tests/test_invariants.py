@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanogw import invariants
+from fanogw.checks import check_three_path, default_grid
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import FanoContext
 from fanogw.invariants import (OutOfRange, _f_bracket, _reflect,
@@ -208,6 +210,31 @@ def test_three_path_consistency_full_grid_rows():
         for row in invariant_table(md):
             assert row.consistent
             assert row.standard == row.reduced + row.difference
+
+
+def test_reduced_invariant_vanishes_in_degree_one():
+    """No smooth genus-1 curve maps with degree 1, so the main component
+    of the reduced moduli space is empty: the reduced invariant and its
+    type A part are 0 in degree 1 on every valid geometry with n <= 9
+    and r <= 3 that has degree 1."""
+    geometries = [md for md in valid_geometries(9, 3) if md.bmax >= 1]
+    assert len(geometries) == 57
+    for md in geometries:
+        ctx = context_for(md, 1)
+        assert reduced_invariant(ctx, 1) == 0, md.label()
+        assert type_a(ctx, 1) == 0, md.label()
+
+
+def test_scaled_n24_block_fails_three_path_on_the_grid(monkeypatch):
+    """standard and reduced share the n/24 block, so scaling it leaves
+    every row consistent; the degree-1 vanishing inside
+    `check_three_path` still fails on every default-grid geometry."""
+    n24 = invariants.n24_block
+    monkeypatch.setattr(invariants, "n24_block",
+                        lambda ctx, p: n24(ctx, p) * Fraction(5, 2))
+    for md in default_grid():
+        assert all(r.consistent for r in invariant_table(md)), md.label()
+        assert not check_three_path(md), md.label()
 
 
 def test_reduced_equals_standard_beyond_threshold():

@@ -1,9 +1,9 @@
 """The exact kernel in `fanogw.series` (truncated product, quotient by a
 unit, rational power of a unit, Taylor shift, product of linear factors)
 against the independent list arithmetic in `helpers` (products, long
-division), on random Fraction lists.  The kernel computes on integer
-numerators over a common denominator; every output element must still
-be a Fraction in lowest terms."""
+division), on random Fraction lists.  The kernel takes and returns
+LaurentPolys in integer form; every result must be canonical
+(`helpers.is_canonical`) and read back as the oracle's Fractions."""
 
 from fractions import Fraction
 from math import prod
@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanogw.series import (BadConstantTerm, ZeroConstantTerm, linear_product,
-                           poly_div, poly_mul, poly_pow, poly_shift)
+from fanogw.series import (BadConstantTerm, LaurentPoly, ZeroConstantTerm,
+                           linear_product, poly_div, poly_mul, poly_pow,
+                           poly_shift)
 
-from helpers import long_division, power
+from helpers import is_canonical, long_division, power
 from helpers import poly_mul as oracle_mul
 
 kernel = settings(max_examples=150, deadline=None)
@@ -34,8 +35,14 @@ polys = st.lists(coeffs, max_size=7)
 caps = st.integers(min_value=0, max_value=14)
 
 
-def fractions(xs):
-    return all(type(x) is Fraction for x in xs)
+def lp(xs):
+    """The polynomial with coefficients xs from x^0 up."""
+    return LaurentPoly(0, xs)
+
+
+def dense(p, n):
+    """The coefficients of x^0..x^(n-1) of p, as read."""
+    return [p.coeff(k) for k in range(n)]
 
 
 def padded(xs, cap):
@@ -45,32 +52,32 @@ def padded(xs, cap):
 @kernel
 @given(polys, polys, caps)
 def test_poly_mul_matches_oracle(a, b, cap):
-    got = poly_mul(a, b, cap)
-    full = len(a) + len(b) - 1 if a and b else 0
-    assert len(got) == min(full, cap + 1) and fractions(got)
-    assert padded(got, cap) == oracle_mul(a, b, cap)
+    got = poly_mul(lp(a), lp(b), cap)
+    assert got.hi <= cap and is_canonical(got)
+    assert dense(got, cap + 1) == oracle_mul(a, b, cap)
 
 
 @kernel
 @given(polys, polys)
 def test_poly_mul_uncapped_is_the_whole_product(a, b):
-    got = poly_mul(a, b)
+    got = poly_mul(lp(a), lp(b))
     full = len(a) + len(b) - 1 if a and b else 0
-    assert len(got) == full
-    assert got == oracle_mul(a, b, full - 1)
+    assert got.hi < full or got.is_zero()
+    assert dense(got, full) == oracle_mul(a, b, full - 1)
 
 
 @kernel
 @given(polys, caps)
 def test_poly_div_unit_numerator_matches_long_division(a, cap):
+    one = lp([1])
     if not a or a[0] == 0:
         with pytest.raises(ZeroConstantTerm):
-            poly_div([Fraction(1)], a, cap)
+            poly_div(one, lp(a), cap)
         return
-    got = poly_div([Fraction(1)], a, cap)
-    assert got == long_division([Fraction(1)], a, cap) and fractions(got)
-    assert padded(poly_mul(a, got, cap), cap) \
-        == [Fraction(1)] + [Fraction(0)] * cap
+    got = poly_div(one, lp(a), cap)
+    assert got.hi <= cap and is_canonical(got)
+    assert dense(got, cap + 1) == long_division([Fraction(1)], a, cap)
+    assert poly_mul(lp(a), got, cap) == one
 
 
 @kernel
@@ -78,8 +85,9 @@ def test_poly_div_unit_numerator_matches_long_division(a, cap):
        caps)
 def test_poly_div_with_a_constant_term_other_than_a_sign(a0, rest, cap):
     a = [a0] + rest
-    got = poly_div([Fraction(1)], a, cap)
-    assert got == long_division([Fraction(1)], a, cap) and fractions(got)
+    got = poly_div(lp([1]), lp(a), cap)
+    assert is_canonical(got)
+    assert dense(got, cap + 1) == long_division([Fraction(1)], a, cap)
 
 
 units = st.one_of(rats, big).filter(lambda x: x != 0)
@@ -93,10 +101,11 @@ def test_poly_div_matches_long_division(num, a0, rest, cap):
     den = [a0] + rest
     if a0 == 0:
         with pytest.raises(ZeroConstantTerm):
-            poly_div(num, den, cap)
+            poly_div(lp(num), lp(den), cap)
         return
-    got = poly_div(num, den, cap)
-    assert got == long_division(num, den, cap) and fractions(got)
+    got = poly_div(lp(num), lp(den), cap)
+    assert got.hi <= cap and is_canonical(got)
+    assert dense(got, cap + 1) == long_division(num, den, cap)
 
 
 def oracle_pow(a, e, cap):
@@ -111,20 +120,20 @@ def oracle_pow(a, e, cap):
 @given(polys, st.integers(-4, 4), st.integers(2, 5), caps)
 def test_poly_pow_fractional_exponent(rest, u, v, cap):
     a = [Fraction(1)] + rest
-    got = poly_pow(a, Fraction(u, v), cap)
-    assert len(got) == cap + 1 and fractions(got)
-    assert got[0] == 1
+    got = poly_pow(lp(a), Fraction(u, v), cap)
+    assert got.hi <= cap and is_canonical(got)
+    assert got.coeff(0) == 1
     want = (oracle_pow(a, u, cap) if u >= 0
             else long_division([Fraction(1)], oracle_pow(a, -u, cap), cap))
-    assert oracle_pow(got, v, cap) == want
+    assert oracle_pow(dense(got, cap + 1), v, cap) == want
 
 
 @kernel
 @given(units, polys, st.integers(-4, 4), caps)
 def test_poly_pow_integer_exponent(a0, rest, e, cap):
     a = [a0] + rest
-    got = poly_pow(a, e, cap)
-    assert fractions(got)
+    got = dense(poly_pow(lp(a), e, cap), cap + 1)
+    assert is_canonical(poly_pow(lp(a), e, cap))
     if e >= 0:
         assert got == oracle_pow(a, e, cap)
     else:
@@ -135,10 +144,10 @@ def test_poly_pow_integer_exponent(a0, rest, e, cap):
 @given(polys, st.fractions(-5, 5, max_denominator=5), caps)
 def test_poly_pow_error_cases(rest, alpha, cap):
     with pytest.raises(ZeroConstantTerm):
-        poly_pow([Fraction(0)] + rest, alpha, cap)
+        poly_pow(lp([Fraction(0)] + rest), alpha, cap)
     if alpha.denominator != 1:
         with pytest.raises(BadConstantTerm):
-            poly_pow([Fraction(2)] + rest, alpha, cap)
+            poly_pow(lp([Fraction(2)] + rest), alpha, cap)
 
 
 # ints too: the library passes int pairs
@@ -152,7 +161,8 @@ def test_linear_product_matches_oracle(pairs, cap):
     for a, b in pairs:
         want = oracle_mul(want, [a, b], cap)
     got = linear_product(pairs, cap)
-    assert padded(got, cap) == want and fractions(got)
+    assert got.hi <= cap and is_canonical(got)
+    assert dense(got, cap + 1) == want
 
 
 @kernel
@@ -162,19 +172,28 @@ def test_poly_shift_matches_expanded_powers(a, s):
     for k, c in enumerate(a):  # c (x + s)^k
         for j, x in enumerate(power([Fraction(s), Fraction(1)], k, k)):
             want[j] += c * x
-    got = poly_shift(a, s)
-    assert got == want and fractions(got)
-    assert poly_shift(got, -s) == a
+    got = poly_shift(lp(a), s)
+    assert got.hi < len(a) and is_canonical(got)
+    assert dense(got, len(a)) == want
+    assert poly_shift(got, -s) == lp(a)
 
 
 def test_kernel_edge_cases():
-    assert poly_mul([], [Fraction(1)], 3) == []
-    assert poly_mul([Fraction(1), Fraction(2)], [Fraction(3)], -1) == []
-    assert poly_div([Fraction(1)], [Fraction(2)], -1) == []
-    assert poly_div([], [Fraction(2)], 2) == [0, 0, 0]
-    assert poly_pow([Fraction(2)], 3, -1) == []
-    assert poly_pow([Fraction(2), 1], 0, 2) == [1, 0, 0]
-    assert linear_product([], 0) == [Fraction(1)]
-    assert poly_shift([], 3) == []
-    assert linear_product([(1, 1)] * 3) == [1, 3, 3, 1]
-    assert fractions(poly_mul([1, 2], [3], 5))
+    zero, one, two = LaurentPoly.zero(), lp([1]), lp([2])
+    assert poly_mul(zero, one, 3) == zero
+    assert poly_mul(lp([1, 2]), lp([3]), -1) == zero
+    assert poly_div(one, two, -1) == zero
+    assert poly_div(zero, two, 2) == zero
+    assert poly_pow(two, 3, -1) == zero
+    assert poly_pow(lp([2, 1]), 0, 2) == one
+    assert linear_product([], 0) == one
+    assert poly_shift(zero, 3) == zero
+    assert linear_product([(1, 1)] * 3) == lp([1, 3, 3, 1])
+    # Laurent operands: exponents carry through and caps are absolute
+    x = LaurentPoly(-2, [1, 1])
+    assert poly_mul(x, x, -3) == LaurentPoly(-4, [1, 2])
+    assert poly_div(x, lp([1, 1]), 4) == LaurentPoly(-2, [1])
+    with pytest.raises(ZeroConstantTerm):
+        poly_div(one, x, 4)
+    with pytest.raises(ValueError):
+        poly_shift(x, 1)

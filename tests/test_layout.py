@@ -5,9 +5,13 @@ helper two modules need is public in one of them."""
 import ast
 import importlib
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import fanogw
+from fanogw.geometry import MultiDegree
+from fanogw.hyper import FanoContext
+from fanogw.series import BiSeries, LaurentPoly
 
 PACKAGE = Path(fanogw.__file__).parent
 SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -27,15 +31,21 @@ def test_no_private_imports_between_modules():
     assert offenders == []
 
 
+def load_spans():
+    """The tracer module, loaded without installing it (installing
+    would rebind module globals for the rest of the session)."""
+    spec = importlib.util.spec_from_file_location("spans", SPANS_FILE)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_every_traced_name_resolves():
     """Each (module, qualified name) of the tracer's SPANS and each
     cached FanoContext accessor it counts is a function of `fanogw`, so
     a rename fails here rather than only when a traced benchmark run
-    installs.  The tracer's lists are read without installing it, which
-    would rebind module globals for the rest of the session."""
-    spec = importlib.util.spec_from_file_location("spans", SPANS_FILE)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    installs."""
+    spans = load_spans()
     planned = [(mod, qual) for mod, qual, _ in spans.SPANS]
     planned += [("hyper", f"FanoContext.{name}") for name in spans.ACCESSORS]
     missing = []
@@ -46,3 +56,23 @@ def test_every_traced_name_resolves():
         if not callable(obj):
             missing.append(f"fanogw.{mod}.{qual}")
     assert missing == []
+
+
+def test_tracer_hooks_read_the_series_objects():
+    """The tracer's hooks read `len(.coeffs)` of product operands, and
+    `.slices` and the Fraction denominators of each slice's `.coeffs`
+    of an inverse; run on real objects, they count what the objects
+    hold."""
+    tracer = load_spans().Tracer()
+    a = LaurentPoly(-1, (1, 0, 2))
+    b = LaurentPoly(0, (Fraction(1, 3), 5))
+    tracer._count_terms((a, b))
+    tracer._count_terms((a, Fraction(2)))  # a scalar counts as one term
+    assert tracer.counts["series.LaurentPoly.mul.terms"] == 3 * 2 + 3
+    tracer._den_bits((), BiSeries([a, b]), None)
+    assert tracer.counts["series.den_bits_max"] == 2  # 3 = 0b11
+    inverse = FanoContext(MultiDegree(5, (3,)), 3).ftilde_hbar(5).inv()
+    tracer._den_bits((), inverse, None)
+    want = max(c.denominator.bit_length()
+               for s in inverse.slices for _, c in s.items())
+    assert want > 2 and tracer.counts["series.den_bits_max"] == want
