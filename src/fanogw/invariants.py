@@ -12,6 +12,13 @@ value must match an independent Chern-class count, and several residue
 reformulations are kept alive as oracles.  Everything is exact rational
 arithmetic; truncation orders and Laurent windows are derived from
 (n, r, nu, b) up front.
+
+A degree-b invariant reads one coefficient: q^b w^{n-2-r} of the
+F-bracket, or one auxiliary exponent of a product in the residue
+oracles.  Each reader of q^b truncates at b (`BiSeries.truncate`; slice
+b of a sum, product or inverse reads only slices <= b), and each read
+of one auxiliary exponent of a product is `BiSeries.mul_coeff_of_aux`,
+which computes that exponent alone.
 """
 
 from __future__ import annotations
@@ -106,7 +113,7 @@ def _a_double_residue(ctx: FanoContext) -> QSeries:
     pairs = [pq for block in ctx.md.theta_pairs() for pq in block]
     xs = {p: ctx.exp_neg_mu() * ctx.fp_hbar(p, hi)
           for p in {p for pq in pairs for p in pq}}
-    return sum(((xs[p1] * _reflect(xs[p2])).coeff_of_aux(1)
+    return sum((xs[p1].mul_coeff_of_aux(_reflect(xs[p2]), 1)
                 for p1, p2 in pairs), QSeries.zero(ctx.order))
 
 
@@ -163,22 +170,25 @@ def _q0_series(poly: LaurentPoly, hi: int, order: int) -> BiSeries:
                     [hi] + [INF_EXP] * order)
 
 
-def _f_bracket(ctx: FanoContext, p: int) -> BiSeries:
-    """(1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) as a w-window series."""
+def f_residue_series(ctx: FanoContext, b: int) -> QSeries:
+    """The w^{n-2-r} coefficients, q^0..q^b, of the F-bracket
+    (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) with p = 1 + nu*b.
+
+    Each reader of q^b truncates at b: F_0, F_p and the front are cut
+    to q^b, and the last product is read at w^{n-2-r} alone.  F_p is
+    built on F_0 known up to w^{n-r+p}, since its window falls up to p
+    below its base's; the front and F_0^-1 are known up to w^{n-2-r}
+    only, which the windows show is enough (F_0 - F_p has no w^0
+    term): a window short of the read raises WindowUnderflow, never a
+    wrong coefficient."""
     md = ctx.md
+    p = 1 + md.nu * b
     target = md.n - 2 - md.r
-    hi = target + p + 2
-    f0 = ctx.f_w(hi)
-    fp = ctx.fp_w(p, hi)
-    front = _q0_series(_ch_coeffs(md, hi), hi, ctx.order)
-    return front * (f0 - fp) * f0.inv()
-
-
-def f_residue_series(ctx: FanoContext, p: int) -> QSeries:
-    """Coeff_{w^{n-2-r}} of the F-bracket, extracted through the shifted
-    residue (exponent -1 after dividing by w^{n-r-1})."""
-    md = ctx.md
-    return _f_bracket(ctx, p).shift_aux(-(md.n - md.r - 1)).residue()
+    f0 = ctx.f_w(target + p + 2).truncate(b)
+    fp = fp_series(ctx.tables, f0, p, -1)
+    front = _q0_series(_ch_coeffs(md, target), target, b)
+    return (front * (f0 - fp)).mul_coeff_of_aux(
+        ctx.f_w(target).truncate(b).inv(), target)
 
 
 def svr_difference(ctx: FanoContext, b: int) -> Rat:
@@ -188,10 +198,7 @@ def svr_difference(ctx: FanoContext, b: int) -> Rat:
     _check_range(md, b)
     if b == 0:
         return Fraction(0)
-    p = 1 + md.nu * b
-    bracket = _f_bracket(ctx, p)
-    coeff = bracket.coeff(b, md.n - 2 - md.r)
-    return Fraction(prod(md.degrees), 24) * coeff
+    return Fraction(prod(md.degrees), 24) * f_residue_series(ctx, b).coeff(b)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +213,7 @@ def type_b(ctx: FanoContext, b: int, route: str = "rows") -> Rat:
         block = n24_block(ctx, p)
         return (Fraction(md.n, 24) * block.coeff(b)
                 - Fraction(prod(md.degrees), 24) * ct_residue_row(ctx, b)
-                - Fraction(prod(md.degrees), 24) * f_residue_series(ctx, p).coeff(b))
+                - Fraction(prod(md.degrees), 24) * f_residue_series(ctx, b).coeff(b))
     if route == "residues":
         if md.nu < 2:
             raise ValueError("residue-route type B oracle is restricted to nu >= 2")
@@ -230,37 +237,35 @@ def _residue_against_g(md: MultiDegree, series: BiSeries) -> QSeries:
     lows = [s.support_lo() for s in series.slices]
     depth = max((-lo for lo in lows if lo is not None), default=0)
     g = _q0_series(_g_expansion(md, depth - 1), depth - 1, series.order)
-    return (g * series).residue()
+    return g.mul_coeff_of_aux(series, -1)
 
 
 def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
     """Oracle route: assemble type B from the residues at h = 0, at
     h = infinity, and (via the residue theorem) at h = -d, computed
-    directly on the hypergeometric Laurent data."""
+    directly on the hypergeometric Laurent data.  Only q^b is read, so
+    every series is cut to q^b."""
     md = ctx.md
     p = 1 + md.nu * b
-    B = ctx.order
-    hi_h = 2 * B + 3
-    ft = ctx.ftilde_hbar(hi_h)
-    ftp = ctx.fp_hbar(p, hi_h)
+    hi_h = 2 * ctx.order + 3
+    ft = ctx.ftilde_hbar(hi_h).truncate(b)
+    ftp = fp_series(ctx.tables, ft, p, +1)
     main = (ft - ftp) * ft.inv()
     res0_main = _residue_against_g(md, main)
 
     # the fully known polynomial part subtracted when moving the
     # residue at h = -d to h = 0 and infinity: F_p of the unit series
-    one = BiSeries.one(B)
+    one = BiSeries.one(b)
     res0_poly = _residue_against_g(md, one - fp_series(ctx.tables, one, p, +1))
 
     target = md.n - 2 - md.r
     hi_w = target + p + 2
-    ftw = ctx.f_w(hi_w, tilde=True)
-    ftpw = ctx.fp_w(p, hi_w, tilde=True)
-    head = _q0_series(_ch_coeffs(md, hi_w, minus_wn=True), hi_w, B)
-    main_w = head * (ftw - ftpw) * ftw.inv()
-    resinf_main = -main_w.coeff_of_aux(target)
-
-    poly_w = head * (one - fp_series(ctx.tables, one, p, -1))
-    resinf_poly = -poly_w.coeff_of_aux(target)
+    ftw = ctx.f_w(hi_w, tilde=True).truncate(b)
+    ftpw = fp_series(ctx.tables, ftw, p, -1)
+    head = _q0_series(_ch_coeffs(md, hi_w, minus_wn=True), hi_w, b)
+    resinf_main = -(head * (ftw - ftpw)).mul_coeff_of_aux(ftw.inv(), target)
+    resinf_poly = -head.mul_coeff_of_aux(
+        one - fp_series(ctx.tables, one, p, -1), target)
 
     series = res0_main + resinf_main - res0_poly - resinf_poly
     return Fraction(prod(md.degrees), 24) * series.coeff(b)

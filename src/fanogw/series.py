@@ -32,15 +32,20 @@ Three types:
 All three are built on one exact kernel that takes and returns
 LaurentPolys: poly_mul (capped product), poly_div (capped quotient by a
 unit), poly_pow (rational power of a unit), poly_shift (Taylor shift
-a(x) -> a(x + s)) and linear_product, plus sum_of_products, the capped
-sum of products of Laurent slices.  Every other module uses it instead
-of its own loops.  poly_pow needs no log or exp: g = a**alpha solves
-a g' = alpha a' g, which fixes each coefficient of g from the lower
-ones in one short sum.  BiSeries.log is one slice recurrence too, from
-D(log F) F = D F.  The kernel loops on the stored numerators and
-brings each result to canonical form with one gcd over its numerators;
-rationals from outside (Fraction or int lists) are lifted to that form
-once, by `_lift`, when a LaurentPoly or QSeries is constructed.
+a(x) -> a(x + s)) and linear_product, plus sum_of_products, the sum of
+products of Laurent slices kept in a band of exponents lo..h.  Every
+other module uses it instead of its own loops.  The band [e, e] reads
+one coefficient: BiSeries.mul_coeff_of_aux(other, e) is
+(self * other).coeff_of_aux(e), windows and WindowUnderflow included,
+without the rest of the product; BiSeries.truncate keeps the first
+slices, an exact prefix of every sum, product and inverse.  poly_pow
+needs no log or exp: g = a**alpha solves a g' = alpha a' g, which
+fixes each coefficient of g from the lower ones in one short sum.
+BiSeries.log is one slice recurrence too, from D(log F) F = D F.  The
+kernel loops on the stored numerators and brings each result to
+canonical form with one gcd over its numerators; rationals from outside
+(Fraction or int lists) are lifted to that form once, by `_lift`, when
+a LaurentPoly or QSeries is constructed.
 
 Everything is immutable; operations are pure functions, safe to share
 across threads.
@@ -243,32 +248,36 @@ def _sum(parts) -> LaurentPoly:
 # the exact kernel: LaurentPolys in, LaurentPolys out, integer loops
 
 
-def sum_of_products(pairs, h) -> LaurentPoly:
-    """sum of u * v over (u, v) pairs of LaurentPolys, without the
-    exponents above h (INF_EXP keeps them all): one schoolbook loop over
-    the numerators, accumulated on one common denominator."""
-    terms = []  # (lowest exponent, coefficients kept, numerators, den)
+def sum_of_products(pairs, h, lo=-INF_EXP) -> LaurentPoly:
+    """sum of u * v over (u, v) pairs of LaurentPolys, keeping only the
+    exponents lo..h (the defaults keep them all; lo = h reads one
+    coefficient): one schoolbook loop over the numerators, accumulated
+    on one common denominator."""
+    terms = []  # (lowest exponent, first and last+1 index kept, numerators, den)
     for u, v in pairs:
         a, b = u.nums, v.nums
         if a and b:
-            lo = u.lo + v.lo
-            n = min(len(a) + len(b) - 1, h - lo + 1)
-            if n > 0:
-                terms.append((lo, n, a, b, u.den * v.den))
+            t_lo = u.lo + v.lo
+            n = min(len(a) + len(b) - 1, h - t_lo + 1)
+            m = max(lo - t_lo, 0)
+            if n > m:
+                terms.append((t_lo, m, n, a, b, u.den * v.den))
     if not terms:
         return _ZERO
-    lo = min([t[0] for t in terms])
-    d = lcm(*[t[4] for t in terms])
-    acc = [0] * (max([t[0] + t[1] for t in terms]) - lo)
-    for t_lo, n, a, b, t_d in terms:
-        s, k0 = d // t_d, t_lo - lo
-        for i, x in enumerate(a[:n]):
+    base = min([t[0] + t[1] for t in terms])
+    d = lcm(*[t[5] for t in terms])
+    acc = [0] * (max([t[0] + t[2] for t in terms]) - base)
+    for t_lo, m, n, a, b, t_d in terms:
+        s, k0 = d // t_d, t_lo - base
+        for i in range(max(m - len(b) + 1, 0), min(len(a), n)):
+            x = a[i]
             if x:
                 if s != 1:
                     x *= s
-                for j, y in enumerate(b[: n - i], k0 + i):
+                j0 = m - i if m > i else 0
+                for j, y in enumerate(b[j0: n - i], k0 + i + j0):
                     acc[j] += x * y
-    return LaurentPoly.from_ints(lo, acc, d)
+    return LaurentPoly.from_ints(base, acc, d)
 
 
 def poly_mul(a: LaurentPoly, b: LaurentPoly, cap=INF_EXP) -> LaurentPoly:
@@ -549,14 +558,23 @@ def _window(u: LaurentPoly, u_hi, v: LaurentPoly, v_hi):
                v_hi + (u.lo if u.nums else u_hi + 1))
 
 
-def _convolve_slices(terms) -> tuple[LaurentPoly, int]:
-    """sum of u * v over (u, u_hi, v, v_hi) terms, with its exact window:
-    the least `_window` of the terms, fixed first to cap every product."""
+def _check_window(beta: int, e: int, hi) -> None:
+    """WindowUnderflow unless aux^e of slice beta, known up to hi, is
+    known."""
+    if e > hi:
+        raise WindowUnderflow(
+            f"aux^{e} of q^{beta} slice outside exact window (hi={hi})")
+
+
+def _convolve_slices(terms, lo=-INF_EXP, hi=INF_EXP) -> tuple[LaurentPoly, int]:
+    """sum of u * v over (u, u_hi, v, v_hi) terms, kept in lo..hi, with
+    its exact window: the least `_window` of the terms, fixed first to
+    cap every product."""
     terms = list(terms)
     h = INF_EXP
     for t in terms:
         h = min(h, _window(*t))
-    return sum_of_products(((u, v) for u, _, v, _ in terms), h), h
+    return sum_of_products(((u, v) for u, _, v, _ in terms), min(h, hi), lo), h
 
 
 class BiSeries:
@@ -599,21 +617,16 @@ class BiSeries:
             raise WindowUnderflow(f"q^{beta} slice beyond truncation order {self.order}")
         return self.slices[beta]
 
-    def _known(self, beta: int, e: int) -> None:
-        if e > self.his[beta]:
-            raise WindowUnderflow(
-                f"aux^{e} of q^{beta} slice outside exact window (hi={self.his[beta]})")
-
     def coeff(self, beta: int, e: int) -> Rat:
         """Exact coefficient of q^beta aux^e."""
-        self._known(beta, e)
+        _check_window(beta, e, self.his[beta])
         return self.slice(beta).coeff(e)
 
     def coeff_of_aux(self, e: int) -> QSeries:
         """The QSeries of aux^e coefficients across q-degrees."""
         parts = []
         for b, s in enumerate(self.slices):
-            self._known(b, e)
+            _check_window(b, e, self.his[b])
             if s.lo <= e <= s.hi:
                 parts.append((b, (s.nums[e - s.lo],), s.den))
         return QSeries.from_poly(self.order, _sum(parts))
@@ -621,6 +634,17 @@ class BiSeries:
     def residue(self) -> QSeries:
         """Coefficient of aux^{-1} across q-degrees."""
         return self.coeff_of_aux(-1)
+
+    def truncate(self, order: int) -> "BiSeries":
+        """The slices q^0..q^order with their windows: exact, since slice
+        b of a sum, product, inverse or `hyper.fp_series` reads only
+        slices <= b."""
+        if order > self.order:
+            raise WindowUnderflow(
+                f"cannot extend truncation order {self.order} to {order}")
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
+        return BiSeries(self.slices[: order + 1], self.his[: order + 1])
 
     # -- arithmetic
 
@@ -640,17 +664,32 @@ class BiSeries:
         return BiSeries([s.shift(k) for s in self.slices],
                         [h + k for h in self.his])
 
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        n = min(self.order, other.order)
-        sl, hs = [], []
-        for b in range(n + 1):
-            acc, h = _convolve_slices(
-                (self.slices[b1], self.his[b1],
+    def _product_terms(self, other: "BiSeries", b: int):
+        """The (u, u_hi, v, v_hi) terms of slice b of self * other."""
+        return ((self.slices[b1], self.his[b1],
                  other.slices[b - b1], other.his[b - b1])
                 for b1 in range(b + 1))
+
+    def __mul__(self, other: "BiSeries") -> "BiSeries":
+        sl, hs = [], []
+        for b in range(min(self.order, other.order) + 1):
+            acc, h = _convolve_slices(self._product_terms(other, b))
             sl.append(acc)
             hs.append(h)
         return BiSeries(sl, hs)
+
+    def mul_coeff_of_aux(self, other: "BiSeries", e: int) -> QSeries:
+        """(self * other).coeff_of_aux(e), with the same windows and the
+        same WindowUnderflow, each product slice read in the band [e, e]
+        only."""
+        n = min(self.order, other.order)
+        parts = []
+        for b in range(n + 1):
+            c, h = _convolve_slices(self._product_terms(other, b), e, e)
+            _check_window(b, e, h)
+            if c.nums:
+                parts.append((b, c.nums, c.den))
+        return QSeries.from_poly(n, _sum(parts))
 
     def inv(self) -> "BiSeries":
         """Inverse of a series whose q^0 slice is a monomial times a

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .geometry import MultiDegree
 from .series import Rat
@@ -54,25 +54,32 @@ def _block_sums(tables: CoeffTables, block, beta: int) -> tuple:
         S2       = sum ct[p2,e2,b1] ct[p1,e1,b2]
         S3       = sum ct[p2,e2,b1] ct[p1,e1,b2] e1 e2
         linear   = sum ct[p2,e2,b1] ct[p1,e1,b2] e1
-        binomial = sum ct[p2,e2,b1] ct[p1,e1,b2] C(e1,2)"""
-    nu, ct = tables.md.nu, tables.ctilde
-    s1 = s2 = s3 = lin = binw = Fraction(0)
+        binomial = sum ct[p2,e2,b1] ct[p1,e1,b2] C(e1,2)
+
+    each added up in integers on the stored ct numerators over one
+    common denominator."""
+    nu, ct = tables.md.nu, tables.ct_entry
+    terms = []  # (left, its den, ct[p1,e1-1,b2], ct[p1,e1,b2], e1, e2)
     for p1, p2 in block:
         for b1 in range(beta + 1):
             b2 = beta - b1
             e1, e2 = p1 - nu * b2, p2 - nu * b1
-            left = ct(p2, e2, b1)
-            if left == 0:
-                continue
-            s1 += left * ct(p1, e1 - 1, b2)
-            right = left * ct(p1, e1, b2)
-            if right == 0:
-                continue
-            s2 += right
-            s3 += right * e1 * e2
-            lin += right * e1
-            binw += right * comb(e1, 2)
-    return s1, s2, s3, lin, binw
+            left, d = ct(p2, e2, b1)
+            if left:
+                terms.append((left, d, ct(p1, e1 - 1, b2), ct(p1, e1, b2),
+                              e1, e2))
+    den = lcm(*[d * dr for _, d, r1, r2, _, _ in terms for _, dr in (r1, r2)])
+    s1 = s2 = s3 = lin = binw = 0
+    for left, d, (n1, d1), (n, dr), e1, e2 in terms:
+        s1 += left * n1 * (den // (d * d1))
+        if not n:
+            continue
+        right = left * n * (den // (d * dr))
+        s2 += right
+        s3 += right * e1 * e2
+        lin += right * e1
+        binw += right * comb(e1, 2)
+    return tuple(Fraction(x, den) for x in (s1, s2, s3, lin, binw))
 
 
 def compute_sums(tables: CoeffTables, beta: int) -> SumValues:

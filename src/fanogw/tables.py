@@ -109,14 +109,19 @@ class CoeffTables:
                 f"(p<={self.p_max}, beta<={self.beta_max})")
         return self._ct.get((p, beta), LaurentPoly.zero())
 
-    def ctilde(self, p: int, l: int, beta: int) -> Rat:
+    def ct_entry(self, p: int, l: int, beta: int) -> tuple[int, int]:
+        """ct[p,l,beta] as the stored numerator over its row's
+        denominator (not reduced); (0, 1) when p < 0 or l < 0."""
         if p < 0 or l < 0:
-            return Fraction(0)
+            return 0, 1
         row = self.ct_row(p, beta)
         if l > p - self.md.nu * beta >= 0:
             raise ValueError(
                 f"ct({p},{l},{beta}) with l > p - nu*beta is never defined")
-        return row.coeff(l)
+        return (row.nums[l - row.lo] if row.lo <= l <= row.hi else 0), row.den
+
+    def ctilde(self, p: int, l: int, beta: int) -> Rat:
+        return Fraction(*self.ct_entry(p, l, beta))
 
     def convolution_defect(self, p: int, l: int, beta: int) -> Rat:
         """LHS of the defining convolution minus its Kronecker RHS;

@@ -11,7 +11,7 @@ from math import comb, gcd, prod
 from types import SimpleNamespace
 
 from fanogw.geometry import MultiDegree
-from fanogw.invariants import _g_expansion
+from fanogw.invariants import _ch_coeffs, _g_expansion
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
 
 
@@ -453,3 +453,16 @@ def residue_against_g_by_terms(md, series):
             total += c * series.coeff(beta, -1 - e)
         out.append(total)
     return QSeries(series.order, out)
+
+
+def f_bracket_reference(ctx, p):
+    """The whole F-bracket (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w))
+    at the context's q-order, every slice up to its window: the product
+    `front * (F_0 - F_p) * F_0.inv()` that the invariant rows read one
+    coefficient of."""
+    md = ctx.md
+    hi = md.n - md.r + p
+    f0 = ctx.f_w(hi)
+    front = BiSeries([_ch_coeffs(md, hi)] + [LaurentPoly.zero()] * ctx.order,
+                     [hi] + [INF_EXP] * ctx.order)
+    return front * (f0 - ctx.fp_w(p, hi)) * f0.inv()

@@ -11,17 +11,17 @@ from fanogw import invariants
 from fanogw.checks import check_three_path, default_grid
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import FanoContext
-from fanogw.invariants import (OutOfRange, _f_bracket, _reflect,
-                               _residue_against_g, a_series,
-                               chern_degree0_oracle, context_for,
-                               invariant_row, invariant_table,
-                               reduced_invariant, standard_invariant,
-                               svr_difference, type_a, type_b)
+from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
+                               a_series, chern_degree0_oracle, context_for,
+                               f_residue_series, invariant_row,
+                               invariant_table, reduced_invariant,
+                               standard_invariant, svr_difference, type_a,
+                               type_b)
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
 
 from helpers import (a_double_residue_by_terms, chern_value_oracle,
-                     pairing_by_terms, residue_against_g_by_terms,
-                     valid_geometries)
+                     f_bracket_reference, pairing_by_terms,
+                     residue_against_g_by_terms, valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -256,18 +256,51 @@ def test_frozen_sample_values():
 
 
 def test_frozen_f_bracket_windows():
-    """The exact window of every F-bracket slice, row by row, as the
-    invariant table builds it (frozen; the products that build the
-    bracket are capped at these windows)."""
+    """The exact window of every slice of the whole F-bracket, row by
+    row, at the invariant table's q-order (frozen;
+    `helpers.f_bracket_reference`)."""
     md = MultiDegree(8, (7,))
     ctx = context_for(md, md.bmax)
-    assert [_f_bracket(ctx, 1 + md.nu * b).his for b in range(md.bmax + 1)] \
+    assert [f_bracket_reference(ctx, 1 + md.nu * b).his
+            for b in range(md.bmax + 1)] \
         == [(8 + b,) + (7,) * 8 for b in range(8)]
     ctx = context_for(MD623, MD623.bmax)
-    assert [_f_bracket(ctx, 1 + MD623.nu * b).his
+    assert [f_bracket_reference(ctx, 1 + MD623.nu * b).his
             for b in range(MD623.bmax + 1)] == [
         (5, 4, 4, 4, 4, 4, 4), (6, 4, 4, 4, 4, 4, 4), (7, 4, 4, 4, 4, 4, 4),
         (8, 4, 4, 4, 4, 4, 4), (9, 4, 4, 4, 4, 4, 4), (10, 4, 4, 4, 4, 4, 4)]
+
+
+def test_f_residue_series_reads_the_whole_bracket():
+    """Cut at q^b and read at w^{n-2-r} alone, `f_residue_series(ctx, b)`
+    gives the w^{n-2-r} coefficients of the whole bracket at every
+    q^k, k <= b, on every row of X_8(7), X_6(2,3) and every valid
+    geometry with n <= 9 and r <= 3."""
+    for md in [MultiDegree(8, (7,)), MD623] + valid_geometries(9, 3):
+        ctx = context_for(md, md.bmax)
+        target = md.n - 2 - md.r
+        for b in range(md.bmax + 1):
+            ref = f_bracket_reference(ctx, 1 + md.nu * b)
+            got = f_residue_series(ctx, b)
+            assert got.order == b
+            assert [got.coeff(k) for k in range(b + 1)] \
+                == [ref.coeff(k, target) for k in range(b + 1)], (md.label(), b)
+
+
+def test_each_bracket_inverts_f0_cut_at_its_degree(monkeypatch):
+    """invariant_table(X_8(7)) inverts F_0 once per bracket read: once
+    for type B and once for the difference at each b >= 1, once at
+    b = 0, each time on the b + 1 slices q^0..q^b."""
+    orders = []
+    real = BiSeries.inv
+
+    def recording(self):
+        orders.append(self.order)
+        return real(self)
+
+    monkeypatch.setattr(BiSeries, "inv", recording)
+    invariant_table(MultiDegree(8, (7,)))
+    assert sorted(orders) == [0] + [b for b in range(1, 8) for _ in (0, 1)]
 
 
 def test_deep_index_one_geometry():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fanogw.series import (BadConstantTerm, LaurentPoly, ZeroConstantTerm,
                            linear_product, poly_div, poly_mul, poly_pow,
-                           poly_shift)
+                           poly_shift, sum_of_products)
 
 from helpers import is_canonical, long_division, power
 from helpers import poly_mul as oracle_mul
@@ -64,6 +64,24 @@ def test_poly_mul_uncapped_is_the_whole_product(a, b):
     full = len(a) + len(b) - 1 if a and b else 0
     assert got.hi < full or got.is_zero()
     assert dense(got, full) == oracle_mul(a, b, full - 1)
+
+
+@kernel
+@given(st.lists(st.tuples(st.integers(-3, 3), polys, st.integers(-3, 3), polys),
+                max_size=4),
+       st.integers(-8, 14), st.integers(0, 8))
+def test_sum_of_products_band_is_the_cut_sum(pairs, lo, width):
+    """Kept in the band lo..lo+width, the sum of products has the
+    coefficients of the whole sum there and nothing elsewhere."""
+    pairs = [(LaurentPoly(i, a), LaurentPoly(j, b)) for i, a, j, b in pairs]
+    whole = {}
+    for u, v in pairs:
+        for e, c in poly_mul(u, v).items():
+            whole[e] = whole.get(e, 0) + c
+    got = sum_of_products(pairs, lo + width, lo)
+    assert is_canonical(got)
+    assert dict(got.items()) == {e: c for e, c in whole.items()
+                                 if c and lo <= e <= lo + width}
 
 
 @kernel

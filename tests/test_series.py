@@ -302,6 +302,63 @@ def test_log_inside_its_windows_matches_mercator(data):
             assert got.coeff(b, e) == want.coeff(b, e), (b, e)
 
 
+def windowed_bs(data, order):
+    """A random BiSeries of the given order: slices from aux^-3 up, each
+    window an exponent or INF_EXP."""
+    return BiSeries(
+        [LaurentPoly(data.draw(st.integers(-3, 2)),
+                     data.draw(st.lists(fracs, max_size=5)))
+         for _ in range(order + 1)],
+        [data.draw(st.integers(-3, 6) | st.just(INF_EXP))
+         for _ in range(order + 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_band_read_is_the_product_read(data):
+    """u.mul_coeff_of_aux(v, e) is (u * v).coeff_of_aux(e), or both
+    raise WindowUnderflow."""
+    u = windowed_bs(data, data.draw(st.integers(0, 3)))
+    v = windowed_bs(data, data.draw(st.integers(0, 3)))
+    e = data.draw(st.integers(-7, 9))
+    try:
+        want = (u * v).coeff_of_aux(e)
+    except WindowUnderflow:
+        with pytest.raises(WindowUnderflow):
+            u.mul_coeff_of_aux(v, e)
+    else:
+        assert u.mul_coeff_of_aux(v, e) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_truncation_commutes_with_products_and_inverses(data):
+    """Cutting at q^k before or after a product or an inverse gives the
+    same slices and the same windows; where the inverse raises, so does
+    the inverse of the cut series."""
+    order = data.draw(st.integers(0, 4))
+    k = data.draw(st.integers(0, order))
+    u, v = windowed_bs(data, order), windowed_bs(data, order)
+    assert (u * v).truncate(k) == u.truncate(k) * v.truncate(k)
+    try:
+        inv = u.inv()
+    except (NotInvertible, WindowUnderflow) as exc:
+        with pytest.raises(type(exc)):
+            u.truncate(k).inv()
+    else:
+        assert inv.truncate(k) == u.truncate(k).inv()
+
+
+def test_bs_truncate_bounds():
+    a = BiSeries([LaurentPoly(0, (1, 2)), LaurentPoly(-1, (3,))], [4, 2])
+    assert a.truncate(0) == BiSeries([LaurentPoly(0, (1, 2))], [4])
+    assert a.truncate(1) == a
+    with pytest.raises(WindowUnderflow):
+        a.truncate(2)
+    with pytest.raises(ValueError):
+        a.truncate(-1)
+
+
 def test_apply_d_examples():
     """D = 1 + aux^shift q d/dq by the reference chain and by fp_series
     (whose F_p over d_power_tables is D^p)."""
