@@ -22,7 +22,7 @@ from operator import mul
 
 from .geometry import MultiDegree
 from .series import (INF_EXP, BiSeries, LaurentPoly, QSeries, linear_product,
-                     poly_div, poly_mul, poly_shift, sum_of_products)
+                     poly_div, poly_mul, sum_of_products)
 from .tables import CoeffTables, f_w_slice
 
 
@@ -85,7 +85,8 @@ def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeri
         P[beta1, b] = aux^(s*(nu*beta1 - p)) * T(b + aux^s),
 
     where T(x) = sum_l ct[p,l,beta1] x^l is the ct row and T(x + b)
-    its Taylor shift, `series.poly_shift`.  Over the unit series
+    its Taylor shift, read from `CoeffTables.shifted_row` (the ct solve
+    has already made it for every bracket row).  Over the unit series
     (`BiSeries.one`) F_p is sum ct[p,l,beta] q^beta aux^(-s*(p-nu*beta-l)),
     since D^l 1 = 1.
 
@@ -110,7 +111,7 @@ def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeri
             # linear in l, so least at the lowest or highest nonzero ct
             h = min(h, base.his[b] + min(s * (l + nu * beta1 - p) - l * drop
                                          for l in (row.lo, row.hi)))
-            poly = poly_shift(row, b)  # T(b + x), x = aux^s
+            poly = tables.shifted_row(p, beta1, b)  # T(b + x), x = aux^s
             lead = s * (nu * beta1 - p)
             fac = (poly.shift(lead) if s == 1 else LaurentPoly.from_ints(
                 lead - poly.hi, poly.nums[::-1], poly.den))
@@ -209,15 +210,19 @@ class FanoContext:
     def ftilde_hbar(self, hi: int) -> BiSeries:
         return self._get(("fth", hi), lambda: ftilde_hbar(self.md, self.order, hi))
 
-    def f_w(self, hi: int, tilde: bool = False) -> BiSeries:
-        """F (or Ft) cut at window hi, from one build per `tilde` at the
-        widest window asked for and at least 2n - r (F-bracket windows
-        are n - r + p with p <= n)."""
+    def f_w(self, hi, tilde: bool = False) -> BiSeries:
+        """F (or Ft) with every slice q^0..q^order cut at window hi, or,
+        for a tuple hi, with slice k cut at hi[k] for k < len(hi) and
+        the slices above dropped.  One build per `tilde`, at the widest
+        window asked for and at least 2n - r (F-bracket windows are at
+        most n - r + p with p <= n)."""
+        his = (hi,) * (self.order + 1) if isinstance(hi, int) else hi
+        top = max(his)
         wide = self._cache.get(("fw", tilde))
-        if wide is None or wide.his[0] < hi:
+        if wide is None or wide.his[0] < top:
             wide = self._cache[("fw", tilde)] = f_w(
-                self.md, self.order, max(hi, 2 * self.md.n - self.md.r), tilde=tilde)
-        return BiSeries(wide.slices, [hi] * (self.order + 1))
+                self.md, self.order, max(top, 2 * self.md.n - self.md.r), tilde=tilde)
+        return BiSeries(wide.slices[: len(his)], his)
 
     def fp_hbar(self, p: int, hi: int) -> BiSeries:
         return self._get(("fph", p, hi),

@@ -14,11 +14,17 @@ arithmetic; truncation orders and Laurent windows are derived from
 (n, r, nu, b) up front.
 
 A degree-b invariant reads one coefficient: q^b w^{n-2-r} of the
-F-bracket, or one auxiliary exponent of a product in the residue
-oracles.  Each reader of q^b truncates at b (`BiSeries.truncate`; slice
-b of a sum, product or inverse reads only slices <= b), and each read
-of one auxiliary exponent of a product is `BiSeries.mul_coeff_of_aux`,
-which computes that exponent alone.
+F-bracket (`f_residue_series`), or q^b at one auxiliary exponent of a
+product in the residue oracles.  Each reader of q^b cuts its series at
+b (slice b of a sum, product or inverse reads only slices <= b), and
+reads the last product through `BiSeries.mul_coeff`, which computes
+that one coefficient alone.  The F-bracket also cuts each slice at its
+own window: the q^k slices of F_0 and F_0^-1 carry w^{nu k}, so slice
+j of the numerator is read only up to w^{n-2-r - nu(b-j)} (floored at
+w^-1), and slice k of F_0 is cut at max(n-2-r+p - nu(b-k), p-1) before
+F_p is built from it.  Type A, the n/24 block and the ct residue row
+enter both the standard and the reduced side of a row; each is computed
+once per (context, degree) and kept in the context's cache.
 """
 
 from __future__ import annotations
@@ -83,6 +89,14 @@ def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> LaurentPoly
         num[md.n] -= 1
     den = linear_product(((1, d) for d in md.degrees), cap)
     return poly_div(LaurentPoly.from_ints(0, num), den, cap)
+
+
+def _once(ctx: FanoContext, name: str, fn, arg):
+    """fn(ctx, arg), computed once per context and kept in its cache
+    under (name, arg): the standard and reduced sides of a row share
+    type A, the n/24 block and the ct residue row.  Callers pass the
+    module-level function, looked up at each call."""
+    return ctx._get((name, arg), lambda: fn(ctx, arg))
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +184,28 @@ def _q0_series(poly: LaurentPoly, hi: int, order: int) -> BiSeries:
                     [hi] + [INF_EXP] * order)
 
 
-def f_residue_series(ctx: FanoContext, b: int) -> QSeries:
-    """The w^{n-2-r} coefficients, q^0..q^b, of the F-bracket
+def f_residue_series(ctx: FanoContext, b: int) -> Rat:
+    """The q^b w^{n-2-r} coefficient of the F-bracket
     (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) with p = 1 + nu*b.
 
-    Each reader of q^b truncates at b: F_0, F_p and the front are cut
-    to q^b, and the last product is read at w^{n-2-r} alone.  F_p is
-    built on F_0 known up to w^{n-r+p}, since its window falls up to p
-    below its base's; the front and F_0^-1 are known up to w^{n-2-r}
-    only, which the windows show is enough (F_0 - F_p has no w^0
-    term): a window short of the read raises WindowUnderflow, never a
-    wrong coefficient."""
+    Only that coefficient is built.  Slice k of F_0, and so of F_0^-1,
+    carries w^{nu k}, so slice j of the numerator front * (F_0 - F_p) is
+    read only up to w^max(n-2-r - nu(b-j), -1).  F_p's window falls up
+    to p below its base's, so slice k of F_0 is cut at
+    max(n-2-r+p - nu(b-k), p-1) before `fp_series` runs; the front and
+    F_0^-1 are known up to w^{n-2-r}, which is enough because
+    F_0 - F_p has no w^0 term.  The last product is read at q^b w^{n-2-r}
+    alone (`BiSeries.mul_coeff`): a window short of the read raises
+    WindowUnderflow, never a wrong coefficient."""
     md = ctx.md
     p = 1 + md.nu * b
     target = md.n - 2 - md.r
-    f0 = ctx.f_w(target + p + 2).truncate(b)
+    f0 = ctx.f_w(tuple(max(target + p - md.nu * (b - k), p - 1)
+                       for k in range(b + 1)))
     fp = fp_series(ctx.tables, f0, p, -1)
     front = _q0_series(_ch_coeffs(md, target), target, b)
-    return (front * (f0 - fp)).mul_coeff_of_aux(
-        ctx.f_w(target).truncate(b).inv(), target)
+    return (front * (f0 - fp)).mul_coeff(
+        ctx.f_w((target,) * (b + 1)).inv(), b, target)
 
 
 def svr_difference(ctx: FanoContext, b: int) -> Rat:
@@ -198,7 +215,7 @@ def svr_difference(ctx: FanoContext, b: int) -> Rat:
     _check_range(md, b)
     if b == 0:
         return Fraction(0)
-    return Fraction(prod(md.degrees), 24) * f_residue_series(ctx, b).coeff(b)
+    return Fraction(prod(md.degrees), 24) * f_residue_series(ctx, b)
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +227,9 @@ def type_b(ctx: FanoContext, b: int, route: str = "rows") -> Rat:
     md = ctx.md
     if route == "rows":
         p = 1 + md.nu * b
-        block = n24_block(ctx, p)
-        return (Fraction(md.n, 24) * block.coeff(b)
-                - Fraction(prod(md.degrees), 24) * ct_residue_row(ctx, b)
-                - Fraction(prod(md.degrees), 24) * f_residue_series(ctx, b).coeff(b))
+        return (Fraction(md.n, 24) * _once(ctx, "n24", n24_block, p).coeff(b)
+                - Fraction(prod(md.degrees), 24)
+                * (_once(ctx, "ct_res", ct_residue_row, b) + f_residue_series(ctx, b)))
     if route == "residues":
         if md.nu < 2:
             raise ValueError("residue-route type B oracle is restricted to nu >= 2")
@@ -230,45 +246,47 @@ def _g_expansion(md: MultiDegree, hi: int) -> LaurentPoly:
     return poly_div(LaurentPoly.from_ints(0, num), den, cap).shift(-2)
 
 
-def _residue_against_g(md: MultiDegree, series: BiSeries) -> QSeries:
-    """Res_{h=0} of G(h) * series, G = ((1+h)^n - 1)/(h^3 prod(d_k+h))
-    from h^-2 up to what the series reads: WindowUnderflow unless every
-    slice of the series is known up to h^1."""
-    lows = [s.support_lo() for s in series.slices]
-    depth = max((-lo for lo in lows if lo is not None), default=0)
+def _residue_against_g(md: MultiDegree, series: BiSeries, b: int) -> Rat:
+    """The q^b coefficient of Res_{h=0} G(h) * series,
+    G = ((1+h)^n - 1)/(h^3 prod(d_k+h)) from h^-2 up to what slice b of
+    the series reads: WindowUnderflow unless that slice is known up to
+    h^1."""
+    lo = series.slice(b).support_lo()
+    depth = -lo if lo is not None else 0
     g = _q0_series(_g_expansion(md, depth - 1), depth - 1, series.order)
-    return g.mul_coeff_of_aux(series, -1)
+    return g.mul_coeff(series, b, -1)
 
 
 def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
     """Oracle route: assemble type B from the residues at h = 0, at
     h = infinity, and (via the residue theorem) at h = -d, computed
     directly on the hypergeometric Laurent data.  Only q^b is read, so
-    every series is cut to q^b."""
+    every series is cut to q^b and each residue is read at q^b alone
+    (`BiSeries.mul_coeff`)."""
     md = ctx.md
     p = 1 + md.nu * b
     hi_h = 2 * ctx.order + 3
     ft = ctx.ftilde_hbar(hi_h).truncate(b)
     ftp = fp_series(ctx.tables, ft, p, +1)
     main = (ft - ftp) * ft.inv()
-    res0_main = _residue_against_g(md, main)
+    res0_main = _residue_against_g(md, main, b)
 
     # the fully known polynomial part subtracted when moving the
     # residue at h = -d to h = 0 and infinity: F_p of the unit series
     one = BiSeries.one(b)
-    res0_poly = _residue_against_g(md, one - fp_series(ctx.tables, one, p, +1))
+    res0_poly = _residue_against_g(md, one - fp_series(ctx.tables, one, p, +1), b)
 
     target = md.n - 2 - md.r
     hi_w = target + p + 2
-    ftw = ctx.f_w(hi_w, tilde=True).truncate(b)
+    ftw = ctx.f_w((hi_w,) * (b + 1), tilde=True)
     ftpw = fp_series(ctx.tables, ftw, p, -1)
     head = _q0_series(_ch_coeffs(md, hi_w, minus_wn=True), hi_w, b)
-    resinf_main = -(head * (ftw - ftpw)).mul_coeff_of_aux(ftw.inv(), target)
-    resinf_poly = -head.mul_coeff_of_aux(
-        one - fp_series(ctx.tables, one, p, -1), target)
+    resinf_main = -(head * (ftw - ftpw)).mul_coeff(ftw.inv(), b, target)
+    resinf_poly = -head.mul_coeff(
+        one - fp_series(ctx.tables, one, p, -1), b, target)
 
-    series = res0_main + resinf_main - res0_poly - resinf_poly
-    return Fraction(prod(md.degrees), 24) * series.coeff(b)
+    return Fraction(prod(md.degrees), 24) \
+        * (res0_main + resinf_main - res0_poly - resinf_poly)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +298,13 @@ def standard_invariant(ctx: FanoContext, b: int) -> Rat:
     md = ctx.md
     _check_range(md, b)
     p = 1 + md.nu * b
-    return (type_a(ctx, b)
-            + Fraction(md.n, 24) * n24_block(ctx, p).coeff(b)
-            - Fraction(prod(md.degrees), 24) * ct_residue_row(ctx, b))
+    return (_once(ctx, "type_a", type_a, b)
+            + Fraction(md.n, 24) * _once(ctx, "n24", n24_block, p).coeff(b)
+            - Fraction(prod(md.degrees), 24) * _once(ctx, "ct_res", ct_residue_row, b))
 
 
 def reduced_invariant(ctx: FanoContext, b: int) -> Rat:
-    return type_a(ctx, b) + type_b(ctx, b)
+    return _once(ctx, "type_a", type_a, b) + type_b(ctx, b)
 
 
 def invariant_row(ctx: FanoContext, b: int) -> InvariantRow:

@@ -35,10 +35,11 @@ unit), poly_pow (rational power of a unit), poly_shift (Taylor shift
 a(x) -> a(x + s)) and linear_product, plus sum_of_products, the sum of
 products of Laurent slices kept in a band of exponents lo..h.  Every
 other module uses it instead of its own loops.  The band [e, e] reads
-one coefficient: BiSeries.mul_coeff_of_aux(other, e) is
-(self * other).coeff_of_aux(e), windows and WindowUnderflow included,
-without the rest of the product; BiSeries.truncate keeps the first
-slices, an exact prefix of every sum, product and inverse.  poly_pow
+one coefficient: BiSeries.mul_coeff(other, b, e) is
+(self * other).coeff(b, e), window and WindowUnderflow included,
+without the rest of the product, and mul_coeff_of_aux(other, e) is
+that read at every q-power; BiSeries.truncate keeps the first slices,
+an exact prefix of every sum, product and inverse.  poly_pow
 needs no log or exp: g = a**alpha solves a g' = alpha a' g, which
 fixes each coefficient of g from the lower ones in one short sum.
 BiSeries.log is one slice recurrence too, from D(log F) F = D F.  The
@@ -619,8 +620,9 @@ class BiSeries:
 
     def coeff(self, beta: int, e: int) -> Rat:
         """Exact coefficient of q^beta aux^e."""
+        s = self.slice(beta)
         _check_window(beta, e, self.his[beta])
-        return self.slice(beta).coeff(e)
+        return s.coeff(e)
 
     def coeff_of_aux(self, e: int) -> QSeries:
         """The QSeries of aux^e coefficients across q-degrees."""
@@ -678,18 +680,21 @@ class BiSeries:
             hs.append(h)
         return BiSeries(sl, hs)
 
-    def mul_coeff_of_aux(self, other: "BiSeries", e: int) -> QSeries:
-        """(self * other).coeff_of_aux(e), with the same windows and the
-        same WindowUnderflow, each product slice read in the band [e, e]
+    def mul_coeff(self, other: "BiSeries", b: int, e: int) -> Rat:
+        """(self * other).coeff(b, e), with the same window and the same
+        WindowUnderflow: slice b of the product read in the band [e, e]
         only."""
         n = min(self.order, other.order)
-        parts = []
-        for b in range(n + 1):
-            c, h = _convolve_slices(self._product_terms(other, b), e, e)
-            _check_window(b, e, h)
-            if c.nums:
-                parts.append((b, c.nums, c.den))
-        return QSeries.from_poly(n, _sum(parts))
+        if not 0 <= b <= n:
+            raise WindowUnderflow(f"q^{b} slice beyond truncation order {n}")
+        c, h = _convolve_slices(self._product_terms(other, b), e, e)
+        _check_window(b, e, h)
+        return c.coeff(e)
+
+    def mul_coeff_of_aux(self, other: "BiSeries", e: int) -> QSeries:
+        """(self * other).coeff_of_aux(e): `mul_coeff` at each q-power."""
+        n = min(self.order, other.order)
+        return QSeries(n, [self.mul_coeff(other, b, e) for b in range(n + 1)])
 
     def inv(self) -> "BiSeries":
         """Inverse of a series whose q^0 slice is a monomial times a

@@ -25,6 +25,9 @@ base slices:
     T_{p,beta}(w) = - sum_{b1<beta} T_{p,b1}(w + beta - b1) base_{beta-b1}(w)
                     up to w^(p - nu*beta).
 
+Each shifted row is kept (`CoeffTables.shifted_row`), and the F_p sums
+of `hyper.fp_series` read the same rows again.
+
 `convolution_defect` (behind `checks.check_convolution`) evaluates the
 convolution entry by entry from the binomial c reads: a different
 computation from this solve, not a rerun of it.  Entries with l < 0 or
@@ -60,9 +63,11 @@ def f_w_slice(md: MultiDegree, beta: int, cap: int, tilde: bool = False) -> Laur
 
 
 class CoeffTables:
-    """Both tables for one geometry, built once and shared read-only."""
+    """Both tables for one geometry, built once and shared; the only
+    state added after the build is the kept Taylor shifts of ct rows
+    (`shifted_row`)."""
 
-    __slots__ = ("md", "p_max", "beta_max", "_base", "_ct")
+    __slots__ = ("md", "p_max", "beta_max", "_base", "_ct", "_shifted")
 
     def __init__(self, md: MultiDegree, p_max: int, beta_max: int):
         if p_max < 0 or beta_max < 0:
@@ -73,6 +78,7 @@ class CoeffTables:
         self._base = [f_w_slice(md, beta, p_max)
                       for beta in range(min(beta_max, p_max // md.nu) + 1)]
         self._ct = {}
+        self._shifted = {}
         for p in range(p_max + 1):
             self._ct[(p, 0)] = LaurentPoly.from_ints(p, (1,))
             for beta in range(1, min(beta_max, p // md.nu) + 1):
@@ -80,7 +86,7 @@ class CoeffTables:
 
     def _solve_ct(self, p: int, beta: int) -> LaurentPoly:
         return -sum_of_products(
-            ((poly_shift(self._ct[(p, b1)], beta - b1), self._base[beta - b1])
+            ((self.shifted_row(p, b1, beta - b1), self._base[beta - b1])
              for b1 in range(beta)),
             p - self.md.nu * beta)
 
@@ -108,6 +114,19 @@ class CoeffTables:
                 f"ct row ({p},{beta}) beyond built bounds "
                 f"(p<={self.p_max}, beta<={self.beta_max})")
         return self._ct.get((p, beta), LaurentPoly.zero())
+
+    def shifted_row(self, p: int, beta: int, s: int) -> LaurentPoly:
+        """T_{p,beta}(w + s), the Taylor shift of `ct_row`, computed once
+        per (p, beta, s) and kept: the ct solve makes every shift that
+        `hyper.fp_series` reads for an F-bracket row."""
+        key = (p, beta, s)
+        row = self._shifted.get(key)
+        if row is None:
+            row = self.ct_row(p, beta)
+            if s and not row.is_zero():
+                row = poly_shift(row, s)
+            self._shifted[key] = row
+        return row
 
     def ct_entry(self, p: int, l: int, beta: int) -> tuple[int, int]:
         """ct[p,l,beta] as the stored numerator over its row's

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 from fanogw.geometry import MultiDegree
 from fanogw.invariants import _ch_coeffs, _g_expansion
-from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
+from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries, poly_shift
 
 
 def poly_mul(a, b, cap):
@@ -280,10 +280,14 @@ def ftilde_hbar_slice_oracle(md, beta, cap):
 def d_power_tables(nu, p):
     """A stand-in for CoeffTables with ct[p,l,beta] = 1 exactly when
     l = p and beta = 0: F_p over these tables is D^p(base)."""
+    def ct_row(pp, beta):
+        return LaurentPoly(p, (int(pp == p and beta == 0),))
+
     return SimpleNamespace(
         md=SimpleNamespace(nu=nu),
         ctilde=lambda pp, l, beta: Fraction(int(l == pp == p and beta == 0)),
-        ct_row=lambda pp, beta: LaurentPoly(p, (int(pp == p and beta == 0),)))
+        ct_row=ct_row,
+        shifted_row=lambda pp, beta, s: poly_shift(ct_row(pp, beta), s))
 
 
 def ct_l_sum(ctx, p, idx_drop, powfn, weightfn, qshift=0):

@@ -1,9 +1,11 @@
 """The exact kernel in `fanogw.series` (truncated product, quotient by a
 unit, rational power of a unit, Taylor shift, product of linear factors)
 against the independent list arithmetic in `helpers` (products, long
-division), on random Fraction lists.  The kernel takes and returns
-LaurentPolys in integer form; every result must be canonical
-(`helpers.is_canonical`) and read back as the oracle's Fractions."""
+division), on random Fraction lists, and the one-coefficient product
+read `BiSeries.mul_coeff` against the whole product.  The kernel takes
+and returns LaurentPolys in integer form; every result must be
+canonical (`helpers.is_canonical`) and read back as the oracle's
+Fractions."""
 
 from fractions import Fraction
 from math import prod
@@ -12,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanogw.series import (BadConstantTerm, LaurentPoly, ZeroConstantTerm,
-                           linear_product, poly_div, poly_mul, poly_pow,
-                           poly_shift, sum_of_products)
+from fanogw.series import (INF_EXP, BadConstantTerm, BiSeries, LaurentPoly,
+                           WindowUnderflow, ZeroConstantTerm, linear_product,
+                           poly_div, poly_mul, poly_pow, poly_shift,
+                           sum_of_products)
 
 from helpers import is_canonical, long_division, power
 from helpers import poly_mul as oracle_mul
@@ -194,6 +197,33 @@ def test_poly_shift_matches_expanded_powers(a, s):
     assert got.hi < len(a) and is_canonical(got)
     assert dense(got, len(a)) == want
     assert poly_shift(got, -s) == lp(a)
+
+
+@st.composite
+def windowed_series(draw):
+    """A BiSeries of order 0..3: random slices from aux^-3 up, each
+    window an exponent or INF_EXP."""
+    order = draw(st.integers(0, 3))
+    return BiSeries(
+        [LaurentPoly(draw(st.integers(-3, 2)), draw(st.lists(coeffs, max_size=5)))
+         for _ in range(order + 1)],
+        [draw(st.integers(-3, 6) | st.just(INF_EXP)) for _ in range(order + 1)])
+
+
+@kernel
+@given(windowed_series(), windowed_series(), st.integers(-1, 4),
+       st.integers(-7, 9))
+def test_mul_coeff_is_the_product_read(a, c, b, e):
+    """a.mul_coeff(c, b, e) is (a * c).coeff(b, e), and raises
+    WindowUnderflow exactly when that read does (a short window, or b
+    outside the product's q-orders)."""
+    try:
+        want = (a * c).coeff(b, e)
+    except WindowUnderflow:
+        with pytest.raises(WindowUnderflow):
+            a.mul_coeff(c, b, e)
+    else:
+        assert a.mul_coeff(c, b, e) == want
 
 
 def test_kernel_edge_cases():

@@ -2,11 +2,15 @@
 the defining convolution identity."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+from fanogw import series
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import f_w
+from fanogw.invariants import invariant_table
 from fanogw.series import BiSeries
 from fanogw.tables import CoeffTables, InsufficientBounds
 
@@ -123,3 +127,24 @@ def test_tables_match_the_oracles_over_valid_geometries():
                 for beta in range(3):
                     assert t.c(p, l, beta) == c_entry_oracle(
                         md.n, md.degrees, p, l, beta), (md, p, l, beta)
+
+
+def test_each_taylor_shift_runs_once_per_table(monkeypatch):
+    """The ct solve keeps each Taylor-shifted row it makes, and
+    `hyper.fp_series` reads those rows: over invariant_table(X_8(7)),
+    one context and one table, no (row, s) pair is shifted twice."""
+    real = series.poly_shift
+    shifts = Counter()
+
+    def counting(a, s):
+        shifts[(a, s)] += 1
+        return real(a, s)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fanogw" or name.startswith("fanogw."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    invariant_table(MultiDegree(8, (7,)))
+    assert shifts
+    assert [key for key, k in shifts.items() if k > 1] == []
