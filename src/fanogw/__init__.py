@@ -9,7 +9,7 @@ from .invariants import (InvariantRow, chern_degree0_oracle, invariant_row,
                          standard_invariant, svr_difference, type_a, type_b)
 from .series import (BiSeries, LaurentPoly, QSeries, Rat, WindowUnderflow,
                      ZeroConstantTerm)
-from .sums import SumValues, compute_sums, evaluate_conjectures
+from .sums import SumValues, compute_sums, evaluate_conjectures, sums_by_degree
 from .tables import CoeffTables
 
 __all__ = [
@@ -17,6 +17,6 @@ __all__ = [
     "MultiDegree", "QSeries", "Rat", "SumValues", "WindowUnderflow",
     "ZeroConstantTerm", "chern_degree0_oracle", "compute_sums",
     "evaluate_conjectures", "invariant_row", "invariant_table",
-    "reduced_invariant", "standard_invariant", "svr_difference", "type_a",
-    "type_b",
+    "reduced_invariant", "standard_invariant", "sums_by_degree",
+    "svr_difference", "type_a", "type_b",
 ]

@@ -23,7 +23,7 @@ from .hyper import FanoContext
 from .invariants import (a_series, chern_degree0_oracle, context_for,
                          invariant_table, svr_difference, type_b)
 from .series import QSeries
-from .sums import check_proven_identities, tables_for_sums
+from .sums import check_proven_identities, sums_by_degree, tables_for_sums
 from .tables import CoeffTables
 
 #: the standard verification grid (the last geometry has index 1)
@@ -124,7 +124,7 @@ def check_type_b_residue_oracle(md: MultiDegree) -> bool:
 
 def check_sum_lemmas(md: MultiDegree, beta_max: int = 3) -> bool:
     return all(c.ok for c in check_proven_identities(
-        tables_for_sums(md, beta_max)))
+        sums_by_degree(tables_for_sums(md, beta_max))))
 
 
 def check_truncation_stability(md: MultiDegree, extra: int = 2) -> bool:

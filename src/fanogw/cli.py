@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -26,7 +27,7 @@ from .checks import default_grid, run_geometry_suite
 from .geometry import MultiDegree
 from .invariants import invariant_table
 from .sums import (check_proven_identities, evaluate_conjectures,
-                   tables_for_sums)
+                   sums_by_degree, tables_for_sums)
 
 TEXT, CSV, JSON = "text", "csv", "json"
 FORMATS = (TEXT, CSV, JSON)
@@ -236,9 +237,10 @@ def cmd_check(geometries: list[MultiDegree], pad: int, fmt: str,
 
 def cmd_conjectures(geometries: list[MultiDegree], beta_max: int, hj,
                     fmt: str, out_path: str | None) -> int:
-    grid = [tables_for_sums(md, beta_max) for md in geometries]
-    lemma_rows = [c for tables in grid for c in check_proven_identities(tables)]
-    reports = evaluate_conjectures(grid, hj=hj)
+    sums = [sv for md in geometries
+            for sv in sums_by_degree(tables_for_sums(md, beta_max))]
+    lemma_rows = check_proven_identities(sums)
+    reports = evaluate_conjectures(sums, hj=hj)
     lemma_fail = sum(0 if c.ok else 1 for c in lemma_rows)
 
     if fmt == JSON:
@@ -331,7 +333,11 @@ _FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first `main` call:
+    each `add_argument` reads the terminal size, so building it per
+    call costs more than most small computations."""
     ap = _Parser(
         prog="fanogw",
         description="Exact genus-1 one-point Gromov-Witten invariants of "
@@ -375,7 +381,7 @@ def _geometries_from(args) -> list[MultiDegree]:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         _merge_config(args)
         for flag in ("order", "max-b"):
             if (vars(args).get(flag.replace("-", "_")) or 0) < 0:

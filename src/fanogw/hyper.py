@@ -10,6 +10,16 @@ identity):
 * a closed route (Lagrange-inversion style formulas in L(q)).
 
 The two must agree exactly; the check suite enforces this.
+
+Each quantity is built once per `FanoContext`.  A context builds no
+slice of F(w, q) of its own: slice k is w^(nu k) times the base slice k
+that its `CoeffTables` already holds for the ct solve
+(`CoeffTables.base`); `f_w` builds F or Ft whole, and the context uses
+it for Ft only.  The pairing series A(q) is built from the ct-L
+sums without any Theta: Theta^{(0)}_p = Phi0 s0(p) and Theta^{(1)}_p is
+a weighted sum of s0..s3(p), so A is Phi0 times four kernel pair sums,
+weighted once (`FanoContext.A`).  Theta itself is built only for its
+dual-route check.
 """
 
 from __future__ import annotations
@@ -213,15 +223,25 @@ class FanoContext:
     def f_w(self, hi, tilde: bool = False) -> BiSeries:
         """F (or Ft) with every slice q^0..q^order cut at window hi, or,
         for a tuple hi, with slice k cut at hi[k] for k < len(hi) and
-        the slices above dropped.  One build per `tilde`, at the widest
-        window asked for and at least 2n - r (F-bracket windows are at
-        most n - r + p with p <= n)."""
-        his = (hi,) * (self.order + 1) if isinstance(hi, int) else hi
+        the slices above dropped.
+
+        Slice k of F is w^(nu k) times the base slice k of the context's
+        tables (`CoeffTables.base`), which reach w^(n + nu k): F-bracket
+        windows stay below that, so F builds no slice of its own there;
+        a slice past it, or past the stored betas, is built per window
+        asked for.  Ft is built once, at the widest window asked for and
+        at least 2n - r."""
+        his = (hi,) * (self.order + 1) if isinstance(hi, int) else tuple(hi)
+        if not tilde:
+            nu, base = self.md.nu, self.tables.base
+            return self._get(("fw", his), lambda: BiSeries(
+                [base(k, h - nu * k).shift(nu * k) if h >= nu * k
+                 else LaurentPoly.zero() for k, h in enumerate(his)], his))
         top = max(his)
-        wide = self._cache.get(("fw", tilde))
+        wide = self._cache.get(("fwt",))
         if wide is None or wide.his[0] < top:
-            wide = self._cache[("fw", tilde)] = f_w(
-                self.md, self.order, max(top, 2 * self.md.n - self.md.r), tilde=tilde)
+            wide = self._cache[("fwt",)] = f_w(
+                self.md, self.order, max(top, 2 * self.md.n - self.md.r), tilde=True)
         return BiSeries(wide.slices[: len(his)], his)
 
     def fp_hbar(self, p: int, hi: int) -> BiSeries:
@@ -261,11 +281,24 @@ class FanoContext:
 
     def A(self) -> QSeries:
         """The localization series A(q): Theta^{(1)}_{p1} Theta^{(0)}_{p2}
-        summed over both blocks of `MultiDegree.theta_pairs`."""
-        return self._get(("A",), lambda: sum(
-            (self.theta(p1, 1) * self.theta(p2, 0)
-             for block in self.md.theta_pairs() for p1, p2 in block),
-            QSeries.zero(self.order)))
+        summed over both blocks of `MultiDegree.theta_pairs`.
+
+        Each Theta is a weighted sum of ct-L sums (`_theta_weights`):
+        Theta^{(0)}_p = Phi0 s0(p) and Theta^{(1)}_p = sum_i w_i s_i(p)
+        over i = 0..3.  So A = Phi0 sum_i w_i P_i, where P_i is the sum
+        over all pairs of s_i(p1) s0(p2): four kernel pair sums, and no
+        Theta is built."""
+        return self._get(("A",), self._a_from_pair_sums)
+
+    def _a_from_pair_sums(self) -> QSeries:
+        weights = self._theta_weights()
+        top = min(w.order for w in weights)
+        pairs = [(self.ct_sums(p1), self.ct_sums(p2).s0.poly)
+                 for block in self.md.theta_pairs() for p1, p2 in block]
+        pair_sums = [sum_of_products(((s[i].poly, s0) for s, s0 in pairs), top)
+                     for i in range(len(weights))]
+        return self.phi0() * QSeries.from_poly(top, sum_of_products(
+            zip((w.poly for w in weights), pair_sums), top))
 
     def phi0(self, route: str = "closed") -> QSeries:
         if route == "closed":
@@ -330,11 +363,19 @@ class FanoContext:
         return CtSums(*(QSeries.from_poly(order, sum_of_products(t, order))
                         for t in terms))
 
-    def _theta_lemma(self, p: int, level: int) -> QSeries:
-        phi0, s = self.phi0(), self.ct_sums(p)
-        if level == 0:
-            return phi0 * s.s0
-        return (phi0 * s.s1 + self.phi1() * s.s0
-                + phi0.deriv() * s.s2
-                + self.L().deriv() * phi0 * s.s3)
+    def _theta_weights(self) -> tuple:
+        """The weights of s0, s1, s2, s3 (`CtSums`) in Theta^{(1)}_p, the
+        Theta lemma:
 
+            Theta^{(1)}_p = Phi1 s0 + Phi0 s1 + Phi0' s2 + L' Phi0 s3."""
+        def build():
+            phi0 = self.phi0()
+            return (self.phi1(), phi0, phi0.deriv(), self.L().deriv() * phi0)
+        return self._get(("theta_w",), build)
+
+    def _theta_lemma(self, p: int, level: int) -> QSeries:
+        s = self.ct_sums(p)
+        if level == 0:
+            return self.phi0() * s.s0
+        return sum((w * si for w, si in zip(self._theta_weights(), s)),
+                   QSeries.zero(self.order))

@@ -22,7 +22,11 @@ that one coefficient alone.  The F-bracket also cuts each slice at its
 own window: the q^k slices of F_0 and F_0^-1 carry w^{nu k}, so slice
 j of the numerator is read only up to w^{n-2-r - nu(b-j)} (floored at
 w^-1), and slice k of F_0 is cut at max(n-2-r+p - nu(b-k), p-1) before
-F_p is built from it.  Type A, the n/24 block and the ct residue row
+F_p is built from it; those F slices are the context's table slices
+(`hyper.FanoContext.f_w`).  Type A is one coefficient too: q^b of
+s0(p) A(q), read through `QSeries.mul_coeff`, since the Phi0 in
+Theta^{(0)}_p cancels the 1/Phi0 of the formula exactly at every
+truncation order.  Type A, the n/24 block and the ct residue row
 enter both the standard and the reduced side of a row; each is computed
 once per (context, degree) and kept in the context's cache.
 """
@@ -105,7 +109,8 @@ def _once(ctx: FanoContext, name: str, fn, arg):
 
 def a_series(ctx: FanoContext, route: str = "theta") -> QSeries:
     """The localization series A(q): pairings of Theta^{(1)} against
-    Theta^{(0)} (`FanoContext.A`), or the independent double-residue of
+    Theta^{(0)} (`FanoContext.A`, built from kernel pair sums of the
+    ct-L sums), or the independent double-residue of
     the two-variable hypergeometric pairing (expanded where
     |h2| < |h1|)."""
     if route == "theta":
@@ -141,10 +146,13 @@ def _reflect(x: BiSeries) -> BiSeries:
 
 
 def type_a(ctx: FanoContext, b: int) -> Rat:
+    """1/2 [q^b] Theta^{(0)}_p A / Phi0 with p = 1 + nu*b.  Theta^{(0)}_p
+    is Phi0 times the ct-L sum s0 of p (the Theta lemma), so this is
+    1/2 [q^b] s0 A, exactly at every truncation order: one coefficient
+    of one product (`QSeries.mul_coeff`)."""
     _check_range(ctx.md, b)
     p = 1 + ctx.md.nu * b
-    series = ctx.theta(p, 0) * ctx.A() / ctx.phi0()
-    return Fraction(1, 2) * series.coeff(b)
+    return Fraction(1, 2) * ctx.ct_sums(p).s0.mul_coeff(ctx.A(), b)
 
 
 # ---------------------------------------------------------------------------

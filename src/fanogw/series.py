@@ -37,8 +37,9 @@ products of Laurent slices kept in a band of exponents lo..h.  Every
 other module uses it instead of its own loops.  The band [e, e] reads
 one coefficient: BiSeries.mul_coeff(other, b, e) is
 (self * other).coeff(b, e), window and WindowUnderflow included,
-without the rest of the product, and mul_coeff_of_aux(other, e) is
-that read at every q-power; BiSeries.truncate keeps the first slices,
+without the rest of the product, mul_coeff_of_aux(other, e) is
+that read at every q-power, and QSeries.mul_coeff(other, k) is
+(self * other).coeff(k); BiSeries.truncate keeps the first slices,
 an exact prefix of every sum, product and inverse.  poly_pow
 needs no log or exp: g = a**alpha solves a g' = alpha a' g, which
 fixes each coefficient of g from the lower ones in one short sum.
@@ -503,6 +504,15 @@ class QSeries:
         return QSeries.from_poly(b, poly_mul(self.poly, other.poly, b))
 
     __rmul__ = __mul__
+
+    def mul_coeff(self, other: "QSeries", k: int) -> Rat:
+        """(self * other).coeff(k), with the same WindowUnderflow past
+        the smaller order: the product read in the band [k, k] only."""
+        b = min(self.order, other.order)
+        if k > b:
+            raise WindowUnderflow(
+                f"coefficient of q^{k} unknown at truncation order {b}")
+        return sum_of_products(((self.poly, other.poly),), k, k).coeff(k)
 
     def __truediv__(self, other: "QSeries") -> "QSeries":
         """Quotient; the divisor needs a nonzero constant term."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm
+from typing import Iterable
 
 from .geometry import MultiDegree
 from .series import Rat
@@ -98,6 +99,12 @@ def compute_sums(tables: CoeffTables, beta: int) -> SumValues:
                      v_linear=v_lin, v_binomial=v_bin)
 
 
+def sums_by_degree(tables: CoeffTables) -> list[SumValues]:
+    """`compute_sums` at every beta up to the table's bound: the one
+    list that the lemmas and the conjectures both read."""
+    return [compute_sums(tables, beta) for beta in range(tables.beta_max + 1)]
+
+
 # ---------------------------------------------------------------------------
 # proven formulas (acceptance-gated)
 
@@ -141,15 +148,15 @@ class IdentityCheck:
         return self.computed == self.expected
 
 
-def check_proven_identities(tables: CoeffTables) -> list[IdentityCheck]:
-    """Every structure-sum identity with a proof, evaluated exactly for
-    beta up to the table's bound: the U2 closed form, the beta=1 U1
-    closed form, the U1 vanishing criterion and the four weighted
-    identities tying the mixed sums back to U2/U3 and V2/V3."""
-    md = tables.md
+def check_proven_identities(sums: Iterable[SumValues]) -> list[IdentityCheck]:
+    """Every structure-sum identity with a proof, evaluated exactly on
+    each of the given sums (for instance `sums_by_degree`): the U2
+    closed form, the beta=1 U1 closed form, the U1 vanishing criterion
+    and the four weighted identities tying the mixed sums back to U2/U3
+    and V2/V3."""
     out = []
-    for beta in range(tables.beta_max + 1):
-        sv = compute_sums(tables, beta)
+    for sv in sums:
+        md, beta = sv.md, sv.beta
         out.append(IdentityCheck("u2-closed-form", md, beta, sv.u2,
                                  u2_lemma(md, beta)))
         if beta == 1:
@@ -279,11 +286,11 @@ class ConjectureReport:
     cases: list[ConjectureCase] = field(default_factory=list)
 
 
-def evaluate_conjectures(grid: list[CoeffTables],
+def evaluate_conjectures(sums: Iterable[SumValues],
                          hj=None) -> list[ConjectureReport]:
     """Per-case comparison of brute force against the conjectured
-    formulas on a grid of `CoeffTables`, one per geometry, each for
-    beta up to its own bound.  Disagreements become report rows, never
+    formulas, one case per given `SumValues` (a geometry at one beta),
+    in the order given.  Disagreements become report rows, never
     errors."""
     u3 = ConjectureReport("U3")
     u1v = ConjectureReport("U1_vanishing")
@@ -291,21 +298,19 @@ def evaluate_conjectures(grid: list[CoeffTables],
     v1 = ConjectureReport("V1")
     v2 = ConjectureReport("V2")
     v3 = ConjectureReport("V3")
-    for tables in grid:
-        md = tables.md
-        for beta in range(tables.beta_max + 1):
-            sv = compute_sums(tables, beta)
-            u3.cases.append(ConjectureCase(md, beta, u3_conjectured(md, beta), sv.u3))
-            v1.cases.append(ConjectureCase(md, beta, v1_conjectured(md, beta), sv.v1))
-            v2.cases.append(ConjectureCase(md, beta, v2_conjectured(md, beta), sv.v2))
-            v3.cases.append(ConjectureCase(md, beta, v3_conjectured(md, beta), sv.v3))
-            strict = u1_strict_vanishing_conjectured(md, beta)
-            if strict is True:
-                u1v.cases.append(ConjectureCase(md, beta, Fraction(0), sv.u1))
-            elif strict is False:
-                u1v.cases.append(ConjectureCase(md, beta, None, sv.u1,
-                                                expect_nonzero=True))
-            if beta == 2:
-                expected = u1_beta2_conjectured(md, hj)
-                u1b2.cases.append(ConjectureCase(md, beta, expected, sv.u1))
+    for sv in sums:
+        md, beta = sv.md, sv.beta
+        u3.cases.append(ConjectureCase(md, beta, u3_conjectured(md, beta), sv.u3))
+        v1.cases.append(ConjectureCase(md, beta, v1_conjectured(md, beta), sv.v1))
+        v2.cases.append(ConjectureCase(md, beta, v2_conjectured(md, beta), sv.v2))
+        v3.cases.append(ConjectureCase(md, beta, v3_conjectured(md, beta), sv.v3))
+        strict = u1_strict_vanishing_conjectured(md, beta)
+        if strict is True:
+            u1v.cases.append(ConjectureCase(md, beta, Fraction(0), sv.u1))
+        elif strict is False:
+            u1v.cases.append(ConjectureCase(md, beta, None, sv.u1,
+                                            expect_nonzero=True))
+        if beta == 2:
+            expected = u1_beta2_conjectured(md, hj)
+            u1b2.cases.append(ConjectureCase(md, beta, expected, sv.u1))
     return [u3, u1v, u1b2, v1, v2, v3]

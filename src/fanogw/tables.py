@@ -9,8 +9,10 @@ the q^beta slice of F(w, q) without its w^{nu*beta} (`f_w_slice`).  The
 c numbers are c[p,l,beta] = [w^l] (w + beta)^p base_beta(w); no c table
 is stored, `CoeffTables.c` reads each entry on demand as
 sum_j C(p,j) beta^(p-j) base_beta[l-j].  Only the base slices the ct
-solve reads (beta <= p_max // nu) are stored; a c read at a larger beta
-builds its slice and drops it.
+solve reads (beta <= p_max // nu, up to w^p_max) are stored;
+`CoeffTables.base` hands them out, to the c reads and to the F(w)
+slices of `hyper.FanoContext.f_w`, and builds a slice it does not
+store (a larger beta or cap) without keeping it.
 
 The ct numbers invert them through the convolution
 
@@ -99,12 +101,20 @@ class CoeffTables:
             raise InsufficientBounds(
                 f"c({p},{l},{beta}) beyond built bounds "
                 f"(p, l<={self.p_max}, beta<={self.beta_max})")
-        base = (self._base[beta] if beta < len(self._base)
-                else f_w_slice(self.md, beta, self.p_max))
+        base = self.base(beta, self.p_max)
         return Fraction(sum(comb(p, j) * beta**(p - j) * base.nums[l - j - base.lo]
                             for j in range(max(l - base.hi, 0),
                                            min(p, l - base.lo) + 1)),
                         base.den)
+
+    def base(self, beta: int, cap: int) -> LaurentPoly:
+        """base_beta(w) known at least up to w^cap: the stored slice
+        when there is one (stored slices reach w^p_max), else a slice
+        built to cap and not kept.  Both the c reads and the F slices
+        of `hyper.FanoContext.f_w` come through here."""
+        if beta < len(self._base) and cap <= self.p_max:
+            return self._base[beta]
+        return f_w_slice(self.md, beta, cap)
 
     def ct_row(self, p: int, beta: int) -> LaurentPoly:
         """T_{p,beta}(w) = sum_l ct[p,l,beta] w^l, zero when

@@ -11,6 +11,7 @@ from math import comb, gcd, prod
 from types import SimpleNamespace
 
 from fanogw.geometry import MultiDegree
+from fanogw.hyper import f_w
 from fanogw.invariants import _ch_coeffs, _g_expansion
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries, poly_shift
 
@@ -307,6 +308,34 @@ def ct_l_sum(ctx, p, idx_drop, powfn, weightfn, qshift=0):
         term = L.pow(powfn(e)) * (ct * wgt)
         out = out + term.shift(beta + qshift).truncate(ctx.order)
     return out
+
+
+def theta_lemma_reference(ctx, p, level):
+    """Theta^{(level)}_p written out from the Theta lemma on the ct-L
+    sums: Phi0 s0, or Phi0 s1 + Phi1 s0 + Phi0' s2 + L' Phi0 s3."""
+    s, phi0 = ctx.ct_sums(p), ctx.phi0()
+    if level == 0:
+        return phi0 * s.s0
+    return (phi0 * s.s1 + ctx.phi1() * s.s0 + phi0.deriv() * s.s2
+            + ctx.L().deriv() * phi0 * s.s3)
+
+
+def a_by_theta_products(ctx):
+    """A(q) as the sum of whole Theta^{(1)}_{p1} Theta^{(0)}_{p2}
+    products over both blocks of the Theta pairing."""
+    total = QSeries.zero(ctx.order)
+    for block in ctx.md.theta_pairs():
+        for p1, p2 in block:
+            total = total + (theta_lemma_reference(ctx, p1, 1)
+                             * theta_lemma_reference(ctx, p2, 0))
+    return total
+
+
+def f_w_cut(md, order, his):
+    """F(w, q) built whole by `hyper.f_w` at the widest window in his,
+    then slice k cut at his[k] and the slices above len(his) dropped."""
+    wide = f_w(md, order, max(his))
+    return BiSeries(wide.slices[: len(his)], his)
 
 
 def ct_sums_by_terms(ctx, p):

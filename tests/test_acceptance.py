@@ -14,8 +14,8 @@ from fanogw.cli import main
 from fanogw.geometry import MultiDegree
 from fanogw.invariants import chern_degree0_oracle
 from fanogw.sums import (check_proven_identities, compute_sums,
-                         evaluate_conjectures, tables_for_sums,
-                         u1_degree1_hypersurface)
+                         evaluate_conjectures, sums_by_degree,
+                         tables_for_sums, u1_degree1_hypersurface)
 from fanogw.tables import CoeffTables
 
 GRID = default_grid()
@@ -70,7 +70,8 @@ def test_criterion_7_a_double_residue():
 
 def test_criterion_8_proven_structure_lemmas():
     ok = all(c.ok for md in GRID
-             for c in check_proven_identities(tables_for_sums(md, 3)))
+             for c in check_proven_identities(
+                 sums_by_degree(tables_for_sums(md, 3))))
     for d, n in ((3, 5), (4, 6), (5, 7)):
         md = MultiDegree(n, (d,))
         got = compute_sums(tables_for_sums(md, 1), 1).u1
@@ -79,7 +80,8 @@ def test_criterion_8_proven_structure_lemmas():
 
 
 def test_criterion_9_conjecture_harness():
-    reports = evaluate_conjectures([tables_for_sums(md, 2) for md in GRID])
+    reports = evaluate_conjectures(
+        [sv for md in GRID for sv in sums_by_degree(tables_for_sums(md, 2))])
     by_name = {r.conjecture: r for r in reports}
     ok = all(c.verdict == "agree" for c in by_name["V2"].cases)
     ok = ok and all(c.verdict == "agree" for c in by_name["U3"].cases)

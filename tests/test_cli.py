@@ -4,14 +4,21 @@ and the round-trip stability of the JSON emission."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fanogw
 import fanogw.checks
+import fanogw.sums
 from fanogw.cli import fmt_rat, main
 from fanogw.geometry import MultiDegree
 from fanogw.sums import u1_beta2_conjectured
@@ -90,6 +97,27 @@ def test_argument_exit_codes(capsys, argv, code):
     if code == 1:
         assert out.out == "" and out.err.startswith("error: ")
         assert out.err.count("\n") == 1
+
+
+def test_runs_in_one_process_match_fresh_processes(capsys):
+    """`main` builds its parser once per process and reuses it: a JSON
+    compute, a bad flag and a text compute run one after another here
+    give the bytes and exit codes of three fresh processes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fanogw.__file__).parents[1]))
+    geometry = ["--ambient", "6", "--degrees", "2,3"]
+    results = []
+    for argv in (["compute", *geometry, "--format", "json"],
+                 ["compute", *geometry, "--bogus", "1"],
+                 ["compute", *geometry]):
+        here = run(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "fanogw.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert here == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        results.append(here)
+    (code_json, out_json, _), (code_bad, _, err), (code_text, out_text, _) = results
+    assert (code_json, code_bad, code_text) == (0, 1, 0)
+    assert json.loads(out_json)["rows"] and out_text.startswith("X_6(2,3)")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_config_rejects_unknown_format(tmp_path, capsys):
@@ -251,6 +279,23 @@ def test_conjectures_json_shape(capsys):
     assert names == {"U3", "U1_vanishing", "U1_beta2", "V1", "V2", "V3"}
     v2 = next(r for r in payload["conjectures"] if r["conjecture"] == "V2")
     assert all(c["verdict"] == "agree" for c in v2["cases"])
+
+
+def test_conjectures_computes_each_structure_sum_once(monkeypatch, capsys):
+    """The lemmas and the conjectures read one list of sums: one
+    `compute_sums` call per (geometry, beta) of the default grid."""
+    calls = []
+    real = fanogw.sums.compute_sums
+
+    def counting(tables, beta):
+        calls.append((tables.md, beta))
+        return real(tables, beta)
+
+    monkeypatch.setattr(fanogw.sums, "compute_sums", counting)
+    code, _, _ = run(capsys, "conjectures", "--max-b", "2")
+    assert code == 0
+    assert Counter(calls) == Counter(
+        (md, beta) for md in fanogw.checks.default_grid() for beta in range(3))
 
 
 def test_conjectures_hj_table(tmp_path, capsys):

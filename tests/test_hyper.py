@@ -14,10 +14,10 @@ from fanogw.hyper import CtSums, FanoContext, fp_series, ftilde_hbar, f_w
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
 from fanogw.tables import CoeffTables
 
-from helpers import (corrupt_ctilde, ct_polynomial, ct_sums_by_terms,
-                     f_slice_oracle, fp_series_by_d_chain,
-                     ftilde_hbar_slice_oracle, l_fixpoint_oracle,
-                     valid_geometries)
+from helpers import (a_by_theta_products, corrupt_ctilde, ct_polynomial,
+                     ct_sums_by_terms, f_slice_oracle, f_w_cut,
+                     fp_series_by_d_chain, ftilde_hbar_slice_oracle,
+                     l_fixpoint_oracle, valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -246,3 +246,29 @@ def test_w_regularity_fails_below_a_known_window(monkeypatch):
     unknown = BiSeries([LaurentPoly(0, (1,))], [-2])
     monkeypatch.setattr(FanoContext, "fp_w", lambda self, p, hi, tilde=False: unknown)
     assert not check_w_regular(MD53)
+
+
+def test_a_from_pair_sums_is_the_sum_of_theta_products():
+    """`FanoContext.A` (four kernel pair sums of ct-L sums, weighted by
+    the Theta lemma) equals the sum of whole Theta^{(1)} Theta^{(0)}
+    products, truncation order included."""
+    for md in valid_geometries(12, 3):
+        for order in range(1, 5):
+            ctx = FanoContext(md, order)
+            assert ctx.A() == a_by_theta_products(ctx), (md, order)
+
+
+def test_context_f_w_is_the_wide_build_cut():
+    """F slices taken from the context's tables, at the per-slice
+    windows the F-bracket asks for and at whole windows past the
+    tables' reach, equal `hyper.f_w` built whole and cut."""
+    for md in valid_geometries(9, 3) + [MultiDegree(12, (11,))]:
+        ctx = FanoContext(md, md.bmax + 1)
+        target = md.n - 2 - md.r
+        for hi in (0, target, md.n, 2 * md.n - md.r):
+            assert ctx.f_w(hi) == f_w_cut(md, ctx.order, (hi,) * (ctx.order + 1))
+        for b in range(md.bmax + 1):
+            p = 1 + md.nu * b
+            for his in (tuple(max(target + p - md.nu * (b - k), p - 1)
+                              for k in range(b + 1)), (target,) * (b + 1)):
+                assert ctx.f_w(his) == f_w_cut(md, ctx.order, his), (md, his)

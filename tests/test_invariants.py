@@ -78,6 +78,17 @@ def test_a_double_residue_oracle():
         assert a_series(ctx) is a  # built once per context
 
 
+def test_type_a_is_half_the_q_b_coefficient_of_theta_a_over_phi0():
+    """type A reads [q^b] s0 A, one coefficient of one product; it
+    equals 1/2 [q^b] Theta^{(0)}_p A / Phi0 read off whole series."""
+    for md in valid_geometries(10, 3) + [MultiDegree(12, (11,))]:
+        ctx = context_for(md, md.bmax)
+        for b in range(md.bmax + 1):
+            p = 1 + md.nu * b
+            whole = ctx.theta(p, 0) * ctx.A() / ctx.phi0()
+            assert type_a(ctx, b) == Fraction(1, 2) * whole.coeff(b), (md, b)
+
+
 def test_a_series_from_structure_sums():
     """Third route to A(q): substitute the Theta closed forms into the
     pairing sums and collect; the ct products collapse to the structure

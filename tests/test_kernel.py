@@ -2,10 +2,10 @@
 unit, rational power of a unit, Taylor shift, product of linear factors)
 against the independent list arithmetic in `helpers` (products, long
 division), on random Fraction lists, and the one-coefficient product
-read `BiSeries.mul_coeff` against the whole product.  The kernel takes
-and returns LaurentPolys in integer form; every result must be
-canonical (`helpers.is_canonical`) and read back as the oracle's
-Fractions."""
+reads `BiSeries.mul_coeff` and `QSeries.mul_coeff` against the whole
+product.  The kernel takes and returns LaurentPolys in integer form;
+every result must be canonical (`helpers.is_canonical`) and read back
+as the oracle's Fractions."""
 
 from fractions import Fraction
 from math import prod
@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw.series import (INF_EXP, BadConstantTerm, BiSeries, LaurentPoly,
-                           WindowUnderflow, ZeroConstantTerm, linear_product,
-                           poly_div, poly_mul, poly_pow, poly_shift,
-                           sum_of_products)
+                           QSeries, WindowUnderflow, ZeroConstantTerm,
+                           linear_product, poly_div, poly_mul, poly_pow,
+                           poly_shift, sum_of_products)
 
 from helpers import is_canonical, long_division, power
 from helpers import poly_mul as oracle_mul
@@ -224,6 +224,22 @@ def test_mul_coeff_is_the_product_read(a, c, b, e):
             a.mul_coeff(c, b, e)
     else:
         assert a.mul_coeff(c, b, e) == want
+
+
+@kernel
+@given(st.integers(0, 5), polys, st.integers(0, 5), polys, st.integers(-1, 7))
+def test_qseries_mul_coeff_is_the_product_read(order_a, a, order_c, c, k):
+    """a.mul_coeff(c, k) is (a * c).coeff(k), and raises
+    WindowUnderflow exactly when that read does (k past the smaller
+    truncation order)."""
+    a, c = QSeries(order_a, a), QSeries(order_c, c)
+    try:
+        want = (a * c).coeff(k)
+    except WindowUnderflow:
+        with pytest.raises(WindowUnderflow):
+            a.mul_coeff(c, k)
+    else:
+        assert a.mul_coeff(c, k) == want
 
 
 def test_kernel_edge_cases():

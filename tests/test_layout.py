@@ -32,17 +32,18 @@ def test_no_private_imports_between_modules():
 
 
 def test_no_whole_product_read_at_one_exponent():
-    """No module builds a whole product only to read one auxiliary
-    exponent of it: `(u * v).coeff_of_aux(e)` and `(u * v).residue()`
-    are `u.mul_coeff_of_aux(v, e)`, which computes that exponent
-    alone."""
+    """No module builds a whole product only to read one exponent of
+    it: `(u * v).coeff_of_aux(e)` and `(u * v).residue()` are
+    `u.mul_coeff_of_aux(v, e)`, and `(u * v).coeff(...)` is
+    `u.mul_coeff(v, ...)` (a BiSeries or a QSeries), each of which
+    computes the exponents read alone."""
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("coeff_of_aux", "residue")
+                    and node.func.attr in ("coeff_of_aux", "residue", "coeff")
                     and isinstance(node.func.value, ast.BinOp)
                     and isinstance(node.func.value.op, ast.Mult)):
                 offenders.append(f"{path.name}:{node.lineno}")

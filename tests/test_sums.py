@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from fanogw.geometry import MultiDegree
 from fanogw.sums import (SumValues, check_proven_identities, compute_sums,
-                         evaluate_conjectures, tables_for_sums,
-                         u1_beta2_conjectured, u1_degree1_hypersurface,
-                         u1_degree1_lemma, u1_vanishing_hypothesis, u2_lemma,
-                         v2_conjectured, v3_conjectured)
+                         evaluate_conjectures, sums_by_degree,
+                         tables_for_sums, u1_beta2_conjectured,
+                         u1_degree1_hypersurface, u1_degree1_lemma,
+                         u1_vanishing_hypothesis, u2_lemma, v2_conjectured,
+                         v3_conjectured)
 from fanogw.tables import InsufficientBounds
 
 from helpers import structure_sums_reference, valid_geometries
@@ -61,7 +62,8 @@ def test_u1_vanishing_lemma():
 
 def test_weighted_identities_on_grid():
     for md in GRID:
-        for chk in check_proven_identities(tables_for_sums(md, 3)):
+        sums = sums_by_degree(tables_for_sums(md, 3))
+        for chk in check_proven_identities(sums):
             assert chk.ok, (chk.name, md, chk.beta, chk.computed, chk.expected)
 
 
@@ -86,7 +88,8 @@ def test_insufficient_bounds():
 
 
 def test_v2_u3_conjectures_agree_on_grid():
-    reports = evaluate_conjectures([tables_for_sums(md, 2) for md in GRID])
+    reports = evaluate_conjectures(
+        [sv for md in GRID for sv in sums_by_degree(tables_for_sums(md, 2))])
     by_name = {r.conjecture: r for r in reports}
     for name in ("V2", "U3"):
         assert all(c.verdict == "agree" for c in by_name[name].cases), name
@@ -104,7 +107,7 @@ def test_u3_conjecture_value():
 def test_v3_conjecture_disagreement_is_reported_not_raised():
     """The printed beta=2 closed form does not match brute force; the
     harness must record the mismatch verbatim."""
-    reports = evaluate_conjectures([tables_for_sums(MD53, 2)])
+    reports = evaluate_conjectures(sums_by_degree(tables_for_sums(MD53, 2)))
     v3 = next(r for r in reports if r.conjecture == "V3")
     beta2 = next(c for c in v3.cases if c.beta == 2)
     assert beta2.verdict == "disagree"
@@ -112,8 +115,9 @@ def test_v3_conjecture_disagreement_is_reported_not_raised():
 
 
 def test_u1_strict_vanishing_conjecture_cases():
-    reports = evaluate_conjectures([tables_for_sums(MD53, 3),
-                                    tables_for_sums(MultiDegree(6, (2, 3)), 2)])
+    reports = evaluate_conjectures(
+        sums_by_degree(tables_for_sums(MD53, 3))
+        + sums_by_degree(tables_for_sums(MultiDegree(6, (2, 3)), 2)))
     u1v = next(r for r in reports if r.conjecture == "U1_vanishing")
     assert u1v.cases and all(c.verdict == "agree" for c in u1v.cases)
     # below-threshold nonzero case: X_6(2,3) at beta=1 has U1 != 0
@@ -122,7 +126,7 @@ def test_u1_strict_vanishing_conjecture_cases():
 
 
 def test_u1_beta2_skipped_without_hj():
-    reports = evaluate_conjectures([tables_for_sums(MD53, 2)])
+    reports = evaluate_conjectures(sums_by_degree(tables_for_sums(MD53, 2)))
     u1b2 = next(r for r in reports if r.conjecture == "U1_beta2")
     assert [c.verdict for c in u1b2.cases] == ["skipped: undefined symbol"]
 

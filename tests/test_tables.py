@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from fanogw import series
+from fanogw import series, tables
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import f_w
 from fanogw.invariants import invariant_table
@@ -148,3 +148,24 @@ def test_each_taylor_shift_runs_once_per_table(monkeypatch):
     invariant_table(MultiDegree(8, (7,)))
     assert shifts
     assert [key for key, k in shifts.items() if k > 1] == []
+
+
+def test_each_f_slice_is_built_once_per_geometry(monkeypatch):
+    """F(w) slices come from the context's tables (`CoeffTables.base`):
+    over invariant_table(X_8(7)) no (geometry, beta) slice of F is
+    built twice."""
+    real = tables.f_w_slice
+    builds = Counter()
+
+    def counting(md, beta, cap, tilde=False):
+        builds[(md, beta, tilde)] += 1
+        return real(md, beta, cap, tilde)
+
+    for name, module in list(sys.modules.items()):
+        if name == "fanogw" or name.startswith("fanogw."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    invariant_table(MultiDegree(8, (7,)))
+    assert builds
+    assert [key for key, k in builds.items() if k > 1] == []
