@@ -11,6 +11,10 @@ identity):
 
 The two must agree exactly; the check suite enforces this.
 
+Every slice of F(w, q), Ft(w, q) and Ft(1/hbar, q) comes from one
+recurrence, `tables.slice_chain`: the q^beta slice is the q^(beta-1)
+slice times |d| new linear factors over one denominator of degree n.
+
 Each quantity is built once per `FanoContext`.  A context builds no
 slice of F(w, q) of its own: slice k is w^(nu k) times the base slice k
 that its `CoeffTables` already holds for the ct solve
@@ -31,9 +35,8 @@ from math import comb, factorial
 from operator import mul
 
 from .geometry import MultiDegree
-from .series import (INF_EXP, BiSeries, LaurentPoly, QSeries, linear_product,
-                     poly_div, poly_mul, sum_of_products)
-from .tables import CoeffTables, f_w_slice
+from .series import INF_EXP, BiSeries, LaurentPoly, QSeries, sum_of_products
+from .tables import CoeffTables, slice_chain
 
 
 # ---------------------------------------------------------------------------
@@ -43,29 +46,24 @@ from .tables import CoeffTables, f_w_slice
 def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
     """Ft(1/hbar, q): the q^beta slice is
     prod_k prod_i (d_k + i*hbar) / prod_j ((1 + j*hbar)^n - 1),
-    a Laurent series with lowest exponent -beta."""
-    slices, his = [], []
-    for beta in range(order + 1):
-        cap = hi + beta
-        num = linear_product(((d, i) for d in md.degrees
-                              for i in range(1, d * beta + 1)), cap)
-        # beta! prod_j ((1 + j*hbar)^n - 1)/hbar
-        den = LaurentPoly.from_ints(0, (factorial(beta),))
-        for j in range(1, beta + 1):
-            den = poly_mul(den, LaurentPoly.from_ints(
-                0, [comb(md.n, t + 1) * j**t for t in range(md.n)]), cap)
-        slices.append(poly_div(num, den, cap).shift(-beta))
-        his.append(hi)
-    return BiSeries(slices, his)
+    a Laurent series with lowest exponent -beta: the reversed Ft chain
+    of `tables.slice_chain`, slice beta read up to hbar^(hi+beta)
+    before its shift."""
+    slices = slice_chain(md, [hi + beta for beta in range(order + 1)],
+                         tilde=True, hbar=True)
+    return BiSeries([s.shift(-beta) for beta, s in enumerate(slices)],
+                    [hi] * (order + 1))
 
 
 def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False) -> BiSeries:
     """F(w, q) (or Ft(w, q) when tilde=True): regular at w = 0, with the
     q^beta slice carrying an explicit w^{nu*beta} prefactor in front of
-    `tables.f_w_slice`."""
-    slices = [f_w_slice(md, beta, max(hi - md.nu * beta, 0), tilde)
-              .shift(md.nu * beta) for beta in range(order + 1)]
-    return BiSeries(slices, [hi] * (order + 1))
+    slice beta of `tables.slice_chain`."""
+    nu = md.nu
+    slices = slice_chain(md, [max(hi - nu * beta, 0) for beta in range(order + 1)],
+                         tilde)
+    return BiSeries([s.shift(nu * beta) for beta, s in enumerate(slices)],
+                    [hi] * (order + 1))
 
 
 def exp_neg_mu_over_aux(mu: QSeries, order: int) -> BiSeries:
@@ -167,29 +165,32 @@ def phi0_closed(md: MultiDegree, order: int) -> QSeries:
 
 
 def phi1_closed(md: MultiDegree, order: int) -> QSeries:
+    """Phi1 = L^((r-1)/2) y^(-1/2) (lead (L - 1) + y^-3 bracket / (24 t n^3)),
+    where the seven-term bracket in L is
+    L (c0 + c2 X + c4 X^2 + c6 X^3) + X (c1 + c3 X + c5 X^2), X = L^n.
+    L^((r-1)/2) bracket is one Horner form in X whose coefficients are
+    combinations of L^((r-1)/2) and L^((r+1)/2), so L is raised to three
+    powers in all, and y^(-7/2) is y^(-1/2) y^-3."""
     n, t, r = md.n, md.total, md.r
     L, y = _l_and_y(md, order)
     lead = Fraction(3 * r**2 - 1, 24 * t) \
         - md.inv_degree_sum() * Fraction(2, 24)
-    first = lead * L.pow(Fraction(r - 1, 2)) * (L - 1) * y.pow(Fraction(-1, 2))
     a = t * n - t - 3 * r**2 + 1
-    bracket = (
-        Fraction(t**3 * a) * L
-        + Fraction(t**2 * n * (2 * t**2 - 6 * t * n - 6 * t * r
-                               + 3 * n**2 + 6 * n * r + n + 3 * r**2 - 1))
-        * L.pow(n)
-        + Fraction(3 * t**2 * (n - t) * a) * L.pow(n + 1)
-        + Fraction(t * n * (n - t) * (4 * t**2 - 5 * t * n - 12 * t * r
-                                      - 2 * n**2 + 6 * n * r + n
-                                      + 6 * r**2 - 2)) * L.pow(2 * n)
-        + Fraction(3 * t * (n - t)**2 * a) * L.pow(2 * n + 1)
-        + Fraction(n * (n - t)**2 * (2 * t**2 + t * n - 6 * t * r
-                                     + 3 * r**2 - 1)) * L.pow(3 * n)
-        + Fraction((n - t)**3 * a) * L.pow(3 * n + 1)
-    )
-    second = L.pow(Fraction(r - 1, 2)) * y.pow(Fraction(-7, 2)) \
-        * bracket * Fraction(1, 24 * t * n**3)
-    return first + second
+    c = (t**3 * a,
+         t**2 * n * (2 * t**2 - 6 * t * n - 6 * t * r + 3 * n**2 + 6 * n * r
+                     + n + 3 * r**2 - 1),
+         3 * t**2 * (n - t) * a,
+         t * n * (n - t) * (4 * t**2 - 5 * t * n - 12 * t * r - 2 * n**2
+                            + 6 * n * r + n + 6 * r**2 - 2),
+         3 * t * (n - t)**2 * a,
+         n * (n - t)**2 * (2 * t**2 + t * n - 6 * t * r + 3 * r**2 - 1),
+         (n - t)**3 * a)
+    Lm, Lp = L.pow(Fraction(r - 1, 2)), L.pow(Fraction(r + 1, 2))
+    X = L.pow(n)
+    bracket_Lm = c[0] * Lp + X * (c[1] * Lm + c[2] * Lp + X * (
+        c[3] * Lm + c[4] * Lp + X * (c[5] * Lm + c[6] * Lp)))
+    return y.pow(Fraction(-1, 2)) * (
+        lead * (Lp - Lm) + y.pow(-3) * bracket_Lm * Fraction(1, 24 * t * n**3))
 
 
 # ---------------------------------------------------------------------------

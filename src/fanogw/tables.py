@@ -5,14 +5,25 @@ Both are read off the base slices: for each beta the power series in w
     base_beta(w) = prod_k prod_{i=1..d_k*beta} (d_k w + i)
                    / prod_{j=1..beta} (w + j)^n,
 
-the q^beta slice of F(w, q) without its w^{nu*beta} (`f_w_slice`).  The
-c numbers are c[p,l,beta] = [w^l] (w + beta)^p base_beta(w); no c table
-is stored, `CoeffTables.c` reads each entry on demand as
+the q^beta slice of F(w, q) without its w^{nu*beta}.  `slice_chain`
+builds each slice from the one before it,
+
+    base_beta(w) = base_{beta-1}(w) prod_k prod_{d_k(beta-1) < i <= d_k beta}
+                   (d_k w + i) / (w + beta)^n,
+
+one `linear_product` of |d| factors, one `poly_mul` and one `poly_div`
+by a denominator of degree n per slice.  The same chain gives the Ft(w)
+slices ((w + beta)^n - w^n below) and, with every factor reversed, the
+Ft(1/hbar) slices of `hyper.ftilde_hbar`.
+
+The c numbers are c[p,l,beta] = [w^l] (w + beta)^p base_beta(w); no c
+table is stored, `CoeffTables.c` reads each entry on demand as
 sum_j C(p,j) beta^(p-j) base_beta[l-j].  Only the base slices the ct
 solve reads (beta <= p_max // nu, up to w^p_max) are stored;
 `CoeffTables.base` hands them out, to the c reads and to the F(w)
 slices of `hyper.FanoContext.f_w`, and builds a slice it does not
-store (a larger beta or cap) without keeping it.
+store without keeping it: a larger beta continues the chain from the
+top stored slice, a larger cap runs it from 1.
 
 The ct numbers invert them through the convolution
 
@@ -39,6 +50,7 @@ p < 0 count as zero; at beta = 0 both tables are Kronecker deltas.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 from .geometry import MultiDegree
@@ -46,22 +58,43 @@ from .series import (LaurentPoly, Rat, linear_product, poly_div, poly_mul,
                      poly_shift, sum_of_products)
 
 
+_ONE = LaurentPoly.from_ints(0, (1,))
+
+
 class InsufficientBounds(Exception):
     """A table entry was asked for beyond the built bounds."""
 
 
-def f_w_slice(md: MultiDegree, beta: int, cap: int, tilde: bool = False) -> LaurentPoly:
-    """The q^beta slice of F(w, q) (of Ft(w, q) when tilde) without its
-    w^{nu*beta}, up to w^cap:
-    prod_k prod_i (d_k w + i) / prod_j ((w + j)^n - [tilde] w^n)."""
-    num = linear_product(((i, d) for d in md.degrees
-                          for i in range(1, d * beta + 1)), cap)
-    den = LaurentPoly.from_ints(0, (1,))
-    for j in range(1, beta + 1):
-        den = poly_mul(den, LaurentPoly.from_ints(
-            0, [comb(md.n, t) * j**(md.n - t)
-                for t in range(md.n + (not tilde))]), cap)
-    return poly_div(num, den, cap)
+def slice_chain(md: MultiDegree, caps, tilde: bool = False, hbar: bool = False,
+                *, beta: int = 0, first: LaurentPoly = _ONE) -> list[LaurentPoly]:
+    """Slices beta, beta+1, ..., beta+len(caps)-1 of F(w, q) without
+    their w^{nu*beta} (of Ft(w, q) when tilde), slice beta+k cut at
+    w^caps[k], each built from the one before it; `first` is slice beta,
+    known at least up to the largest cap (slice 0 is 1).
+
+    Slice beta is slice beta-1 times the |d| new numerator factors
+    d_k w + i, d_k(beta-1) < i <= d_k beta, over (w + beta)^n - [tilde] w^n.
+    With hbar every factor is reversed (w^deg f(1/w)): the numerator
+    factors become d_k + i*hbar and the Ft denominator
+    ((1 + beta*hbar)^n - 1)/hbar, so the chain gives the Ft(1/hbar)
+    slices before their shift by hbar^-beta.  Every factor has lowest
+    exponent 0, so a capped step is exact up to its cap: the chain is
+    carried at the largest cap any later slice needs."""
+    n, s, out = md.n, first, []
+    reach = list(accumulate(reversed(caps), max))[::-1]
+    for k, (cap, top) in enumerate(zip(caps, reach)):
+        if k:
+            b = beta + k
+            pairs = [(i, d) for d in md.degrees
+                     for i in range(d * (b - 1) + 1, d * b + 1)]
+            den = [comb(n, t) * b**(n - t) for t in range(n + (not tilde))]
+            if hbar:
+                pairs, den = [(d, i) for i, d in pairs], den[::-1]
+            num = linear_product(pairs, top)
+            s = poly_div(poly_mul(s, num, top) if b > 1 else num,
+                         LaurentPoly.from_ints(0, den), top)
+        out.append(s.cut_above(cap))
+    return out
 
 
 class CoeffTables:
@@ -77,8 +110,8 @@ class CoeffTables:
         self.md = md
         self.p_max = p_max
         self.beta_max = beta_max
-        self._base = [f_w_slice(md, beta, p_max)
-                      for beta in range(min(beta_max, p_max // md.nu) + 1)]
+        self._base = slice_chain(
+            md, [p_max] * (min(beta_max, p_max // md.nu) + 1))
         self._ct = {}
         self._shifted = {}
         for p in range(p_max + 1):
@@ -110,11 +143,16 @@ class CoeffTables:
     def base(self, beta: int, cap: int) -> LaurentPoly:
         """base_beta(w) known at least up to w^cap: the stored slice
         when there is one (stored slices reach w^p_max), else a slice
-        built to cap and not kept.  Both the c reads and the F slices
-        of `hyper.FanoContext.f_w` come through here."""
-        if beta < len(self._base) and cap <= self.p_max:
+        built to cap and not kept, by the chain continued from the top
+        stored slice (cap <= p_max) or run from 1.  Both the c reads
+        and the F slices of `hyper.FanoContext.f_w` come through here."""
+        top = len(self._base) - 1
+        if cap > self.p_max:  # past every stored slice
+            top = 0
+        elif beta <= top:
             return self._base[beta]
-        return f_w_slice(self.md, beta, cap)
+        return slice_chain(self.md, [cap] * (beta - top + 1),
+                           beta=top, first=self._base[top])[-1]
 
     def ct_row(self, p: int, beta: int) -> LaurentPoly:
         """T_{p,beta}(w) = sum_l ct[p,l,beta] w^l, zero when

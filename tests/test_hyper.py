@@ -78,6 +78,26 @@ def test_slices_match_long_division():
             assert ft.slice(beta) == LaurentPoly(-beta, want), (md, beta)
 
 
+def test_slices_match_the_oracles_on_uneven_windows():
+    """The slice chain against the oracles where it is carried past a
+    slice's own cap: F and Ft with windows hi - nu*beta that reach 0
+    before the top slice, and Ft(1/hbar) read up to hbar^(15+beta)."""
+    order = 6
+    for md in valid_geometries(9, 3):
+        for hi in (md.nu * order // 2, 2 * md.n - md.r):
+            for tilde in (False, True):
+                fw = f_w(md, order, hi, tilde)
+                for beta in range(order + 1):
+                    shift = md.nu * beta
+                    want = f_slice_oracle(md, beta, max(hi - shift, 0), tilde)
+                    assert fw.slice(beta) == LaurentPoly(shift, want).cut_above(hi), \
+                        (md, hi, tilde, beta)
+        ft = ftilde_hbar(md, order, 15)
+        for beta in range(order + 1):
+            want = ftilde_hbar_slice_oracle(md, beta, 15 + beta)
+            assert ft.slice(beta) == LaurentPoly(-beta, want), (md, beta)
+
+
 def test_fp_of_the_unit_series_is_the_ct_polynomial():
     """D^l 1 = 1, so F_p of BiSeries.one is the ct entries placed at
     aux^{sign*(p - nu*beta - l)}, fully known."""

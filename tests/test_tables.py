@@ -9,13 +9,13 @@ import pytest
 
 from fanogw import series, tables
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import f_w
+from fanogw.hyper import f_w, ftilde_hbar
 from fanogw.invariants import invariant_table
-from fanogw.series import BiSeries
+from fanogw.series import BiSeries, LaurentPoly
 from fanogw.tables import CoeffTables, InsufficientBounds
 
 from helpers import (apply_d, c_entry_oracle, corrupt_ctilde, ctilde_oracle,
-                     valid_geometries)
+                     f_slice_oracle, valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 
@@ -129,6 +129,16 @@ def test_tables_match_the_oracles_over_valid_geometries():
                         md.n, md.degrees, p, l, beta), (md, p, l, beta)
 
 
+def _patch_everywhere(monkeypatch, real, fake):
+    """Replace the function `real` by `fake` in every fanogw module that
+    holds it under some name."""
+    for name, module in list(sys.modules.items()):
+        if name == "fanogw" or name.startswith("fanogw."):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, fake)
+
+
 def test_each_taylor_shift_runs_once_per_table(monkeypatch):
     """The ct solve keeps each Taylor-shifted row it makes, and
     `hyper.fp_series` reads those rows: over invariant_table(X_8(7)),
@@ -140,32 +150,72 @@ def test_each_taylor_shift_runs_once_per_table(monkeypatch):
         shifts[(a, s)] += 1
         return real(a, s)
 
-    for name, module in list(sys.modules.items()):
-        if name == "fanogw" or name.startswith("fanogw."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+    _patch_everywhere(monkeypatch, real, counting)
     invariant_table(MultiDegree(8, (7,)))
     assert shifts
     assert [key for key, k in shifts.items() if k > 1] == []
 
 
 def test_each_f_slice_is_built_once_per_geometry(monkeypatch):
-    """F(w) slices come from the context's tables (`CoeffTables.base`):
-    over invariant_table(X_8(7)) no (geometry, beta) slice of F is
-    built twice."""
-    real = tables.f_w_slice
+    """F(w) slices come from the context's tables (`CoeffTables.base`),
+    each made by one step of `tables.slice_chain`: over
+    invariant_table(X_8(7)) no (geometry, beta, tilde) slice of either
+    side is built twice."""
+    real = tables.slice_chain
     builds = Counter()
 
-    def counting(md, beta, cap, tilde=False):
-        builds[(md, beta, tilde)] += 1
-        return real(md, beta, cap, tilde)
+    def counting(md, caps, tilde=False, hbar=False, **start):
+        beta = start.get("beta", 0)
+        for b in range(beta + 1, beta + len(caps)):  # slice beta is given
+            builds[(md, b, tilde, hbar)] += 1
+        return real(md, caps, tilde, hbar, **start)
 
-    for name, module in list(sys.modules.items()):
-        if name == "fanogw" or name.startswith("fanogw."):
-            for attr, value in list(vars(module).items()):
-                if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+    _patch_everywhere(monkeypatch, real, counting)
     invariant_table(MultiDegree(8, (7,)))
     assert builds
     assert [key for key, k in builds.items() if k > 1] == []
+
+
+def test_each_slice_step_is_one_kernel_call_of_each(monkeypatch):
+    """Slice beta is slice beta-1 times |d| linear factors over one
+    denominator of degree n: one `linear_product` of at most |d|
+    factors and one `poly_div` per slice beyond beta = 0."""
+    real_lp, real_div = series.linear_product, series.poly_div
+    calls, widths = Counter(), []
+
+    def linear_product(pairs, cap=series.INF_EXP):
+        pairs = list(pairs)
+        calls["linear_product"] += 1
+        widths.append(len(pairs))
+        return real_lp(pairs, cap)
+
+    def poly_div(num, den, cap):
+        calls["poly_div"] += 1
+        return real_div(num, den, cap)
+
+    _patch_everywhere(monkeypatch, real_lp, linear_product)
+    _patch_everywhere(monkeypatch, real_div, poly_div)
+    for md, build, steps in (
+            (MultiDegree(12, (11,)), lambda md: CoeffTables(md, 12, 13), 12),
+            (MultiDegree(9, (2, 2)), lambda md: ftilde_hbar(md, 8, 10), 8)):
+        calls.clear()
+        widths.clear()
+        build(md)
+        assert calls == {"linear_product": steps, "poly_div": steps}, md
+        assert max(widths) <= md.total, md
+
+
+def test_stored_base_slices_match_the_oracle_deep():
+    """Every stored base slice of CoeffTables(md, n, n) on the index-1
+    ladder, where the chain runs up to beta = n = 12, and the slices
+    `base` builds past the stored ones (continuing the chain below
+    w^p_max, from 1 above it), against plainly multiplied factors."""
+    for n in (8, 10, 12):
+        md = MultiDegree(n, (n - 1,))
+        t = CoeffTables(md, n, n)
+        for beta in range(n + 1):
+            assert t.base(beta, n) == LaurentPoly(0, f_slice_oracle(md, beta, n)), \
+                (md, beta)
+        for beta, cap in ((n + 1, n - 2), (n + 2, n), (3, n + 2)):
+            assert t.base(beta, cap) == LaurentPoly(
+                0, f_slice_oracle(md, beta, cap)), (md, beta, cap)
