@@ -5,6 +5,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, prod
+from operator import index
+
+
+def _integer(value, name: str) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r}") from None
 
 
 class MultiDegree:
@@ -12,15 +20,16 @@ class MultiDegree:
     degrees in P^{n-1}.  Degrees are normalized (sorted); all formulas
     are symmetric in them.
 
-    Rejects projective space itself (no degrees), non-Fano input
+    Rejects a non-integral n or degree (a float, Fraction or str is not
+    truncated), projective space itself (no degrees), non-Fano input
     (index <= 0), linear factors (d < 2) and dimension < 1.
     """
 
     __slots__ = ("n", "degrees")
 
     def __init__(self, n: int, degrees):
-        degs = tuple(sorted(int(d) for d in degrees))
-        n = int(n)
+        n = _integer(n, "n")
+        degs = tuple(sorted(_integer(d, "degree") for d in degrees))
         if not degs:
             raise ValueError(
                 "need at least one degree (r = 0 is projective space)")

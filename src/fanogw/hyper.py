@@ -1,29 +1,24 @@
 """Hypergeometric series attached to a Fano complete intersection, and
-the mirror-map package mu, L, Phi0, Phi1, Theta built from them.
+the mirror-map package mu, L, y, Phi0, Phi1 and Theta built from them.
 
-mu, Phi0, Phi1 and Theta are each computed by two independent routes
-(L = 1 + q mu' has its closed form only, checked against its algebraic
-identity):
-
-* a series route working directly on the hypergeometric sums (residues
-  of exact Laurent windows in the auxiliary variable), and
-* a closed route (Lagrange-inversion style formulas in L(q)).
-
-The two must agree exactly; the check suite enforces this.
+mu, Phi0, Phi1 and Theta each have two routes, which the check suite
+holds equal: a series route on the hypergeometric sums (residues of
+exact Laurent windows in the auxiliary variable) and a closed route
+(Lagrange-inversion formulas in L(q)).  L = 1 + q mu' has its closed
+form only, checked against its algebraic identity.
 
 Every slice of F(w, q), Ft(w, q) and Ft(1/hbar, q) comes from one
 recurrence, `tables.slice_chain`: the q^beta slice is the q^(beta-1)
 slice times |d| new linear factors over one denominator of degree n.
 
-Each quantity is built once per `FanoContext`.  A context builds no
-slice of F(w, q) of its own: slice k is w^(nu k) times the base slice k
-that its `CoeffTables` already holds for the ct solve
-(`CoeffTables.base`); `f_w` builds F or Ft whole, and the context uses
-it for Ft only.  The pairing series A(q) is built from the ct-L
-sums without any Theta: Theta^{(0)}_p = Phi0 s0(p) and Theta^{(1)}_p is
-a weighted sum of s0..s3(p), so A is Phi0 times four kernel pair sums,
-weighted once (`FanoContext.A`).  Theta itself is built only for its
-dual-route check.
+`FanoContext` owns every per-context quantity: each is built once,
+through `FanoContext.memo`, and every caller reads it from there.  The
+closed chain is mu -> L -> y -> Phi0, Phi1, and each integer power of L
+comes from the one list L^0..L^n that the ct-L sums read too.  F(w, q)
+builds no slice of its own: slice k is w^(nu k) times the base slice k
+of the context's `CoeffTables`.  A(q) is Phi0 times four kernel pair
+sums of the ct-L sums, weighted by the Theta lemma; Theta itself is
+built only for its dual-route check.
 """
 
 from __future__ import annotations
@@ -145,34 +140,25 @@ def mu_closed(md: MultiDegree, order: int) -> QSeries:
     return QSeries(order, coeffs)
 
 
-def l_closed(md: MultiDegree, order: int) -> QSeries:
-    """L(q) = 1 + q mu'(q), read off `mu_closed` (L_k = k mu_k);
-    satisfies L^n - q d^d L^{|d|} = 1."""
-    return mu_closed(md, order).deriv().shift(1) + 1
+def l_closed(mu: QSeries) -> QSeries:
+    """L(q) = 1 + q mu'(q), read off mu (L_k = k mu_k); satisfies
+    L^n - q d^d L^{|d|} = 1."""
+    return mu.deriv().shift(1) + 1
 
 
-def _l_and_y(md: MultiDegree, order: int) -> tuple[QSeries, QSeries]:
-    """L and y = 1 + q d^d (n - |d|)/n L^{|d|}, shared by Phi0 and Phi1."""
-    L = l_closed(md, order)
-    y = 1 + QSeries.q(order) * Fraction(md.dd * (md.n - md.total), md.n) \
-        * L.pow(md.total)
-    return L, y
-
-
-def phi0_closed(md: MultiDegree, order: int) -> QSeries:
-    L, y = _l_and_y(md, order)
+def phi0_closed(md: MultiDegree, L: QSeries, y: QSeries) -> QSeries:
+    """Phi0 = L^((r+1)/2) y^(-1/2), from the context's L and y."""
     return L.pow(Fraction(md.r + 1, 2)) * y.pow(Fraction(-1, 2))
 
 
-def phi1_closed(md: MultiDegree, order: int) -> QSeries:
+def phi1_closed(md: MultiDegree, L: QSeries, y: QSeries, X: QSeries) -> QSeries:
     """Phi1 = L^((r-1)/2) y^(-1/2) (lead (L - 1) + y^-3 bracket / (24 t n^3)),
-    where the seven-term bracket in L is
-    L (c0 + c2 X + c4 X^2 + c6 X^3) + X (c1 + c3 X + c5 X^2), X = L^n.
+    from the context's L, y and X = L^n, where the seven-term bracket
+    in L is L (c0 + c2 X + c4 X^2 + c6 X^3) + X (c1 + c3 X + c5 X^2).
     L^((r-1)/2) bracket is one Horner form in X whose coefficients are
-    combinations of L^((r-1)/2) and L^((r+1)/2), so L is raised to three
-    powers in all, and y^(-7/2) is y^(-1/2) y^-3."""
+    combinations of L^((r-1)/2) and L^((r+1)/2), so L is raised to those
+    two powers only, and y^(-7/2) is y^(-1/2) y^-3."""
     n, t, r = md.n, md.total, md.r
-    L, y = _l_and_y(md, order)
     lead = Fraction(3 * r**2 - 1, 24 * t) \
         - md.inv_degree_sum() * Fraction(2, 24)
     a = t * n - t - 3 * r**2 + 1
@@ -186,7 +172,6 @@ def phi1_closed(md: MultiDegree, order: int) -> QSeries:
          n * (n - t)**2 * (2 * t**2 + t * n - 6 * t * r + 3 * r**2 - 1),
          (n - t)**3 * a)
     Lm, Lp = L.pow(Fraction(r - 1, 2)), L.pow(Fraction(r + 1, 2))
-    X = L.pow(n)
     bracket_Lm = c[0] * Lp + X * (c[1] * Lm + c[2] * Lp + X * (
         c[3] * Lm + c[4] * Lp + X * (c[5] * Lm + c[6] * Lp)))
     return y.pow(Fraction(-1, 2)) * (
@@ -202,8 +187,9 @@ CtSums = namedtuple("CtSums", "s0 s1 s2 s3 s0_at_1 s1_at_1")
 
 
 class FanoContext:
-    """All series data for one geometry at one q-order, built lazily
-    and cached.  Immutable from the outside; share freely."""
+    """All series data for one geometry at one q-order, built lazily:
+    every per-context quantity is built once, through `memo`, and kept.
+    Immutable from the outside; share freely."""
 
     def __init__(self, md: MultiDegree, order: int):
         self.md = md
@@ -211,7 +197,9 @@ class FanoContext:
         self.tables = CoeffTables(md, p_max=md.n, beta_max=order)
         self._cache: dict = {}
 
-    def _get(self, key, build):
+    def memo(self, key, build):
+        """The value kept under key, made by build() on the first call:
+        the one place where a per-context quantity is built once."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -219,7 +207,7 @@ class FanoContext:
     # -- bivariate families
 
     def ftilde_hbar(self, hi: int) -> BiSeries:
-        return self._get(("fth", hi), lambda: ftilde_hbar(self.md, self.order, hi))
+        return self.memo(("fth", hi), lambda: ftilde_hbar(self.md, self.order, hi))
 
     def f_w(self, hi, tilde: bool = False) -> BiSeries:
         """F (or Ft) with every slice q^0..q^order cut at window hi, or,
@@ -230,55 +218,64 @@ class FanoContext:
         tables (`CoeffTables.base`), which reach w^(n + nu k): F-bracket
         windows stay below that, so F builds no slice of its own there;
         a slice past it, or past the stored betas, is built per window
-        asked for.  Ft is built once, at the widest window asked for and
-        at least 2n - r."""
+        asked for.  Ft is built once per window max(hi, 2n - r), which
+        is 2n - r for every window the residue route of type B asks for."""
         his = (hi,) * (self.order + 1) if isinstance(hi, int) else tuple(hi)
         if not tilde:
             nu, base = self.md.nu, self.tables.base
-            return self._get(("fw", his), lambda: BiSeries(
+            return self.memo(("fw", his), lambda: BiSeries(
                 [base(k, h - nu * k).shift(nu * k) if h >= nu * k
                  else LaurentPoly.zero() for k, h in enumerate(his)], his))
-        top = max(his)
-        wide = self._cache.get(("fwt",))
-        if wide is None or wide.his[0] < top:
-            wide = self._cache[("fwt",)] = f_w(
-                self.md, self.order, max(top, 2 * self.md.n - self.md.r), tilde=True)
+        top = max(max(his), 2 * self.md.n - self.md.r)
+        wide = self.memo(("fwt", top),
+                         lambda: f_w(self.md, self.order, top, tilde=True))
         return BiSeries(wide.slices[: len(his)], his)
 
     def fp_hbar(self, p: int, hi: int) -> BiSeries:
-        return self._get(("fph", p, hi),
+        return self.memo(("fph", p, hi),
                          lambda: fp_series(self.tables, self.ftilde_hbar(hi), p, +1))
 
-    def fp_w(self, p: int, hi: int, tilde: bool = False) -> BiSeries:
-        return self._get(
-            ("fpw", p, hi, tilde),
-            lambda: fp_series(self.tables, self.f_w(hi, tilde=tilde), p, -1))
+    def fp_w(self, p: int, hi: int) -> BiSeries:
+        return self.memo(("fpw", p, hi),
+                         lambda: fp_series(self.tables, self.f_w(hi), p, -1))
 
     def exp_neg_mu(self) -> BiSeries:
-        return self._get(("expmu",),
+        return self.memo(("expmu",),
                          lambda: exp_neg_mu_over_aux(self.mu(), self.order))
 
     def regularized_fp(self, p: int, hi: int) -> BiSeries:
         """exp(-mu/hbar) * Ft_p(1/hbar, q); regular at hbar = 0 (the
         negative coefficients vanish identically, which the acceptance
         suite verifies rather than assumes)."""
-        return self._get(("regfp", p, hi),
+        return self.memo(("regfp", p, hi),
                          lambda: self.exp_neg_mu() * self.fp_hbar(p, hi))
 
     # -- univariate package
 
     def mu(self, route: str = "closed") -> QSeries:
         if route == "closed":
-            return self._get(("mu",), lambda: mu_closed(self.md, self.order))
+            return self.memo(("mu",), lambda: mu_closed(self.md, self.order))
         if route == "residue":
             def build():
                 ft = self.ftilde_hbar(self.order + 2)
                 return ft.log().residue()
-            return self._get(("mu_res",), build)
+            return self.memo(("mu_res",), build)
         raise ValueError(f"unknown mu route {route!r}")
 
     def L(self) -> QSeries:
-        return self._get(("L",), lambda: l_closed(self.md, self.order))
+        return self.memo(("L",), lambda: l_closed(self.mu()))
+
+    def _l_powers(self) -> list:
+        """L^0..L^n: every integer power of L the context reads (L^e in
+        the ct-L sums, L^|d| in y, X = L^n in Phi1)."""
+        return self.memo(("Lpow",), lambda: list(accumulate(
+            [self.L()] * self.md.n, mul, initial=QSeries.one(self.order))))
+
+    def y(self) -> QSeries:
+        """y = 1 + q d^d (n - |d|)/n L^{|d|}, shared by Phi0 and Phi1."""
+        md = self.md
+        return self.memo(("y",), lambda: 1 + QSeries.q(self.order) * Fraction(
+            md.dd * md.nu, md.n) * self._l_powers()[md.total])
 
     def A(self) -> QSeries:
         """The localization series A(q): Theta^{(1)}_{p1} Theta^{(0)}_{p2}
@@ -289,7 +286,7 @@ class FanoContext:
         over i = 0..3.  So A = Phi0 sum_i w_i P_i, where P_i is the sum
         over all pairs of s_i(p1) s0(p2): four kernel pair sums, and no
         Theta is built."""
-        return self._get(("A",), self._a_from_pair_sums)
+        return self.memo(("A",), self._a_from_pair_sums)
 
     def _a_from_pair_sums(self) -> QSeries:
         weights = self._theta_weights()
@@ -303,18 +300,20 @@ class FanoContext:
 
     def phi0(self, route: str = "closed") -> QSeries:
         if route == "closed":
-            return self._get(("phi0",), lambda: phi0_closed(self.md, self.order))
+            return self.memo(("phi0",),
+                             lambda: phi0_closed(self.md, self.L(), self.y()))
         if route == "series":
-            return self._get(
+            return self.memo(
                 ("phi0_s",),
                 lambda: self.regularized_fp(0, self.order + 2).coeff_of_aux(0))
         raise ValueError(f"unknown phi0 route {route!r}")
 
     def phi1(self, route: str = "closed") -> QSeries:
         if route == "closed":
-            return self._get(("phi1",), lambda: phi1_closed(self.md, self.order))
+            return self.memo(("phi1",), lambda: phi1_closed(
+                self.md, self.L(), self.y(), self._l_powers()[self.md.n]))
         if route == "series":
-            return self._get(
+            return self.memo(
                 ("phi1_s",),
                 lambda: self.regularized_fp(0, self.order + 2).coeff_of_aux(1))
         raise ValueError(f"unknown phi1 route {route!r}")
@@ -325,9 +324,9 @@ class FanoContext:
         if level not in (0, 1):
             raise ValueError("theta level must be 0 or 1")
         if route == "lemma":
-            return self._get(("th", p, level), lambda: self._theta_lemma(p, level))
+            return self.memo(("th", p, level), lambda: self._theta_lemma(p, level))
         if route == "residue":
-            return self._get(
+            return self.memo(
                 ("th_res", p, level),
                 lambda: self.regularized_fp(p, self.order + 2).coeff_of_aux(level))
         raise ValueError(f"unknown theta route {route!r}")
@@ -343,13 +342,11 @@ class FanoContext:
 
         where S0 is s0 read as a polynomial in L; s0_at_1 and s1_at_1
         are s0 and s1 at L = 1."""
-        return self._get(("ct", p), lambda: self._ct_sums(p))
+        return self.memo(("ct", p), lambda: self._ct_sums(p))
 
     def _ct_sums(self, p: int) -> CtSums:
         order, nu, ct = self.order, self.md.nu, self.tables.ctilde
-        pows = self._get(("Lpow",), lambda: [  # L^0..L^n as q-slices
-            s.poly for s in accumulate(
-                [self.L()] * self.md.n, mul, initial=QSeries.one(order))])
+        pows = [s.poly for s in self._l_powers()]
         terms = [[] for _ in range(6)]  # (c q^shift, L^k) pairs of each sum
         for beta in range(min(order, p // nu) + 1):
             e = p - nu * beta
@@ -372,7 +369,7 @@ class FanoContext:
         def build():
             phi0 = self.phi0()
             return (self.phi1(), phi0, phi0.deriv(), self.L().deriv() * phi0)
-        return self._get(("theta_w",), build)
+        return self.memo(("theta_w",), build)
 
     def _theta_lemma(self, p: int, level: int) -> QSeries:
         s = self.ct_sums(p)

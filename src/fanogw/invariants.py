@@ -1,34 +1,29 @@
 """Genus-1 one-point invariants of a Fano complete intersection.
 
-Three largely independent paths produce the numbers:
-
-* standard_invariant -- the closed genus-1 formula (Theta/A block, the
-  n/24 block in L and Phi0, and a residue in the ct constants);
-* reduced_invariant  -- localization contributions type_a + type_b;
-* svr_difference     -- the standard-vs-reduced correction.
-
+Three paths produce the numbers: `standard_invariant` (the closed
+genus-1 formula: type A, the n/24 block in L and Phi0, and a residue in
+the ct constants), `reduced_invariant` (the localization terms type A
+plus type B) and `svr_difference` (the standard-vs-reduced correction).
 They must satisfy standard = reduced + difference exactly, the degree-0
 value must match an independent Chern-class count, and several residue
-reformulations are kept alive as oracles.  Everything is exact rational
-arithmetic; truncation orders and Laurent windows are derived from
-(n, r, nu, b) up front.
+reformulations are kept as oracles.  Everything is exact; truncation
+orders and Laurent windows are derived from (n, r, nu, b) up front.
 
-A degree-b invariant reads one coefficient: q^b w^{n-2-r} of the
-F-bracket (`f_residue_series`), or q^b at one auxiliary exponent of a
-product in the residue oracles.  Each reader of q^b cuts its series at
-b (slice b of a sum, product or inverse reads only slices <= b), and
-reads the last product through `BiSeries.mul_coeff`, which computes
-that one coefficient alone.  The F-bracket also cuts each slice at its
-own window: the q^k slices of F_0 and F_0^-1 carry w^{nu k}, so slice
-j of the numerator is read only up to w^{n-2-r - nu(b-j)} (floored at
-w^-1), and slice k of F_0 is cut at max(n-2-r+p - nu(b-k), p-1) before
-F_p is built from it; those F slices are the context's table slices
-(`hyper.FanoContext.f_w`).  Type A is one coefficient too: q^b of
-s0(p) A(q), read through `QSeries.mul_coeff`, since the Phi0 in
-Theta^{(0)}_p cancels the 1/Phi0 of the formula exactly at every
-truncation order.  Type A, the n/24 block and the ct residue row
-enter both the standard and the reduced side of a row; each is computed
-once per (context, degree) and kept in the context's cache.
+A degree-b invariant reads one coefficient.  Each reader of q^b cuts its
+series at b and reads the last product through `BiSeries.mul_coeff` or
+`QSeries.mul_coeff`, which compute that coefficient alone.  The
+F-bracket (`f_residue_series`) is read at q^b w^{n-2-r}: the q^k slices
+of F_0 and F_0^-1 carry w^{nu k}, so slice j of its numerator is read
+only up to w^{n-2-r - nu(b-j)} (floored at w^-1), and slice k of F_0 (a
+table slice, `hyper.FanoContext.f_w`) is cut at
+max(n-2-r+p - nu(b-k), p-1) before F_p is built from it.  Type A is q^b
+of s0(p) A(q): the Phi0 in Theta^{(0)}_p cancels the 1/Phi0 of the
+formula at every truncation order.
+
+Type A and the closed rows (n/24 times q^b of the n/24 block, minus
+prod(d)/24 times the ct residue row) enter both sides of a row.  Each
+is kept per (context, degree) through `FanoContext.memo`, so the
+standard invariant and the rows route of type B read one value.
 """
 
 from __future__ import annotations
@@ -95,14 +90,6 @@ def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> LaurentPoly
     return poly_div(LaurentPoly.from_ints(0, num), den, cap)
 
 
-def _once(ctx: FanoContext, name: str, fn, arg):
-    """fn(ctx, arg), computed once per context and kept in its cache
-    under (name, arg): the standard and reduced sides of a row share
-    type A, the n/24 block and the ct residue row.  Callers pass the
-    module-level function, looked up at each call."""
-    return ctx._get((name, arg), lambda: fn(ctx, arg))
-
-
 # ---------------------------------------------------------------------------
 # type A
 
@@ -130,8 +117,7 @@ def _a_double_residue(ctx: FanoContext) -> QSeries:
     vanish exactly when regularizability holds)."""
     hi = 2 * ctx.order + 3
     pairs = [pq for block in ctx.md.theta_pairs() for pq in block]
-    xs = {p: ctx.exp_neg_mu() * ctx.fp_hbar(p, hi)
-          for p in {p for pq in pairs for p in pq}}
+    xs = {p: ctx.regularized_fp(p, hi) for p in {p for pq in pairs for p in pq}}
     return sum((xs[p1].mul_coeff_of_aux(_reflect(xs[p2]), 1)
                 for p1, p2 in pairs), QSeries.zero(ctx.order))
 
@@ -169,6 +155,16 @@ def n24_block(ctx: FanoContext, p: int) -> QSeries:
             - ctx.L().deriv() * s.s3
             - phi0.deriv() * s.s2 / phi0
             - (s.s1 - s.s1_at_1))
+
+
+def _closed_rows(ctx: FanoContext, b: int) -> Rat:
+    """n/24 [q^b] n24_block(p) - prod(d)/24 ct_residue_row(b) with
+    p = 1 + nu*b: the rows that the closed formula and the rows route of
+    type B share, assembled once per (context, degree)."""
+    md = ctx.md
+    return ctx.memo(("closed_rows", b), lambda: (
+        Fraction(md.n, 24) * n24_block(ctx, 1 + md.nu * b).coeff(b)
+        - Fraction(prod(md.degrees), 24) * ct_residue_row(ctx, b)))
 
 
 def ct_residue_row(ctx: FanoContext, b: int) -> Rat:
@@ -234,10 +230,8 @@ def type_b(ctx: FanoContext, b: int, route: str = "rows") -> Rat:
     _check_range(ctx.md, b)
     md = ctx.md
     if route == "rows":
-        p = 1 + md.nu * b
-        return (Fraction(md.n, 24) * _once(ctx, "n24", n24_block, p).coeff(b)
-                - Fraction(prod(md.degrees), 24)
-                * (_once(ctx, "ct_res", ct_residue_row, b) + f_residue_series(ctx, b)))
+        return (_closed_rows(ctx, b)
+                - Fraction(prod(md.degrees), 24) * f_residue_series(ctx, b))
     if route == "residues":
         if md.nu < 2:
             raise ValueError("residue-route type B oracle is restricted to nu >= 2")
@@ -303,16 +297,12 @@ def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
 
 def standard_invariant(ctx: FanoContext, b: int) -> Rat:
     """The closed genus-1 formula."""
-    md = ctx.md
-    _check_range(md, b)
-    p = 1 + md.nu * b
-    return (_once(ctx, "type_a", type_a, b)
-            + Fraction(md.n, 24) * _once(ctx, "n24", n24_block, p).coeff(b)
-            - Fraction(prod(md.degrees), 24) * _once(ctx, "ct_res", ct_residue_row, b))
+    _check_range(ctx.md, b)
+    return ctx.memo(("type_a", b), lambda: type_a(ctx, b)) + _closed_rows(ctx, b)
 
 
 def reduced_invariant(ctx: FanoContext, b: int) -> Rat:
-    return _once(ctx, "type_a", type_a, b) + type_b(ctx, b)
+    return ctx.memo(("type_a", b), lambda: type_a(ctx, b)) + type_b(ctx, b)
 
 
 def invariant_row(ctx: FanoContext, b: int) -> InvariantRow:

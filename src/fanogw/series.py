@@ -32,7 +32,7 @@ Three types:
 All three are built on one exact kernel that takes and returns
 LaurentPolys: poly_mul (capped product), poly_div (capped quotient by a
 unit), poly_pow (rational power of a unit), poly_shift (Taylor shift
-a(x) -> a(x + s)) and linear_product, plus sum_of_products, the sum of
+a(x) -> a(x + s)) and linear_product (of int factors a + b*x), plus sum_of_products, the sum of
 products of Laurent slices kept in a band of exponents lo..h.  Every
 other module uses it instead of its own loops.  The band [e, e] reads
 one coefficient: BiSeries.mul_coeff(other, b, e) is
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm, perm
+from operator import index
 from typing import Iterable
 
 Rat = Fraction
@@ -388,12 +389,11 @@ def poly_shift(a: LaurentPoly, s: int) -> LaurentPoly:
 
 
 def linear_product(pairs, cap=INF_EXP) -> LaurentPoly:
-    """prod (a + b*x) over (a, b) pairs of rationals, without the
-    exponents above cap: every a and b lifted at once to numerators over
-    one d, each factor then (A + B*x)/d."""
-    flat, d = _lift([x for pair in pairs for x in pair])
+    """prod (a + b*x) over (a, b) pairs of ints, without the exponents
+    above cap; a non-integral a or b raises TypeError."""
     p = [1]
-    for na, nb in zip(flat[::2], flat[1::2]):
+    for a, b in pairs:
+        na, nb = index(a), index(b)
         n = max(min(len(p) + 1, cap + 1), 0)
         q = [na * x for x in p[:n]]
         if n > len(p):
@@ -401,7 +401,7 @@ def linear_product(pairs, cap=INF_EXP) -> LaurentPoly:
         for k in range(1, n):
             q[k] += nb * p[k - 1]
         p = q
-    return LaurentPoly.from_ints(0, p, d ** (len(flat) // 2))
+    return LaurentPoly.from_ints(0, p)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,15 @@
 agreement, the algebraic L identity, regularity statements and the
 handful of directly computable coefficients."""
 
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanogw import hyper
 from fanogw.checks import check_w_regular
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import CtSums, FanoContext, fp_series, ftilde_hbar, f_w
@@ -39,6 +42,16 @@ def test_multidegree_rejects_bad_geometry():
         MultiDegree(4, (2, 2, 2))  # dimension 0 before the index check
     with pytest.raises(ValueError):
         MultiDegree(5, ())  # r = 0: projective space itself
+
+
+@pytest.mark.parametrize("n, degrees, named", [
+    (5.9, (3,), "5.9"), (5, (3.2,), "3.2"), (Fraction(6), (3,), "Fraction(6, 1)"),
+    (6, (Fraction(3),), "Fraction(3, 1)"), ("6", ("3",), "'6'"), (6, ["3"], "'3'")])
+def test_multidegree_rejects_non_integral_input(n, degrees, named):
+    """n and the degrees are read as integers, never truncated: a
+    float, a Fraction or a str is refused with its value named."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        MultiDegree(n, degrees)
 
 
 def test_ftilde_hbar_slices():
@@ -132,6 +145,31 @@ def test_l_identity_and_mu_relation():
         L, q = ctx.L(), QSeries.q(10)
         assert (L.pow(md.n) - q * md.dd * L.pow(md.total) - 1).is_zero()
         assert (1 + q * ctx.mu().deriv()).matches(L)
+
+
+def test_mirror_map_chain_is_built_once_per_context(monkeypatch):
+    """mu -> L -> y -> Phi0/Phi1 is one chain per context: reading mu,
+    L, Phi0, Phi1, A and every Theta^{(1)} from one context runs
+    `mu_closed` and `l_closed` once each."""
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(hyper, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("mu_closed", "l_closed"):
+        monkeypatch.setattr(hyper, name, counted(name))
+    for md in (MD53, MD722, MultiDegree(6, (2, 3))):
+        calls.clear()
+        ctx = FanoContext(md, 8)
+        ctx.mu(), ctx.L(), ctx.phi0(), ctx.phi1(), ctx.A()
+        for p in range(md.n):
+            ctx.theta(p, 1)
+        assert calls == {"mu_closed": 1, "l_closed": 1}, md
 
 
 def test_mu_small_values():
@@ -264,7 +302,7 @@ def test_w_regularity_reads_every_negative_exponent(monkeypatch):
 
 def test_w_regularity_fails_below_a_known_window(monkeypatch):
     unknown = BiSeries([LaurentPoly(0, (1,))], [-2])
-    monkeypatch.setattr(FanoContext, "fp_w", lambda self, p, hi, tilde=False: unknown)
+    monkeypatch.setattr(FanoContext, "fp_w", lambda self, p, hi: unknown)
     assert not check_w_regular(MD53)
 
 

@@ -1,6 +1,7 @@
 """Module layout: no module of the package reaches into a sibling's
-private names, and every name the benchmark's tracer wraps exists.  A
-helper two modules need is public in one of them."""
+private names or another object's private attributes, and every name
+the benchmark's tracer wraps exists.  A helper two modules need is
+public in one of them."""
 
 import ast
 import importlib
@@ -28,6 +29,33 @@ def test_no_private_imports_between_modules():
                 continue
             offenders += [f"{path.name}:{node.lineno} imports {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def test_private_attributes_are_read_on_self_only():
+    """No module reads a `_`-prefixed attribute (dunders aside) of an
+    object other than self or cls, and a context's cache is touched
+    only inside `FanoContext.memo` (and made empty in `__init__`): each
+    per-context quantity is kept through that one method."""
+    offenders = []
+
+    def visit(node, where, path):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            where = where + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not node.attr.endswith("__")):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if owner not in ("self", "cls"):
+                offenders.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            if node.attr == "_cache" and where[-2:] != ("FanoContext", "memo") \
+                    and not (where[-2:] == ("FanoContext", "__init__")
+                             and isinstance(node.ctx, ast.Store)):
+                offenders.append(f"{path.name}:{node.lineno} touches _cache")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (), path)
     assert offenders == []
 
 
