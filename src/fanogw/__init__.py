@@ -1,6 +1,8 @@
 """Exact genus-1 one-point Gromov-Witten invariants of Fano complete
-intersections in projective space, with every ingredient computed by at
-least two independent routes."""
+intersections in projective space.  A row's `consistent` holds by
+construction; the independent checks are the type-B residue oracle
+(nu >= 2), the degree-1 vanishing and, in the tests, type A's series
+route."""
 
 from .geometry import MultiDegree
 from .hyper import FanoContext

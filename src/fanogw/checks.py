@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import MultiDegree
-from .hyper import FanoContext
+from .hyper import FanoContext, mu_by_residue, theta_by_residue
 from .invariants import (a_series, chern_degree0_oracle, context_for,
-                         invariant_table, svr_difference, type_b)
+                         invariant_table, svr_difference, type_b,
+                         type_b_by_residues)
 from .series import QSeries
 from .sums import check_proven_identities, sums_by_degree, tables_for_sums
 from .tables import CoeffTables
@@ -52,18 +53,18 @@ def check_l_identity(md: MultiDegree, order: int = 12) -> bool:
 
 def check_mu_routes(md: MultiDegree, order: int = 8) -> bool:
     ctx = FanoContext(md, order)
-    return ctx.mu("closed").matches(ctx.mu("residue"))
+    return ctx.mu().matches(mu_by_residue(ctx))
 
 
 def check_phi_routes(md: MultiDegree, order: int = 8) -> bool:
     ctx = FanoContext(md, order)
-    return (ctx.phi0("closed").matches(ctx.phi0("series"))
-            and ctx.phi1("closed").matches(ctx.phi1("series")))
+    return (ctx.phi0().matches(theta_by_residue(ctx, 0, 0))
+            and ctx.phi1().matches(theta_by_residue(ctx, 0, 1)))
 
 
 def check_theta_routes(md: MultiDegree, order: int = 8) -> bool:
     ctx = FanoContext(md, order)
-    return all(ctx.theta(p, lvl, "lemma").matches(ctx.theta(p, lvl, "residue"))
+    return all(ctx.theta(p, lvl).matches(theta_by_residue(ctx, p, lvl))
                for p in range(md.n) for lvl in (0, 1))
 
 
@@ -110,7 +111,7 @@ def check_svr_vanishing(md: MultiDegree) -> bool:
 
 def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
     ctx = FanoContext(md, order)
-    return a_series(ctx, "theta").matches(a_series(ctx, "double_residue"))
+    return ctx.A().matches(a_series(ctx))
 
 
 def check_type_b_residue_oracle(md: MultiDegree) -> bool:
@@ -118,7 +119,7 @@ def check_type_b_residue_oracle(md: MultiDegree) -> bool:
     if md.nu < 2:
         return True
     ctx = context_for(md, md.bmax)
-    return all(type_b(ctx, b, "rows") == type_b(ctx, b, "residues")
+    return all(type_b(ctx, b) == type_b_by_residues(ctx, b)
                for b in range(1, md.bmax + 1))
 
 

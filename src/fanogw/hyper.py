@@ -1,11 +1,12 @@
 """Hypergeometric series attached to a Fano complete intersection, and
 the mirror-map package mu, L, y, Phi0, Phi1 and Theta built from them.
 
-mu, Phi0, Phi1 and Theta each have two routes, which the check suite
-holds equal: a series route on the hypergeometric sums (residues of
-exact Laurent windows in the auxiliary variable) and a closed route
-(Lagrange-inversion formulas in L(q)).  L = 1 + q mu' has its closed
-form only, checked against its algebraic identity.
+`FanoContext.mu()`, `phi0()`, `phi1()` and `theta(p, level)` are the
+closed route (Lagrange inversion in L(q), the Theta lemma).  The series
+route, residues of exact Laurent windows in the auxiliary variable, is
+`mu_by_residue(ctx)` and `theta_by_residue(ctx, p, level)`; Phi0 and
+Phi1 are its p = 0 reads.  L = 1 + q mu' has its closed form only,
+checked against its algebraic identity.
 
 Every slice of F(w, q), Ft(w, q) and Ft(1/hbar, q) comes from one
 recurrence, `tables.slice_chain`: the q^beta slice is the q^(beta-1)
@@ -218,8 +219,9 @@ class FanoContext:
         tables (`CoeffTables.base`), which reach w^(n + nu k): F-bracket
         windows stay below that, so F builds no slice of its own there;
         a slice past it, or past the stored betas, is built per window
-        asked for.  Ft is built once per window max(hi, 2n - r), which
-        is 2n - r for every window the residue route of type B asks for."""
+        asked for.  Ft is built once per window max(hi, 2n - r): its
+        slice k carries w^(nu k) too, so the F-bracket on Ft (in
+        `invariants.type_b_by_residues`) asks for F's windows, all below."""
         his = (hi,) * (self.order + 1) if isinstance(hi, int) else tuple(hi)
         if not tilde:
             nu, base = self.md.nu, self.tables.base
@@ -252,15 +254,8 @@ class FanoContext:
 
     # -- univariate package
 
-    def mu(self, route: str = "closed") -> QSeries:
-        if route == "closed":
-            return self.memo(("mu",), lambda: mu_closed(self.md, self.order))
-        if route == "residue":
-            def build():
-                ft = self.ftilde_hbar(self.order + 2)
-                return ft.log().residue()
-            return self.memo(("mu_res",), build)
-        raise ValueError(f"unknown mu route {route!r}")
+    def mu(self) -> QSeries:
+        return self.memo(("mu",), lambda: mu_closed(self.md, self.order))
 
     def L(self) -> QSeries:
         return self.memo(("L",), lambda: l_closed(self.mu()))
@@ -298,38 +293,20 @@ class FanoContext:
         return self.phi0() * QSeries.from_poly(top, sum_of_products(
             zip((w.poly for w in weights), pair_sums), top))
 
-    def phi0(self, route: str = "closed") -> QSeries:
-        if route == "closed":
-            return self.memo(("phi0",),
-                             lambda: phi0_closed(self.md, self.L(), self.y()))
-        if route == "series":
-            return self.memo(
-                ("phi0_s",),
-                lambda: self.regularized_fp(0, self.order + 2).coeff_of_aux(0))
-        raise ValueError(f"unknown phi0 route {route!r}")
+    def phi0(self) -> QSeries:
+        return self.memo(("phi0",),
+                         lambda: phi0_closed(self.md, self.L(), self.y()))
 
-    def phi1(self, route: str = "closed") -> QSeries:
-        if route == "closed":
-            return self.memo(("phi1",), lambda: phi1_closed(
-                self.md, self.L(), self.y(), self._l_powers()[self.md.n]))
-        if route == "series":
-            return self.memo(
-                ("phi1_s",),
-                lambda: self.regularized_fp(0, self.order + 2).coeff_of_aux(1))
-        raise ValueError(f"unknown phi1 route {route!r}")
+    def phi1(self) -> QSeries:
+        return self.memo(("phi1",), lambda: phi1_closed(
+            self.md, self.L(), self.y(), self._l_powers()[self.md.n]))
 
     # -- Theta
 
-    def theta(self, p: int, level: int, route: str = "lemma") -> QSeries:
+    def theta(self, p: int, level: int) -> QSeries:
         if level not in (0, 1):
             raise ValueError("theta level must be 0 or 1")
-        if route == "lemma":
-            return self.memo(("th", p, level), lambda: self._theta_lemma(p, level))
-        if route == "residue":
-            return self.memo(
-                ("th_res", p, level),
-                lambda: self.regularized_fp(p, self.order + 2).coeff_of_aux(level))
-        raise ValueError(f"unknown theta route {route!r}")
+        return self.memo(("th", p, level), lambda: self._theta_lemma(p, level))
 
     def ct_sums(self, p: int) -> CtSums:
         """The ct-L sums of insertion power p, over beta with
@@ -377,3 +354,21 @@ class FanoContext:
             return self.phi0() * s.s0
         return sum((w * si for w, si in zip(self._theta_weights(), s)),
                    QSeries.zero(self.order))
+
+
+# ---------------------------------------------------------------------------
+# the series routes, read off the hypergeometric Laurent data
+
+
+def mu_by_residue(ctx: FanoContext) -> QSeries:
+    """mu as the hbar^-1 residue of log Ft(1/hbar, q)."""
+    return ctx.ftilde_hbar(ctx.order + 2).log().residue()
+
+
+def theta_by_residue(ctx: FanoContext, p: int, level: int) -> QSeries:
+    """Theta^{(level)}_p as the aux^level coefficient of
+    exp(-mu/hbar) Ft_p(1/hbar, q).  At p = 0 this is Phi0 (level 0) and
+    Phi1 (level 1): their series route."""
+    if level not in (0, 1):
+        raise ValueError("theta level must be 0 or 1")
+    return ctx.regularized_fp(p, ctx.order + 2).coeff_of_aux(level)

@@ -4,10 +4,12 @@ Three paths produce the numbers: `standard_invariant` (the closed
 genus-1 formula: type A, the n/24 block in L and Phi0, and a residue in
 the ct constants), `reduced_invariant` (the localization terms type A
 plus type B) and `svr_difference` (the standard-vs-reduced correction).
-They must satisfy standard = reduced + difference exactly, the degree-0
-value must match an independent Chern-class count, and several residue
-reformulations are kept as oracles.  Everything is exact; truncation
-orders and Laurent windows are derived from (n, r, nu, b) up front.
+Standard = reduced + difference holds by construction: the rows route
+of type B (`type_b`) shares the closed rows with the standard invariant
+and the F-bracket with the difference.  The oracles are named functions:
+`a_series`, the double residue of A(q) (`FanoContext.A`), and
+`type_b_by_residues` (nu >= 2).  Everything is exact; truncation orders
+and Laurent windows are derived from (n, r, nu, b) up front.
 
 A degree-b invariant reads one coefficient.  Each reader of q^b cuts its
 series at b and reads the last product through `BiSeries.mul_coeff` or
@@ -16,7 +18,9 @@ F-bracket (`f_residue_series`) is read at q^b w^{n-2-r}: the q^k slices
 of F_0 and F_0^-1 carry w^{nu k}, so slice j of its numerator is read
 only up to w^{n-2-r - nu(b-j)} (floored at w^-1), and slice k of F_0 (a
 table slice, `hyper.FanoContext.f_w`) is cut at
-max(n-2-r+p - nu(b-k), p-1) before F_p is built from it.  Type A is q^b
+max(n-2-r+p - nu(b-k), p-1) before F_p is built from it.  The same
+bracket on Ft, whose slices carry the same w^{nu k}, is the main part at
+infinity of `type_b_by_residues`: one body, `_f_bracket`.  Type A is q^b
 of s0(p) A(q): the Phi0 in Theta^{(0)}_p cancels the 1/Phi0 of the
 formula at every truncation order.
 
@@ -65,7 +69,11 @@ def _check_range(md: MultiDegree, b: int):
 def context_for(md: MultiDegree, max_b: int, pad: int = 0) -> FanoContext:
     """Series context sized for degrees up to max_b: one extra order for
     the q-derivatives that appear in the formula rows, plus requested
-    padding (results must not depend on the padding)."""
+    padding (results must not depend on the padding).  Both must be
+    >= 0."""
+    for name, value in (("max_b", max_b), ("pad", pad)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, not {value}")
     return FanoContext(md, max_b + 1 + pad)
 
 
@@ -94,23 +102,11 @@ def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> LaurentPoly
 # type A
 
 
-def a_series(ctx: FanoContext, route: str = "theta") -> QSeries:
-    """The localization series A(q): pairings of Theta^{(1)} against
-    Theta^{(0)} (`FanoContext.A`, built from kernel pair sums of the
-    ct-L sums), or the independent double-residue of
-    the two-variable hypergeometric pairing (expanded where
-    |h2| < |h1|)."""
-    if route == "theta":
-        return ctx.A()
-    if route == "double_residue":
-        return _a_double_residue(ctx)
-    raise ValueError(f"unknown A route {route!r}")
-
-
-def _a_double_residue(ctx: FanoContext) -> QSeries:
-    """Res_{h1} Res_{h2} of e^{-mu(1/h1+1/h2)} F(1/h1, 1/h2, q) divided
-    by h1 h2 (h1 + h2), with 1/(h1+h2) expanded in the region
-    |h2| < |h1|: for each pair the aux^1 coefficient of
+def a_series(ctx: FanoContext) -> QSeries:
+    """The localization series A(q) by its second route (`FanoContext.A`
+    is the first): Res_{h1} Res_{h2} of e^{-mu(1/h1+1/h2)}
+    F(1/h1, 1/h2, q) divided by h1 h2 (h1 + h2), with 1/(h1+h2) expanded
+    in the region |h2| < |h1|: for each pair the aux^1 coefficient of
     x_{p1}(aux) x_{p2}(-aux), the second factor cut to aux^{<=0}.
     Works on the raw Laurent data: regularity of the factors is not
     assumed, so the alternating tail is summed honestly (its terms
@@ -135,10 +131,12 @@ def type_a(ctx: FanoContext, b: int) -> Rat:
     """1/2 [q^b] Theta^{(0)}_p A / Phi0 with p = 1 + nu*b.  Theta^{(0)}_p
     is Phi0 times the ct-L sum s0 of p (the Theta lemma), so this is
     1/2 [q^b] s0 A, exactly at every truncation order: one coefficient
-    of one product (`QSeries.mul_coeff`)."""
+    of one product (`QSeries.mul_coeff`), kept per (context, degree):
+    both sides of a row read it."""
     _check_range(ctx.md, b)
     p = 1 + ctx.md.nu * b
-    return Fraction(1, 2) * ctx.ct_sums(p).s0.mul_coeff(ctx.A(), b)
+    return ctx.memo(("type_a", b), lambda: Fraction(1, 2)
+                    * ctx.ct_sums(p).s0.mul_coeff(ctx.A(), b))
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +188,21 @@ def _q0_series(poly: LaurentPoly, hi: int, order: int) -> BiSeries:
 
 def f_residue_series(ctx: FanoContext, b: int) -> Rat:
     """The q^b w^{n-2-r} coefficient of the F-bracket
-    (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) with p = 1 + nu*b.
+    (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) with p = 1 + nu*b."""
+    return _f_bracket(ctx, b, tilde=False)
 
-    Only that coefficient is built.  Slice k of F_0, and so of F_0^-1,
-    carries w^{nu k}, so slice j of the numerator front * (F_0 - F_p) is
-    read only up to w^max(n-2-r - nu(b-j), -1).  F_p's window falls up
-    to p below its base's, so slice k of F_0 is cut at
-    max(n-2-r+p - nu(b-k), p-1) before `fp_series` runs; the front and
-    F_0^-1 are known up to w^{n-2-r}, which is enough because
+
+def _f_bracket(ctx: FanoContext, b: int, tilde: bool) -> Rat:
+    """The q^b w^{n-2-r} coefficient of the bracket of `f_residue_series`,
+    built on F or, when tilde, on Ft (the main part at infinity of the
+    residue route of type B).
+
+    Only that coefficient is built.  Slice k of F_0 (or Ft_0), and so of
+    its inverse, carries w^{nu k}, so slice j of the numerator
+    front * (F_0 - F_p) is read only up to w^max(n-2-r - nu(b-j), -1).
+    F_p's window falls up to p below its base's, so slice k of F_0 is
+    cut at max(n-2-r+p - nu(b-k), p-1) before `fp_series` runs; the
+    front and F_0^-1 are known up to w^{n-2-r}, which is enough because
     F_0 - F_p has no w^0 term.  The last product is read at q^b w^{n-2-r}
     alone (`BiSeries.mul_coeff`): a window short of the read raises
     WindowUnderflow, never a wrong coefficient."""
@@ -205,11 +210,11 @@ def f_residue_series(ctx: FanoContext, b: int) -> Rat:
     p = 1 + md.nu * b
     target = md.n - 2 - md.r
     f0 = ctx.f_w(tuple(max(target + p - md.nu * (b - k), p - 1)
-                       for k in range(b + 1)))
+                       for k in range(b + 1)), tilde)
     fp = fp_series(ctx.tables, f0, p, -1)
     front = _q0_series(_ch_coeffs(md, target), target, b)
     return (front * (f0 - fp)).mul_coeff(
-        ctx.f_w((target,) * (b + 1)).inv(), b, target)
+        ctx.f_w((target,) * (b + 1), tilde).inv(), b, target)
 
 
 def svr_difference(ctx: FanoContext, b: int) -> Rat:
@@ -226,17 +231,11 @@ def svr_difference(ctx: FanoContext, b: int) -> Rat:
 # type B
 
 
-def type_b(ctx: FanoContext, b: int, route: str = "rows") -> Rat:
+def type_b(ctx: FanoContext, b: int) -> Rat:
+    """Type B by the rows route: closed rows minus prod(d)/24 F-bracket."""
     _check_range(ctx.md, b)
-    md = ctx.md
-    if route == "rows":
-        return (_closed_rows(ctx, b)
-                - Fraction(prod(md.degrees), 24) * f_residue_series(ctx, b))
-    if route == "residues":
-        if md.nu < 2:
-            raise ValueError("residue-route type B oracle is restricted to nu >= 2")
-        return _type_b_residues(ctx, b)
-    raise ValueError(f"unknown type B route {route!r}")
+    return (_closed_rows(ctx, b)
+            - Fraction(prod(ctx.md.degrees), 24) * f_residue_series(ctx, b))
 
 
 def _g_expansion(md: MultiDegree, hi: int) -> LaurentPoly:
@@ -259,13 +258,17 @@ def _residue_against_g(md: MultiDegree, series: BiSeries, b: int) -> Rat:
     return g.mul_coeff(series, b, -1)
 
 
-def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
-    """Oracle route: assemble type B from the residues at h = 0, at
-    h = infinity, and (via the residue theorem) at h = -d, computed
-    directly on the hypergeometric Laurent data.  Only q^b is read, so
-    every series is cut to q^b and each residue is read at q^b alone
-    (`BiSeries.mul_coeff`)."""
+def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
+    """Type B by its oracle route (nu >= 2): assembled from the residues
+    at h = 0, at h = infinity, and (via the residue theorem) at h = -d,
+    computed directly on the hypergeometric Laurent data.  Only q^b is
+    read, so every series is cut to q^b and each residue is read at q^b
+    alone (`BiSeries.mul_coeff`).  The main part at infinity is the
+    F-bracket with F replaced by Ft."""
     md = ctx.md
+    _check_range(md, b)
+    if md.nu < 2:
+        raise ValueError("residue-route type B oracle is restricted to nu >= 2")
     p = 1 + md.nu * b
     hi_h = 2 * ctx.order + 3
     ft = ctx.ftilde_hbar(hi_h).truncate(b)
@@ -278,12 +281,11 @@ def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
     one = BiSeries.one(b)
     res0_poly = _residue_against_g(md, one - fp_series(ctx.tables, one, p, +1), b)
 
+    resinf_main = -_f_bracket(ctx, b, tilde=True)
+    # F_p of the unit series has negative w powers: read its head further
     target = md.n - 2 - md.r
     hi_w = target + p + 2
-    ftw = ctx.f_w((hi_w,) * (b + 1), tilde=True)
-    ftpw = fp_series(ctx.tables, ftw, p, -1)
     head = _q0_series(_ch_coeffs(md, hi_w, minus_wn=True), hi_w, b)
-    resinf_main = -(head * (ftw - ftpw)).mul_coeff(ftw.inv(), b, target)
     resinf_poly = -head.mul_coeff(
         one - fp_series(ctx.tables, one, p, -1), b, target)
 
@@ -298,11 +300,11 @@ def _type_b_residues(ctx: FanoContext, b: int) -> Rat:
 def standard_invariant(ctx: FanoContext, b: int) -> Rat:
     """The closed genus-1 formula."""
     _check_range(ctx.md, b)
-    return ctx.memo(("type_a", b), lambda: type_a(ctx, b)) + _closed_rows(ctx, b)
+    return type_a(ctx, b) + _closed_rows(ctx, b)
 
 
 def reduced_invariant(ctx: FanoContext, b: int) -> Rat:
-    return ctx.memo(("type_a", b), lambda: type_a(ctx, b)) + type_b(ctx, b)
+    return type_a(ctx, b) + type_b(ctx, b)
 
 
 def invariant_row(ctx: FanoContext, b: int) -> InvariantRow:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from fanogw import hyper
 from fanogw.checks import check_w_regular
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import CtSums, FanoContext, fp_series, ftilde_hbar, f_w
+from fanogw.hyper import (CtSums, FanoContext, fp_series, ftilde_hbar, f_w,
+                          mu_by_residue, theta_by_residue)
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
 from fanogw.tables import CoeffTables
 
@@ -184,7 +185,7 @@ def test_mu_small_values():
 def test_mu_dual_route():
     for md in (MD53, MD722):
         ctx = FanoContext(md, 8)
-        assert ctx.mu("closed").matches(ctx.mu("residue"))
+        assert ctx.mu().matches(mu_by_residue(ctx))
 
 
 def test_phi_normalization_and_dual_route():
@@ -192,8 +193,8 @@ def test_phi_normalization_and_dual_route():
         ctx = FanoContext(md, 8)
         phi0, phi1 = ctx.phi0(), ctx.phi1()
         assert phi0.coeff(0) == 1 and phi1.coeff(0) == 0
-        assert phi0.matches(ctx.phi0("series"))
-        assert phi1.matches(ctx.phi1("series"))
+        assert phi0.matches(theta_by_residue(ctx, 0, 0))
+        assert phi1.matches(theta_by_residue(ctx, 0, 1))
     assert FanoContext(MD53, 2).phi0().coeff(1) == 0
 
 
@@ -205,8 +206,8 @@ def test_theta_dual_route_and_specials():
         for p in range(md.n + 1):
             assert ctx.theta(p, 1).coeff(0) == 0
             for lvl in (0, 1):
-                assert ctx.theta(p, lvl, "lemma").matches(
-                    ctx.theta(p, lvl, "residue"))
+                assert ctx.theta(p, lvl).matches(
+                    theta_by_residue(ctx, p, lvl))
             assert ctx.theta(p, 0).coeff(0) == 1
 
 

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from fanogw import invariants
 from fanogw.checks import check_three_path, default_grid
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import FanoContext
+from fanogw.hyper import FanoContext, theta_by_residue
 from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                a_series, chern_degree0_oracle, context_for,
                                f_residue_series, invariant_row,
                                invariant_table, reduced_invariant,
                                standard_invariant, svr_difference, type_a,
-                               type_b)
+                               type_b, type_b_by_residues)
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
 
 from helpers import (a_double_residue_by_terms, chern_value_oracle,
@@ -67,15 +67,15 @@ def test_rows_above_dimension_vanish():
 
 def test_a_series_vanishes_at_zero():
     for md in (MD53, MD722):
-        assert a_series(context_for(md, 2)).coeff(0) == 0
+        assert context_for(md, 2).A().coeff(0) == 0
 
 
 def test_a_double_residue_oracle():
     for md in (MD53, MD722):
         ctx = context_for(md, 5)
-        a = a_series(ctx, "theta")
-        assert a.matches(a_series(ctx, "double_residue"))
-        assert a_series(ctx) is a  # built once per context
+        a = ctx.A()
+        assert a.matches(a_series(ctx))
+        assert ctx.A() is a  # built once per context
 
 
 def test_type_a_is_half_the_q_b_coefficient_of_theta_a_over_phi0():
@@ -87,6 +87,30 @@ def test_type_a_is_half_the_q_b_coefficient_of_theta_a_over_phi0():
             p = 1 + md.nu * b
             whole = ctx.theta(p, 0) * ctx.A() / ctx.phi0()
             assert type_a(ctx, b) == Fraction(1, 2) * whole.coeff(b), (md, b)
+
+
+def test_type_a_by_its_second_route():
+    """type A equals 1/2 [q^b] Theta^{(0)}_p A / Phi0 with p = 1 + nu*b,
+    read off the series routes: Theta^{(0)}_p and Phi0 by residue
+    (`theta_by_residue`) and A by the double residue (`a_series`).  None
+    of these reads the ct-L sums, L or the closed Phi0, which `type_a`
+    and `FanoContext.A` share; on every valid geometry with n <= 9 and
+    r <= 3, among them X_6(2,3) and X_8(7), where type A is nonzero."""
+    geometries = valid_geometries(9, 3)
+    assert MD623 in geometries and MultiDegree(8, (7,)) in geometries
+    rows, nonzero = 0, set()
+    for md in geometries:
+        ctx = context_for(md, md.bmax)
+        a_over_phi0 = a_series(ctx) / theta_by_residue(ctx, 0, 0)
+        for b in range(md.bmax + 1):
+            p = 1 + md.nu * b
+            want = Fraction(1, 2) * (theta_by_residue(ctx, p, 0)
+                                     * a_over_phi0).coeff(b)
+            assert type_a(ctx, b) == want, (md.label(), b)
+            rows += 1
+            if want:
+                nonzero.add(md.label())
+    assert rows == 254 and {"X_6(2,3)", "X_8(7)"} <= nonzero
 
 
 def test_a_series_from_structure_sums():
@@ -116,7 +140,7 @@ def test_a_series_from_structure_sums():
                         + (phi0 * phi0.deriv() * L.pow(e - 1) * lin
                            + phi0 * phi0 * lprime * L.pow(e - 2) * binw).shift(1))
                 out = out + rows.shift(beta).truncate(order)
-        assert out.matches(a_series(ctx, "theta")), md
+        assert out.matches(ctx.A()), md
 
 
 fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
@@ -156,7 +180,7 @@ def test_kernel_residues_match_the_term_sums():
     residue on (Ft - Ft_p) / Ft for every p <= n."""
     for md in valid_geometries(9, 3):
         ctx = FanoContext(md, 3)
-        assert a_series(ctx, "double_residue") == a_double_residue_by_terms(ctx)
+        assert a_series(ctx) == a_double_residue_by_terms(ctx)
         hi = 2 * ctx.order + 3
         ft = ctx.ftilde_hbar(hi)
         inv = ft.inv()
@@ -188,13 +212,13 @@ def test_type_b_residue_oracle_nu_ge_2():
     for md in (MD53, MD722, MultiDegree(6, (3,))):
         ctx = context_for(md, md.bmax)
         for b in range(1, md.bmax + 1):
-            assert type_b(ctx, b, "rows") == type_b(ctx, b, "residues")
+            assert type_b(ctx, b) == type_b_by_residues(ctx, b)
 
 
 def test_type_b_residue_route_rejects_nu1():
     ctx = context_for(MD623, 1)
     with pytest.raises(ValueError):
-        type_b(ctx, 1, "residues")
+        type_b_by_residues(ctx, 1)
 
 
 def test_type_b_degree0_is_residue_row_only():
@@ -346,6 +370,15 @@ def test_out_of_range():
         standard_invariant(ctx, MD53.bmax + 1)
     with pytest.raises(OutOfRange):
         svr_difference(ctx, -1)
+
+
+def test_table_bounds_must_be_non_negative():
+    """A negative max_b or pad is refused with a message naming it, not
+    read as an empty table, a smaller context or a short window."""
+    for kwargs, name in (({"max_b": -1}, "max_b"), ({"max_b": -2}, "max_b"),
+                         ({"pad": -1}, "pad"), ({"pad": -2}, "pad")):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            invariant_table(MD53, **kwargs)
 
 
 def test_insertion_power():

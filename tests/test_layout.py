@@ -78,6 +78,24 @@ def test_no_whole_product_read_at_one_exponent():
     assert offenders == []
 
 
+def test_no_route_parameter():
+    """Each quantity has one accessor and each oracle is a named
+    function: no function or method takes a `route` to pick between
+    them."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+                names += [x.arg for x in (a.vararg, a.kwarg) if x]
+                if "route" in names:
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def load_spans():
     """The tracer module, loaded without installing it (installing
     would rebind module globals for the rest of the session)."""
