@@ -1,8 +1,10 @@
 """Exact genus-1 one-point Gromov-Witten invariants of Fano complete
 intersections in projective space.  A row's `consistent` holds by
-construction; the independent checks are the type-B residue oracle
-(nu >= 2), the degree-1 vanishing and, in the tests, type A's series
-route."""
+construction; the independent checks are type A's second route (in the
+`a-double-residue` check), the type-B residue oracle (every b >= 1 at
+every index; the check runs it where nu >= 2), the degree-1 vanishing
+and the degree-0 Chern oracle, which shares no code with the degree-0
+row."""
 
 from .geometry import MultiDegree
 from .hyper import FanoContext

@@ -7,9 +7,12 @@ q-orders pinned:
 * the algebraic L identity to q-order 12;
 * dual-route equality (mu, Phi0, Phi1, Theta) to q-order 8;
 * regularizability and w-regularity to q-order 8;
-* the degree-0 Chern value, three-path consistency (with the degree-1
-  vanishing of the reduced invariant), SvR vanishing;
-* the double-residue oracle for A(q) to q-order 6;
+* the degree-0 Chern value (an oracle independent of the degree-0
+  row), three-path consistency (with the degree-1 vanishing of the
+  reduced invariant), SvR vanishing;
+* the double-residue oracle for A(q) to q-order 6, with type A checked
+  against its second route at every degree below that order;
+* the type-B residue oracle (run where nu >= 2);
 * the proven structure-sum lemmas for beta <= 3;
 * truncation stability and the ct*c convolution identity.
 """
@@ -17,11 +20,12 @@ q-orders pinned:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .geometry import MultiDegree
 from .hyper import FanoContext, mu_by_residue, theta_by_residue
 from .invariants import (a_series, chern_degree0_oracle, context_for,
-                         invariant_table, svr_difference, type_b,
+                         invariant_table, svr_difference, type_a, type_b,
                          type_b_by_residues)
 from .series import QSeries
 from .sums import check_proven_identities, sums_by_degree, tables_for_sums
@@ -97,10 +101,10 @@ def check_degree0(md: MultiDegree) -> bool:
 def check_three_path(md: MultiDegree, pad: int = 0) -> bool:
     """Every row consistent, and the reduced invariant 0 in degree 1:
     no smooth genus-1 curve maps with degree 1, so the main component
-    of the reduced moduli space is empty there."""
+    of the reduced moduli space is empty there.  Every valid geometry
+    has degree 1, since nu <= n - 2."""
     rows = invariant_table(md, pad=pad)
-    return (all(r.consistent for r in rows)
-            and (md.bmax < 1 or rows[1].reduced == 0))
+    return all(r.consistent for r in rows) and rows[1].reduced == 0
 
 
 def check_svr_vanishing(md: MultiDegree) -> bool:
@@ -110,12 +114,30 @@ def check_svr_vanishing(md: MultiDegree) -> bool:
 
 
 def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
+    """A(q) by its two routes, and type A by its second route: for every
+    b up to A's order (one below the context's), type A equals
+    1/2 [q^b] Theta^{(0)}_p A / Phi0 with p = 1 + nu*b, where A is the
+    double residue and each Theta (Phi0 at p = 0) is read off the
+    regularized F_p at the window the double residue built."""
     ctx = FanoContext(md, order)
-    return ctx.A().matches(a_series(ctx))
+    a = a_series(ctx)
+    if not ctx.A().matches(a):
+        return False
+
+    def theta0(p: int) -> QSeries:
+        return ctx.regularized_fp(p, 2 * order + 3).coeff_of_aux(0)
+
+    a_over_phi0 = a / theta0(0)
+    return all(type_a(ctx, b) == Fraction(1, 2)
+               * theta0(1 + md.nu * b).mul_coeff(a_over_phi0, b)
+               for b in range(min(md.bmax, order - 1) + 1))
 
 
 def check_type_b_residue_oracle(md: MultiDegree) -> bool:
-    """rows route vs honest residues at h = 0 and infinity (nu >= 2)."""
+    """rows route vs honest residues at h = 0 and infinity.  The oracle
+    holds at every index, but it runs on nu >= 2 only: on an index-1
+    geometry it would build one more context and one more set of tables
+    per run than the benchmark's check-grid counts pin."""
     if md.nu < 2:
         return True
     ctx = context_for(md, md.bmax)

@@ -22,6 +22,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .checks import default_grid, run_geometry_suite
 from .geometry import MultiDegree
@@ -35,18 +36,6 @@ FORMATS = (TEXT, CSV, JSON)
 
 def fmt_rat(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -130,178 +119,150 @@ def _load_hj_table(path: str):
 
 
 # ---------------------------------------------------------------------------
-# compute
+# output: each verb lists its printed rows once, as dicts of fields
+# (rationals already lowest-term strings), and `_render` lays them out
 
 
-def _rows_payload(md: MultiDegree, rows) -> dict:
-    return {
-        "ambient": md.n,
-        "degrees": list(md.degrees),
-        "index": md.nu,
-        "dim": md.dim,
-        "rows": [
-            {
-                "b": r.b,
-                "insertion_power": r.insertion_power,
-                "standard": fmt_rat(r.standard),
-                "reduced": fmt_rat(r.reduced),
-                "difference": fmt_rat(r.difference),
-                "consistent": r.consistent,
-            }
-            for r in rows
-        ],
-    }
+class _Rows(NamedTuple):
+    """Rows of one kind and their text layout: `line` is a template over
+    a row's fields, `words` print a verdict (True, False) in it."""
+    rows: list
+    line: str
+    words: tuple = ("true", "false")
 
 
-def _csv(header: str, rows) -> str:
-    """A header line and the rows, quoted where a field needs it (a
-    geometry label such as X_7(2,2) holds commas)."""
-    buf = io.StringIO()
-    out = csv.writer(buf, lineterminator="\n")
-    out.writerow(header.split(","))
-    out.writerows(rows)
-    return buf.getvalue()
+class _Report(NamedTuple):
+    """What a verb prints and its exit code.  `json()` builds the JSON
+    document from the rows; CSV prints the `columns` fields of every
+    `body` row; text prints one line per `head`, `body` and `foot` row."""
+    code: int
+    json: Callable[[], dict]
+    columns: str
+    body: tuple
+    head: tuple = ()
+    foot: tuple = ()
 
 
-def _rows_csv(rows) -> str:
-    return _csv("b,insertion_power,standard,reduced,difference,consistent",
-                ((r.b, r.insertion_power, fmt_rat(r.standard),
-                  fmt_rat(r.reduced), fmt_rat(r.difference),
-                  "true" if r.consistent else "false") for r in rows))
+def _json(row: dict, keys: str) -> dict:
+    """The named fields of a row as one JSON object, a geometry as its
+    ambient and degrees (CSV and text print its label)."""
+    obj = {}
+    for key in keys.split():
+        if key == "geometry":
+            obj.update(ambient=row[key].n, degrees=list(row[key].degrees))
+        else:
+            obj[key] = row[key]
+    return obj
 
 
-def _rows_text(md: MultiDegree, rows) -> str:
-    head = (f"{md.label()}  index={md.nu}  dim={md.dim}\n"
-            f"{'b':>3} {'a':>4} {'standard':>18} {'reduced':>18} "
-            f"{'difference':>18} {'ok':>3}\n")
-    body = "".join(
-        f"{r.b:>3} {r.insertion_power:>4} {fmt_rat(r.standard):>18} "
-        f"{fmt_rat(r.reduced):>18} {fmt_rat(r.difference):>18} "
-        f"{'yes' if r.consistent else 'NO':>3}\n"
-        for r in rows)
-    return head + body
+def _flat(value, missing: str, words: tuple):
+    """A field as CSV or text prints it: a geometry by its label, a
+    missing value as `missing`, a verdict as one of `words`."""
+    if isinstance(value, MultiDegree):
+        return value.label()
+    if value is None:
+        return missing
+    if isinstance(value, bool):
+        return words[0] if value else words[1]
+    return value
 
 
-def cmd_compute(md: MultiDegree, max_b: int | None, pad: int,
-                fmt: str, out_path: str | None) -> int:
-    rows = invariant_table(md, max_b=max_b, pad=pad)
+def _render(fmt: str, report: _Report) -> str:
+    """The report in fmt, the one place that branches on the format;
+    only that format is laid out.  CSV fields are quoted where they
+    need it (a geometry label such as X_7(2,2) holds commas)."""
     if fmt == JSON:
-        _emit(_dump_json(_rows_payload(md, rows)), out_path)
-    elif fmt == CSV:
-        _emit(_rows_csv(rows), out_path)
-    else:
-        _emit(_rows_text(md, rows), out_path)
-    return 0 if all(r.consistent for r in rows) else 2
-
-
-# ---------------------------------------------------------------------------
-# check
-
-
-def cmd_check(geometries: list[MultiDegree], pad: int, fmt: str,
-              out_path: str | None) -> int:
-    all_results = [(md, run_geometry_suite(md, pad=pad)) for md in geometries]
-    ok = all(r.ok for _, results in all_results for r in results)
-    if fmt == JSON:
-        payload = {
-            "suite": "check",
-            "all_pass": ok,
-            "cases": [
-                {
-                    "ambient": md.n,
-                    "degrees": list(md.degrees),
-                    "checks": [{"name": r.name, "pass": r.ok} for r in results],
-                }
-                for md, results in all_results
-            ],
-        }
-        _emit(_dump_json(payload), out_path)
-    elif fmt == CSV:
-        _emit(_csv("geometry,check,pass",
-                   ((md.label(), r.name, "true" if r.ok else "false")
-                    for md, results in all_results for r in results)),
-              out_path)
-    else:
+        return json.dumps(report.json(), indent=2, sort_keys=True) + "\n"
+    if fmt == CSV:
+        keys = report.columns.split(",")
         buf = io.StringIO()
-        for md, results in all_results:
-            for r in results:
-                buf.write(f"{'PASS' if r.ok else 'FAIL'} {md.label():12s} {r.name}\n")
-        buf.write("all checks passed\n" if ok else "CHECK FAILURES PRESENT\n")
-        _emit(buf.getvalue(), out_path)
-    return 0 if ok else 2
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(keys)
+        out.writerows([_flat(row[k], "", ("true", "false")) for k in keys]
+                      for part in report.body for row in part.rows)
+        return buf.getvalue()
+    parts = (*report.head, *report.body, *report.foot)
+    return "".join(
+        part.line.format(**{k: _flat(v, "-", part.words)
+                            for k, v in row.items()}) + "\n"
+        for part in parts for row in part.rows)
 
 
-# ---------------------------------------------------------------------------
-# conjectures
+_TABLE_LINE = ("{b:>3} {insertion_power:>4} {standard:>18} {reduced:>18} "
+               "{difference:>18} {consistent:>3}")
+_TABLE_TITLES = {"b": "b", "insertion_power": "a", "standard": "standard",
+                 "reduced": "reduced", "difference": "difference",
+                 "consistent": "ok"}
 
 
-def cmd_conjectures(geometries: list[MultiDegree], beta_max: int, hj,
-                    fmt: str, out_path: str | None) -> int:
+def cmd_compute(md: MultiDegree, max_b: int | None, pad: int) -> _Report:
+    about = {"geometry": md, "index": md.nu, "dim": md.dim}
+    rows = [{"b": r.b, "insertion_power": r.insertion_power,
+             "standard": fmt_rat(r.standard), "reduced": fmt_rat(r.reduced),
+             "difference": fmt_rat(r.difference), "consistent": r.consistent}
+            for r in invariant_table(md, max_b=max_b, pad=pad)]
+    return _Report(
+        code=0 if all(row["consistent"] for row in rows) else 2,
+        json=lambda: {**_json(about, "geometry index dim"), "rows": rows},
+        columns=",".join(_TABLE_TITLES),
+        body=(_Rows(rows, _TABLE_LINE, ("yes", "NO")),),
+        head=(_Rows([about], "{geometry}  index={index}  dim={dim}"),
+              _Rows([_TABLE_TITLES], _TABLE_LINE)))
+
+
+def cmd_check(geometries: list[MultiDegree], pad: int) -> _Report:
+    cases = [({"geometry": md},
+              [{"geometry": md, "check": r.name, "pass": r.ok}
+               for r in run_geometry_suite(md, pad=pad)])
+             for md in geometries]
+    rows = [row for _, checks in cases for row in checks]
+    ok = all(row["pass"] for row in rows)
+    return _Report(
+        code=0 if ok else 2,
+        json=lambda: {"suite": "check", "all_pass": ok, "cases": [
+            {**_json(about, "geometry"), "checks": [
+                {"name": row["check"], "pass": row["pass"]} for row in checks]}
+            for about, checks in cases]},
+        columns="geometry,check,pass",
+        body=(_Rows(rows, "{pass} {geometry:12s} {check}", ("PASS", "FAIL")),),
+        foot=(_Rows([{"ok": ok}], "{ok}",
+                    ("all checks passed", "CHECK FAILURES PRESENT")),))
+
+
+def cmd_conjectures(geometries: list[MultiDegree], beta_max: int,
+                    hj) -> _Report:
     sums = [sv for md in geometries
             for sv in sums_by_degree(tables_for_sums(md, beta_max))]
-    lemma_rows = check_proven_identities(sums)
-    reports = evaluate_conjectures(sums, hj=hj)
-    lemma_fail = sum(0 if c.ok else 1 for c in lemma_rows)
-
-    if fmt == JSON:
-        payload = {
+    lemmas = [{"kind": "lemma", "name": c.name, "geometry": c.md,
+               "beta": c.beta, "expected": fmt_rat(c.expected),
+               "computed": fmt_rat(c.computed), "pass": c.ok,
+               "verdict": "pass" if c.ok else "fail"}
+              for c in check_proven_identities(sums)]
+    reports = [(rep.conjecture, [
+        {"kind": "conjecture", "name": rep.conjecture, "geometry": c.md,
+         "beta": c.beta, "computed": fmt_rat(c.computed),
+         "expected": None if c.expected is None else fmt_rat(c.expected),
+         "verdict": c.verdict}
+        for c in rep.cases]) for rep in evaluate_conjectures(sums, hj=hj)]
+    failures = sum(not row["pass"] for row in lemmas)
+    return _Report(
+        code=0 if failures == 0 else 2,
+        json=lambda: {
             "suite": "conjectures",
-            "lemma_failures": lemma_fail,
-            "lemmas": [
-                {
-                    "name": c.name,
-                    "ambient": c.md.n,
-                    "degrees": list(c.md.degrees),
-                    "beta": c.beta,
-                    "computed": fmt_rat(c.computed),
-                    "expected": fmt_rat(c.expected),
-                    "pass": c.ok,
-                }
-                for c in lemma_rows
-            ],
+            "lemma_failures": failures,
+            "lemmas": [_json(row, "name geometry beta computed expected pass")
+                       for row in lemmas],
             "conjectures": [
-                {
-                    "conjecture": rep.conjecture,
-                    "cases": [
-                        {
-                            "ambient": c.md.n,
-                            "degrees": list(c.md.degrees),
-                            "beta": c.beta,
-                            "expected": None if c.expected is None
-                            else fmt_rat(c.expected),
-                            "computed": fmt_rat(c.computed),
-                            "verdict": c.verdict,
-                        }
-                        for c in rep.cases
-                    ],
-                }
-                for rep in reports
-            ],
-        }
-        _emit(_dump_json(payload), out_path)
-    elif fmt == CSV:
-        lemmas = (("lemma", c.name, c.md.label(), c.beta, fmt_rat(c.expected),
-                   fmt_rat(c.computed), "pass" if c.ok else "fail")
-                  for c in lemma_rows)
-        cases = (("conjecture", rep.conjecture, c.md.label(), c.beta,
-                  "" if c.expected is None else fmt_rat(c.expected),
-                  fmt_rat(c.computed), c.verdict)
-                 for rep in reports for c in rep.cases)
-        _emit(_csv("kind,name,geometry,beta,expected,computed,verdict",
-                   [*lemmas, *cases]), out_path)
-    else:
-        buf = io.StringIO()
-        for c in lemma_rows:
-            buf.write(f"{'PASS' if c.ok else 'FAIL'} lemma {c.name} "
-                      f"{c.md.label()} beta={c.beta}\n")
-        for rep in reports:
-            for c in rep.cases:
-                exp = "-" if c.expected is None else fmt_rat(c.expected)
-                buf.write(f"{rep.conjecture:12s} {c.md.label():12s} "
-                          f"beta={c.beta} expected={exp} "
-                          f"computed={fmt_rat(c.computed)} -> {c.verdict}\n")
-        _emit(buf.getvalue(), out_path)
-    return 0 if lemma_fail == 0 else 2
+                {"conjecture": name, "cases": [
+                    _json(row, "geometry beta expected computed verdict")
+                    for row in cases]}
+                for name, cases in reports]},
+        columns="kind,name,geometry,beta,expected,computed,verdict",
+        body=(_Rows(lemmas, "{pass} lemma {name} {geometry} beta={beta}",
+                    ("PASS", "FAIL")),
+              _Rows([row for _, cases in reports for row in cases],
+                    "{name:12s} {geometry:12s} beta={beta} expected={expected}"
+                    " computed={computed} -> {verdict}")))
 
 
 # ---------------------------------------------------------------------------
@@ -386,24 +347,25 @@ def main(argv=None) -> int:
         for flag in ("order", "max-b"):
             if (vars(args).get(flag.replace("-", "_")) or 0) < 0:
                 raise ValueError(f"--{flag} must be >= 0")
-        fmt = args.format or TEXT
-
         if args.command == "compute":
             if args.ambient is None or args.degrees is None:
                 raise ValueError("compute needs --ambient and --degrees")
             md = MultiDegree(args.ambient, _parse_degrees(args.degrees))
-            return cmd_compute(md, args.max_b, args.order or 0, fmt, args.out)
-
-        if args.command == "check":
-            return cmd_check(_geometries_from(args), args.order or 0, fmt,
-                             args.out)
-
-        if args.command == "conjectures":
+            report = cmd_compute(md, args.max_b, args.order or 0)
+        elif args.command == "check":
+            report = cmd_check(_geometries_from(args), args.order or 0)
+        else:  # conjectures: the parser admits no other verb
             beta_max = 2 if args.max_b is None else args.max_b
-            hj = None if args.hj_table is None else _load_hj_table(args.hj_table)
-            return cmd_conjectures(_geometries_from(args), beta_max, hj,
-                                   fmt, args.out)
-        raise ValueError(f"unknown command {args.command!r}")
+            hj = (None if args.hj_table is None
+                  else _load_hj_table(args.hj_table))
+            report = cmd_conjectures(_geometries_from(args), beta_max, hj)
+        text = _render(args.format or TEXT, report)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return report.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

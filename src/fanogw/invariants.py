@@ -7,9 +7,12 @@ plus type B) and `svr_difference` (the standard-vs-reduced correction).
 Standard = reduced + difference holds by construction: the rows route
 of type B (`type_b`) shares the closed rows with the standard invariant
 and the F-bracket with the difference.  The oracles are named functions:
-`a_series`, the double residue of A(q) (`FanoContext.A`), and
-`type_b_by_residues` (nu >= 2).  Everything is exact; truncation orders
-and Laurent windows are derived from (n, r, nu, b) up front.
+`a_series`, the double residue of A(q) (`FanoContext.A`), which also
+gives type A its second route (`checks.check_a_double_residue`);
+`type_b_by_residues`, for every b >= 1 at every index; and
+`chern_degree0_oracle`, which shares no code with the degree-0 row.
+Everything is exact; truncation orders and Laurent windows are derived
+from (n, r, nu, b) up front.
 
 A degree-b invariant reads one coefficient.  Each reader of q^b cuts its
 series at b and reads the last product through `BiSeries.mul_coeff` or
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, prod
 
 from .geometry import MultiDegree
@@ -82,10 +86,17 @@ def context_for(md: MultiDegree, max_b: int, pad: int = 0) -> FanoContext:
 
 
 def chern_degree0_oracle(md: MultiDegree) -> Rat:
-    """-(1/24) integral of c_{dim-1}(T_X) cup h, by expanding the total
-    Chern class (1+h)^n / prod(1 + d_k h) of the complete intersection."""
-    return -Fraction(prod(md.degrees), 24) \
-        * _ch_coeffs(md, md.dim - 1).coeff(md.dim - 1)
+    """-(1/24) integral of c_{dim-1}(T_X) cup h: the h^m coefficient,
+    m = dim - 1, of the total Chern class (1+h)^n / prod(1 + d_k h) is
+    sum_j C(n, m-j) (-1)^j h_j(d), with h_j the complete homogeneous
+    symmetric polynomial in the degrees.  It shares no code with the
+    standard invariant's degree-0 row (`ct_residue_row`, `_ch_coeffs`)."""
+    m = md.dim - 1
+    coeff = sum(comb(md.n, m - j) * (-1) ** j
+                * sum(prod(ds) for ds in combinations_with_replacement(
+                    md.degrees, j))
+                for j in range(m + 1))
+    return -Fraction(prod(md.degrees), 24) * coeff
 
 
 def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> LaurentPoly:
@@ -259,7 +270,7 @@ def _residue_against_g(md: MultiDegree, series: BiSeries, b: int) -> Rat:
 
 
 def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
-    """Type B by its oracle route (nu >= 2): assembled from the residues
+    """Type B by its oracle route (b >= 1): assembled from the residues
     at h = 0, at h = infinity, and (via the residue theorem) at h = -d,
     computed directly on the hypergeometric Laurent data.  Only q^b is
     read, so every series is cut to q^b and each residue is read at q^b
@@ -267,8 +278,8 @@ def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
     F-bracket with F replaced by Ft."""
     md = ctx.md
     _check_range(md, b)
-    if md.nu < 2:
-        raise ValueError("residue-route type B oracle is restricted to nu >= 2")
+    if b == 0:
+        raise ValueError("residue-route type B oracle needs b >= 1")
     p = 1 + md.nu * b
     hi_h = 2 * ctx.order + 3
     ft = ctx.ftilde_hbar(hi_h).truncate(b)

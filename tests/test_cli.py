@@ -251,6 +251,29 @@ def test_check_corrupted_ctilde_fails_convolution(monkeypatch, capsys):
     assert "X_5(3),convolution-identity,false" in out.splitlines()
 
 
+def test_check_fails_on_a_scaled_type_a(monkeypatch, capsys):
+    """`a-double-residue` compares type A with its second route, so a
+    wrong type A fails `fanogw check` on X_6(2,3), where type A is
+    nonzero."""
+    real = fanogw.checks.type_a
+    monkeypatch.setattr(fanogw.checks, "type_a",
+                        lambda ctx, b: real(ctx, b) * Fraction(7, 3))
+    code, out, _ = run(capsys, "check", "--ambient", "6", "--degrees", "2,3",
+                       "--format", "csv")
+    assert code == 2
+    assert '"X_6(2,3)",a-double-residue,false' in out.splitlines()
+
+
+@pytest.mark.parametrize("n,degrees", [(6, (2, 3)), (8, (7,)), (10, (9,))])
+def test_a_double_residue_catches_a_scaled_type_a(monkeypatch, n, degrees):
+    md = MultiDegree(n, degrees)
+    assert fanogw.checks.check_a_double_residue(md)
+    real = fanogw.checks.type_a
+    monkeypatch.setattr(fanogw.checks, "type_a",
+                        lambda ctx, b: real(ctx, b) * Fraction(7, 3))
+    assert not fanogw.checks.check_a_double_residue(md)
+
+
 def test_check_grid_file(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("5:3\n6:2,2\n", encoding="utf-8")

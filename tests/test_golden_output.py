@@ -58,6 +58,12 @@ DIGESTS = {
         "df6a70ce3f9b30978593a051b82e812437af36dc4edfa1dbf268e37a6380a03b",
     "check --format csv":
         "30ae59653a06934c2e0d4d0d2e0ce40c6ff661e9de7fb52e0d8d610311b58b74",
+    "check --ambient 6 --degrees 2,3 --format text":
+        "e13e291f2fb43b117742d1d16dd6c05d6cc0652a87a6828785662be395c8f1db",
+    "check --ambient 6 --degrees 2,3 --format json":
+        "14fa88d5bccd62329235d5388227e42dd34dbb148547c63a5091687a0e4a0b38",
+    "check --ambient 7 --degrees 2,2 --format json":
+        "f953b6e981ee4bf50782d186e20461e65bd6511a1d1714d8dc32451078b78729",
     "conjectures --format json":
         "4bbf3e09201e3f8c54185853567b3ce41bb68e6dee02d8a1bb54d7b57bdebf02",
     "conjectures --format csv":

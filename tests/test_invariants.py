@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw import invariants
-from fanogw.checks import check_three_path, default_grid
+from fanogw.checks import check_degree0, check_three_path, default_grid
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import FanoContext, theta_by_residue
 from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
@@ -215,10 +215,23 @@ def test_type_b_residue_oracle_nu_ge_2():
             assert type_b(ctx, b) == type_b_by_residues(ctx, b)
 
 
-def test_type_b_residue_route_rejects_nu1():
-    ctx = context_for(MD623, 1)
-    with pytest.raises(ValueError):
-        type_b_by_residues(ctx, 1)
+def test_type_b_residue_route_at_index_one():
+    """The residue route needs no nu >= 2: it equals the rows route on
+    every row b >= 1 of X_6(2,3) and X_8(7)."""
+    for md in (MD623, MultiDegree(8, (7,))):
+        assert md.nu == 1
+        ctx = context_for(md, md.bmax)
+        for b in range(1, md.bmax + 1):
+            assert type_b(ctx, b) == type_b_by_residues(ctx, b), (md, b)
+
+
+def test_type_b_residue_route_rejects_degree_zero():
+    """At b = 0 the residue route would give 0, not type B (X_5(3):
+    type B is -1/2 there), so it refuses b = 0."""
+    ctx = context_for(MD53, 1)
+    assert type_b(ctx, 0) == Fraction(-1, 2)
+    with pytest.raises(ValueError, match="b >= 1"):
+        type_b_by_residues(ctx, 0)
 
 
 def test_type_b_degree0_is_residue_row_only():
@@ -275,6 +288,17 @@ def test_scaled_n24_block_fails_three_path_on_the_grid(monkeypatch):
     for md in default_grid():
         assert all(r.consistent for r in invariant_table(md)), md.label()
         assert not check_three_path(md), md.label()
+
+
+def test_scaled_chern_coefficients_fail_degree0_on_the_grid(monkeypatch):
+    """The degree-0 oracle shares no code with the degree-0 row: scaling
+    `_ch_coeffs`, which the row reads through `ct_residue_row`, fails
+    `check_degree0` on every default-grid geometry."""
+    ch = invariants._ch_coeffs
+    monkeypatch.setattr(invariants, "_ch_coeffs",
+                        lambda *args, **kw: ch(*args, **kw) * Fraction(7, 3))
+    for md in default_grid():
+        assert not check_degree0(md), md.label()
 
 
 def test_reduced_equals_standard_beyond_threshold():
