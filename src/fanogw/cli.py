@@ -91,8 +91,12 @@ def _grid_entry(line: str) -> MultiDegree:
 
 
 def _load_grid(path: str) -> list[MultiDegree]:
-    return sorted(_parse_lines(path, _grid_entry),
-                  key=lambda md: (md.n, md.degrees))
+    """The geometries a grid file lists, sorted; a file that lists none
+    is an error, not a vacuous pass."""
+    grid = _parse_lines(path, _grid_entry)
+    if not grid:
+        raise ValueError(f"{path}: no geometry listed")
+    return sorted(grid, key=lambda md: (md.n, md.degrees))
 
 
 def _hj_entry(line: str) -> tuple:

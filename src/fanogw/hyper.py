@@ -19,7 +19,8 @@ comes from the one list L^0..L^n that the ct-L sums read too.  F(w, q)
 builds no slice of its own: slice k is w^(nu k) times the base slice k
 of the context's `CoeffTables`.  A(q) is Phi0 times four kernel pair
 sums of the ct-L sums, weighted by the Theta lemma; Theta itself is
-built only for its dual-route check.
+built only for its dual-route check, Theta^(1) as one kernel pair sum
+of the four ct-L sums against those weights.
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ def phi1_closed(md: MultiDegree, L: QSeries, y: QSeries, X: QSeries) -> QSeries:
 # the bundled context
 
 
-#: the six ct-L sums of one insertion power (`FanoContext.ct_sums`)
-CtSums = namedtuple("CtSums", "s0 s1 s2 s3 s0_at_1 s1_at_1")
+#: the four ct-L sums of one insertion power (`FanoContext.ct_sums`)
+CtSums = namedtuple("CtSums", "s0 s1 s2 s3")
 
 
 class FanoContext:
@@ -309,7 +310,7 @@ class FanoContext:
         return self.memo(("th", p, level), lambda: self._theta_lemma(p, level))
 
     def ct_sums(self, p: int) -> CtSums:
-        """The ct-L sums of insertion power p, over beta with
+        """The four ct-L sums of insertion power p, over beta with
         e = p - nu*beta, built once from one list L^0..L^n:
 
             s0 = sum ct[p,e,beta] q^beta L^e
@@ -317,21 +318,21 @@ class FanoContext:
             s2 = sum e ct[p,e,beta] q^(beta+1) L^(e-1)      = q dS0/dL
             s3 = sum C(e,2) ct[p,e,beta] q^(beta+1) L^(e-2) = (q/2) d2S0/dL2
 
-        where S0 is s0 read as a polynomial in L; s0_at_1 and s1_at_1
-        are s0 and s1 at L = 1."""
+        where S0 is s0 read as a polynomial in L.  At L = 1, s0 and s1
+        have the single entries ct[p,1,b] and ct[p,0,b] at q^b for
+        p = 1 + nu*b, so the n/24 block reads those instead of a sum."""
         return self.memo(("ct", p), lambda: self._ct_sums(p))
 
     def _ct_sums(self, p: int) -> CtSums:
         order, nu, ct = self.order, self.md.nu, self.tables.ctilde
         pows = [s.poly for s in self._l_powers()]
-        terms = [[] for _ in range(6)]  # (c q^shift, L^k) pairs of each sum
+        terms = [[], [], [], []]  # (c q^shift, L^k) pairs of each sum
         for beta in range(min(order, p // nu) + 1):
             e = p - nu * beta
             c0, c1 = ct(p, e, beta), ct(p, e - 1, beta)
             for i, c, k, shift in ((0, c0, e, beta), (1, c1, e - 1, beta),
                                    (2, e * c0, e - 1, beta + 1),
-                                   (3, comb(e, 2) * c0, e - 2, beta + 1),
-                                   (4, c0, 0, beta), (5, c1, 0, beta)):
+                                   (3, comb(e, 2) * c0, e - 2, beta + 1)):
                 if c:
                     terms[i].append((LaurentPoly.from_ints(
                         shift, (c.numerator,), c.denominator), pows[k]))
@@ -352,8 +353,10 @@ class FanoContext:
         s = self.ct_sums(p)
         if level == 0:
             return self.phi0() * s.s0
-        return sum((w * si for w, si in zip(self._theta_weights(), s)),
-                   QSeries.zero(self.order))
+        weights = self._theta_weights()
+        top = min(w.order for w in weights)
+        return QSeries.from_poly(top, sum_of_products(
+            ((w.poly, si.poly) for w, si in zip(weights, s)), top))
 
 
 # ---------------------------------------------------------------------------

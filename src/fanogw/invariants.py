@@ -27,10 +27,15 @@ infinity of `type_b_by_residues`: one body, `_f_bracket`.  Type A is q^b
 of s0(p) A(q): the Phi0 in Theta^{(0)}_p cancels the 1/Phi0 of the
 formula at every truncation order.
 
-Type A and the closed rows (n/24 times q^b of the n/24 block, minus
+Type A and the closed rows (n/24 times the n/24 block at q^b, minus
 prod(d)/24 times the ct residue row) enter both sides of a row.  Each
 is kept per (context, degree) through `FanoContext.memo`, so the
-standard invariant and the rows route of type B read one value.
+standard invariant and the rows route of type B read one value.  The
+F-bracket's numerator front * (F_0 - F_p) is kept per (context, degree)
+too, so the rows route of type B and the difference build F_p once per
+row.  F_0^-1 is still made on each bracket read: keeping it, or the
+bracket value, per context changes the inverse counts that the
+benchmark's trace pins, so that step waits for those pins to move.
 """
 
 from __future__ import annotations
@@ -154,25 +159,33 @@ def type_a(ctx: FanoContext, b: int) -> Rat:
 # the n/24 block shared by the closed formula and type B
 
 
-def n24_block(ctx: FanoContext, p: int) -> QSeries:
-    """The L/Phi0 rows of the genus-1 formula for insertion power p, in
-    difference form: each row carries (L^k - 1) rather than L^k, so the
-    block vanishes at q = 0 (matching the degree-0 genus-1 axiom)."""
-    e2 = Fraction(ctx.md.n - 1, 2) - ctx.md.inv_degree_sum()
-    s, phi0 = ctx.ct_sums(p), ctx.phi0()
-    return (-e2 * (s.s0 - s.s0_at_1)
-            - ctx.L().deriv() * s.s3
-            - phi0.deriv() * s.s2 / phi0
-            - (s.s1 - s.s1_at_1))
+def n24_block(ctx: FanoContext, b: int) -> Rat:
+    """[q^b] of the L/Phi0 rows of the genus-1 formula for insertion
+    power p = 1 + nu*b, in difference form: each row carries (L^k - 1)
+    rather than L^k, so the block vanishes at q = 0 (matching the
+    degree-0 genus-1 axiom).  Only q^b is read: the two ct-L sums at
+    L = 1 have the single ct entries ct[p,1,b] and ct[p,0,b] there, and
+    the two products are read through `QSeries.mul_coeff` against L' and
+    against Phi0'/Phi0, which is kept once per context."""
+    md = ctx.md
+    p = 1 + md.nu * b
+    e2 = Fraction(md.n - 1, 2) - md.inv_degree_sum()
+    s, ct = ctx.ct_sums(p), ctx.tables.ctilde
+    dlog_phi0 = ctx.memo(("dlog_phi0",),
+                         lambda: ctx.phi0().deriv() / ctx.phi0())
+    return (-e2 * (s.s0.coeff(b) - ct(p, 1, b))
+            - ctx.L().deriv().mul_coeff(s.s3, b)
+            - dlog_phi0.mul_coeff(s.s2, b)
+            - (s.s1.coeff(b) - ct(p, 0, b)))
 
 
 def _closed_rows(ctx: FanoContext, b: int) -> Rat:
-    """n/24 [q^b] n24_block(p) - prod(d)/24 ct_residue_row(b) with
-    p = 1 + nu*b: the rows that the closed formula and the rows route of
-    type B share, assembled once per (context, degree)."""
+    """n/24 n24_block(b) - prod(d)/24 ct_residue_row(b): the rows that
+    the closed formula and the rows route of type B share, assembled
+    once per (context, degree)."""
     md = ctx.md
     return ctx.memo(("closed_rows", b), lambda: (
-        Fraction(md.n, 24) * n24_block(ctx, 1 + md.nu * b).coeff(b)
+        Fraction(md.n, 24) * n24_block(ctx, b)
         - Fraction(prod(md.degrees), 24) * ct_residue_row(ctx, b)))
 
 
@@ -206,26 +219,41 @@ def f_residue_series(ctx: FanoContext, b: int) -> Rat:
 def _f_bracket(ctx: FanoContext, b: int, tilde: bool) -> Rat:
     """The q^b w^{n-2-r} coefficient of the bracket of `f_residue_series`,
     built on F or, when tilde, on Ft (the main part at infinity of the
-    residue route of type B).
+    residue route of type B): the kept numerator (`_bracket_numerator`)
+    read against F_0^-1 at q^b w^{n-2-r} alone (`BiSeries.mul_coeff`).
+    F_0^-1 is known up to w^{n-2-r}, which is enough because F_0 - F_p
+    has no w^0 term; a window short of the read raises WindowUnderflow,
+    never a wrong coefficient.
 
-    Only that coefficient is built.  Slice k of F_0 (or Ft_0), and so of
-    its inverse, carries w^{nu k}, so slice j of the numerator
-    front * (F_0 - F_p) is read only up to w^max(n-2-r - nu(b-j), -1).
-    F_p's window falls up to p below its base's, so slice k of F_0 is
-    cut at max(n-2-r+p - nu(b-k), p-1) before `fp_series` runs; the
-    front and F_0^-1 are known up to w^{n-2-r}, which is enough because
-    F_0 - F_p has no w^0 term.  The last product is read at q^b w^{n-2-r}
-    alone (`BiSeries.mul_coeff`): a window short of the read raises
-    WindowUnderflow, never a wrong coefficient."""
+    F_0 is inverted on each read, cut at q^b: keeping that inverse (or
+    the bracket value) per context would move the inverse counts that
+    the benchmark's trace pins, so it waits for their re-pin."""
+    target = ctx.md.n - 2 - ctx.md.r
+    return _bracket_numerator(ctx, b, tilde).mul_coeff(
+        ctx.f_w((target,) * (b + 1), tilde).inv(), b, target)
+
+
+def _bracket_numerator(ctx: FanoContext, b: int, tilde: bool) -> BiSeries:
+    """front * (F_0 - F_p) with p = 1 + nu*b, cut at q^b, kept per
+    (context, degree, tilde): type B's rows route and the difference
+    read one build.
+
+    Slice k of F_0 (or Ft_0), and so of its inverse, carries w^{nu k},
+    so slice j of the numerator is read only up to
+    w^max(n-2-r - nu(b-j), -1).  F_p's window falls up to p below its
+    base's, so slice k of F_0 is cut at max(n-2-r+p - nu(b-k), p-1)
+    before `fp_series` runs; the front is known up to w^{n-2-r}."""
     md = ctx.md
     p = 1 + md.nu * b
     target = md.n - 2 - md.r
-    f0 = ctx.f_w(tuple(max(target + p - md.nu * (b - k), p - 1)
-                       for k in range(b + 1)), tilde)
-    fp = fp_series(ctx.tables, f0, p, -1)
-    front = _q0_series(_ch_coeffs(md, target), target, b)
-    return (front * (f0 - fp)).mul_coeff(
-        ctx.f_w((target,) * (b + 1), tilde).inv(), b, target)
+
+    def build():
+        f0 = ctx.f_w(tuple(max(target + p - md.nu * (b - k), p - 1)
+                           for k in range(b + 1)), tilde)
+        fp = fp_series(ctx.tables, f0, p, -1)
+        front = _q0_series(_ch_coeffs(md, target), target, b)
+        return front * (f0 - fp)
+    return ctx.memo(("bracket_num", b, tilde), build)
 
 
 def svr_difference(ctx: FanoContext, b: int) -> Rat:

@@ -375,17 +375,18 @@ def poly_pow(a: LaurentPoly, alpha, cap: int) -> LaurentPoly:
 
 def poly_shift(a: LaurentPoly, s: int) -> LaurentPoly:
     """a(x + s) for a polynomial a (no negative exponent) and an int s:
-    Horner's rule a(x + s) = (...(a[m] (x + s) + a[m-1]) (x + s) + ...)
-    + a[0] on the numerators of a."""
+    repeated synthetic division by x - s, in place on the numerators of
+    a.  Pass i leaves c[i] as the x^i coefficient of a(x + s)."""
     if not a.nums:
         return _ZERO
     if a.lo < 0:
         raise ValueError("Taylor shift of a polynomial with negative exponents")
-    out = []
-    for c in reversed((0,) * a.lo + a.nums):
-        out = [s * x + y for x, y in zip(out + [0], [0] + out)]
-        out[0] += c
-    return LaurentPoly.from_ints(0, out, a.den)
+    c = [0] * a.lo + list(a.nums)
+    m = len(c) - 1
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return LaurentPoly.from_ints(0, c, a.den)
 
 
 def linear_product(pairs, cap=INF_EXP) -> LaurentPoly:

@@ -339,15 +339,28 @@ def f_w_cut(md, order, his):
 
 
 def ct_sums_by_terms(ctx, p):
-    """The six sums of `FanoContext.ct_sums`, in its field order, each
+    """The four sums of `FanoContext.ct_sums`, in its field order, each
     built term by term with `ct_l_sum`."""
     return (ct_l_sum(ctx, p, 0, lambda e: e, lambda e: 1),
             ct_l_sum(ctx, p, 1, lambda e: e - 1, lambda e: 1),
             ct_l_sum(ctx, p, 0, lambda e: e - 1, lambda e: e, qshift=1),
             ct_l_sum(ctx, p, 0, lambda e: e - 2, lambda e: comb(e, 2),
-                     qshift=1),
-            ct_l_sum(ctx, p, 0, lambda e: 0, lambda e: 1),
-            ct_l_sum(ctx, p, 1, lambda e: 0, lambda e: 1))
+                     qshift=1))
+
+
+def n24_block_reference(ctx, p):
+    """The whole n/24 block of insertion power p as a q-series, in
+    difference form: the two ct-L sums at L = 1 built as whole sums
+    (`ct_l_sum`) and the Phi0 row divided by Phi0 as a series."""
+    md = ctx.md
+    e2 = Fraction(md.n - 1, 2) - md.inv_degree_sum()
+    s, phi0 = ctx.ct_sums(p), ctx.phi0()
+    s0_at_1 = ct_l_sum(ctx, p, 0, lambda e: 0, lambda e: 1)
+    s1_at_1 = ct_l_sum(ctx, p, 1, lambda e: 0, lambda e: 1)
+    return (-e2 * (s.s0 - s0_at_1)
+            - ctx.L().deriv() * s.s3
+            - phi0.deriv() * s.s2 / phi0
+            - (s.s1 - s1_at_1))
 
 
 def _ct_or_zero(tables, p, l, beta):

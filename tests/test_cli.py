@@ -396,6 +396,17 @@ def test_input_file_errors_name_file_and_line(tmp_path, capsys, verb, flag,
     assert repr(text.splitlines()[lineno - 1]) in err
 
 
+@pytest.mark.parametrize("verb", ["check", "conjectures"])
+def test_grid_file_listing_no_geometry_fails(tmp_path, capsys, verb):
+    """A grid file with only comments and blank lines runs nothing, so
+    it is an error, not a vacuous pass."""
+    grid = tmp_path / "grid.txt"
+    grid.write_text("# no geometry here\n\n   \n", encoding="utf-8")
+    code, out, err = run(capsys, verb, "--grid", str(grid))
+    assert code == 1 and out == ""
+    assert err == f"error: {grid}: no geometry listed\n"
+
+
 # -- fuzzing the flag grammar
 
 FLAGS = ("--ambient", "--degrees", "--max-b", "--order", "--format", "--out",

@@ -14,14 +14,15 @@ from fanogw.hyper import FanoContext, theta_by_residue
 from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                a_series, chern_degree0_oracle, context_for,
                                f_residue_series, invariant_row,
-                               invariant_table, reduced_invariant,
+                               invariant_table, n24_block, reduced_invariant,
                                standard_invariant, svr_difference, type_a,
                                type_b, type_b_by_residues)
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
 
 from helpers import (a_double_residue_by_terms, chern_value_oracle,
-                     f_bracket_reference, pairing_by_terms,
-                     residue_against_g_by_terms, valid_geometries)
+                     f_bracket_reference, n24_block_reference,
+                     pairing_by_terms, residue_against_g_by_terms,
+                     valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -364,6 +365,34 @@ def test_each_bracket_inverts_f0_cut_at_its_degree(monkeypatch):
     monkeypatch.setattr(BiSeries, "inv", recording)
     invariant_table(MultiDegree(8, (7,)))
     assert sorted(orders) == [0] + [b for b in range(1, 8) for _ in (0, 1)]
+
+
+def test_each_row_builds_its_bracket_numerator_once(monkeypatch):
+    """invariant_table(X_8(7)) reads the F-bracket twice per row b >= 1
+    (type B and the difference) but builds F_p for it once per degree:
+    8 `fp_series` calls, one per row."""
+    calls = []
+    real = invariants.fp_series
+
+    def recording(tables, base, p, shift):
+        calls.append(p)
+        return real(tables, base, p, shift)
+
+    monkeypatch.setattr(invariants, "fp_series", recording)
+    invariant_table(MultiDegree(8, (7,)))
+    assert sorted(calls) == [1 + b for b in range(8)]
+
+
+@pytest.mark.parametrize("pad", [0, 2])
+def test_n24_block_is_q_b_of_the_whole_block(pad):
+    """n24_block(ctx, b), read at q^b alone, is the q^b coefficient of
+    the whole block (`helpers.n24_block_reference`) on every row of
+    X_8(7) and every valid geometry with n <= 9 and r <= 3."""
+    for md in [MultiDegree(8, (7,))] + valid_geometries(9, 3):
+        ctx = context_for(md, md.bmax, pad)
+        for b in range(md.bmax + 1):
+            ref = n24_block_reference(ctx, 1 + md.nu * b)
+            assert n24_block(ctx, b) == ref.coeff(b), (md.label(), pad, b)
 
 
 def test_deep_index_one_geometry():
