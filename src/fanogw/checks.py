@@ -2,7 +2,7 @@
 as named exact checks over one geometry.
 
 Shared by the `check` CLI verb and the acceptance tests, with the
-q-orders pinned:
+q-orders pinned; each check reads its context's windows (`fanogw.hyper`):
 
 * the algebraic L identity to q-order 12;
 * dual-route equality (mu, Phi0, Phi1, Theta) to q-order 8;
@@ -75,18 +75,18 @@ def check_theta_routes(md: MultiDegree, order: int = 8) -> bool:
 def check_regularizable(md: MultiDegree, order: int = 8) -> bool:
     """exp(-mu/h) Ft(1/h, q) has no negative h powers."""
     ctx = FanoContext(md, order)
-    e = ctx.regularized_fp(0, order + 2)
+    e = ctx.regularized_fp(0)
     return all(exp >= 0
                for b in range(e.order + 1) for exp, _ in e.slice(b).items())
 
 
 def check_w_regular(md: MultiDegree, order: int = 8) -> bool:
-    """F_p has no negative w powers for p <= n-1.  The window of F_p
-    falls p below the one requested, so asking for max(order, p) keeps
-    every negative exponent known; a window below -1 fails the check."""
+    """F_p has no negative w powers for p <= n-1, read at the window
+    `FanoContext.fp_w` gives, which keeps every negative exponent
+    known; a window below -1 fails the check."""
     ctx = FanoContext(md, order)
     for p in range(md.n):
-        fp = ctx.fp_w(p, max(order, p))
+        fp = ctx.fp_w(p)
         if min(fp.his) < -1 or any(exp < 0 for b in range(fp.order + 1)
                                    for exp, _ in fp.slice(b).items()):
             return False
@@ -117,19 +117,15 @@ def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
     """A(q) by its two routes, and type A by its second route: for every
     b up to A's order (one below the context's), type A equals
     1/2 [q^b] Theta^{(0)}_p A / Phi0 with p = 1 + nu*b, where A is the
-    double residue and each Theta (Phi0 at p = 0) is read off the
-    regularized F_p at the window the double residue built."""
+    double residue and each Theta (Phi0 at p = 0) is its series route,
+    read off the regularized F_p that the double residue reads."""
     ctx = FanoContext(md, order)
     a = a_series(ctx)
     if not ctx.A().matches(a):
         return False
-
-    def theta0(p: int) -> QSeries:
-        return ctx.regularized_fp(p, 2 * order + 3).coeff_of_aux(0)
-
-    a_over_phi0 = a / theta0(0)
-    return all(type_a(ctx, b) == Fraction(1, 2)
-               * theta0(1 + md.nu * b).mul_coeff(a_over_phi0, b)
+    a_over_phi0 = a / theta_by_residue(ctx, 0, 0)
+    return all(type_a(ctx, b) == Fraction(1, 2) * theta_by_residue(
+                   ctx, 1 + md.nu * b, 0).mul_coeff(a_over_phi0, b)
                for b in range(min(md.bmax, order - 1) + 1))
 
 

@@ -21,6 +21,11 @@ of the context's `CoeffTables`.  A(q) is Phi0 times four kernel pair
 sums of the ct-L sums, weighted by the Theta lemma; Theta itself is
 built only for its dual-route check, Theta^(1) as one kernel pair sum
 of the four ct-L sums against those weights.
+
+The context owns its windows, so no reader passes one: one hbar window
+order + 1 for every series route (`ftilde_hbar`), F_p(w) at F's window
+p - 1 (`fp_w`), Ft(w) at the widest F-bracket read (`f_w`).  Each
+accessor derives its rule; a read past a window raises WindowUnderflow.
 """
 
 from __future__ import annotations
@@ -143,9 +148,9 @@ def mu_closed(md: MultiDegree, order: int) -> QSeries:
 
 
 def l_closed(mu: QSeries) -> QSeries:
-    """L(q) = 1 + q mu'(q), read off mu (L_k = k mu_k); satisfies
-    L^n - q d^d L^{|d|} = 1."""
-    return mu.deriv().shift(1) + 1
+    """L(q) = 1 + q mu'(q) = 1 + (q mu)' - mu, read off mu (L_k = k mu_k)
+    at mu's order, order 0 included; satisfies L^n - q d^d L^{|d|} = 1."""
+    return mu.shift(1).deriv() - mu + 1
 
 
 def phi0_closed(md: MultiDegree, L: QSeries, y: QSeries) -> QSeries:
@@ -208,8 +213,13 @@ class FanoContext:
 
     # -- bivariate families
 
-    def ftilde_hbar(self, hi: int) -> BiSeries:
-        return self.memo(("fth", hi), lambda: ftilde_hbar(self.md, self.order, hi))
+    def ftilde_hbar(self) -> BiSeries:
+        """Ft(1/hbar, q) at window order + 1: slice b of exp(-mu/hbar)
+        starts at hbar^-b, so slice `order` of exp(-mu/hbar) Ft_p is known
+        up to hbar^1, the highest power any reader takes (Theta^(1) and
+        the double residue at q^order, type B at q^b <= order - 1)."""
+        return self.memo(("fth",), lambda: ftilde_hbar(
+            self.md, self.order, self.order + 1))
 
     def f_w(self, hi, tilde: bool = False) -> BiSeries:
         """F (or Ft) with every slice q^0..q^order cut at window hi, or,
@@ -220,38 +230,41 @@ class FanoContext:
         tables (`CoeffTables.base`), which reach w^(n + nu k): F-bracket
         windows stay below that, so F builds no slice of its own there;
         a slice past it, or past the stored betas, is built per window
-        asked for.  Ft is built once per window max(hi, 2n - r): its
-        slice k carries w^(nu k) too, so the F-bracket on Ft (in
-        `invariants.type_b_by_residues`) asks for F's windows, all below."""
+        asked for.  Ft, read by the F-bracket on Ft alone, is built once
+        at the widest window that bracket reads (`_bracket_numerator` in
+        `invariants`), n-2-r + p with p = 1 + nu*bmax <= n, and cut."""
+        md = self.md
         his = (hi,) * (self.order + 1) if isinstance(hi, int) else tuple(hi)
         if not tilde:
-            nu, base = self.md.nu, self.tables.base
+            nu, base = md.nu, self.tables.base
             return self.memo(("fw", his), lambda: BiSeries(
                 [base(k, h - nu * k).shift(nu * k) if h >= nu * k
                  else LaurentPoly.zero() for k, h in enumerate(his)], his))
-        top = max(max(his), 2 * self.md.n - self.md.r)
+        top = max(max(his), md.n - 1 - md.r + md.nu * md.bmax)
         wide = self.memo(("fwt", top),
-                         lambda: f_w(self.md, self.order, top, tilde=True))
+                         lambda: f_w(md, self.order, top, tilde=True))
         return BiSeries(wide.slices[: len(his)], his)
 
-    def fp_hbar(self, p: int, hi: int) -> BiSeries:
-        return self.memo(("fph", p, hi),
-                         lambda: fp_series(self.tables, self.ftilde_hbar(hi), p, +1))
+    def fp_hbar(self, p: int) -> BiSeries:
+        return self.memo(("fph", p),
+                         lambda: fp_series(self.tables, self.ftilde_hbar(), p, +1))
 
-    def fp_w(self, p: int, hi: int) -> BiSeries:
-        return self.memo(("fpw", p, hi),
-                         lambda: fp_series(self.tables, self.f_w(hi), p, -1))
+    def fp_w(self, p: int) -> BiSeries:
+        """F_p(w, q) on F at window p - 1, the least at which every
+        negative w power is known: F_p's window falls up to p below F's."""
+        return self.memo(("fpw", p),
+                         lambda: fp_series(self.tables, self.f_w(p - 1), p, -1))
 
     def exp_neg_mu(self) -> BiSeries:
         return self.memo(("expmu",),
                          lambda: exp_neg_mu_over_aux(self.mu(), self.order))
 
-    def regularized_fp(self, p: int, hi: int) -> BiSeries:
+    def regularized_fp(self, p: int) -> BiSeries:
         """exp(-mu/hbar) * Ft_p(1/hbar, q); regular at hbar = 0 (the
         negative coefficients vanish identically, which the acceptance
         suite verifies rather than assumes)."""
-        return self.memo(("regfp", p, hi),
-                         lambda: self.exp_neg_mu() * self.fp_hbar(p, hi))
+        return self.memo(("regfp", p),
+                         lambda: self.exp_neg_mu() * self.fp_hbar(p))
 
     # -- univariate package
 
@@ -365,7 +378,7 @@ class FanoContext:
 
 def mu_by_residue(ctx: FanoContext) -> QSeries:
     """mu as the hbar^-1 residue of log Ft(1/hbar, q)."""
-    return ctx.ftilde_hbar(ctx.order + 2).log().residue()
+    return ctx.ftilde_hbar().log().residue()
 
 
 def theta_by_residue(ctx: FanoContext, p: int, level: int) -> QSeries:
@@ -374,4 +387,4 @@ def theta_by_residue(ctx: FanoContext, p: int, level: int) -> QSeries:
     Phi1 (level 1): their series route."""
     if level not in (0, 1):
         raise ValueError("theta level must be 0 or 1")
-    return ctx.regularized_fp(p, ctx.order + 2).coeff_of_aux(level)
+    return ctx.regularized_fp(p).coeff_of_aux(level)

@@ -11,17 +11,15 @@ and the F-bracket with the difference.  The oracles are named functions:
 gives type A its second route (`checks.check_a_double_residue`);
 `type_b_by_residues`, for every b >= 1 at every index; and
 `chern_degree0_oracle`, which shares no code with the degree-0 row.
-Everything is exact; truncation orders and Laurent windows are derived
-from (n, r, nu, b) up front.
+Everything is exact.  The hbar-side reads (the double residue, type B
+at h = 0) take the context's one hbar window (`fanogw.hyper`); the w
+side reads the F-bracket at w^{n-2-r} from slices cut at the windows
+`_bracket_numerator` derives, and type B's head one past w^{n-2-r}.
 
 A degree-b invariant reads one coefficient.  Each reader of q^b cuts its
 series at b and reads the last product through `BiSeries.mul_coeff` or
 `QSeries.mul_coeff`, which compute that coefficient alone.  The
-F-bracket (`f_residue_series`) is read at q^b w^{n-2-r}: the q^k slices
-of F_0 and F_0^-1 carry w^{nu k}, so slice j of its numerator is read
-only up to w^{n-2-r - nu(b-j)} (floored at w^-1), and slice k of F_0 (a
-table slice, `hyper.FanoContext.f_w`) is cut at
-max(n-2-r+p - nu(b-k), p-1) before F_p is built from it.  The same
+F-bracket (`f_residue_series`) is read at q^b w^{n-2-r}; the same
 bracket on Ft, whose slices carry the same w^{nu k}, is the main part at
 infinity of `type_b_by_residues`: one body, `_f_bracket`.  Type A is q^b
 of s0(p) A(q): the Phi0 in Theta^{(0)}_p cancels the 1/Phi0 of the
@@ -33,9 +31,7 @@ is kept per (context, degree) through `FanoContext.memo`, so the
 standard invariant and the rows route of type B read one value.  The
 F-bracket's numerator front * (F_0 - F_p) is kept per (context, degree)
 too, so the rows route of type B and the difference build F_p once per
-row.  F_0^-1 is still made on each bracket read: keeping it, or the
-bracket value, per context changes the inverse counts that the
-benchmark's trace pins, so that step waits for those pins to move.
+row; F_0^-1 is made on each bracket read (`_f_bracket` says why).
 """
 
 from __future__ import annotations
@@ -104,12 +100,9 @@ def chern_degree0_oracle(md: MultiDegree) -> Rat:
     return -Fraction(prod(md.degrees), 24) * coeff
 
 
-def _ch_coeffs(md: MultiDegree, cap: int, minus_wn: bool = False) -> LaurentPoly:
-    """(1+w)^n / prod(1 + d_k w) up to degree cap; optionally with the
-    numerator replaced by (1+w)^n - w^n."""
+def _ch_coeffs(md: MultiDegree, cap: int) -> LaurentPoly:
+    """(1+w)^n / prod(1 + d_k w) up to degree cap."""
     num = [comb(md.n, j) for j in range(min(md.n, cap) + 1)]
-    if minus_wn and md.n <= cap:
-        num[md.n] -= 1
     den = linear_product(((1, d) for d in md.degrees), cap)
     return poly_div(LaurentPoly.from_ints(0, num), den, cap)
 
@@ -127,9 +120,8 @@ def a_series(ctx: FanoContext) -> QSeries:
     Works on the raw Laurent data: regularity of the factors is not
     assumed, so the alternating tail is summed honestly (its terms
     vanish exactly when regularizability holds)."""
-    hi = 2 * ctx.order + 3
     pairs = [pq for block in ctx.md.theta_pairs() for pq in block]
-    xs = {p: ctx.regularized_fp(p, hi) for p in {p for pq in pairs for p in pq}}
+    xs = {p: ctx.regularized_fp(p) for p in {p for pq in pairs for p in pq}}
     return sum((xs[p1].mul_coeff_of_aux(_reflect(xs[p2]), 1)
                 for p1, p2 in pairs), QSeries.zero(ctx.order))
 
@@ -309,8 +301,7 @@ def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
     if b == 0:
         raise ValueError("residue-route type B oracle needs b >= 1")
     p = 1 + md.nu * b
-    hi_h = 2 * ctx.order + 3
-    ft = ctx.ftilde_hbar(hi_h).truncate(b)
+    ft = ctx.ftilde_hbar().truncate(b)
     ftp = fp_series(ctx.tables, ft, p, +1)
     main = (ft - ftp) * ft.inv()
     res0_main = _residue_against_g(md, main, b)
@@ -321,10 +312,9 @@ def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
     res0_poly = _residue_against_g(md, one - fp_series(ctx.tables, one, p, +1), b)
 
     resinf_main = -_f_bracket(ctx, b, tilde=True)
-    # F_p of the unit series has negative w powers: read its head further
+    # slice b of F_p of the unit series starts at w^-1: head to w^(n-1-r)
     target = md.n - 2 - md.r
-    hi_w = target + p + 2
-    head = _q0_series(_ch_coeffs(md, hi_w, minus_wn=True), hi_w, b)
+    head = _q0_series(_ch_coeffs(md, target + 1), target + 1, b)
     resinf_poly = -head.mul_coeff(
         one - fp_series(ctx.tables, one, p, -1), b, target)
 

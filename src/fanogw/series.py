@@ -538,9 +538,10 @@ class QSeries:
                                  poly_div(_ONE, self.poly, self.order))
 
     def deriv(self) -> "QSeries":
-        """d/dq; the truncation order drops by one (floored at 0)."""
+        """d/dq; the truncation order drops by one, so an order-0 series
+        has no known coefficient of its derivative: WindowUnderflow."""
         if self.order == 0:
-            return QSeries.zero(0)
+            raise WindowUnderflow("d/dq of an order-0 series is unknown")
         p = self.poly
         return QSeries.from_poly(self.order - 1, LaurentPoly.from_ints(
             p.lo - 1, [e * c for e, c in enumerate(p.nums, p.lo)], p.den))

@@ -11,7 +11,7 @@ from math import comb, gcd, prod
 from types import SimpleNamespace
 
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import f_w
+from fanogw.hyper import f_w, fp_series, ftilde_hbar
 from fanogw.invariants import _ch_coeffs, _g_expansion
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries, poly_shift
 
@@ -473,9 +473,9 @@ def pairing_by_terms(x1, x2, order):
 def a_double_residue_by_terms(ctx):
     """A(q) as the double residue, each Theta pair summed by
     `pairing_by_terms`."""
-    hi = 2 * ctx.order + 3
+    ft = ftilde_hbar(ctx.md, ctx.order, 2 * ctx.order + 3)
     pairs = [pq for block in ctx.md.theta_pairs() for pq in block]
-    xs = {p: ctx.exp_neg_mu() * ctx.fp_hbar(p, hi)
+    xs = {p: ctx.exp_neg_mu() * fp_series(ctx.tables, ft, p, +1)
           for p in {p for pq in pairs for p in pq}}
     total = QSeries.zero(ctx.order)
     for p1, p2 in pairs:
@@ -511,4 +511,4 @@ def f_bracket_reference(ctx, p):
     f0 = ctx.f_w(hi)
     front = BiSeries([_ch_coeffs(md, hi)] + [LaurentPoly.zero()] * ctx.order,
                      [hi] + [INF_EXP] * ctx.order)
-    return front * (f0 - ctx.fp_w(p, hi)) * f0.inv()
+    return front * (f0 - fp_series(ctx.tables, f0, p, -1)) * f0.inv()

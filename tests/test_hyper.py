@@ -127,11 +127,12 @@ def test_fp_of_the_unit_series_is_the_ct_polynomial():
 
 def test_fp_specials():
     ctx = FanoContext(MD53, 3)
-    assert ctx.fp_hbar(0, 5) == ctx.ftilde_hbar(5)
-    assert ctx.fp_w(0, 5) == ctx.f_w(5)
+    ft, f = ftilde_hbar(MD53, 3, 5), ctx.f_w(5)
+    assert fp_series(ctx.tables, ft, 0, +1) == ft
+    assert fp_series(ctx.tables, f, 0, -1) == f
     # (q^0, w^0) coefficient of F_p is 1
     for p in range(MD53.n):
-        assert ctx.fp_w(p, 5).coeff(0, 0) == 1
+        assert fp_series(ctx.tables, f, p, -1).coeff(0, 0) == 1
 
 
 def test_l_closed_against_fixpoint_oracle():
@@ -224,7 +225,7 @@ def test_ftilde_w_denominator_variant():
 def test_regularizability():
     for md in (MD53, MD722):
         ctx = FanoContext(md, 8)
-        e = ctx.regularized_fp(0, 10)
+        e = ctx.exp_neg_mu() * fp_series(ctx.tables, ftilde_hbar(md, 8, 10), 0, +1)
         for b in range(e.order + 1):
             assert all(exp >= 0 for exp, _ in e.slice(b).items())
 
@@ -233,7 +234,7 @@ def test_fp_w_regular_at_zero():
     for md in (MD53, MD722):
         ctx = FanoContext(md, 6)
         for p in range(md.n):
-            fp = ctx.fp_w(p, 6)
+            fp = fp_series(ctx.tables, ctx.f_w(6), p, -1)
             for b in range(fp.order + 1):
                 assert all(exp >= 0 for exp, _ in fp.slice(b).items()), (md, p, b)
 
@@ -297,13 +298,14 @@ def test_w_regularity_reads_every_negative_exponent(monkeypatch):
         corrupt_ctilde(monkeypatch, self, 11, 1, 1)
 
     monkeypatch.setattr(CoeffTables, "__init__", corrupted)
-    assert FanoContext(md, 8).fp_w(11, 11).coeff(1, -2) == 1
+    ctx = FanoContext(md, 8)
+    assert fp_series(ctx.tables, ctx.f_w(11), 11, -1).coeff(1, -2) == 1
     assert not check_w_regular(md)
 
 
 def test_w_regularity_fails_below_a_known_window(monkeypatch):
     unknown = BiSeries([LaurentPoly(0, (1,))], [-2])
-    monkeypatch.setattr(FanoContext, "fp_w", lambda self, p, hi: unknown)
+    monkeypatch.setattr(FanoContext, "fp_w", lambda self, p: unknown)
     assert not check_w_regular(MD53)
 
 

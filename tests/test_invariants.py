@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw import invariants
-from fanogw.checks import check_degree0, check_three_path, default_grid
+from fanogw.checks import (check_degree0, check_three_path, check_w_regular,
+                           default_grid)
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import FanoContext, theta_by_residue
+from fanogw.hyper import FanoContext, fp_series, ftilde_hbar, theta_by_residue
 from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                a_series, chern_degree0_oracle, context_for,
                                f_residue_series, invariant_row,
@@ -182,11 +183,10 @@ def test_kernel_residues_match_the_term_sums():
     for md in valid_geometries(9, 3):
         ctx = FanoContext(md, 3)
         assert a_series(ctx) == a_double_residue_by_terms(ctx)
-        hi = 2 * ctx.order + 3
-        ft = ctx.ftilde_hbar(hi)
+        ft = ftilde_hbar(md, ctx.order, 2 * ctx.order + 3)
         inv = ft.inv()
         for p in range(md.n + 1):
-            series = (ft - ctx.fp_hbar(p, hi)) * inv
+            series = (ft - fp_series(ctx.tables, ft, p, +1)) * inv
             assert [_residue_against_g(md, series, b) for b in range(4)] \
                 == list(residue_against_g_by_terms(md, series).coeffs), \
                 (md.label(), p)
@@ -224,6 +224,61 @@ def test_type_b_residue_route_at_index_one():
         ctx = context_for(md, md.bmax)
         for b in range(1, md.bmax + 1):
             assert type_b(ctx, b) == type_b_by_residues(ctx, b), (md, b)
+
+
+def test_hbar_window_is_the_least(monkeypatch):
+    """The context's hbar window, order + 1, is the least: with
+    Ft(1/hbar) at window order, Theta^(1) and the double residue read
+    hbar^1 of a slice known only up to hbar^0 and raise."""
+    for md in default_grid():
+        ctx = FanoContext(md, 6)
+        assert ctx.A().matches(a_series(ctx)), md.label()
+        assert all(ctx.theta(p, 1).matches(theta_by_residue(ctx, p, 1))
+                   for p in range(md.n)), md.label()
+    monkeypatch.setattr(FanoContext, "ftilde_hbar", lambda self: ftilde_hbar(
+        self.md, self.order, self.order))
+    for md in default_grid():
+        ctx = FanoContext(md, 6)
+        with pytest.raises(WindowUnderflow):
+            a_series(ctx)
+        for p in range(md.n):
+            with pytest.raises(WindowUnderflow):
+                theta_by_residue(ctx, p, 1)
+
+
+def test_type_b_head_window_is_the_least():
+    """Slice b of F_p of the unit series starts at w^-1, so type B's
+    head is read up to w^{n-2-r+1}: on X_8(7) it gives the read of a
+    wide head there, and one lower it raises, for b = 1..5."""
+    md = MultiDegree(8, (7,))
+    target, tables = md.n - 2 - md.r, context_for(md, md.bmax).tables
+
+    def head_read(b, p, cap):
+        one = BiSeries.one(b)
+        head = BiSeries([invariants._ch_coeffs(md, cap)]
+                        + [LaurentPoly.zero()] * b, [cap] + [INF_EXP] * b)
+        return head.mul_coeff(one - fp_series(tables, one, p, -1), b, target)
+
+    for b in range(1, 6):
+        p = 1 + md.nu * b
+        assert head_read(b, p, target + 1) == head_read(b, p, target + p + 2)
+        with pytest.raises(WindowUnderflow):
+            head_read(b, p, target)
+
+
+def test_fp_w_window_is_the_least(monkeypatch):
+    """`FanoContext.fp_w` reads F at window p - 1, which keeps F_p
+    known down to w^-1; at p - 2 its window falls to -2, and
+    `check_w_regular` fails on it."""
+    for md in default_grid() + [MultiDegree(8, (7,))]:
+        ctx = FanoContext(md, 8)
+        for p in range(md.n):
+            assert min(ctx.fp_w(p).his) == -1, (md.label(), p)
+            assert min(fp_series(ctx.tables, ctx.f_w(p - 2), p, -1).his) < -1
+        assert check_w_regular(md)
+    monkeypatch.setattr(FanoContext, "fp_w", lambda self, p: fp_series(
+        self.tables, self.f_w(p - 2), p, -1))
+    assert not check_w_regular(MD53)
 
 
 def test_type_b_residue_route_rejects_degree_zero():
