@@ -19,8 +19,8 @@ q-orders pinned; each check reads its context's windows (`fanogw.hyper`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import MultiDegree
 from .hyper import FanoContext, mu_by_residue, theta_by_residue
@@ -40,8 +40,7 @@ def default_grid() -> list[MultiDegree]:
     return [MultiDegree(n, ds) for n, ds in GRID]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     geometry: str
     ok: bool

@@ -31,15 +31,18 @@ is kept per (context, degree) through `FanoContext.memo`, so the
 standard invariant and the rows route of type B read one value.  The
 F-bracket's numerator front * (F_0 - F_p) is kept per (context, degree)
 too, so the rows route of type B and the difference build F_p once per
-row; F_0^-1 is made on each bracket read (`_f_bracket` says why).
+row; F_0^-1 is made on each bracket read (`_f_bracket` says why).  The
+front (1+w)^n / prod(1 + d_k w) is kept once per context (`_front`),
+and so is the Ft(1/hbar)^-1 that the residue route of type B cuts at
+each degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
+from typing import NamedTuple
 
 from .geometry import MultiDegree
 from .hyper import FanoContext, fp_series
@@ -51,8 +54,7 @@ class OutOfRange(ValueError):
     """Degree b outside 0..floor((n-1)/nu)."""
 
 
-@dataclass(frozen=True)
-class InvariantRow:
+class InvariantRow(NamedTuple):
     """One degree of the invariant table, with the consistency verdict
     between the three computational paths."""
     b: int
@@ -105,6 +107,14 @@ def _ch_coeffs(md: MultiDegree, cap: int) -> LaurentPoly:
     num = [comb(md.n, j) for j in range(min(md.n, cap) + 1)]
     den = linear_product(((1, d) for d in md.degrees), cap)
     return poly_div(LaurentPoly.from_ints(0, num), den, cap)
+
+
+def _front(ctx: FanoContext) -> LaurentPoly:
+    """`_ch_coeffs` up to w^{n-1-r}, kept once per context: the ct
+    residue row reads its top two coefficients, type B's head all of
+    it, and the F-bracket's numerator its cut at w^{n-2-r}."""
+    md = ctx.md
+    return ctx.memo(("front",), lambda: _ch_coeffs(md, md.n - 1 - md.r))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +196,7 @@ def ct_residue_row(ctx: FanoContext, b: int) -> Rat:
     with p = 1 + nu*b."""
     md = ctx.md
     p = 1 + md.nu * b
-    g = _ch_coeffs(md, md.n - md.r - 1)
+    g = _front(ctx)
     return (ctx.tables.ctilde(p, 0, b) * g.coeff(md.n - md.r - 1)
             + ctx.tables.ctilde(p, 1, b) * g.coeff(md.n - md.r - 2))
 
@@ -243,7 +253,7 @@ def _bracket_numerator(ctx: FanoContext, b: int, tilde: bool) -> BiSeries:
         f0 = ctx.f_w(tuple(max(target + p - md.nu * (b - k), p - 1)
                            for k in range(b + 1)), tilde)
         fp = fp_series(ctx.tables, f0, p, -1)
-        front = _q0_series(_ch_coeffs(md, target), target, b)
+        front = _q0_series(_front(ctx).cut_above(target), target, b)
         return front * (f0 - fp)
     return ctx.memo(("bracket_num", b, tilde), build)
 
@@ -278,15 +288,22 @@ def _g_expansion(md: MultiDegree, hi: int) -> LaurentPoly:
     return poly_div(LaurentPoly.from_ints(0, num), den, cap).shift(-2)
 
 
-def _residue_against_g(md: MultiDegree, series: BiSeries, b: int) -> Rat:
-    """The q^b coefficient of Res_{h=0} G(h) * series,
-    G = ((1+h)^n - 1)/(h^3 prod(d_k+h)) from h^-2 up to what slice b of
-    the series reads: WindowUnderflow unless that slice is known up to
-    h^1."""
-    lo = series.slice(b).support_lo()
-    depth = -lo if lo is not None else 0
-    g = _q0_series(_g_expansion(md, depth - 1), depth - 1, series.order)
-    return g.mul_coeff(series, b, -1)
+def _residue_against_g(md: MultiDegree, series: BiSeries, b: int,
+                       right: BiSeries | None = None) -> Rat:
+    """The q^b coefficient of Res_{h=0} G(h) * series, or, given right,
+    of G * series * right with the last product read at q^b h^-1 alone
+    (`BiSeries.mul_coeff`).  G = ((1+h)^n - 1)/(h^3 prod(d_k+h)) runs
+    from h^-2 up to h^{-1-lo}, lo the lowest exponent that slice b of
+    series * right can hold (h^-1 when every product slice is zero).
+    A G cut shorter, or a slice b of series * right known below h^1,
+    raises WindowUnderflow, never a wrong value."""
+    right = BiSeries.one(b) if right is None else right.truncate(b)
+    series = series.truncate(b)
+    lows = [u.lo + v.lo for u, v in zip(series.slices, right.slices[::-1])
+            if u.nums and v.nums]
+    depth = -min(lows, default=0)
+    g = _q0_series(_g_expansion(md, depth - 1), depth - 1, b)
+    return (g * series).mul_coeff(right, b, -1)
 
 
 def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
@@ -294,17 +311,19 @@ def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
     at h = 0, at h = infinity, and (via the residue theorem) at h = -d,
     computed directly on the hypergeometric Laurent data.  Only q^b is
     read, so every series is cut to q^b and each residue is read at q^b
-    alone (`BiSeries.mul_coeff`).  The main part at infinity is the
-    F-bracket with F replaced by Ft."""
+    alone (`BiSeries.mul_coeff`): the main part at h = 0 is
+    [q^b h^-1] G (Ft - Ft_p) Ft^-1, with Ft^-1 inverted once per context
+    and cut at q^b.  The main part at infinity is the F-bracket with F
+    replaced by Ft."""
     md = ctx.md
     _check_range(md, b)
     if b == 0:
         raise ValueError("residue-route type B oracle needs b >= 1")
     p = 1 + md.nu * b
     ft = ctx.ftilde_hbar().truncate(b)
-    ftp = fp_series(ctx.tables, ft, p, +1)
-    main = (ft - ftp) * ft.inv()
-    res0_main = _residue_against_g(md, main, b)
+    ft_inv = ctx.memo(("ftinv",), lambda: ctx.ftilde_hbar().inv())
+    res0_main = _residue_against_g(
+        md, ft - fp_series(ctx.tables, ft, p, +1), b, ft_inv)
 
     # the fully known polynomial part subtracted when moving the
     # residue at h = -d to h = 0 and infinity: F_p of the unit series
@@ -314,7 +333,7 @@ def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
     resinf_main = -_f_bracket(ctx, b, tilde=True)
     # slice b of F_p of the unit series starts at w^-1: head to w^(n-1-r)
     target = md.n - 2 - md.r
-    head = _q0_series(_ch_coeffs(md, target + 1), target + 1, b)
+    head = _q0_series(_front(ctx), target + 1, b)
     resinf_poly = -head.mul_coeff(
         one - fp_series(ctx.tables, one, p, -1), b, target)
 

@@ -13,18 +13,16 @@ user-supplied interpretation table and skipped otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .geometry import MultiDegree
 from .series import Rat
 from .tables import CoeffTables, InsufficientBounds
 
 
-@dataclass(frozen=True)
-class SumValues:
+class SumValues(NamedTuple):
     """The sums of both blocks of the Theta pairing at one degree: U*
     over the first block of `MultiDegree.theta_pairs`, V* over the
     second, each with its linear and binomial weighted sums."""
@@ -135,8 +133,7 @@ def u1_vanishing_hypothesis(md: MultiDegree, beta: int) -> bool:
             and (beta - 1) * md.n >= beta * md.total - md.r - 1)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     md: MultiDegree
     beta: int
@@ -263,8 +260,7 @@ def u1_beta2_conjectured(md: MultiDegree, hj) -> Rat | None:
     return lead * total
 
 
-@dataclass(frozen=True)
-class ConjectureCase:
+class ConjectureCase(NamedTuple):
     md: MultiDegree
     beta: int
     expected: Rat | None  # None = skipped (undefined symbol)
@@ -280,10 +276,9 @@ class ConjectureCase:
         return "agree" if self.expected == self.computed else "disagree"
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     conjecture: str
-    cases: list[ConjectureCase] = field(default_factory=list)
+    cases: list[ConjectureCase]
 
 
 def evaluate_conjectures(sums: Iterable[SumValues],
@@ -292,12 +287,12 @@ def evaluate_conjectures(sums: Iterable[SumValues],
     formulas, one case per given `SumValues` (a geometry at one beta),
     in the order given.  Disagreements become report rows, never
     errors."""
-    u3 = ConjectureReport("U3")
-    u1v = ConjectureReport("U1_vanishing")
-    u1b2 = ConjectureReport("U1_beta2")
-    v1 = ConjectureReport("V1")
-    v2 = ConjectureReport("V2")
-    v3 = ConjectureReport("V3")
+    u3 = ConjectureReport("U3", [])
+    u1v = ConjectureReport("U1_vanishing", [])
+    u1b2 = ConjectureReport("U1_beta2", [])
+    v1 = ConjectureReport("V1", [])
+    v2 = ConjectureReport("V2", [])
+    v3 = ConjectureReport("V3", [])
     for sv in sums:
         md, beta = sv.md, sv.beta
         u3.cases.append(ConjectureCase(md, beta, u3_conjectured(md, beta), sv.u3))

@@ -204,6 +204,55 @@ def test_g_residue_needs_slice_windows_of_at_least_1():
         _residue_against_g(MD53, short, 1)
 
 
+def test_g_residue_reads_a_right_factor_at_one_coefficient():
+    """The main residue of type B at h = 0, read as
+    [q^b h^-1] (G * (Ft - Ft_p)) * Ft^-1, equals the G residue of the
+    whole quotient on every row of the default grid and X_8(7); G cut
+    one shorter than the residue reads raises, and an all-zero
+    numerator gives 0."""
+    nonzero = 0
+    for md in default_grid() + [MultiDegree(8, (7,))]:
+        ctx = context_for(md, md.bmax)
+        ft = ctx.ftilde_hbar()
+        inv = ft.inv()
+        for b in range(1, md.bmax + 1):
+            ftb, invb = ft.truncate(b), inv.truncate(b)
+            num = ftb - fp_series(ctx.tables, ftb, 1 + md.nu * b, +1)
+            assert _residue_against_g(md, num, b, inv) \
+                == _residue_against_g(md, num * invb, b), (md.label(), b)
+            assert _residue_against_g(md, ftb - ftb, b, inv) == 0
+            lows = [u.lo + v.lo for u, v in zip(num.slices, invb.slices[::-1])
+                    if u.nums and v.nums]
+            if not lows:  # the numerator vanishes on this row
+                continue
+            short = BiSeries([invariants._g_expansion(md, -min(lows) - 2)]
+                             + [LaurentPoly.zero()] * b,
+                             [-min(lows) - 2] + [INF_EXP] * b)
+            with pytest.raises(WindowUnderflow):
+                (short * num).mul_coeff(invb, b, -1)
+            nonzero += 1
+    assert nonzero
+
+
+def test_residue_route_keeps_one_ft_inverse_per_context(monkeypatch):
+    """`type_b_by_residues` inverts Ft(1/hbar) once per context, at its
+    full order, and cuts that inverse at each degree."""
+    orders = []
+    inv = BiSeries.inv
+
+    def counted_inv(self):
+        orders.append(self.order)
+        return inv(self)
+
+    monkeypatch.setattr(BiSeries, "inv", counted_inv)
+    ctx = context_for(MD722, MD722.bmax)
+    hbar_order = ctx.ftilde_hbar().order
+    orders.clear()
+    for b in range(1, MD722.bmax + 1):
+        type_b_by_residues(ctx, b)
+    assert orders.count(hbar_order) == 1
+
+
 def test_type_a_degree0_is_zero():
     for md in (MD53, MD722, MD623):
         assert type_a(context_for(md, 0), 0) == 0

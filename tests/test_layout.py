@@ -6,6 +6,9 @@ public in one of them."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +18,8 @@ from fanogw.hyper import ftilde_hbar
 from fanogw.series import BiSeries, LaurentPoly
 
 PACKAGE = Path(fanogw.__file__).parent
-SPANS_FILE = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_FILE = ROOT / "perfbench" / "spans.py"
 
 
 def test_no_private_imports_between_modules():
@@ -171,3 +175,17 @@ def test_tracer_hooks_read_the_series_objects():
     want = max(c.denominator.bit_length()
                for s in inverse.slices for _, c in s.items())
     assert want > 2 and tracer.counts["series.den_bits_max"] == want
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Importing `fanogw` and `fanogw.cli` in a fresh interpreter leaves
+    `dataclasses` and `inspect` unloaded: the records are NamedTuples,
+    so every command's import skips those modules and their own
+    imports.  `-S` keeps `site` (and any `.pth` file) from loading
+    modules first."""
+    probe = ("import sys, fanogw, fanogw.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
