@@ -11,7 +11,7 @@ q-orders pinned; each check reads its context's windows (`fanogw.hyper`):
   row), three-path consistency (with the degree-1 vanishing of the
   reduced invariant), SvR vanishing;
 * the double-residue oracle for A(q) to q-order 6, with type A checked
-  against its second route at every degree below that order;
+  against its second route at every degree up to that order;
 * the type-B residue oracle (run where nu >= 2);
 * the proven structure-sum lemmas for beta <= 3;
 * truncation stability and the ct*c convolution identity.
@@ -114,10 +114,10 @@ def check_svr_vanishing(md: MultiDegree) -> bool:
 
 def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
     """A(q) by its two routes, and type A by its second route: for every
-    b up to A's order (one below the context's), type A equals
-    1/2 [q^b] Theta^{(0)}_p A / Phi0 with p = 1 + nu*b, where A is the
-    double residue and each Theta (Phi0 at p = 0) is its series route,
-    read off the regularized F_p that the double residue reads."""
+    b up to A's order, type A equals 1/2 [q^b] Theta^{(0)}_p A / Phi0
+    with p = 1 + nu*b, where A is the double residue and each Theta
+    (Phi0 at p = 0) is its series route, read off the regularized F_p
+    that the double residue reads."""
     ctx = FanoContext(md, order)
     a = a_series(ctx)
     if not ctx.A().matches(a):
@@ -125,7 +125,7 @@ def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
     a_over_phi0 = a / theta_by_residue(ctx, 0, 0)
     return all(type_a(ctx, b) == Fraction(1, 2) * theta_by_residue(
                    ctx, 1 + md.nu * b, 0).mul_coeff(a_over_phi0, b)
-               for b in range(min(md.bmax, order - 1) + 1))
+               for b in range(min(md.bmax, order) + 1))
 
 
 def check_type_b_residue_oracle(md: MultiDegree) -> bool:

@@ -5,8 +5,9 @@ the mirror-map package mu, L, y, Phi0, Phi1 and Theta built from them.
 closed route (Lagrange inversion in L(q), the Theta lemma).  The series
 route, residues of exact Laurent windows in the auxiliary variable, is
 `mu_by_residue(ctx)` and `theta_by_residue(ctx, p, level)`; Phi0 and
-Phi1 are its p = 0 reads.  L = 1 + q mu' has its closed form only,
-checked against its algebraic identity.
+Phi1 are its p = 0 reads.  L = 1 + D mu has its closed form only,
+checked against its algebraic identity.  D = q d/dq (`QSeries.euler`)
+keeps the q-order, so every series a context hands out has its order.
 
 Every slice of F(w, q), Ft(w, q) and Ft(1/hbar, q) comes from one
 recurrence, `tables.slice_chain`: the q^beta slice is the q^(beta-1)
@@ -68,14 +69,14 @@ def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False) -> BiSeries:
                     [hi] * (order + 1))
 
 
-def exp_neg_mu_over_aux(mu: QSeries, order: int) -> BiSeries:
-    """exp(-mu(q)/hbar) as a fully known BiSeries: the q^beta slice is a
-    Laurent polynomial supported on exponents -beta..0."""
-    powers = [QSeries.one(order)]
-    for _ in range(order):
+def exp_neg_mu_over_aux(mu: QSeries) -> BiSeries:
+    """exp(-mu(q)/hbar) as a fully known BiSeries at mu's order: the
+    q^beta slice is a Laurent polynomial on exponents -beta..0."""
+    powers = [QSeries.one(mu.order)]
+    for _ in range(mu.order):
         powers.append(powers[-1] * mu)
     slices = []
-    for beta in range(order + 1):
+    for beta in range(mu.order + 1):
         vals = [Fraction((-1)**k, factorial(k)) * powers[k].coeff(beta)
                 for k in range(beta, -1, -1)]
         slices.append(LaurentPoly(-beta, vals))
@@ -148,9 +149,9 @@ def mu_closed(md: MultiDegree, order: int) -> QSeries:
 
 
 def l_closed(mu: QSeries) -> QSeries:
-    """L(q) = 1 + q mu'(q) = 1 + (q mu)' - mu, read off mu (L_k = k mu_k)
-    at mu's order, order 0 included; satisfies L^n - q d^d L^{|d|} = 1."""
-    return mu.shift(1).deriv() - mu + 1
+    """L(q) = 1 + D mu(q), D = q d/dq, read off mu (L_k = k mu_k) at mu's
+    order; satisfies L^n - q d^d L^{|d|} = 1."""
+    return 1 + mu.euler()
 
 
 def phi0_closed(md: MultiDegree, L: QSeries, y: QSeries) -> QSeries:
@@ -216,8 +217,8 @@ class FanoContext:
     def ftilde_hbar(self) -> BiSeries:
         """Ft(1/hbar, q) at window order + 1: slice b of exp(-mu/hbar)
         starts at hbar^-b, so slice `order` of exp(-mu/hbar) Ft_p is known
-        up to hbar^1, the highest power any reader takes (Theta^(1) and
-        the double residue at q^order, type B at q^b <= order - 1)."""
+        up to hbar^1, the highest power any reader takes (Theta^(1),
+        the double residue and type B, each at q^b <= order)."""
         return self.memo(("fth",), lambda: ftilde_hbar(
             self.md, self.order, self.order + 1))
 
@@ -257,7 +258,7 @@ class FanoContext:
 
     def exp_neg_mu(self) -> BiSeries:
         return self.memo(("expmu",),
-                         lambda: exp_neg_mu_over_aux(self.mu(), self.order))
+                         lambda: exp_neg_mu_over_aux(self.mu()))
 
     def regularized_fp(self, p: int) -> BiSeries:
         """exp(-mu/hbar) * Ft_p(1/hbar, q); regular at hbar = 0 (the
@@ -298,8 +299,7 @@ class FanoContext:
         return self.memo(("A",), self._a_from_pair_sums)
 
     def _a_from_pair_sums(self) -> QSeries:
-        weights = self._theta_weights()
-        top = min(w.order for w in weights)
+        weights, top = self._theta_weights(), self.order
         pairs = [(self.ct_sums(p1), self.ct_sums(p2).s0.poly)
                  for block in self.md.theta_pairs() for p1, p2 in block]
         pair_sums = [sum_of_products(((s[i].poly, s0) for s, s0 in pairs), top)
@@ -328,8 +328,8 @@ class FanoContext:
 
             s0 = sum ct[p,e,beta] q^beta L^e
             s1 = sum ct[p,e-1,beta] q^beta L^(e-1)
-            s2 = sum e ct[p,e,beta] q^(beta+1) L^(e-1)      = q dS0/dL
-            s3 = sum C(e,2) ct[p,e,beta] q^(beta+1) L^(e-2) = (q/2) d2S0/dL2
+            s2 = sum e ct[p,e,beta] q^beta L^(e-1)      = dS0/dL
+            s3 = sum C(e,2) ct[p,e,beta] q^beta L^(e-2) = (1/2) d2S0/dL2
 
         where S0 is s0 read as a polynomial in L.  At L = 1, s0 and s1
         have the single entries ct[p,1,b] and ct[p,0,b] at q^b for
@@ -339,16 +339,15 @@ class FanoContext:
     def _ct_sums(self, p: int) -> CtSums:
         order, nu, ct = self.order, self.md.nu, self.tables.ctilde
         pows = [s.poly for s in self._l_powers()]
-        terms = [[], [], [], []]  # (c q^shift, L^k) pairs of each sum
+        terms = [[], [], [], []]  # (c q^beta, L^k) pairs of each sum
         for beta in range(min(order, p // nu) + 1):
             e = p - nu * beta
             c0, c1 = ct(p, e, beta), ct(p, e - 1, beta)
-            for i, c, k, shift in ((0, c0, e, beta), (1, c1, e - 1, beta),
-                                   (2, e * c0, e - 1, beta + 1),
-                                   (3, comb(e, 2) * c0, e - 2, beta + 1)):
+            for i, c, k in ((0, c0, e), (1, c1, e - 1), (2, e * c0, e - 1),
+                            (3, comb(e, 2) * c0, e - 2)):
                 if c:
                     terms[i].append((LaurentPoly.from_ints(
-                        shift, (c.numerator,), c.denominator), pows[k]))
+                        beta, (c.numerator,), c.denominator), pows[k]))
         return CtSums(*(QSeries.from_poly(order, sum_of_products(t, order))
                         for t in terms))
 
@@ -356,20 +355,19 @@ class FanoContext:
         """The weights of s0, s1, s2, s3 (`CtSums`) in Theta^{(1)}_p, the
         Theta lemma:
 
-            Theta^{(1)}_p = Phi1 s0 + Phi0 s1 + Phi0' s2 + L' Phi0 s3."""
+            Theta^{(1)}_p = Phi1 s0 + Phi0 s1 + D Phi0 s2 + D L Phi0 s3."""
         def build():
             phi0 = self.phi0()
-            return (self.phi1(), phi0, phi0.deriv(), self.L().deriv() * phi0)
+            return (self.phi1(), phi0, phi0.euler(), self.L().euler() * phi0)
         return self.memo(("theta_w",), build)
 
     def _theta_lemma(self, p: int, level: int) -> QSeries:
         s = self.ct_sums(p)
         if level == 0:
             return self.phi0() * s.s0
-        weights = self._theta_weights()
-        top = min(w.order for w in weights)
-        return QSeries.from_poly(top, sum_of_products(
-            ((w.poly, si.poly) for w, si in zip(weights, s)), top))
+        return QSeries.from_poly(self.order, sum_of_products(
+            ((w.poly, si.poly) for w, si in zip(self._theta_weights(), s)),
+            self.order))
 
 
 # ---------------------------------------------------------------------------

@@ -74,14 +74,14 @@ def _check_range(md: MultiDegree, b: int):
 
 
 def context_for(md: MultiDegree, max_b: int, pad: int = 0) -> FanoContext:
-    """Series context sized for degrees up to max_b: one extra order for
-    the q-derivatives that appear in the formula rows, plus requested
-    padding (results must not depend on the padding).  Both must be
-    >= 0."""
+    """Series context at q-order exactly max_b + pad: a degree-b row
+    reads its series at q^b, and D = q d/dq keeps the order, so no
+    extra order is needed; results must not depend on the padding.
+    Both must be >= 0."""
     for name, value in (("max_b", max_b), ("pad", pad)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, not {value}")
-    return FanoContext(md, max_b + 1 + pad)
+    return FanoContext(md, max_b + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -167,16 +167,16 @@ def n24_block(ctx: FanoContext, b: int) -> Rat:
     rather than L^k, so the block vanishes at q = 0 (matching the
     degree-0 genus-1 axiom).  Only q^b is read: the two ct-L sums at
     L = 1 have the single ct entries ct[p,1,b] and ct[p,0,b] there, and
-    the two products are read through `QSeries.mul_coeff` against L' and
-    against Phi0'/Phi0, which is kept once per context."""
+    the two products are read through `QSeries.mul_coeff` against D L
+    and against D Phi0 / Phi0 (D = q d/dq), kept once per context."""
     md = ctx.md
     p = 1 + md.nu * b
     e2 = Fraction(md.n - 1, 2) - md.inv_degree_sum()
     s, ct = ctx.ct_sums(p), ctx.tables.ctilde
     dlog_phi0 = ctx.memo(("dlog_phi0",),
-                         lambda: ctx.phi0().deriv() / ctx.phi0())
+                         lambda: ctx.phi0().euler() / ctx.phi0())
     return (-e2 * (s.s0.coeff(b) - ct(p, 1, b))
-            - ctx.L().deriv().mul_coeff(s.s3, b)
+            - ctx.L().euler().mul_coeff(s.s3, b)
             - dlog_phi0.mul_coeff(s.s2, b)
             - (s.s1.coeff(b) - ct(p, 0, b)))
 

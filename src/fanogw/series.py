@@ -43,8 +43,9 @@ that read at every q-power, and QSeries.mul_coeff(other, k) is
 an exact prefix of every sum, product and inverse.  poly_pow
 needs no log or exp: g = a**alpha solves a g' = alpha a' g, which
 fixes each coefficient of g from the lower ones in one short sum.
-BiSeries.log is one slice recurrence too, from D(log F) F = D F.  The
-kernel loops on the stored numerators and brings each result to
+BiSeries.log is one slice recurrence too, from D(log F) F = D F, where
+D = q d/dq, the one q-derivative (`QSeries.euler`), keeps the order.
+The kernel loops on the stored numerators and brings each result to
 canonical form with one gcd over its numerators; rationals from outside
 (Fraction or int lists) are lifted to that form once, by `_lift`, when
 a LaurentPoly or QSeries is constructed.
@@ -537,20 +538,12 @@ class QSeries:
         return QSeries.from_poly(self.order,
                                  poly_div(_ONE, self.poly, self.order))
 
-    def deriv(self) -> "QSeries":
-        """d/dq; the truncation order drops by one, so an order-0 series
-        has no known coefficient of its derivative: WindowUnderflow."""
-        if self.order == 0:
-            raise WindowUnderflow("d/dq of an order-0 series is unknown")
+    def euler(self) -> "QSeries":
+        """D = q d/dq, which multiplies q^k by k: the order is kept, and
+        the q^0 term is a known 0."""
         p = self.poly
-        return QSeries.from_poly(self.order - 1, LaurentPoly.from_ints(
-            p.lo - 1, [e * c for e, c in enumerate(p.nums, p.lo)], p.den))
-
-    def shift(self, k: int) -> "QSeries":
-        """Multiply by q^k (k >= 0); known order grows by k."""
-        if k < 0:
-            raise ValueError("shift exponent must be >= 0")
-        return QSeries.from_poly(self.order + k, self.poly.shift(k))
+        return QSeries.from_poly(self.order, LaurentPoly.from_ints(
+            p.lo, [e * c for e, c in enumerate(p.nums, p.lo)], p.den))
 
     def pow(self, alpha) -> "QSeries":
         """self**alpha for rational alpha: needs a nonzero constant term,

@@ -291,10 +291,21 @@ def d_power_tables(nu, p):
         shifted_row=lambda pp, beta, s: poly_shift(ct_row(pp, beta), s))
 
 
-def ct_l_sum(ctx, p, idx_drop, powfn, weightfn, qshift=0):
+def q_shift(series, k):
+    """q^k times series, at its order, on its Fraction coefficient list."""
+    return QSeries(series.order, [Fraction(0)] * k + list(series.coeffs))
+
+
+def q_derivative(series):
+    """q d/dq of series, at its order, on its Fraction coefficient list:
+    q^k goes to k q^k, so the q^0 term is 0."""
+    return QSeries(series.order, [k * c for k, c in enumerate(series.coeffs)])
+
+
+def ct_l_sum(ctx, p, idx_drop, powfn, weightfn):
     """sum over beta (with e = p - nu*beta) of
-    ct[p, e - idx_drop, beta] * weightfn(e) * q^(beta + qshift) * L^powfn(e),
-    one `QSeries.pow`, `shift` and `truncate` per term."""
+    ct[p, e - idx_drop, beta] * weightfn(e) * q^beta * L^powfn(e),
+    one `QSeries.pow` and `q_shift` per term."""
     md, L = ctx.md, ctx.L()
     out = QSeries.zero(ctx.order)
     for beta in range(min(ctx.order, p // md.nu) + 1):
@@ -306,18 +317,19 @@ def ct_l_sum(ctx, p, idx_drop, powfn, weightfn, qshift=0):
         if ct == 0 or wgt == 0:
             continue
         term = L.pow(powfn(e)) * (ct * wgt)
-        out = out + term.shift(beta + qshift).truncate(ctx.order)
+        out = out + q_shift(term, beta)
     return out
 
 
 def theta_lemma_reference(ctx, p, level):
     """Theta^{(level)}_p written out from the Theta lemma on the ct-L
-    sums: Phi0 s0, or Phi0 s1 + Phi1 s0 + Phi0' s2 + L' Phi0 s3."""
+    sums: Phi0 s0, or Phi0 s1 + Phi1 s0 + q Phi0' s2 + q L' Phi0 s3,
+    each q d/dq taken on a coefficient list (`q_derivative`)."""
     s, phi0 = ctx.ct_sums(p), ctx.phi0()
     if level == 0:
         return phi0 * s.s0
-    return (phi0 * s.s1 + ctx.phi1() * s.s0 + phi0.deriv() * s.s2
-            + ctx.L().deriv() * phi0 * s.s3)
+    return (phi0 * s.s1 + ctx.phi1() * s.s0 + q_derivative(phi0) * s.s2
+            + q_derivative(ctx.L()) * phi0 * s.s3)
 
 
 def a_by_theta_products(ctx):
@@ -343,23 +355,23 @@ def ct_sums_by_terms(ctx, p):
     built term by term with `ct_l_sum`."""
     return (ct_l_sum(ctx, p, 0, lambda e: e, lambda e: 1),
             ct_l_sum(ctx, p, 1, lambda e: e - 1, lambda e: 1),
-            ct_l_sum(ctx, p, 0, lambda e: e - 1, lambda e: e, qshift=1),
-            ct_l_sum(ctx, p, 0, lambda e: e - 2, lambda e: comb(e, 2),
-                     qshift=1))
+            ct_l_sum(ctx, p, 0, lambda e: e - 1, lambda e: e),
+            ct_l_sum(ctx, p, 0, lambda e: e - 2, lambda e: comb(e, 2)))
 
 
 def n24_block_reference(ctx, p):
     """The whole n/24 block of insertion power p as a q-series, in
     difference form: the two ct-L sums at L = 1 built as whole sums
-    (`ct_l_sum`) and the Phi0 row divided by Phi0 as a series."""
+    (`ct_l_sum`), the Phi0 row divided by Phi0 as a series, and each
+    q d/dq taken on a coefficient list (`q_derivative`)."""
     md = ctx.md
     e2 = Fraction(md.n - 1, 2) - md.inv_degree_sum()
     s, phi0 = ctx.ct_sums(p), ctx.phi0()
     s0_at_1 = ct_l_sum(ctx, p, 0, lambda e: 0, lambda e: 1)
     s1_at_1 = ct_l_sum(ctx, p, 1, lambda e: 0, lambda e: 1)
     return (-e2 * (s.s0 - s0_at_1)
-            - ctx.L().deriv() * s.s3
-            - phi0.deriv() * s.s2 / phi0
+            - q_derivative(ctx.L()) * s.s3
+            - q_derivative(phi0) * s.s2 / phi0
             - (s.s1 - s1_at_1))
 
 

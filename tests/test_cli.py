@@ -274,6 +274,18 @@ def test_a_double_residue_catches_a_scaled_type_a(monkeypatch, n, degrees):
     assert not fanogw.checks.check_a_double_residue(md)
 
 
+@pytest.mark.parametrize("n,degrees", [(8, (7,)), (10, (9,))])
+def test_a_double_residue_reads_type_a_up_to_its_order(monkeypatch, n,
+                                                       degrees):
+    """The second route of type A covers every b up to the check's
+    order: type A scaled at b = 6 alone fails the order-6 check."""
+    md = MultiDegree(n, degrees)
+    real = fanogw.checks.type_a
+    monkeypatch.setattr(fanogw.checks, "type_a", lambda ctx, b: real(ctx, b)
+                        * (Fraction(7, 3) if b == 6 else 1))
+    assert not fanogw.checks.check_a_double_residue(md, 6)
+
+
 def test_check_grid_file(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("5:3\n6:2,2\n", encoding="utf-8")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw import hyper
-from fanogw.checks import check_w_regular
+from fanogw.checks import check_w_regular, default_grid
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import (CtSums, FanoContext, fp_series, ftilde_hbar, f_w,
                           mu_by_residue, theta_by_residue)
@@ -21,7 +21,7 @@ from fanogw.tables import CoeffTables
 from helpers import (a_by_theta_products, corrupt_ctilde, ct_polynomial,
                      ct_sums_by_terms, f_slice_oracle, f_w_cut,
                      fp_series_by_d_chain, ftilde_hbar_slice_oracle,
-                     l_fixpoint_oracle, valid_geometries)
+                     l_fixpoint_oracle, q_derivative, valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -146,7 +146,7 @@ def test_l_identity_and_mu_relation():
         ctx = FanoContext(md, 10)
         L, q = ctx.L(), QSeries.q(10)
         assert (L.pow(md.n) - q * md.dd * L.pow(md.total) - 1).is_zero()
-        assert (1 + q * ctx.mu().deriv()).matches(L)
+        assert (1 + q_derivative(ctx.mu())) == L
 
 
 def test_mirror_map_chain_is_built_once_per_context(monkeypatch):
@@ -314,9 +314,24 @@ def test_a_from_pair_sums_is_the_sum_of_theta_products():
     the Theta lemma) equals the sum of whole Theta^{(1)} Theta^{(0)}
     products, truncation order included."""
     for md in valid_geometries(12, 3):
-        for order in range(1, 5):
+        for order in range(5):
             ctx = FanoContext(md, order)
             assert ctx.A() == a_by_theta_products(ctx), (md, order)
+
+
+def test_every_context_series_has_the_context_order():
+    """D = q d/dq keeps the q-order, so every QSeries a context hands
+    out (mu, L, y, Phi0, Phi1, the Theta-lemma weights, the ct-L sums,
+    A and each Theta) has the context's order, order 0 included."""
+    for md in default_grid() + [MultiDegree(8, (7,))]:
+        for order in (0, 1, 4):
+            ctx = FanoContext(md, order)
+            series = [ctx.mu(), ctx.L(), ctx.y(), ctx.phi0(), ctx.phi1(),
+                      ctx.A(), *ctx._theta_weights()]
+            series += [s for p in range(md.n + 1) for s in ctx.ct_sums(p)]
+            series += [ctx.theta(p, level) for p in range(md.n)
+                       for level in (0, 1)]
+            assert {s.order for s in series} == {order}, (md.label(), order)
 
 
 def test_context_f_w_is_the_wide_build_cut():

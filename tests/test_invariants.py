@@ -19,11 +19,12 @@ from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                standard_invariant, svr_difference, type_a,
                                type_b, type_b_by_residues)
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
+from fanogw.tables import InsufficientBounds
 
 from helpers import (a_double_residue_by_terms, chern_value_oracle,
                      f_bracket_reference, n24_block_reference,
-                     pairing_by_terms, residue_against_g_by_terms,
-                     valid_geometries)
+                     pairing_by_terms, q_derivative, q_shift,
+                     residue_against_g_by_terms, valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -122,12 +123,11 @@ def test_a_series_from_structure_sums():
     from fanogw.series import QSeries
     from fanogw.sums import compute_sums, tables_for_sums
     for md in (MD53, MD722, MD623):
-        order = 5
-        ctx = context_for(md, order - 1)
+        ctx = context_for(md, 5)
         order = ctx.order
         t = tables_for_sums(md, order)
         phi0, phi1, L = ctx.phi0(), ctx.phi1(), ctx.L()
-        lprime = L.deriv()
+        dphi0, dL = q_derivative(phi0), q_derivative(L)
         out = QSeries.zero(order)
         for block, top in (("u", md.n - 1 - md.r), ("v", 2 * md.n - 1 - md.r)):
             for beta in range(order + 1):
@@ -139,9 +139,9 @@ def test_a_series_from_structure_sums():
                 e = top - md.nu * beta
                 rows = (phi0 * phi0 * L.pow(e - 1) * s1
                         + phi0 * phi1 * L.pow(e) * s2
-                        + (phi0 * phi0.deriv() * L.pow(e - 1) * lin
-                           + phi0 * phi0 * lprime * L.pow(e - 2) * binw).shift(1))
-                out = out + rows.shift(beta).truncate(order)
+                        + phi0 * dphi0 * L.pow(e - 1) * lin
+                        + phi0 * phi0 * dL * L.pow(e - 2) * binw)
+                out = out + q_shift(rows, beta)
         assert out.matches(ctx.A()), md
 
 
@@ -236,21 +236,59 @@ def test_g_residue_reads_a_right_factor_at_one_coefficient():
 
 def test_residue_route_keeps_one_ft_inverse_per_context(monkeypatch):
     """`type_b_by_residues` inverts Ft(1/hbar) once per context, at its
-    full order, and cuts that inverse at each degree."""
-    orders = []
+    full order, and cuts that inverse at each degree: the one inverse
+    with negative exponents (the hbar side; the F-bracket on Ft inverts
+    Ft(w)_0, which has none) is of the context's Ft(1/hbar)."""
+    inverted = []
     inv = BiSeries.inv
 
     def counted_inv(self):
-        orders.append(self.order)
+        inverted.append(self)
         return inv(self)
 
     monkeypatch.setattr(BiSeries, "inv", counted_inv)
     ctx = context_for(MD722, MD722.bmax)
-    hbar_order = ctx.ftilde_hbar().order
-    orders.clear()
+    ft = ctx.ftilde_hbar()
     for b in range(1, MD722.bmax + 1):
         type_b_by_residues(ctx, b)
-    assert orders.count(hbar_order) == 1
+    hbar_side = [s for s in inverted if any(x.lo < 0 for x in s.slices)]
+    assert len(hbar_side) == 1 and hbar_side[0] is ft
+    assert ft.order == ctx.order
+
+
+def test_an_order_0_context_reads_q0():
+    """D = q d/dq keeps the q-order, so an order-0 context gives
+    Theta^{(1)}_p at q^0 for every p < n, A(q) at q^0 and the degree-0
+    n/24 block, each equal to its read on an order-3 context, on every
+    valid geometry with n <= 11 and r <= 3."""
+    for md in valid_geometries(11, 3):
+        low, high = FanoContext(md, 0), FanoContext(md, 3)
+        for p in range(md.n):
+            assert low.theta(p, 1).coeff(0) == high.theta(p, 1).coeff(0), \
+                (md.label(), p)
+        assert low.A().coeff(0) == high.A().coeff(0), md.label()
+        assert n24_block(low, 0) == n24_block(high, 0), md.label()
+
+
+def test_the_q_order_is_the_least():
+    """A degree-b row reads its series at q^b and no higher, so
+    `context_for(md, b)` sizes its context at exactly order b: at order
+    b - 1 every reader of the row raises and none returns a value, on
+    every row b >= 1 of every valid geometry with n <= 10 and r <= 3.
+    The F-bracket of `svr_difference` reads its ct rows first, which
+    stop at the context's order."""
+    rows = 0
+    for md in valid_geometries(10, 3):
+        for b in range(1, md.bmax + 1):
+            ctx = context_for(md, b - 1)
+            assert ctx.order == b - 1
+            for read in (type_a, n24_block, type_b, type_b_by_residues):
+                with pytest.raises(WindowUnderflow):
+                    read(ctx, b)
+            with pytest.raises(InsufficientBounds):
+                svr_difference(ctx, b)
+            rows += 1
+    assert rows == 310
 
 
 def test_type_a_degree0_is_zero():
@@ -432,12 +470,12 @@ def test_frozen_f_bracket_windows():
     ctx = context_for(md, md.bmax)
     assert [f_bracket_reference(ctx, 1 + md.nu * b).his
             for b in range(md.bmax + 1)] \
-        == [(8 + b,) + (7,) * 8 for b in range(8)]
+        == [(8 + b,) + (7,) * 7 for b in range(8)]
     ctx = context_for(MD623, MD623.bmax)
     assert [f_bracket_reference(ctx, 1 + MD623.nu * b).his
             for b in range(MD623.bmax + 1)] == [
-        (5, 4, 4, 4, 4, 4, 4), (6, 4, 4, 4, 4, 4, 4), (7, 4, 4, 4, 4, 4, 4),
-        (8, 4, 4, 4, 4, 4, 4), (9, 4, 4, 4, 4, 4, 4), (10, 4, 4, 4, 4, 4, 4)]
+        (5, 4, 4, 4, 4, 4), (6, 4, 4, 4, 4, 4), (7, 4, 4, 4, 4, 4),
+        (8, 4, 4, 4, 4, 4), (9, 4, 4, 4, 4, 4), (10, 4, 4, 4, 4, 4)]
 
 
 def test_f_residue_series_reads_the_whole_bracket():

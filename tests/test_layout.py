@@ -130,6 +130,20 @@ def test_no_route_parameter():
     assert offenders == []
 
 
+def test_one_q_derivative():
+    """D = q d/dq (`QSeries.euler`) is the one q-derivative, and it keeps
+    the q-order: no module defines or calls a `deriv`, which would lose
+    one."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node.name == "deriv"
+                    or isinstance(node, ast.Attribute) and node.attr == "deriv"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def load_spans():
     """The tracer module, loaded without installing it (installing
     would rebind module globals for the rest of the session)."""

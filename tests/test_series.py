@@ -75,11 +75,13 @@ def test_log_exp_need_right_constant():
         QSeries(2, (0, 1)).pow(2)
 
 
-def test_deriv_examples():
-    assert QSeries(2, (1, 3, 5)).deriv() == QSeries(1, (3, 10))
-    with pytest.raises(WindowUnderflow):  # its q^0 term is the unknown q^1 one
-        QSeries(0, (7,)).deriv()
-    assert QSeries(3, (0, 0, 0, 1)).deriv() == QSeries(2, (0, 0, 3))
+def test_euler_examples():
+    """D = q d/dq multiplies q^k by k and keeps the order, so D of an
+    order-0 series is a known 0."""
+    assert QSeries(2, (1, 3, 5)).euler() == QSeries(2, (0, 3, 10))
+    assert QSeries(0, (7,)).euler() == QSeries.zero(0)
+    assert QSeries(0, (7,)).euler().coeff(0) == 0
+    assert QSeries(3, (0, 0, 0, 1)).euler() == QSeries(3, (0, 0, 0, 3))
 
 
 def test_coeff_window_contract():
