@@ -129,10 +129,12 @@ def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
 
 
 def check_type_b_residue_oracle(md: MultiDegree) -> bool:
-    """rows route vs honest residues at h = 0 and infinity.  The oracle
-    holds at every index, but it runs on nu >= 2 only: on an index-1
-    geometry it would build one more context and one more set of tables
-    per run than the benchmark's check-grid counts pin."""
+    """The rows route of type B against its residue route: main parts
+    on Ft at h = 0 and infinity, less polynomial parts of two ct
+    entries each.  The oracle holds at every index, but it runs on
+    nu >= 2 only: on an index-1 geometry it would build one more context
+    and one more set of tables per run than the benchmark's check-grid
+    counts pin."""
     if md.nu < 2:
         return True
     ctx = context_for(md, md.bmax)

@@ -5,7 +5,8 @@ the mirror-map package mu, L, y, Phi0, Phi1 and Theta built from them.
 closed route (Lagrange inversion in L(q), the Theta lemma).  The series
 route, residues of exact Laurent windows in the auxiliary variable, is
 `mu_by_residue(ctx)` and `theta_by_residue(ctx, p, level)`; Phi0 and
-Phi1 are its p = 0 reads.  L = 1 + D mu has its closed form only,
+Phi1 are its p = 0 reads; mu reads D log Ft = (D Ft) Ft^-1 against the
+context's one Ft(1/hbar)^-1.  L = 1 + D mu has its closed form only,
 checked against its algebraic identity.  D = q d/dq (`QSeries.euler`)
 keeps the q-order, so every series a context hands out has its order.
 
@@ -24,8 +25,9 @@ built only for its dual-route check, Theta^(1) as one kernel pair sum
 of the four ct-L sums against those weights.
 
 The context owns its windows, so no reader passes one: one hbar window
-order + 1 for every series route (`ftilde_hbar`), F_p(w) at F's window
-p - 1 (`fp_w`), Ft(w) at the widest F-bracket read (`f_w`).  Each
+order + 1 for every series route (`ftilde_hbar`, `ftilde_hbar_inv`),
+F_p(w) at F's window p - 1 (`fp_w`), Ft(w) at the widest F-bracket
+read (`f_w`).  Each
 accessor derives its rule; a read past a window raises WindowUnderflow.
 """
 
@@ -222,6 +224,12 @@ class FanoContext:
         return self.memo(("fth",), lambda: ftilde_hbar(
             self.md, self.order, self.order + 1))
 
+    def ftilde_hbar_inv(self) -> BiSeries:
+        """Ft(1/hbar, q)^-1 at the window of `ftilde_hbar`: one inverse
+        per context, read by `mu_by_residue` and the residue route of
+        type B (`invariants.type_b_by_residues`)."""
+        return self.memo(("ftinv",), lambda: self.ftilde_hbar().inv())
+
     def f_w(self, hi, tilde: bool = False) -> BiSeries:
         """F (or Ft) with every slice q^0..q^order cut at window hi, or,
         for a tuple hi, with slice k cut at hi[k] for k < len(hi) and
@@ -375,8 +383,14 @@ class FanoContext:
 
 
 def mu_by_residue(ctx: FanoContext) -> QSeries:
-    """mu as the hbar^-1 residue of log Ft(1/hbar, q)."""
-    return ctx.ftilde_hbar().log().residue()
+    """mu as the hbar^-1 residue of log Ft(1/hbar, q).  With D = q d/dq,
+    D log Ft = (D Ft) Ft^-1, so mu_k is 1/k times its q^k hbar^-1
+    coefficient (`BiSeries.mul_coeff_of_aux`), and mu_0 = 0 since the
+    q^0 slice of Ft is 1."""
+    ft = ctx.ftilde_hbar()
+    d_ft = BiSeries([s * k for k, s in enumerate(ft.slices)], ft.his)
+    k_mu = d_ft.mul_coeff_of_aux(ctx.ftilde_hbar_inv(), -1).coeffs
+    return QSeries(ctx.order, [0] + [c / k for k, c in enumerate(k_mu[1:], 1)])
 
 
 def theta_by_residue(ctx: FanoContext, p: int, level: int) -> QSeries:

@@ -14,7 +14,7 @@ gives type A its second route (`checks.check_a_double_residue`);
 Everything is exact.  The hbar-side reads (the double residue, type B
 at h = 0) take the context's one hbar window (`fanogw.hyper`); the w
 side reads the F-bracket at w^{n-2-r} from slices cut at the windows
-`_bracket_numerator` derives, and type B's head one past w^{n-2-r}.
+`_bracket_numerator` derives.
 
 A degree-b invariant reads one coefficient.  Each reader of q^b cuts its
 series at b and reads the last product through `BiSeries.mul_coeff` or
@@ -32,9 +32,9 @@ standard invariant and the rows route of type B read one value.  The
 F-bracket's numerator front * (F_0 - F_p) is kept per (context, degree)
 too, so the rows route of type B and the difference build F_p once per
 row; F_0^-1 is made on each bracket read (`_f_bracket` says why).  The
-front (1+w)^n / prod(1 + d_k w) is kept once per context (`_front`),
-and so is the Ft(1/hbar)^-1 that the residue route of type B cuts at
-each degree.
+front (1+w)^n / prod(1 + d_k w) is kept once per context (`_front`).
+The residue route of type B reads the context's Ft(1/hbar)^-1, and its
+polynomial parts are two ct entries (`_type_b_poly_parts`).
 """
 
 from __future__ import annotations
@@ -111,8 +111,9 @@ def _ch_coeffs(md: MultiDegree, cap: int) -> LaurentPoly:
 
 def _front(ctx: FanoContext) -> LaurentPoly:
     """`_ch_coeffs` up to w^{n-1-r}, kept once per context: the ct
-    residue row reads its top two coefficients, type B's head all of
-    it, and the F-bracket's numerator its cut at w^{n-2-r}."""
+    residue row and type B's polynomial part at infinity read its top
+    two coefficients, and the F-bracket's numerator its cut at
+    w^{n-2-r}."""
     md = ctx.md
     return ctx.memo(("front",), lambda: _ch_coeffs(md, md.n - 1 - md.r))
 
@@ -289,16 +290,15 @@ def _g_expansion(md: MultiDegree, hi: int) -> LaurentPoly:
 
 
 def _residue_against_g(md: MultiDegree, series: BiSeries, b: int,
-                       right: BiSeries | None = None) -> Rat:
-    """The q^b coefficient of Res_{h=0} G(h) * series, or, given right,
-    of G * series * right with the last product read at q^b h^-1 alone
-    (`BiSeries.mul_coeff`).  G = ((1+h)^n - 1)/(h^3 prod(d_k+h)) runs
-    from h^-2 up to h^{-1-lo}, lo the lowest exponent that slice b of
-    series * right can hold (h^-1 when every product slice is zero).
-    A G cut shorter, or a slice b of series * right known below h^1,
-    raises WindowUnderflow, never a wrong value."""
-    right = BiSeries.one(b) if right is None else right.truncate(b)
-    series = series.truncate(b)
+                       right: BiSeries) -> Rat:
+    """The q^b coefficient of Res_{h=0} G(h) * series * right, the last
+    product read at q^b h^-1 alone (`BiSeries.mul_coeff`).
+    G = ((1+h)^n - 1)/(h^3 prod(d_k+h)) runs from h^-2 up to h^{-1-lo},
+    lo the lowest exponent that slice b of series * right can hold
+    (h^-1 when every product slice is zero).  A G cut shorter, or a
+    slice b of series * right known below h^1, raises WindowUnderflow,
+    never a wrong value."""
+    right, series = right.truncate(b), series.truncate(b)
     lows = [u.lo + v.lo for u, v in zip(series.slices, right.slices[::-1])
             if u.nums and v.nums]
     depth = -min(lows, default=0)
@@ -312,33 +312,35 @@ def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
     computed directly on the hypergeometric Laurent data.  Only q^b is
     read, so every series is cut to q^b and each residue is read at q^b
     alone (`BiSeries.mul_coeff`): the main part at h = 0 is
-    [q^b h^-1] G (Ft - Ft_p) Ft^-1, with Ft^-1 inverted once per context
-    and cut at q^b.  The main part at infinity is the F-bracket with F
-    replaced by Ft."""
+    [q^b h^-1] G (Ft - Ft_p) Ft^-1, with the context's Ft^-1 cut at q^b.
+    The main part at infinity is the F-bracket with F replaced by Ft."""
     md = ctx.md
     _check_range(md, b)
     if b == 0:
         raise ValueError("residue-route type B oracle needs b >= 1")
     p = 1 + md.nu * b
     ft = ctx.ftilde_hbar().truncate(b)
-    ft_inv = ctx.memo(("ftinv",), lambda: ctx.ftilde_hbar().inv())
     res0_main = _residue_against_g(
-        md, ft - fp_series(ctx.tables, ft, p, +1), b, ft_inv)
-
-    # the fully known polynomial part subtracted when moving the
-    # residue at h = -d to h = 0 and infinity: F_p of the unit series
-    one = BiSeries.one(b)
-    res0_poly = _residue_against_g(md, one - fp_series(ctx.tables, one, p, +1), b)
-
+        md, ft - fp_series(ctx.tables, ft, p, +1), b, ctx.ftilde_hbar_inv())
     resinf_main = -_f_bracket(ctx, b, tilde=True)
-    # slice b of F_p of the unit series starts at w^-1: head to w^(n-1-r)
-    target = md.n - 2 - md.r
-    head = _q0_series(_front(ctx), target + 1, b)
-    resinf_poly = -head.mul_coeff(
-        one - fp_series(ctx.tables, one, p, -1), b, target)
-
+    res0_poly, resinf_poly = _type_b_poly_parts(ctx, b)
     return Fraction(prod(md.degrees), 24) \
         * (res0_main + resinf_main - res0_poly - resinf_poly)
+
+
+def _type_b_poly_parts(ctx: FanoContext, b: int) -> tuple[Rat, Rat]:
+    """The parts `type_b_by_residues` subtracts when it moves the
+    residue at h = -d to h = 0 and infinity: its two residues with Ft
+    replaced by 1 (D^l 1 = 1).  As p = 1 + nu*b, slice q^b of 1 - F_p
+    is -(ct[p,0,b] h + ct[p,1,b]) in hbar and -(ct[p,0,b]/w + ct[p,1,b])
+    in w, so they are -(ct[p,0,b] G_{-2} + ct[p,1,b] G_{-1}) at h = 0
+    and ct[p,0,b] front_{n-1-r} + ct[p,1,b] front_{n-2-r} at infinity."""
+    md = ctx.md
+    p = 1 + md.nu * b
+    ct0, ct1 = ctx.tables.ctilde(p, 0, b), ctx.tables.ctilde(p, 1, b)
+    g, front, top = _g_expansion(md, -1), _front(ctx), md.n - 1 - md.r
+    return (-(ct0 * g.coeff(-2) + ct1 * g.coeff(-1)),
+            ct0 * front.coeff(top) + ct1 * front.coeff(top - 1))
 
 
 # ---------------------------------------------------------------------------

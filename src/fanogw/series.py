@@ -22,7 +22,7 @@ Three types:
   polynomials in one auxiliary variable (w or hbar).  Each slice carries
   its window: the largest auxiliary exponent that is exactly known, or
   INF_EXP (math.inf) for a fully known slice, which adding a finite
-  exponent leaves fixed.  Products, inverses and logs take their windows
+  exponent leaves fixed.  Products and inverses take their windows
   from one rule, `_window`: u known up to u_hi times v known up to v_hi
   is known up to min(u_hi + lowest(v), v_hi + lowest(u)), a slice that
   is zero up to its window having lowest exponent window + 1.
@@ -43,8 +43,8 @@ that read at every q-power, and QSeries.mul_coeff(other, k) is
 an exact prefix of every sum, product and inverse.  poly_pow
 needs no log or exp: g = a**alpha solves a g' = alpha a' g, which
 fixes each coefficient of g from the lower ones in one short sum.
-BiSeries.log is one slice recurrence too, from D(log F) F = D F, where
-D = q d/dq, the one q-derivative (`QSeries.euler`), keeps the order.
+No BiSeries log is kept either: with D = q d/dq, D log F = (D F) F^-1
+is a product and an inverse (`hyper.mu_by_residue`).
 The kernel loops on the stored numerators and brings each result to
 canonical form with one gcd over its numerators; rationals from outside
 (Fraction or int lists) are lifted to that form once, by `_lift`, when
@@ -73,8 +73,7 @@ class ZeroConstantTerm(ArithmeticError):
 
 
 class BadConstantTerm(ArithmeticError):
-    """A fractional power of a series whose constant term is not 1, or
-    a BiSeries log whose q^0 slice is not 1."""
+    """A fractional power of a series whose constant term is not 1."""
 
 
 class NotInvertible(ArithmeticError):
@@ -162,9 +161,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self.nums
-
-    def support_lo(self) -> int | None:
-        return self.lo if self.nums else None
 
     def coeff(self, e: int) -> Rat:
         if self.lo <= e <= self.hi:
@@ -727,25 +723,6 @@ class BiSeries:
             out_hs.append(h)
         res = BiSeries(out_sl, out_hs)
         return res.shift_aux(-m) if m else res
-
-    def log(self) -> "BiSeries":
-        """log of a series F with q^0 slice 1.  With D = q d/dq,
-        D(log F) F = D F: the slices m_b = b l_b of D log F solve
-        m_b = b f_b - sum_{0<k<b} m_k f_{b-k}.  f_0 = 1 is known up to
-        his[0] only, which bounds each window as in `inv`."""
-        f, fh = self.slices, self.his
-        if f[0] != _ONE:
-            raise BadConstantTerm("BiSeries log needs q^0 slice 1")
-        neg = [-s for s in f]
-        m, mh = [_ZERO], [fh[0]]  # l_0 = 0 as far as f_0 = 1
-        for b in range(1, self.order + 1):
-            acc, h = _convolve_slices(
-                [(_raw(0, (b,), 1), INF_EXP, f[b], fh[b])]
-                + [(m[k], mh[k], neg[b - k], fh[b - k]) for k in range(1, b)])
-            m.append(acc)
-            mh.append(_window(acc, h, f[0], fh[0]))
-        return BiSeries([m[0]] + [m[b] * Fraction(1, b) for b in range(1, len(m))],
-                        mh)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BiSeries)

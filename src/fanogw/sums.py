@@ -18,8 +18,8 @@ from math import comb, factorial, lcm
 from typing import Iterable, NamedTuple
 
 from .geometry import MultiDegree
-from .series import Rat
-from .tables import CoeffTables, InsufficientBounds
+from .series import Rat, WindowUnderflow
+from .tables import CoeffTables
 
 
 class SumValues(NamedTuple):
@@ -85,7 +85,7 @@ def compute_sums(tables: CoeffTables, beta: int) -> SumValues:
     """All ten sums at one degree, by brute force over the ct tables."""
     md = tables.md
     if beta > tables.beta_max or tables.p_max < md.n - 1:
-        raise InsufficientBounds(
+        raise WindowUnderflow(
             f"sums at beta={beta} need p_max>={md.n - 1}, "
             f"beta_max>={beta}; built (p<={tables.p_max}, "
             f"beta<={tables.beta_max})")

@@ -54,15 +54,11 @@ from itertools import accumulate
 from math import comb
 
 from .geometry import MultiDegree
-from .series import (LaurentPoly, Rat, linear_product, poly_div, poly_mul,
-                     poly_shift, sum_of_products)
+from .series import (LaurentPoly, Rat, WindowUnderflow, linear_product,
+                     poly_div, poly_mul, poly_shift, sum_of_products)
 
 
 _ONE = LaurentPoly.from_ints(0, (1,))
-
-
-class InsufficientBounds(Exception):
-    """A table entry was asked for beyond the built bounds."""
 
 
 def slice_chain(md: MultiDegree, caps, tilde: bool = False, hbar: bool = False,
@@ -131,7 +127,7 @@ class CoeffTables:
         if p < 0 or l < 0:
             return Fraction(0)
         if max(p, l) > self.p_max or beta > self.beta_max:
-            raise InsufficientBounds(
+            raise WindowUnderflow(
                 f"c({p},{l},{beta}) beyond built bounds "
                 f"(p, l<={self.p_max}, beta<={self.beta_max})")
         base = self.base(beta, self.p_max)
@@ -158,7 +154,7 @@ class CoeffTables:
         """T_{p,beta}(w) = sum_l ct[p,l,beta] w^l, zero when
         p - nu*beta < 0."""
         if p > self.p_max or beta > self.beta_max:
-            raise InsufficientBounds(
+            raise WindowUnderflow(
                 f"ct row ({p},{beta}) beyond built bounds "
                 f"(p<={self.p_max}, beta<={self.beta_max})")
         return self._ct.get((p, beta), LaurentPoly.zero())

@@ -471,10 +471,10 @@ def pairing_by_terms(x1, x2, order):
         total = Fraction(0)
         for b1 in range(btot + 1):
             b2 = btot - b1
-            lo2 = x2.slice(b2).support_lo()
-            if lo2 is None:
+            s2 = x2.slice(b2)
+            if not s2.nums:
                 continue
-            for j in range(0, -lo2 + 1):
+            for j in range(0, -s2.lo + 1):
                 c2 = x2.coeff(b2, -j)
                 if c2 != 0:
                     total += (-1) ** j * x1.coeff(b1, j + 1) * c2
@@ -499,8 +499,7 @@ def residue_against_g_by_terms(md, series):
     """Res_{h=0} G(h) series(h) slice by slice, as the sum of
     G[e] series[-1 - e] over the exponents e of G; a slice window below
     1 is refused."""
-    lows = [s.support_lo() for s in series.slices]
-    depth = max((-lo for lo in lows if lo is not None), default=0)
+    depth = max((-s.lo for s in series.slices if s.nums), default=0)
     g = _g_expansion(md, depth - 1)
     out = []
     for beta in range(series.order + 1):
@@ -511,6 +510,24 @@ def residue_against_g_by_terms(md, series):
             total += c * series.coeff(beta, -1 - e)
         out.append(total)
     return QSeries(series.order, out)
+
+
+def type_b_poly_parts_by_unit_series(ctx, b):
+    """The two polynomial parts of type B's residue route, read off F_p
+    of the unit series `BiSeries.one(b)` (D^l 1 = 1): the G residue of
+    1 - F_p(1/hbar) at q^b, by `residue_against_g_by_terms`, and the
+    q^b w^{n-2-r} coefficient of -front * (1 - F_p(w)), the front
+    (1+w)^n / prod(1 + d_k w) known up to w^{n-1-r}, where slice b of
+    F_p starts at w^-1."""
+    md = ctx.md
+    p, target = 1 + md.nu * b, md.n - 2 - md.r
+    one = BiSeries.one(b)
+    res0 = residue_against_g_by_terms(
+        md, one - fp_series(ctx.tables, one, p, +1)).coeff(b)
+    head = BiSeries([_ch_coeffs(md, target + 1)] + [LaurentPoly.zero()] * b,
+                    [target + 1] + [INF_EXP] * b)
+    resinf = -head.mul_coeff(one - fp_series(ctx.tables, one, p, -1), b, target)
+    return res0, resinf
 
 
 def f_bracket_reference(ctx, p):

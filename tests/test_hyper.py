@@ -21,7 +21,8 @@ from fanogw.tables import CoeffTables
 from helpers import (a_by_theta_products, corrupt_ctilde, ct_polynomial,
                      ct_sums_by_terms, f_slice_oracle, f_w_cut,
                      fp_series_by_d_chain, ftilde_hbar_slice_oracle,
-                     l_fixpoint_oracle, q_derivative, valid_geometries)
+                     l_fixpoint_oracle, log_by_mercator, q_derivative,
+                     valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -184,9 +185,16 @@ def test_mu_small_values():
 
 
 def test_mu_dual_route():
-    for md in (MD53, MD722):
-        ctx = FanoContext(md, 8)
-        assert ctx.mu().matches(mu_by_residue(ctx))
+    """mu_by_residue, read from (D Ft) Ft^-1, equals the closed mu and
+    the hbar^-1 residue of log Ft(1/hbar) as the Mercator sum
+    (`helpers.log_by_mercator`) on the default grid at orders 8 and 10."""
+    for md in default_grid():
+        for order in (8, 10):
+            ctx = FanoContext(md, order)
+            got = mu_by_residue(ctx)
+            assert got == ctx.mu(), (md.label(), order)
+            assert got == log_by_mercator(ctx.ftilde_hbar()).residue(), \
+                (md.label(), order)
 
 
 def test_phi_normalization_and_dual_route():

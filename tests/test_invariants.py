@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw import invariants
-from fanogw.checks import (check_degree0, check_three_path, check_w_regular,
+from fanogw.checks import (check_degree0, check_three_path,
+                           check_type_b_residue_oracle, check_w_regular,
                            default_grid)
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import FanoContext, fp_series, ftilde_hbar, theta_by_residue
+from fanogw.hyper import (FanoContext, fp_series, ftilde_hbar, mu_by_residue,
+                          theta_by_residue)
 from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                a_series, chern_degree0_oracle, context_for,
                                f_residue_series, invariant_row,
@@ -19,12 +21,12 @@ from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                standard_invariant, svr_difference, type_a,
                                type_b, type_b_by_residues)
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
-from fanogw.tables import InsufficientBounds
 
 from helpers import (a_double_residue_by_terms, chern_value_oracle,
                      f_bracket_reference, n24_block_reference,
                      pairing_by_terms, q_derivative, q_shift,
-                     residue_against_g_by_terms, valid_geometries)
+                     residue_against_g_by_terms,
+                     type_b_poly_parts_by_unit_series, valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -187,7 +189,8 @@ def test_kernel_residues_match_the_term_sums():
         inv = ft.inv()
         for p in range(md.n + 1):
             series = (ft - fp_series(ctx.tables, ft, p, +1)) * inv
-            assert [_residue_against_g(md, series, b) for b in range(4)] \
+            assert [_residue_against_g(md, series, b, BiSeries.one(b))
+                    for b in range(4)] \
                 == list(residue_against_g_by_terms(md, series).coeffs), \
                 (md.label(), p)
 
@@ -196,12 +199,13 @@ def test_g_residue_needs_slice_windows_of_at_least_1():
     """The q^b read needs slice b known up to h^1, and only slice b."""
     series = BiSeries([LaurentPoly(-1, (1, 2)), LaurentPoly(-2, (3,))])
     want = residue_against_g_by_terms(MD53, series)
-    assert [_residue_against_g(MD53, BiSeries(series.slices, [1, 1]), b)
+    assert [_residue_against_g(MD53, BiSeries(series.slices, [1, 1]), b,
+                               BiSeries.one(b))
             for b in (0, 1)] == list(want.coeffs)
     short = BiSeries(series.slices, [1, 0])
-    assert _residue_against_g(MD53, short, 0) == want.coeff(0)
+    assert _residue_against_g(MD53, short, 0, BiSeries.one(0)) == want.coeff(0)
     with pytest.raises(WindowUnderflow):
-        _residue_against_g(MD53, short, 1)
+        _residue_against_g(MD53, short, 1, BiSeries.one(1))
 
 
 def test_g_residue_reads_a_right_factor_at_one_coefficient():
@@ -219,7 +223,8 @@ def test_g_residue_reads_a_right_factor_at_one_coefficient():
             ftb, invb = ft.truncate(b), inv.truncate(b)
             num = ftb - fp_series(ctx.tables, ftb, 1 + md.nu * b, +1)
             assert _residue_against_g(md, num, b, inv) \
-                == _residue_against_g(md, num * invb, b), (md.label(), b)
+                == _residue_against_g(md, num * invb, b, BiSeries.one(b)), \
+                (md.label(), b)
             assert _residue_against_g(md, ftb - ftb, b, inv) == 0
             lows = [u.lo + v.lo for u, v in zip(num.slices, invb.slices[::-1])
                     if u.nums and v.nums]
@@ -235,10 +240,11 @@ def test_g_residue_reads_a_right_factor_at_one_coefficient():
 
 
 def test_residue_route_keeps_one_ft_inverse_per_context(monkeypatch):
-    """`type_b_by_residues` inverts Ft(1/hbar) once per context, at its
-    full order, and cuts that inverse at each degree: the one inverse
-    with negative exponents (the hbar side; the F-bracket on Ft inverts
-    Ft(w)_0, which has none) is of the context's Ft(1/hbar)."""
+    """`type_b_by_residues` and `mu_by_residue` read one Ft(1/hbar)^-1
+    per context, inverted at its full order and cut at each degree: the
+    one inverse with negative exponents (the hbar side; the F-bracket on
+    Ft inverts Ft(w)_0, which has none) is of the context's
+    Ft(1/hbar)."""
     inverted = []
     inv = BiSeries.inv
 
@@ -251,6 +257,7 @@ def test_residue_route_keeps_one_ft_inverse_per_context(monkeypatch):
     ft = ctx.ftilde_hbar()
     for b in range(1, MD722.bmax + 1):
         type_b_by_residues(ctx, b)
+    assert mu_by_residue(ctx).matches(ctx.mu())
     hbar_side = [s for s in inverted if any(x.lo < 0 for x in s.slices)]
     assert len(hbar_side) == 1 and hbar_side[0] is ft
     assert ft.order == ctx.order
@@ -275,18 +282,18 @@ def test_the_q_order_is_the_least():
     `context_for(md, b)` sizes its context at exactly order b: at order
     b - 1 every reader of the row raises and none returns a value, on
     every row b >= 1 of every valid geometry with n <= 10 and r <= 3.
-    The F-bracket of `svr_difference` reads its ct rows first, which
-    stop at the context's order."""
+    Each raises `WindowUnderflow`, the F-bracket of `svr_difference`
+    too: it reads its ct rows first, which stop at the context's
+    order."""
     rows = 0
     for md in valid_geometries(10, 3):
         for b in range(1, md.bmax + 1):
             ctx = context_for(md, b - 1)
             assert ctx.order == b - 1
-            for read in (type_a, n24_block, type_b, type_b_by_residues):
+            for read in (type_a, n24_block, type_b, type_b_by_residues,
+                         svr_difference):
                 with pytest.raises(WindowUnderflow):
                     read(ctx, b)
-            with pytest.raises(InsufficientBounds):
-                svr_difference(ctx, b)
             rows += 1
     assert rows == 310
 
@@ -333,26 +340,6 @@ def test_hbar_window_is_the_least(monkeypatch):
                 theta_by_residue(ctx, p, 1)
 
 
-def test_type_b_head_window_is_the_least():
-    """Slice b of F_p of the unit series starts at w^-1, so type B's
-    head is read up to w^{n-2-r+1}: on X_8(7) it gives the read of a
-    wide head there, and one lower it raises, for b = 1..5."""
-    md = MultiDegree(8, (7,))
-    target, tables = md.n - 2 - md.r, context_for(md, md.bmax).tables
-
-    def head_read(b, p, cap):
-        one = BiSeries.one(b)
-        head = BiSeries([invariants._ch_coeffs(md, cap)]
-                        + [LaurentPoly.zero()] * b, [cap] + [INF_EXP] * b)
-        return head.mul_coeff(one - fp_series(tables, one, p, -1), b, target)
-
-    for b in range(1, 6):
-        p = 1 + md.nu * b
-        assert head_read(b, p, target + 1) == head_read(b, p, target + p + 2)
-        with pytest.raises(WindowUnderflow):
-            head_read(b, p, target)
-
-
 def test_fp_w_window_is_the_least(monkeypatch):
     """`FanoContext.fp_w` reads F at window p - 1, which keeps F_p
     known down to w^-1; at p - 2 its window falls to -2, and
@@ -366,6 +353,38 @@ def test_fp_w_window_is_the_least(monkeypatch):
     monkeypatch.setattr(FanoContext, "fp_w", lambda self, p: fp_series(
         self.tables, self.f_w(p - 2), p, -1))
     assert not check_w_regular(MD53)
+
+
+def test_type_b_poly_parts_are_the_unit_series_reads():
+    """Type B's residue route reads its polynomial parts as two ct
+    entries against two coefficients of G and of the front; they equal
+    the reads of F_p on the unit series
+    (`helpers.type_b_poly_parts_by_unit_series`) on every row b >= 1 of
+    every valid geometry with n <= 12 and r <= 3."""
+    rows = 0
+    for md in valid_geometries(12, 3):
+        ctx = context_for(md, md.bmax)
+        for b in range(1, md.bmax + 1):
+            assert invariants._type_b_poly_parts(ctx, b) \
+                == type_b_poly_parts_by_unit_series(ctx, b), (md.label(), b)
+            rows += 1
+    assert rows == 681
+
+
+def test_corrupted_type_b_parts_fail_the_residue_oracle(monkeypatch):
+    """The residue route of type B reads no piece of the rows route's
+    closed rows: a ct residue row off by 1, or polynomial parts off by
+    1, fails `check_type_b_residue_oracle` on every nu >= 2 geometry of
+    the default grid."""
+    grid = [md for md in default_grid() if md.nu >= 2]
+    assert grid and all(check_type_b_residue_oracle(md) for md in grid)
+    for name, bad in (
+            ("ct_residue_row", lambda real: lambda ctx, b: real(ctx, b) + 1),
+            ("_type_b_poly_parts", lambda real: lambda ctx, b: tuple(
+                x + 1 for x in real(ctx, b)))):
+        with monkeypatch.context() as m:
+            m.setattr(invariants, name, bad(getattr(invariants, name)))
+            assert not any(check_type_b_residue_oracle(md) for md in grid), name
 
 
 def test_type_b_residue_route_rejects_degree_zero():

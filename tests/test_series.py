@@ -14,7 +14,7 @@ from fanogw.series import (INF_EXP, BiSeries, LaurentPoly, QSeries,
                            BadConstantTerm, NotInvertible, WindowUnderflow,
                            ZeroConstantTerm)
 
-from helpers import apply_d, d_power_tables, log_by_mercator
+from helpers import apply_d, d_power_tables
 from helpers import poly_mul as oracle_mul
 
 
@@ -280,29 +280,6 @@ def test_fully_known_windows_survive_products_and_shifts():
 
 
 fracs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_log_inside_its_windows_matches_mercator(data):
-    """log of F cut to random windows reports only coefficients of the
-    log of the uncut F, taken as the Mercator sum
-    (`helpers.log_by_mercator`); on the uncut F it is that sum exactly,
-    windows included."""
-    order = data.draw(st.integers(0, 4))
-    slices = [LaurentPoly(0, (1,))] + [
-        LaurentPoly(data.draw(st.integers(-3, 2)),
-                    data.draw(st.lists(fracs, max_size=5)))
-        for _ in range(order)]
-    his = [data.draw(st.integers(0, 6))] + [
-        data.draw(st.integers(-3, 6)) for _ in range(order)]
-    full = BiSeries(slices)
-    want = log_by_mercator(full)
-    assert full.log() == want
-    got = BiSeries(slices, his).log()
-    for b in range(order + 1):
-        for e in range(-3 * b, got.his[b] + 1):
-            assert got.coeff(b, e) == want.coeff(b, e), (b, e)
 
 
 def windowed_bs(data, order):

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw.geometry import MultiDegree
+from fanogw.series import WindowUnderflow
 from fanogw.sums import (SumValues, check_proven_identities, compute_sums,
                          evaluate_conjectures, sums_by_degree,
                          tables_for_sums, u1_beta2_conjectured,
                          u1_degree1_hypersurface, u1_degree1_lemma,
                          u1_vanishing_hypothesis, u2_lemma, v2_conjectured,
                          v3_conjectured)
-from fanogw.tables import InsufficientBounds
 
 from helpers import structure_sums_reference, valid_geometries
 
@@ -82,7 +82,7 @@ def test_sums_match_the_weighted_loop_reference(md, beta):
 
 def test_insufficient_bounds():
     t = tables_for_sums(MD53, 1)
-    with pytest.raises(InsufficientBounds):
+    with pytest.raises(WindowUnderflow):
         compute_sums(t, 2)
 
 

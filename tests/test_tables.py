@@ -11,8 +11,8 @@ from fanogw import series, tables
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import f_w, ftilde_hbar
 from fanogw.invariants import invariant_table
-from fanogw.series import BiSeries, LaurentPoly
-from fanogw.tables import CoeffTables, InsufficientBounds
+from fanogw.series import BiSeries, LaurentPoly, WindowUnderflow
+from fanogw.tables import CoeffTables
 
 from helpers import (apply_d, c_entry_oracle, corrupt_ctilde, ctilde_oracle,
                      f_slice_oracle, valid_geometries)
@@ -75,7 +75,7 @@ def test_out_of_range_conventions():
     assert t.ctilde(-1, 0, 0) == 0
     assert t.ctilde(1, 0, 1) == 0  # nu*beta > p: entire term absent
     assert t.c(3, -2, 1) == 0
-    with pytest.raises(InsufficientBounds):
+    with pytest.raises(WindowUnderflow):
         t.c(9, 0, 0)
 
 
