@@ -18,14 +18,15 @@ def _integer(value, name: str) -> int:
 class MultiDegree:
     """A smooth complete intersection of hypersurfaces of the given
     degrees in P^{n-1}.  Degrees are normalized (sorted); all formulas
-    are symmetric in them.
+    are symmetric in them.  r (the number of degrees), total (their
+    sum) and nu (the Fano index n - total) are stored once.
 
     Rejects a non-integral n or degree (a float, Fraction or str is not
     truncated), projective space itself (no degrees), non-Fano input
     (index <= 0), linear factors (d < 2) and dimension < 1.
     """
 
-    __slots__ = ("n", "degrees")
+    __slots__ = ("n", "degrees", "r", "total", "nu")
 
     def __init__(self, n: int, degrees):
         n = _integer(n, "n")
@@ -39,20 +40,12 @@ class MultiDegree:
             raise ValueError("complete intersection must have dimension >= 1")
         if n - sum(degs) < 1:
             raise ValueError("Fano index must be >= 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degrees", degs)
+        for name, value in (("n", n), ("degrees", degs), ("r", len(degs)),
+                            ("total", sum(degs)), ("nu", n - sum(degs))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiDegree is immutable")
-
-    @property
-    def r(self) -> int:
-        return len(self.degrees)
-
-    @property
-    def total(self) -> int:
-        """Sum of the degrees."""
-        return sum(self.degrees)
 
     @property
     def dd(self) -> int:
@@ -63,11 +56,6 @@ class MultiDegree:
     def dfact(self) -> int:
         """prod d_k!."""
         return prod(factorial(d) for d in self.degrees)
-
-    @property
-    def nu(self) -> int:
-        """Fano index n - sum(d)."""
-        return self.n - self.total
 
     @property
     def dim(self) -> int:

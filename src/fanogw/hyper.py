@@ -16,19 +16,21 @@ slice times |d| new linear factors over one denominator of degree n.
 
 `FanoContext` owns every per-context quantity: each is built once,
 through `FanoContext.memo`, and every caller reads it from there.  The
-closed chain is mu -> L -> y -> Phi0, Phi1, and each integer power of L
-comes from the one list L^0..L^n that the ct-L sums read too.  F(w, q)
-builds no slice of its own: slice k is w^(nu k) times the base slice k
-of the context's `CoeffTables`.  A(q) is Phi0 times four kernel pair
+closed chain is mu -> L -> y -> Phi0 -> Phi1, and each integer power of
+L comes from the one list L^0..L^n that the ct-L sums read too.  Phi1
+is Phi0 L^-1 (lead (L - 1) + y^-3 B / (24 t n^3)), B a Horner form in
+L and X = L^n, so L^((r+1)/2) and y^(-1/2) are raised once, in Phi0.
+F(w, q) builds no slice of its own: slice k is w^(nu k) times the base
+slice k of the context's `CoeffTables`.  A(q) is Phi0 times four kernel pair
 sums of the ct-L sums, weighted by the Theta lemma; Theta itself is
 built only for its dual-route check, Theta^(1) as one kernel pair sum
 of the four ct-L sums against those weights.
 
-The context owns its windows, so no reader passes one: one hbar window
-order + 1 for every series route (`ftilde_hbar`, `ftilde_hbar_inv`),
-F_p(w) at F's window p - 1 (`fp_w`), Ft(w) at the widest F-bracket
-read (`f_w`).  Each
-accessor derives its rule; a read past a window raises WindowUnderflow.
+The context owns its hbar and F_p windows, so no reader passes one: one
+hbar window order + 1 for every series route (`ftilde_hbar`,
+`ftilde_hbar_inv`), F_p(w) at F's window p - 1 (`fp_w`).  F(w) and
+Ft(w) are kept per window tuple (`f_w`), and the F-bracket derives its
+tuples (`invariants`).  A read past a window raises WindowUnderflow.
 """
 
 from __future__ import annotations
@@ -161,13 +163,14 @@ def phi0_closed(md: MultiDegree, L: QSeries, y: QSeries) -> QSeries:
     return L.pow(Fraction(md.r + 1, 2)) * y.pow(Fraction(-1, 2))
 
 
-def phi1_closed(md: MultiDegree, L: QSeries, y: QSeries, X: QSeries) -> QSeries:
-    """Phi1 = L^((r-1)/2) y^(-1/2) (lead (L - 1) + y^-3 bracket / (24 t n^3)),
-    from the context's L, y and X = L^n, where the seven-term bracket
-    in L is L (c0 + c2 X + c4 X^2 + c6 X^3) + X (c1 + c3 X + c5 X^2).
-    L^((r-1)/2) bracket is one Horner form in X whose coefficients are
-    combinations of L^((r-1)/2) and L^((r+1)/2), so L is raised to those
-    two powers only, and y^(-7/2) is y^(-1/2) y^-3."""
+def phi1_closed(md: MultiDegree, L: QSeries, y: QSeries, X: QSeries,
+                phi0: QSeries) -> QSeries:
+    """Phi1 = Phi0 L^-1 (lead (L - 1) + y^-3 B / (24 t n^3)), from the
+    context's L, y, X = L^n and Phi0 = L^((r+1)/2) y^(-1/2), where the
+    seven-term bracket in L is the Horner form in X
+    B = L (c0 + c2 X + c4 X^2 + c6 X^3) + X (c1 + c3 X + c5 X^2).
+    Phi0 L^-1 is L^((r-1)/2) y^(-1/2), so no power of L or y is raised
+    here beyond y^-3."""
     n, t, r = md.n, md.total, md.r
     lead = Fraction(3 * r**2 - 1, 24 * t) \
         - md.inv_degree_sum() * Fraction(2, 24)
@@ -181,11 +184,10 @@ def phi1_closed(md: MultiDegree, L: QSeries, y: QSeries, X: QSeries) -> QSeries:
          3 * t * (n - t)**2 * a,
          n * (n - t)**2 * (2 * t**2 + t * n - 6 * t * r + 3 * r**2 - 1),
          (n - t)**3 * a)
-    Lm, Lp = L.pow(Fraction(r - 1, 2)), L.pow(Fraction(r + 1, 2))
-    bracket_Lm = c[0] * Lp + X * (c[1] * Lm + c[2] * Lp + X * (
-        c[3] * Lm + c[4] * Lp + X * (c[5] * Lm + c[6] * Lp)))
-    return y.pow(Fraction(-1, 2)) * (
-        lead * (Lp - Lm) + y.pow(-3) * bracket_Lm * Fraction(1, 24 * t * n**3))
+    bracket = L * (c[0] + X * (c[2] + X * (c[4] + X * c[6]))) \
+        + X * (c[1] + X * (c[3] + X * c[5]))
+    return phi0 * (lead * (L - 1)
+                   + y.pow(-3) * bracket * Fraction(1, 24 * t * n**3)) / L
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +235,22 @@ class FanoContext:
     def f_w(self, hi, tilde: bool = False) -> BiSeries:
         """F (or Ft) with every slice q^0..q^order cut at window hi, or,
         for a tuple hi, with slice k cut at hi[k] for k < len(hi) and
-        the slices above dropped.
+        the slices above dropped; kept per window tuple.
 
         Slice k of F is w^(nu k) times the base slice k of the context's
         tables (`CoeffTables.base`), which reach w^(n + nu k): F-bracket
-        windows stay below that, so F builds no slice of its own there;
-        a slice past it, or past the stored betas, is built per window
-        asked for.  Ft, read by the F-bracket on Ft alone, is built once
-        at the widest window that bracket reads (`_bracket_numerator` in
-        `invariants`), n-2-r + p with p = 1 + nu*bmax <= n, and cut."""
-        md = self.md
+        windows stay below that, so F builds no slice of its own there.
+        Ft, read by the F-bracket on Ft alone, is `f_w` at the tuple's
+        widest window, cut."""
+        nu = self.md.nu
         his = (hi,) * (self.order + 1) if isinstance(hi, int) else tuple(hi)
-        if not tilde:
-            nu, base = md.nu, self.tables.base
-            return self.memo(("fw", his), lambda: BiSeries(
-                [base(k, h - nu * k).shift(nu * k) if h >= nu * k
-                 else LaurentPoly.zero() for k, h in enumerate(his)], his))
-        top = max(max(his), md.n - 1 - md.r + md.nu * md.bmax)
-        wide = self.memo(("fwt", top),
-                         lambda: f_w(md, self.order, top, tilde=True))
-        return BiSeries(wide.slices[: len(his)], his)
+        if tilde:
+            return self.memo(("fwt", his), lambda: BiSeries(
+                f_w(self.md, len(his) - 1, max(his), tilde=True).slices, his))
+        base = self.tables.base
+        return self.memo(("fw", his), lambda: BiSeries(
+            [base(k, h - nu * k).shift(nu * k) if h >= nu * k
+             else LaurentPoly.zero() for k, h in enumerate(his)], his))
 
     def fp_hbar(self, p: int) -> BiSeries:
         return self.memo(("fph", p),
@@ -269,9 +267,10 @@ class FanoContext:
                          lambda: exp_neg_mu_over_aux(self.mu()))
 
     def regularized_fp(self, p: int) -> BiSeries:
-        """exp(-mu/hbar) * Ft_p(1/hbar, q); regular at hbar = 0 (the
-        negative coefficients vanish identically, which the acceptance
-        suite verifies rather than assumes)."""
+        """exp(-mu/hbar) * Ft_p(1/hbar, q), for the double residue and
+        the regularizability check; regular at hbar = 0 (the negative
+        coefficients vanish identically, which the acceptance suite
+        verifies rather than assumes)."""
         return self.memo(("regfp", p),
                          lambda: self.exp_neg_mu() * self.fp_hbar(p))
 
@@ -321,7 +320,8 @@ class FanoContext:
 
     def phi1(self) -> QSeries:
         return self.memo(("phi1",), lambda: phi1_closed(
-            self.md, self.L(), self.y(), self._l_powers()[self.md.n]))
+            self.md, self.L(), self.y(), self._l_powers()[self.md.n],
+            self.phi0()))
 
     # -- Theta
 
@@ -395,8 +395,9 @@ def mu_by_residue(ctx: FanoContext) -> QSeries:
 
 def theta_by_residue(ctx: FanoContext, p: int, level: int) -> QSeries:
     """Theta^{(level)}_p as the aux^level coefficient of
-    exp(-mu/hbar) Ft_p(1/hbar, q).  At p = 0 this is Phi0 (level 0) and
-    Phi1 (level 1): their series route."""
+    exp(-mu/hbar) Ft_p(1/hbar, q), read alone (`BiSeries.mul_coeff_of_aux`).
+    At p = 0 this is Phi0 (level 0) and Phi1 (level 1): their series
+    route."""
     if level not in (0, 1):
         raise ValueError("theta level must be 0 or 1")
-    return ctx.regularized_fp(p).coeff_of_aux(level)
+    return ctx.exp_neg_mu().mul_coeff_of_aux(ctx.fp_hbar(p), level)

@@ -26,15 +26,20 @@ Three types:
   from one rule, `_window`: u known up to u_hi times v known up to v_hi
   is known up to min(u_hi + lowest(v), v_hi + lowest(u)), a slice that
   is zero up to its window having lowest exponent window + 1.
-  BiSeries.inv reads its input's window; a fully known q^0 slice has an
-  infinite inverse and raises WindowUnderflow.
+  BiSeries.inv inverts a series whose q^0 slice is a unit (nonzero at
+  aux^0, nothing below) and raises NotInvertible on any other; it reads
+  its input's window, and a fully known q^0 slice has an infinite
+  inverse and raises WindowUnderflow.
 
 All three are built on one exact kernel that takes and returns
 LaurentPolys: poly_mul (capped product), poly_div (capped quotient by a
 unit), poly_pow (rational power of a unit), poly_shift (Taylor shift
-a(x) -> a(x + s)) and linear_product (of int factors a + b*x), plus sum_of_products, the sum of
-products of Laurent slices kept in a band of exponents lo..h.  Every
-other module uses it instead of its own loops.  The band [e, e] reads
+a(x) -> a(x + s)) and linear_product (of int factors a + b*x), plus
+sum_of_products, the sum of products of Laurent slices kept in a band
+of exponents lo..h.  sum_of_products is the kernel's one accumulation
+loop: a sum (`LaurentPoly.__add__`, `BiSeries.coeff_of_aux`) is the sum
+of its terms' products with 1.  Every other module uses the kernel
+instead of its own loops.  The band [e, e] reads
 one coefficient: BiSeries.mul_coeff(other, b, e) is
 (self * other).coeff(b, e), window and WindowUnderflow included,
 without the rest of the product, mul_coeff_of_aux(other, e) is
@@ -77,7 +82,7 @@ class BadConstantTerm(ArithmeticError):
 
 
 class NotInvertible(ArithmeticError):
-    """BiSeries whose q^0 slice is not a unit (times a monomial)."""
+    """BiSeries whose q^0 slice is not a unit."""
 
 
 class WindowUnderflow(ArithmeticError):
@@ -177,8 +182,7 @@ class LaurentPoly:
             return other
         if not other.nums:
             return self
-        return _sum([(self.lo, self.nums, self.den),
-                     (other.lo, other.nums, other.den)])
+        return sum_of_products(((self, _ONE), (other, _ONE)))
 
     def __neg__(self) -> "LaurentPoly":
         return _raw(self.lo, tuple(-c for c in self.nums), self.den)
@@ -229,30 +233,16 @@ _ZERO = _raw(0, (), 1)
 _ONE = _raw(0, (1,), 1)
 
 
-def _sum(parts) -> LaurentPoly:
-    """The sum of the polynomials nums/den at exponents lo, lo+1, ...
-    over (lo, nums, den) parts, added up on one common denominator."""
-    if not parts:
-        return _ZERO
-    lo = min(p[0] for p in parts)
-    d = lcm(*[p[2] for p in parts])
-    acc = [0] * (max(p[0] + len(p[1]) for p in parts) - lo)
-    for p_lo, cs, p_d in parts:
-        s = d // p_d
-        for k, c in enumerate(cs, p_lo - lo):
-            acc[k] += c * s
-    return LaurentPoly.from_ints(lo, acc, d)
-
-
 # ---------------------------------------------------------------------------
 # the exact kernel: LaurentPolys in, LaurentPolys out, integer loops
 
 
-def sum_of_products(pairs, h, lo=-INF_EXP) -> LaurentPoly:
+def sum_of_products(pairs, h=INF_EXP, lo=-INF_EXP) -> LaurentPoly:
     """sum of u * v over (u, v) pairs of LaurentPolys, keeping only the
     exponents lo..h (the defaults keep them all; lo = h reads one
     coefficient): one schoolbook loop over the numerators, accumulated
-    on one common denominator."""
+    on one common denominator.  It is the kernel's one accumulation
+    loop: a sum of polynomials is their products with 1."""
     terms = []  # (lowest exponent, first and last+1 index kept, numerators, den)
     for u, v in pairs:
         a, b = u.nums, v.nums
@@ -627,12 +617,13 @@ class BiSeries:
 
     def coeff_of_aux(self, e: int) -> QSeries:
         """The QSeries of aux^e coefficients across q-degrees."""
-        parts = []
+        pairs = []
         for b, s in enumerate(self.slices):
             _check_window(b, e, self.his[b])
             if s.lo <= e <= s.hi:
-                parts.append((b, (s.nums[e - s.lo],), s.den))
-        return QSeries.from_poly(self.order, _sum(parts))
+                c = LaurentPoly.from_ints(b, (s.nums[e - s.lo],), s.den)
+                pairs.append((c, _ONE))
+        return QSeries.from_poly(self.order, sum_of_products(pairs))
 
     def residue(self) -> QSeries:
         """Coefficient of aux^{-1} across q-degrees."""
@@ -698,31 +689,27 @@ class BiSeries:
         return QSeries(n, [self.mul_coeff(other, b, e) for b in range(n + 1)])
 
     def inv(self) -> "BiSeries":
-        """Inverse of a series whose q^0 slice is a monomial times a
-        unit; the monomial is factored out.  The windows follow from the
-        input's by `_window`; a fully known q^0 slice has an infinite
-        inverse, so it raises WindowUnderflow."""
-        s0 = self.slices[0]
-        if s0.is_zero():
-            raise NotInvertible("q^0 slice is zero within its window")
-        m = s0.lo
-        a = self.shift_aux(-m) if m else self  # unit at exponent 0
-        top0 = a.his[0]
+        """Inverse of a series whose q^0 slice is a unit: nonzero at
+        aux^0 and nothing below, else NotInvertible.  The windows follow
+        from the input's by `_window`; a fully known q^0 slice has an
+        infinite inverse, so it raises WindowUnderflow."""
+        s0, top0 = self.slices[0], self.his[0]
+        if s0.is_zero() or s0.lo != 0:
+            raise NotInvertible("q^0 slice is not a unit within its window")
         if top0 == INF_EXP:
             raise WindowUnderflow("the inverse of a fully known q^0 slice "
                                   "has no window")
-        inv0 = poly_div(_ONE, a.slices[0], top0)
+        inv0 = poly_div(_ONE, s0, top0)
         out_sl = [inv0]
         out_hs = [top0]
         for b in range(1, self.order + 1):
             acc, h = _convolve_slices(
-                (a.slices[j], a.his[j], out_sl[b - j], out_hs[b - j])
+                (self.slices[j], self.his[j], out_sl[b - j], out_hs[b - j])
                 for j in range(1, b + 1))
             h = _window(acc, h, inv0, top0)
             out_sl.append(sum_of_products([(-acc, inv0)], h))
             out_hs.append(h)
-        res = BiSeries(out_sl, out_hs)
-        return res.shift_aux(-m) if m else res
+        return BiSeries(out_sl, out_hs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BiSeries)

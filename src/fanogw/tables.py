@@ -22,8 +22,8 @@ sum_j C(p,j) beta^(p-j) base_beta[l-j].  Only the base slices the ct
 solve reads (beta <= p_max // nu, up to w^p_max) are stored;
 `CoeffTables.base` hands them out, to the c reads and to the F(w)
 slices of `hyper.FanoContext.f_w`, and builds a slice it does not
-store without keeping it: a larger beta continues the chain from the
-top stored slice, a larger cap runs it from 1.
+store by running the chain from 1 without keeping it (no workload
+reads one: every F-bracket and c read lands on a stored slice).
 
 The ct numbers invert them through the convolution
 
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, lcm
 
 from .geometry import MultiDegree
 from .series import (LaurentPoly, Rat, WindowUnderflow, linear_product,
@@ -61,12 +61,11 @@ from .series import (LaurentPoly, Rat, WindowUnderflow, linear_product,
 _ONE = LaurentPoly.from_ints(0, (1,))
 
 
-def slice_chain(md: MultiDegree, caps, tilde: bool = False, hbar: bool = False,
-                *, beta: int = 0, first: LaurentPoly = _ONE) -> list[LaurentPoly]:
-    """Slices beta, beta+1, ..., beta+len(caps)-1 of F(w, q) without
-    their w^{nu*beta} (of Ft(w, q) when tilde), slice beta+k cut at
-    w^caps[k], each built from the one before it; `first` is slice beta,
-    known at least up to the largest cap (slice 0 is 1).
+def slice_chain(md: MultiDegree, caps, tilde: bool = False,
+                hbar: bool = False) -> list[LaurentPoly]:
+    """Slices 0, 1, ..., len(caps)-1 of F(w, q) without their
+    w^{nu*beta} (of Ft(w, q) when tilde), slice beta cut at
+    w^caps[beta], each built from the one before it; slice 0 is 1.
 
     Slice beta is slice beta-1 times the |d| new numerator factors
     d_k w + i, d_k(beta-1) < i <= d_k beta, over (w + beta)^n - [tilde] w^n.
@@ -76,11 +75,10 @@ def slice_chain(md: MultiDegree, caps, tilde: bool = False, hbar: bool = False,
     slices before their shift by hbar^-beta.  Every factor has lowest
     exponent 0, so a capped step is exact up to its cap: the chain is
     carried at the largest cap any later slice needs."""
-    n, s, out = md.n, first, []
+    n, s, out = md.n, _ONE, []
     reach = list(accumulate(reversed(caps), max))[::-1]
-    for k, (cap, top) in enumerate(zip(caps, reach)):
-        if k:
-            b = beta + k
+    for b, (cap, top) in enumerate(zip(caps, reach)):
+        if b:
             pairs = [(i, d) for d in md.degrees
                      for i in range(d * (b - 1) + 1, d * b + 1)]
             den = [comb(n, t) * b**(n - t) for t in range(n + (not tilde))]
@@ -124,31 +122,31 @@ class CoeffTables:
     # -- accessors (out-of-range index conventions live here)
 
     def c(self, p: int, l: int, beta: int) -> Rat:
+        return Fraction(*self.c_entry(p, l, beta))
+
+    def c_entry(self, p: int, l: int, beta: int) -> tuple[int, int]:
+        """c[p,l,beta] as an integer over its base slice's denominator
+        (not reduced); (0, 1) when p < 0 or l < 0."""
         if p < 0 or l < 0:
-            return Fraction(0)
+            return 0, 1
         if max(p, l) > self.p_max or beta > self.beta_max:
             raise WindowUnderflow(
                 f"c({p},{l},{beta}) beyond built bounds "
                 f"(p, l<={self.p_max}, beta<={self.beta_max})")
         base = self.base(beta, self.p_max)
-        return Fraction(sum(comb(p, j) * beta**(p - j) * base.nums[l - j - base.lo]
-                            for j in range(max(l - base.hi, 0),
-                                           min(p, l - base.lo) + 1)),
-                        base.den)
+        return (sum(comb(p, j) * beta**(p - j) * base.nums[l - j - base.lo]
+                    for j in range(max(l - base.hi, 0),
+                                   min(p, l - base.lo) + 1)),
+                base.den)
 
     def base(self, beta: int, cap: int) -> LaurentPoly:
         """base_beta(w) known at least up to w^cap: the stored slice
         when there is one (stored slices reach w^p_max), else a slice
-        built to cap and not kept, by the chain continued from the top
-        stored slice (cap <= p_max) or run from 1.  Both the c reads
-        and the F slices of `hyper.FanoContext.f_w` come through here."""
-        top = len(self._base) - 1
-        if cap > self.p_max:  # past every stored slice
-            top = 0
-        elif beta <= top:
+        built from slice 0 to cap and not kept.  Both the c reads and
+        the F slices of `hyper.FanoContext.f_w` come through here."""
+        if beta < len(self._base) and cap <= self.p_max:
             return self._base[beta]
-        return slice_chain(self.md, [cap] * (beta - top + 1),
-                           beta=top, first=self._base[top])[-1]
+        return slice_chain(self.md, [cap] * (beta + 1))[-1]
 
     def ct_row(self, p: int, beta: int) -> LaurentPoly:
         """T_{p,beta}(w) = sum_l ct[p,l,beta] w^l, zero when
@@ -188,18 +186,19 @@ class CoeffTables:
 
     def convolution_defect(self, p: int, l: int, beta: int) -> Rat:
         """LHS of the defining convolution minus its Kronecker RHS;
-        exactly zero whenever the tables are consistent."""
+        exactly zero whenever the tables are consistent.  Each term
+        ct * c is an integer over the product of its two entries'
+        denominators, and the terms are added over their lcm."""
         nu = self.md.nu
         if l > p - nu * beta:
             raise ValueError("convolution identity needs l <= p - nu*beta")
-        s = Fraction(0)
+        terms = []
         for b1 in range(beta + 1):
-            top = p - nu * b1
-            if top < 0:
-                continue
-            for k in range(top + 1):
-                ck = self.ctilde(p, k, b1)
-                if ck != 0:
-                    s += ck * self.c(k, l, beta - b1)
-        want = Fraction(1) if (beta == 0 and p == l) else Fraction(0)
-        return s - want
+            for k in range(p - nu * b1 + 1):
+                a, da = self.ct_entry(p, k, b1)
+                if a:
+                    c, dc = self.c_entry(k, l, beta - b1)
+                    terms.append((a * c, da * dc))
+        d = lcm(*[t[1] for t in terms])
+        want = d if (beta == 0 and p == l) else 0
+        return Fraction(sum(x * (d // e) for x, e in terms) - want, d)

@@ -321,6 +321,31 @@ def ct_l_sum(ctx, p, idx_drop, powfn, weightfn):
     return out
 
 
+def phi1_two_powers(md, L, y, X):
+    """Phi1 = L^((r-1)/2) y^(-1/2) (lead (L - 1) + y^-3 bracket / (24 t n^3))
+    with X = L^n, written with both powers L^((r-1)/2) and L^((r+1)/2):
+    L^((r-1)/2) bracket is one Horner form in X whose coefficients mix
+    the two, and y^(-7/2) is y^(-1/2) y^-3."""
+    n, t, r = md.n, md.total, md.r
+    lead = Fraction(3 * r**2 - 1, 24 * t) \
+        - md.inv_degree_sum() * Fraction(2, 24)
+    a = t * n - t - 3 * r**2 + 1
+    c = (t**3 * a,
+         t**2 * n * (2 * t**2 - 6 * t * n - 6 * t * r + 3 * n**2 + 6 * n * r
+                     + n + 3 * r**2 - 1),
+         3 * t**2 * (n - t) * a,
+         t * n * (n - t) * (4 * t**2 - 5 * t * n - 12 * t * r - 2 * n**2
+                            + 6 * n * r + n + 6 * r**2 - 2),
+         3 * t * (n - t)**2 * a,
+         n * (n - t)**2 * (2 * t**2 + t * n - 6 * t * r + 3 * r**2 - 1),
+         (n - t)**3 * a)
+    Lm, Lp = L.pow(Fraction(r - 1, 2)), L.pow(Fraction(r + 1, 2))
+    bracket_Lm = c[0] * Lp + X * (c[1] * Lm + c[2] * Lp + X * (
+        c[3] * Lm + c[4] * Lp + X * (c[5] * Lm + c[6] * Lp)))
+    return y.pow(Fraction(-1, 2)) * (
+        lead * (Lp - Lm) + y.pow(-3) * bracket_Lm * Fraction(1, 24 * t * n**3))
+
+
 def theta_lemma_reference(ctx, p, level):
     """Theta^{(level)}_p written out from the Theta lemma on the ct-L
     sums: Phi0 s0, or Phi0 s1 + Phi1 s0 + q Phi0' s2 + q L' Phi0 s3,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw import hyper
-from fanogw.checks import check_w_regular, default_grid
+from fanogw.checks import check_theta_routes, check_w_regular, default_grid
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import (CtSums, FanoContext, fp_series, ftilde_hbar, f_w,
                           mu_by_residue, theta_by_residue)
@@ -21,8 +21,8 @@ from fanogw.tables import CoeffTables
 from helpers import (a_by_theta_products, corrupt_ctilde, ct_polynomial,
                      ct_sums_by_terms, f_slice_oracle, f_w_cut,
                      fp_series_by_d_chain, ftilde_hbar_slice_oracle,
-                     l_fixpoint_oracle, log_by_mercator, q_derivative,
-                     valid_geometries)
+                     l_fixpoint_oracle, log_by_mercator, phi1_two_powers,
+                     q_derivative, valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
@@ -205,6 +205,35 @@ def test_phi_normalization_and_dual_route():
         assert phi0.matches(theta_by_residue(ctx, 0, 0))
         assert phi1.matches(theta_by_residue(ctx, 0, 1))
     assert FanoContext(MD53, 2).phi0().coeff(1) == 0
+
+
+def test_phi1_is_phi0_over_L_times_one_quotient():
+    """Phi1 read as Phi0 L^-1 times one quotient (`phi1_closed`) equals
+    the form with both powers L^((r-1)/2) and L^((r+1)/2)
+    (`helpers.phi1_two_powers`) on every geometry with n <= 10 and
+    r <= 3, at q-orders 0, 1, 4 and 8."""
+    for md in valid_geometries(10, 3):
+        for order in (0, 1, 4, 8):
+            ctx = FanoContext(md, order)
+            want = phi1_two_powers(md, ctx.L(), ctx.y(), ctx.L().pow(md.n))
+            assert ctx.phi1() == want, (md.label(), order)
+
+
+def test_theta_residue_route_builds_no_whole_product(monkeypatch):
+    """`check_theta_routes` reads each Theta^(level)_p off
+    exp(-mu/hbar) Ft_p(1/hbar) at one hbar exponent: on a fresh context
+    it makes no `BiSeries.__mul__` call."""
+    calls = Counter()
+    real = BiSeries.__mul__
+
+    def counting(self, other):
+        calls["mul"] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(BiSeries, "__mul__", counting)
+    for md in (MD53, MD722, MultiDegree(6, (2, 3))):
+        assert check_theta_routes(md, 6), md
+    assert calls == {}
 
 
 def test_theta_dual_route_and_specials():

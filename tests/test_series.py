@@ -176,20 +176,21 @@ def test_bs_inv_geometric_window():
 
 
 def test_bs_inv_needs_window_for_fully_known():
-    """Also for a product of fully known slices with negative exponents,
-    which is fully known itself."""
-    prod = BiSeries([LaurentPoly(-1, (1,))]) * BiSeries([LaurentPoly(2, (1, 1))])
+    """Also for a product of fully known slices with negative exponents
+    whose q^0 slice is a unit, which is fully known itself."""
+    prod = BiSeries([LaurentPoly(-1, (1,))]) * BiSeries([LaurentPoly(1, (1, 1))])
     assert prod.his == (INF_EXP,)
     for a in (BiSeries([LaurentPoly(0, (1, 1))]), prod):
         with pytest.raises(WindowUnderflow):
             a.inv()
 
 
-def test_bs_inv_monomial_unit():
-    # 1 / (w^2 (1 + w)) = w^{-2} - w^{-1} + 1 - w ...
-    inv = BiSeries([LaurentPoly(2, (1, 1))], [4]).inv()
-    assert inv.slice(0) == LaurentPoly(-2, (1, -1, 1))
-    assert inv.his[0] == 0
+def test_bs_inv_needs_a_unit_q0_slice():
+    """A q^0 slice with a monomial factor, w^2 (1 + w) or w^-1 (1 + w),
+    is not a unit: its inverse is not built."""
+    for lo in (2, -1):
+        with pytest.raises(NotInvertible):
+            BiSeries([LaurentPoly(lo, (1, 1))], [4]).inv()
 
 
 def test_bs_inv_zero_slice_not_invertible():
