@@ -130,8 +130,11 @@ def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
 
 def check_type_b_residue_oracle(md: MultiDegree) -> bool:
     """The rows route of type B against its residue route: main parts
-    on Ft at h = 0 and infinity, less polynomial parts of two ct
-    entries each.  The oracle holds at every index, but it runs on
+    at h = 0 (on Ft(1/hbar)) and at infinity (the rows route's own
+    F-bracket, `invariants.f_residue_series`), less polynomial parts of
+    two ct entries each.  So it checks the residue at h = 0 against the
+    n/24 block, and the ct residue row against a second copy of it.
+    The oracle holds at every index, but it runs on
     nu >= 2 only: on an index-1 geometry it would build one more context
     and one more set of tables per run than the benchmark's check-grid
     counts pin."""

@@ -10,9 +10,11 @@ context's one Ft(1/hbar)^-1.  L = 1 + D mu has its closed form only,
 checked against its algebraic identity.  D = q d/dq (`QSeries.euler`)
 keeps the q-order, so every series a context hands out has its order.
 
-Every slice of F(w, q), Ft(w, q) and Ft(1/hbar, q) comes from one
-recurrence, `tables.slice_chain`: the q^beta slice is the q^(beta-1)
-slice times |d| new linear factors over one denominator of degree n.
+Every slice of F(w, q) and Ft(1/hbar, q) comes from one recurrence,
+`tables.slice_chain`: the q^beta slice is the q^(beta-1) slice times
+|d| new linear factors over one denominator of degree n.  There is no
+Ft(w) family: below w^n it is F(w), and no read goes higher
+(`invariants.f_residue_series`).
 
 `FanoContext` owns every per-context quantity: each is built once,
 through `FanoContext.memo`, and every caller reads it from there.  The
@@ -28,9 +30,9 @@ of the four ct-L sums against those weights.
 
 The context owns its hbar and F_p windows, so no reader passes one: one
 hbar window order + 1 for every series route (`ftilde_hbar`,
-`ftilde_hbar_inv`), F_p(w) at F's window p - 1 (`fp_w`).  F(w) and
-Ft(w) are kept per window tuple (`f_w`), and the F-bracket derives its
-tuples (`invariants`).  A read past a window raises WindowUnderflow.
+`ftilde_hbar_inv`), F_p(w) at F's window p - 1 (`fp_w`).  F(w) is
+kept per window tuple (`f_w`), and the F-bracket derives its tuples
+(`invariants`).  A read past a window raises WindowUnderflow.
 """
 
 from __future__ import annotations
@@ -57,18 +59,19 @@ def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
     of `tables.slice_chain`, slice beta read up to hbar^(hi+beta)
     before its shift."""
     slices = slice_chain(md, [hi + beta for beta in range(order + 1)],
-                         tilde=True, hbar=True)
+                         hbar=True)
     return BiSeries([s.shift(-beta) for beta, s in enumerate(slices)],
                     [hi] * (order + 1))
 
 
-def f_w(md: MultiDegree, order: int, hi: int, tilde: bool = False) -> BiSeries:
-    """F(w, q) (or Ft(w, q) when tilde=True): regular at w = 0, with the
-    q^beta slice carrying an explicit w^{nu*beta} prefactor in front of
-    slice beta of `tables.slice_chain`."""
+def f_w(md: MultiDegree, order: int, hi: int) -> BiSeries:
+    """F(w, q) built whole: regular at w = 0, with the q^beta slice
+    carrying an explicit w^{nu*beta} prefactor in front of slice beta of
+    `tables.slice_chain`.  `FanoContext.f_w` reads the same slices off
+    its tables instead."""
     nu = md.nu
-    slices = slice_chain(md, [max(hi - nu * beta, 0) for beta in range(order + 1)],
-                         tilde)
+    slices = slice_chain(
+        md, [max(hi - nu * beta, 0) for beta in range(order + 1)])
     return BiSeries([s.shift(nu * beta) for beta, s in enumerate(slices)],
                     [hi] * (order + 1))
 
@@ -232,21 +235,16 @@ class FanoContext:
         type B (`invariants.type_b_by_residues`)."""
         return self.memo(("ftinv",), lambda: self.ftilde_hbar().inv())
 
-    def f_w(self, hi, tilde: bool = False) -> BiSeries:
-        """F (or Ft) with every slice q^0..q^order cut at window hi, or,
-        for a tuple hi, with slice k cut at hi[k] for k < len(hi) and
-        the slices above dropped; kept per window tuple.
+    def f_w(self, hi) -> BiSeries:
+        """F with every slice q^0..q^order cut at window hi, or, for a
+        tuple hi, with slice k cut at hi[k] for k < len(hi) and the
+        slices above dropped; kept per window tuple.
 
         Slice k of F is w^(nu k) times the base slice k of the context's
         tables (`CoeffTables.base`), which reach w^(n + nu k): F-bracket
-        windows stay below that, so F builds no slice of its own there.
-        Ft, read by the F-bracket on Ft alone, is `f_w` at the tuple's
-        widest window, cut."""
+        windows stay below that, so F builds no slice of its own there."""
         nu = self.md.nu
         his = (hi,) * (self.order + 1) if isinstance(hi, int) else tuple(hi)
-        if tilde:
-            return self.memo(("fwt", his), lambda: BiSeries(
-                f_w(self.md, len(his) - 1, max(his), tilde=True).slices, his))
         base = self.tables.base
         return self.memo(("fw", his), lambda: BiSeries(
             [base(k, h - nu * k).shift(nu * k) if h >= nu * k

@@ -19,19 +19,20 @@ side reads the F-bracket at w^{n-2-r} from slices cut at the windows
 A degree-b invariant reads one coefficient.  Each reader of q^b cuts its
 series at b and reads the last product through `BiSeries.mul_coeff` or
 `QSeries.mul_coeff`, which compute that coefficient alone.  The
-F-bracket (`f_residue_series`) is read at q^b w^{n-2-r}; the same
-bracket on Ft, whose slices carry the same w^{nu k}, is the main part at
-infinity of `type_b_by_residues`: one body, `_f_bracket`.  Type A is q^b
-of s0(p) A(q): the Phi0 in Theta^{(0)}_p cancels the 1/Phi0 of the
-formula at every truncation order.
+F-bracket (`f_residue_series`) is read at q^b w^{n-2-r}.  The same
+bracket on Ft(w), the main part at infinity of `type_b_by_residues`, is
+that number: Ft(w) is F(w) below w^n, and the bracket reads no higher
+(`f_residue_series` says why).  Type A is q^b of s0(p) A(q): the Phi0 in
+Theta^{(0)}_p cancels the 1/Phi0 of the formula at every truncation
+order.
 
 Type A and the closed rows (n/24 times the n/24 block at q^b, minus
 prod(d)/24 times the ct residue row) enter both sides of a row.  Each
 is kept per (context, degree) through `FanoContext.memo`, so the
 standard invariant and the rows route of type B read one value.  The
 F-bracket's numerator front * (F_0 - F_p) is kept per (context, degree)
-too, so the rows route of type B and the difference build F_p once per
-row; F_0^-1 is made on each bracket read (`_f_bracket` says why).  The
+too, so both routes of type B and the difference build F_p once per
+row; F_0^-1 is made on each bracket read (`f_residue_series` says why).  The
 front (1+w)^n / prod(1 + d_k w) is kept once per context (`_front`).
 The residue route of type B reads the context's Ft(1/hbar)^-1, and its
 polynomial parts are two ct entries (`_type_b_poly_parts`).
@@ -215,33 +216,35 @@ def _q0_series(poly: LaurentPoly, hi: int, order: int) -> BiSeries:
 
 def f_residue_series(ctx: FanoContext, b: int) -> Rat:
     """The q^b w^{n-2-r} coefficient of the F-bracket
-    (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) with p = 1 + nu*b."""
-    return _f_bracket(ctx, b, tilde=False)
+    (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) with p = 1 + nu*b: the
+    kept numerator (`_bracket_numerator`) read against F_0^-1 at
+    q^b w^{n-2-r} alone (`BiSeries.mul_coeff`).  F_0^-1 is known up to
+    w^{n-2-r}, which is enough because F_0 - F_p has no w^0 term; a
+    window short of the read raises WindowUnderflow, never a wrong
+    coefficient.
 
-
-def _f_bracket(ctx: FanoContext, b: int, tilde: bool) -> Rat:
-    """The q^b w^{n-2-r} coefficient of the bracket of `f_residue_series`,
-    built on F or, when tilde, on Ft (the main part at infinity of the
-    residue route of type B): the kept numerator (`_bracket_numerator`)
-    read against F_0^-1 at q^b w^{n-2-r} alone (`BiSeries.mul_coeff`).
-    F_0^-1 is known up to w^{n-2-r}, which is enough because F_0 - F_p
-    has no w^0 term; a window short of the read raises WindowUnderflow,
-    never a wrong coefficient.
+    It is also the same bracket on Ft(w), the main part at infinity of
+    `type_b_by_residues`.  Slice k of Ft(w) is
+    w^(nu k) prod(d_k w + i) / prod((w + j)^n - w^n), and
+    (w + j)^n - w^n = (w + j)^n mod w^n, so it equals slice k of F(w)
+    below w^(n + nu k).  Every window the bracket takes is below that:
+    over its w^(nu k), slice k is cut at n-2-r for the inverse and at
+    max(n-1-r, nu(b-k)) <= n-1 for the numerator (`_bracket_numerator`).
 
     F_0 is inverted on each read, cut at q^b: keeping that inverse (or
     the bracket value) per context would move the inverse counts that
     the benchmark's trace pins, so it waits for their re-pin."""
     target = ctx.md.n - 2 - ctx.md.r
-    return _bracket_numerator(ctx, b, tilde).mul_coeff(
-        ctx.f_w((target,) * (b + 1), tilde).inv(), b, target)
+    return _bracket_numerator(ctx, b).mul_coeff(
+        ctx.f_w((target,) * (b + 1)).inv(), b, target)
 
 
-def _bracket_numerator(ctx: FanoContext, b: int, tilde: bool) -> BiSeries:
+def _bracket_numerator(ctx: FanoContext, b: int) -> BiSeries:
     """front * (F_0 - F_p) with p = 1 + nu*b, cut at q^b, kept per
-    (context, degree, tilde): type B's rows route and the difference
-    read one build.
+    (context, degree): both routes of type B and the difference read one
+    build.
 
-    Slice k of F_0 (or Ft_0), and so of its inverse, carries w^{nu k},
+    Slice k of F_0, and so of its inverse, carries w^{nu k},
     so slice j of the numerator is read only up to
     w^max(n-2-r - nu(b-j), -1).  F_p's window falls up to p below its
     base's, so slice k of F_0 is cut at max(n-2-r+p - nu(b-k), p-1)
@@ -252,11 +255,11 @@ def _bracket_numerator(ctx: FanoContext, b: int, tilde: bool) -> BiSeries:
 
     def build():
         f0 = ctx.f_w(tuple(max(target + p - md.nu * (b - k), p - 1)
-                           for k in range(b + 1)), tilde)
+                           for k in range(b + 1)))
         fp = fp_series(ctx.tables, f0, p, -1)
         front = _q0_series(_front(ctx).cut_above(target), target, b)
         return front * (f0 - fp)
-    return ctx.memo(("bracket_num", b, tilde), build)
+    return ctx.memo(("bracket_num", b), build)
 
 
 def svr_difference(ctx: FanoContext, b: int) -> Rat:
@@ -313,7 +316,8 @@ def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
     read, so every series is cut to q^b and each residue is read at q^b
     alone (`BiSeries.mul_coeff`): the main part at h = 0 is
     [q^b h^-1] G (Ft - Ft_p) Ft^-1, with the context's Ft^-1 cut at q^b.
-    The main part at infinity is the F-bracket with F replaced by Ft."""
+    The main part at infinity is the F-bracket on Ft(w), which is
+    `f_residue_series` (it says why), the rows route's own bracket."""
     md = ctx.md
     _check_range(md, b)
     if b == 0:
@@ -322,7 +326,7 @@ def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
     ft = ctx.ftilde_hbar().truncate(b)
     res0_main = _residue_against_g(
         md, ft - fp_series(ctx.tables, ft, p, +1), b, ctx.ftilde_hbar_inv())
-    resinf_main = -_f_bracket(ctx, b, tilde=True)
+    resinf_main = -f_residue_series(ctx, b)
     res0_poly, resinf_poly = _type_b_poly_parts(ctx, b)
     return Fraction(prod(md.degrees), 24) \
         * (res0_main + resinf_main - res0_poly - resinf_poly)

@@ -654,10 +654,6 @@ class BiSeries:
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         return self + -other
 
-    def shift_aux(self, k: int) -> "BiSeries":
-        return BiSeries([s.shift(k) for s in self.slices],
-                        [h + k for h in self.his])
-
     def _product_terms(self, other: "BiSeries", b: int):
         """The (u, u_hi, v, v_hi) terms of slice b of self * other."""
         return ((self.slices[b1], self.his[b1],

@@ -122,11 +122,6 @@ def u1_degree1_lemma(md: MultiDegree) -> Rat:
     return -Fraction(md.dd, 2) * (half * half - sq)
 
 
-def u1_degree1_hypersurface(d: int) -> Rat:
-    """The r = 1 specialization of the beta = 1 closed form."""
-    return -Fraction((d - 1) * (d - 2) * (3 * d - 1) * d ** (d - 1), 24)
-
-
 def u1_vanishing_hypothesis(md: MultiDegree, beta: int) -> bool:
     """n >= |d|+1 and (beta-1) n >= beta |d| - r - 1 force U1 = 0."""
     return (md.n >= md.total + 1

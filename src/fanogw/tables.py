@@ -12,9 +12,10 @@ builds each slice from the one before it,
                    (d_k w + i) / (w + beta)^n,
 
 one `linear_product` of |d| factors, one `poly_mul` and one `poly_div`
-by a denominator of degree n per slice.  The same chain gives the Ft(w)
-slices ((w + beta)^n - w^n below) and, with every factor reversed, the
-Ft(1/hbar) slices of `hyper.ftilde_hbar`.
+by a denominator of degree n per slice.  With every factor reversed and
+(w + beta)^n - w^n below, the same chain gives the Ft(1/hbar) slices of
+`hyper.ftilde_hbar`.  No Ft(w) slice is built: below w^n it is the F(w)
+slice (`invariants.f_residue_series` says why that is enough).
 
 The c numbers are c[p,l,beta] = [w^l] (w + beta)^p base_beta(w); no c
 table is stored, `CoeffTables.c` reads each entry on demand as
@@ -61,27 +62,28 @@ from .series import (LaurentPoly, Rat, WindowUnderflow, linear_product,
 _ONE = LaurentPoly.from_ints(0, (1,))
 
 
-def slice_chain(md: MultiDegree, caps, tilde: bool = False,
+def slice_chain(md: MultiDegree, caps,
                 hbar: bool = False) -> list[LaurentPoly]:
     """Slices 0, 1, ..., len(caps)-1 of F(w, q) without their
-    w^{nu*beta} (of Ft(w, q) when tilde), slice beta cut at
-    w^caps[beta], each built from the one before it; slice 0 is 1.
+    w^{nu*beta}, slice beta cut at w^caps[beta], each built from the
+    one before it; slice 0 is 1.
 
     Slice beta is slice beta-1 times the |d| new numerator factors
-    d_k w + i, d_k(beta-1) < i <= d_k beta, over (w + beta)^n - [tilde] w^n.
-    With hbar every factor is reversed (w^deg f(1/w)): the numerator
-    factors become d_k + i*hbar and the Ft denominator
-    ((1 + beta*hbar)^n - 1)/hbar, so the chain gives the Ft(1/hbar)
-    slices before their shift by hbar^-beta.  Every factor has lowest
-    exponent 0, so a capped step is exact up to its cap: the chain is
-    carried at the largest cap any later slice needs."""
+    d_k w + i, d_k(beta-1) < i <= d_k beta, over (w + beta)^n.  With
+    hbar the denominator is the Ft one, (w + beta)^n - w^n, and every
+    factor is reversed (w^deg f(1/w)): the numerator factors become
+    d_k + i*hbar and the denominator ((1 + beta*hbar)^n - 1)/hbar, so
+    the chain gives the Ft(1/hbar) slices before their shift by
+    hbar^-beta.  Every factor has lowest exponent 0, so a capped step is
+    exact up to its cap: the chain is carried at the largest cap any
+    later slice needs."""
     n, s, out = md.n, _ONE, []
     reach = list(accumulate(reversed(caps), max))[::-1]
     for b, (cap, top) in enumerate(zip(caps, reach)):
         if b:
             pairs = [(i, d) for d in md.degrees
                      for i in range(d * (b - 1) + 1, d * b + 1)]
-            den = [comb(n, t) * b**(n - t) for t in range(n + (not tilde))]
+            den = [comb(n, t) * b**(n - t) for t in range(n + (not hbar))]
             if hbar:
                 pairs, den = [(d, i) for i, d in pairs], den[::-1]
             num = linear_product(pairs, top)

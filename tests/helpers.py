@@ -1,4 +1,5 @@
-"""Independent oracles used by the tests, and the one corruption hook.
+"""Independent oracles used by the tests, the one corruption hook, and
+the small series helpers only tests need.
 
 The oracles deliberately avoid the library's own code paths: plain list
 arithmetic on Fractions, long division, fixpoint iteration.  Expected
@@ -17,7 +18,10 @@ from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries, poly_shift
 
 
 def poly_mul(a, b, cap):
-    out = [Fraction(0)] * (cap + 1)
+    """a * b up to exponent cap, over Fractions, or over ints when both
+    factors are int lists (kept exact and fast for the slice oracle)."""
+    ints = all(type(x) is int for x in (*a, *b))
+    out = [0 if ints else Fraction(0)] * (cap + 1)
     for i, x in enumerate(a[: cap + 1]):
         if x == 0:
             continue
@@ -191,6 +195,13 @@ def apply_d(base, shift, times=1):
     return BiSeries([_laurent(s, h) for s, h in zip(slices, his)], his)
 
 
+def shift_aux(series, k):
+    """aux^k times a BiSeries: every slice and every window moved by k
+    (a fully known slice stays fully known)."""
+    return BiSeries([s.shift(k) for s in series.slices],
+                    [h + k for h in series.his])
+
+
 def fp_series_by_d_chain(tables, base, p, shift):
     """F_p by the chain D^0(base), ..., D^p(base): the sum of
     ct[p,l,beta1] q^beta1 aux^e D^l(base) with e = l + nu*beta1 - p
@@ -242,7 +253,7 @@ def ct_polynomial(tables, order, p, sign):
 
 def power(base, e, cap):
     """base**e by repeated `poly_mul`, up to exponent cap."""
-    out = [Fraction(1)]
+    out = [1]
     for _ in range(e):
         out = poly_mul(out, base, cap)
     return out
@@ -250,14 +261,14 @@ def power(base, e, cap):
 
 def f_slice_oracle(md, beta, cap, tilde=False):
     """prod_k prod_i (i + d_k w) / prod_j ((w + j)^n - [tilde] w^n) up to
-    w^cap, every factor multiplied out plainly."""
-    num = [Fraction(1)]
+    w^cap, every factor multiplied out plainly in integers."""
+    num = [1]
     for d in md.degrees:
         for i in range(1, d * beta + 1):
-            num = poly_mul(num, [Fraction(i), Fraction(d)], cap)
-    den = [Fraction(1)]
+            num = poly_mul(num, [i, d], cap)
+    den = [1]
     for j in range(1, beta + 1):
-        factor = power([Fraction(j), Fraction(1)], md.n, md.n)
+        factor = power([j, 1], md.n, md.n)
         if tilde:
             factor[md.n] -= 1
         den = poly_mul(den, factor, cap)
@@ -276,6 +287,12 @@ def ftilde_hbar_slice_oracle(md, beta, cap):
         den = poly_mul(den, power([Fraction(1), Fraction(j)], md.n, md.n)[1:],
                        cap)
     return long_division(num, den, cap)
+
+
+def u1_degree1_hypersurface(d):
+    """U1 at beta = 1 on a hypersurface of degree d: the r = 1
+    specialization of `sums.u1_degree1_lemma`."""
+    return -Fraction((d - 1) * (d - 2) * (3 * d - 1) * d ** (d - 1), 24)
 
 
 def d_power_tables(nu, p):

@@ -15,8 +15,10 @@ from fanogw.geometry import MultiDegree
 from fanogw.invariants import chern_degree0_oracle
 from fanogw.sums import (check_proven_identities, compute_sums,
                          evaluate_conjectures, sums_by_degree,
-                         tables_for_sums, u1_degree1_hypersurface)
+                         tables_for_sums)
 from fanogw.tables import CoeffTables
+
+from helpers import u1_degree1_hypersurface
 
 GRID = default_grid()
 

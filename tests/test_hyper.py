@@ -72,19 +72,18 @@ def test_f_w_slices():
 
 
 def test_slices_match_long_division():
-    """Every F, Ft (w side) and Ft (hbar side) slice against plainly
+    """Every F (w side) and Ft (hbar side) slice against plainly
     multiplied factors and long division, within its window."""
     order = 3
     for md in valid_geometries(7, 3):
         hi = 2 * md.n - md.r
-        for tilde in (False, True):
-            fw = f_w(md, order, hi, tilde)
-            assert fw.his == (hi,) * (order + 1)
-            for beta in range(order + 1):
-                shift = md.nu * beta
-                want = f_slice_oracle(md, beta, max(hi - shift, 0), tilde)
-                assert fw.slice(beta) == LaurentPoly(shift, want).cut_above(hi), \
-                    (md, tilde, beta)
+        fw = f_w(md, order, hi)
+        assert fw.his == (hi,) * (order + 1)
+        for beta in range(order + 1):
+            shift = md.nu * beta
+            want = f_slice_oracle(md, beta, max(hi - shift, 0))
+            assert fw.slice(beta) == LaurentPoly(shift, want).cut_above(hi), \
+                (md, beta)
         hi = 2 * order + 3
         ft = ftilde_hbar(md, order, hi)
         assert ft.his == (hi,) * (order + 1)
@@ -95,18 +94,17 @@ def test_slices_match_long_division():
 
 def test_slices_match_the_oracles_on_uneven_windows():
     """The slice chain against the oracles where it is carried past a
-    slice's own cap: F and Ft with windows hi - nu*beta that reach 0
-    before the top slice, and Ft(1/hbar) read up to hbar^(15+beta)."""
+    slice's own cap: F with windows hi - nu*beta that reach 0 before the
+    top slice, and Ft(1/hbar) read up to hbar^(15+beta)."""
     order = 6
     for md in valid_geometries(9, 3):
         for hi in (md.nu * order // 2, 2 * md.n - md.r):
-            for tilde in (False, True):
-                fw = f_w(md, order, hi, tilde)
-                for beta in range(order + 1):
-                    shift = md.nu * beta
-                    want = f_slice_oracle(md, beta, max(hi - shift, 0), tilde)
-                    assert fw.slice(beta) == LaurentPoly(shift, want).cut_above(hi), \
-                        (md, hi, tilde, beta)
+            fw = f_w(md, order, hi)
+            for beta in range(order + 1):
+                shift = md.nu * beta
+                want = f_slice_oracle(md, beta, max(hi - shift, 0))
+                assert fw.slice(beta) == LaurentPoly(shift, want).cut_above(hi), \
+                    (md, hi, beta)
         ft = ftilde_hbar(md, order, 15)
         for beta in range(order + 1):
             want = ftilde_hbar_slice_oracle(md, beta, 15 + beta)
@@ -249,14 +247,17 @@ def test_theta_dual_route_and_specials():
             assert ctx.theta(p, 0).coeff(0) == 1
 
 
-def test_ftilde_w_denominator_variant():
-    """The w-side Ft family: regular slices with unit constant, and the
-    beta=1 slice of Ft(w,q) carries the w^nu prefactor with the
-    (dk*beta)! leading constant."""
-    ft = f_w(MD53, 2, 6, tilde=True)
-    assert ft.slice(0) == ft.slice(0).__class__(0, (1,))
-    assert ft.slice(1).lo == MD53.nu
-    assert ft.coeff(1, MD53.nu) == 6
+def test_ft_w_is_f_w_below_w_n():
+    """Ft(w) needs no family of its own: (w + j)^n - w^n is (w + j)^n
+    mod w^n, so every Ft(w) slice, without its w^(nu beta), equals the
+    F(w) slice up to w^(n-1), on every valid geometry with n <= 12 and
+    r <= 4 and every beta <= bmax; they part at w^n."""
+    for md in valid_geometries(12, 4):
+        for beta in range(md.bmax + 1):
+            assert f_slice_oracle(md, beta, md.n - 1, tilde=True) \
+                == f_slice_oracle(md, beta, md.n - 1), (md.label(), beta)
+        assert f_slice_oracle(md, 1, md.n, tilde=True) \
+            != f_slice_oracle(md, 1, md.n), md.label()
 
 
 def test_regularizability():
@@ -280,9 +281,9 @@ def test_fp_w_regular_at_zero():
 @given(st.sampled_from(valid_geometries(9, 3)), st.data())
 def test_fp_series_matches_the_d_chain(md, data):
     """Slices and windows of F_p against the reference chain of D's, in
-    both presentations, over w-side bases with and without tilde and the
-    hbar-side base, with windows down to 8 - n and some slices fully
-    known."""
+    both presentations, over the F(w) base, an Ft(w) base from the slice
+    oracle and the hbar-side base, with windows down to 8 - n and some
+    slices fully known."""
     order = data.draw(st.integers(0, 3), label="order")
     p = data.draw(st.integers(0, md.n), label="p")
     hi = data.draw(st.integers(0, 8), label="hi")
@@ -290,8 +291,14 @@ def test_fp_series_matches_the_d_chain(md, data):
     kind = data.draw(st.sampled_from(("w", "w-tilde", "hbar")), label="base")
     known = data.draw(st.lists(st.booleans(), min_size=order + 1,
                                max_size=order + 1), label="fully known")
-    base = (ftilde_hbar(md, order, hi) if kind == "hbar"
-            else f_w(md, order, hi, tilde=kind == "w-tilde"))
+    if kind == "hbar":
+        base = ftilde_hbar(md, order, hi)
+    elif kind == "w":
+        base = f_w(md, order, hi)
+    else:
+        base = BiSeries([LaurentPoly(md.nu * beta, f_slice_oracle(
+            md, beta, max(hi - md.nu * beta, 0), tilde=True))
+            for beta in range(order + 1)], [hi] * (order + 1))
     base = BiSeries(base.slices,
                     [INF_EXP if k else h for k, h in zip(known, base.his)])
     tables = CoeffTables(md, p_max=md.n, beta_max=order)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanogw import invariants
+from fanogw import hyper, invariants
 from fanogw.checks import (check_degree0, check_three_path,
                            check_type_b_residue_oracle, check_w_regular,
                            default_grid)
@@ -21,6 +21,7 @@ from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                standard_invariant, svr_difference, type_a,
                                type_b, type_b_by_residues)
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
+from fanogw.tables import CoeffTables
 
 from helpers import (a_double_residue_by_terms, chern_value_oracle,
                      f_bracket_reference, n24_block_reference,
@@ -242,8 +243,8 @@ def test_g_residue_reads_a_right_factor_at_one_coefficient():
 def test_residue_route_keeps_one_ft_inverse_per_context(monkeypatch):
     """`type_b_by_residues` and `mu_by_residue` read one Ft(1/hbar)^-1
     per context, inverted at its full order and cut at each degree: the
-    one inverse with negative exponents (the hbar side; the F-bracket on
-    Ft inverts Ft(w)_0, which has none) is of the context's
+    one inverse with negative exponents (the hbar side; the main part at
+    infinity inverts F(w)_0, which has none) is of the context's
     Ft(1/hbar)."""
     inverted = []
     inv = BiSeries.inv
@@ -385,6 +386,84 @@ def test_corrupted_type_b_parts_fail_the_residue_oracle(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(invariants, name, bad(getattr(invariants, name)))
             assert not any(check_type_b_residue_oracle(md) for md in grid), name
+
+
+def test_residue_oracle_reads_the_rows_routes_bracket(monkeypatch):
+    """The main part at infinity of the residue route is the rows
+    route's F-bracket, numerator included: on each nu >= 2 default-grid
+    geometry `check_type_b_residue_oracle` builds w-side F_p once per
+    degree (bmax calls, where an Ft(w) bracket of its own took 2 bmax)
+    and builds no F(w) whole (`hyper.f_w`)."""
+    w_side, whole = [], []
+    fp, f_w = invariants.fp_series, hyper.f_w
+
+    def recording_fp(tables, base, p, shift):
+        if shift == -1:
+            w_side.append(p)
+        return fp(tables, base, p, shift)
+
+    def recording_f_w(*args, **kwargs):
+        whole.append(args)
+        return f_w(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "fp_series", recording_fp)
+    monkeypatch.setattr(hyper, "f_w", recording_f_w)
+    for md in default_grid():
+        if md.nu < 2:
+            continue
+        w_side.clear()
+        assert check_type_b_residue_oracle(md), md.label()
+        assert len(w_side) == md.bmax, md.label()
+    assert whole == []
+
+
+def test_f_w_reads_stay_below_w_n(monkeypatch):
+    """Every base slice the F-bracket reads is cut below w^n, where
+    Ft(w) and F(w) agree (`f_residue_series`): over `invariant_table`
+    and `check_type_b_residue_oracle` on every valid geometry with
+    n <= 12 and r <= 3, no `CoeffTables.base` read asks past w^(n-1)."""
+    caps = []
+    base = CoeffTables.base
+
+    def recording(self, beta, cap):
+        caps.append((self.md, cap))
+        return base(self, beta, cap)
+
+    monkeypatch.setattr(CoeffTables, "base", recording)
+    for md in valid_geometries(12, 3):
+        invariant_table(md)
+        check_type_b_residue_oracle(md)
+    assert caps
+    assert [(md.label(), cap) for md, cap in caps if cap > md.n - 1] == []
+
+
+def test_corrupted_f_w_fails_w_regularity_and_three_path(monkeypatch):
+    """1 added at the top of the window of slice 1 of every F(w) the
+    context hands out fails `check_w_regular` and `check_three_path` on
+    every default-grid geometry.  On X_6(2,3) the three-path check
+    raises WindowUnderflow instead of returning False: the corrupted
+    F_p has negative w powers, so the bracket's windows fall short of
+    its read.  `check_type_b_residue_oracle` still passes: both of its
+    routes read that one F-bracket."""
+    real = FanoContext.f_w
+
+    def corrupted(self, hi):
+        f = real(self, hi)
+        if f.order < 1:
+            return f
+        bumped = f.slices[1] + LaurentPoly(f.his[1], (1,))
+        return BiSeries((f.slices[0], bumped) + f.slices[2:], f.his)
+
+    def passes(check, md):
+        try:
+            return check(md)
+        except WindowUnderflow:
+            return False
+
+    monkeypatch.setattr(FanoContext, "f_w", corrupted)
+    for md in default_grid():
+        assert not passes(check_w_regular, md), md.label()
+        assert not passes(check_three_path, md), md.label()
 
 
 def test_type_b_residue_route_rejects_degree_zero():

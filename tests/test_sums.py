@@ -12,11 +12,11 @@ from fanogw.series import WindowUnderflow
 from fanogw.sums import (SumValues, check_proven_identities, compute_sums,
                          evaluate_conjectures, sums_by_degree,
                          tables_for_sums, u1_beta2_conjectured,
-                         u1_degree1_hypersurface, u1_degree1_lemma,
-                         u1_vanishing_hypothesis, u2_lemma, v2_conjectured,
-                         v3_conjectured)
+                         u1_degree1_lemma, u1_vanishing_hypothesis, u2_lemma,
+                         v2_conjectured, v3_conjectured)
 
-from helpers import structure_sums_reference, valid_geometries
+from helpers import (structure_sums_reference, u1_degree1_hypersurface,
+                     valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 MD722 = MultiDegree(7, (2, 2))
