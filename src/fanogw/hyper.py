@@ -105,8 +105,8 @@ def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeri
     where T(x) = sum_l ct[p,l,beta1] x^l is the ct row and T(x + b)
     its Taylor shift, read from `CoeffTables.shifted_row` (the ct solve
     has already made it for every bracket row).  Over the unit series
-    (`BiSeries.one`) F_p is sum ct[p,l,beta] q^beta aux^(-s*(p-nu*beta-l)),
-    since D^l 1 = 1.
+    1 (slice 0 is 1, every other slice 0) F_p is
+    sum ct[p,l,beta] q^beta aux^(-s*(p-nu*beta-l)), since D^l 1 = 1.
 
     Slice B of F_p is the capped sum of P[beta1, B-beta1] * base[B-beta1]
     over beta1 <= B.  Its window is the one the chain of D's gives:

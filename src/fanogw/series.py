@@ -37,11 +37,10 @@ unit), poly_pow (rational power of a unit), poly_shift (Taylor shift
 a(x) -> a(x + s)) and linear_product (of int factors a + b*x), plus
 sum_of_products, the sum of products of Laurent slices kept in a band
 of exponents lo..h.  sum_of_products is the kernel's one accumulation
-loop: a sum (`LaurentPoly.__add__`, `BiSeries.coeff_of_aux`) is the sum
-of its terms' products with 1.  Every other module uses the kernel
-instead of its own loops.  The band [e, e] reads
-one coefficient: BiSeries.mul_coeff(other, b, e) is
-(self * other).coeff(b, e), window and WindowUnderflow included,
+loop: a sum (`LaurentPoly.__add__`) is the sum of its terms' products
+with 1.  Every other module uses the kernel instead of its own loops.
+The band [e, e] reads one coefficient: BiSeries.mul_coeff(other, b, e)
+is (self * other).coeff(b, e), window and WindowUnderflow included,
 without the rest of the product, mul_coeff_of_aux(other, e) is
 that read at every q-power, and QSeries.mul_coeff(other, k) is
 (self * other).coeff(k); BiSeries.truncate keeps the first slices,
@@ -463,12 +462,6 @@ class QSeries:
         b = min(self.order, other.order)
         return self.poly.cut_above(b) == other.poly.cut_above(b)
 
-    def truncate(self, order: int) -> "QSeries":
-        if order > self.order:
-            raise WindowUnderflow(
-                f"cannot extend truncation order {self.order} to {order}")
-        return QSeries.from_poly(order, self.poly)
-
     # -- ring operations
 
     def __add__(self, other) -> "QSeries":
@@ -518,11 +511,6 @@ class QSeries:
         return f"QSeries({self.order}, {list(self.coeffs)!r})"
 
     # -- series-specific operations
-
-    def inv(self) -> "QSeries":
-        """Multiplicative inverse; requires a nonzero constant term."""
-        return QSeries.from_poly(self.order,
-                                 poly_div(_ONE, self.poly, self.order))
 
     def euler(self) -> "QSeries":
         """D = q d/dq, which multiplies q^k by k: the order is kept, and
@@ -596,10 +584,6 @@ class BiSeries:
     def __setattr__(self, name, value):
         raise AttributeError("BiSeries is immutable")
 
-    @staticmethod
-    def one(order: int) -> "BiSeries":
-        return BiSeries([_ONE] + [_ZERO] * order)
-
     @property
     def order(self) -> int:
         return len(self.slices) - 1
@@ -614,20 +598,6 @@ class BiSeries:
         s = self.slice(beta)
         _check_window(beta, e, self.his[beta])
         return s.coeff(e)
-
-    def coeff_of_aux(self, e: int) -> QSeries:
-        """The QSeries of aux^e coefficients across q-degrees."""
-        pairs = []
-        for b, s in enumerate(self.slices):
-            _check_window(b, e, self.his[b])
-            if s.lo <= e <= s.hi:
-                c = LaurentPoly.from_ints(b, (s.nums[e - s.lo],), s.den)
-                pairs.append((c, _ONE))
-        return QSeries.from_poly(self.order, sum_of_products(pairs))
-
-    def residue(self) -> QSeries:
-        """Coefficient of aux^{-1} across q-degrees."""
-        return self.coeff_of_aux(-1)
 
     def truncate(self, order: int) -> "BiSeries":
         """The slices q^0..q^order with their windows: exact, since slice
@@ -680,7 +650,8 @@ class BiSeries:
         return c.coeff(e)
 
     def mul_coeff_of_aux(self, other: "BiSeries", e: int) -> QSeries:
-        """(self * other).coeff_of_aux(e): `mul_coeff` at each q-power."""
+        """The aux^e coefficients of self * other across q-powers, as a
+        QSeries: `mul_coeff` at each q-power."""
         n = min(self.order, other.order)
         return QSeries(n, [self.mul_coeff(other, b, e) for b in range(n + 1)])
 

@@ -18,13 +18,11 @@ by a denominator of degree n per slice.  With every factor reversed and
 slice (`invariants.f_residue_series` says why that is enough).
 
 The c numbers are c[p,l,beta] = [w^l] (w + beta)^p base_beta(w); no c
-table is stored, `CoeffTables.c` reads each entry on demand as
+table is stored, `CoeffTables.c_entry` reads each entry on demand as
 sum_j C(p,j) beta^(p-j) base_beta[l-j].  Only the base slices the ct
-solve reads (beta <= p_max // nu, up to w^p_max) are stored;
-`CoeffTables.base` hands them out, to the c reads and to the F(w)
-slices of `hyper.FanoContext.f_w`, and builds a slice it does not
-store by running the chain from 1 without keeping it (no workload
-reads one: every F-bracket and c read lands on a stored slice).
+solve reads (beta <= p_max // nu, up to w^p_max) are stored, and
+`CoeffTables.base` hands out those alone, to the c reads and to the F(w)
+slices of `hyper.FanoContext.f_w` (slices k <= (n-1)//nu, cut below w^n).
 
 The ct numbers invert them through the convolution
 
@@ -123,9 +121,6 @@ class CoeffTables:
 
     # -- accessors (out-of-range index conventions live here)
 
-    def c(self, p: int, l: int, beta: int) -> Rat:
-        return Fraction(*self.c_entry(p, l, beta))
-
     def c_entry(self, p: int, l: int, beta: int) -> tuple[int, int]:
         """c[p,l,beta] as an integer over its base slice's denominator
         (not reduced); (0, 1) when p < 0 or l < 0."""
@@ -142,13 +137,13 @@ class CoeffTables:
                 base.den)
 
     def base(self, beta: int, cap: int) -> LaurentPoly:
-        """base_beta(w) known at least up to w^cap: the stored slice
-        when there is one (stored slices reach w^p_max), else a slice
-        built from slice 0 to cap and not kept.  Both the c reads and
-        the F slices of `hyper.FanoContext.f_w` come through here."""
-        if beta < len(self._base) and cap <= self.p_max:
-            return self._base[beta]
-        return slice_chain(self.md, [cap] * (beta + 1))[-1]
+        """The stored base_beta(w), known up to w^p_max >= w^cap; a read
+        past the stored slices raises WindowUnderflow."""
+        if beta >= len(self._base) or cap > self.p_max:
+            raise WindowUnderflow(
+                f"base slice {beta} to w^{cap} beyond stored slices "
+                f"(beta<={len(self._base) - 1}, w^{self.p_max})")
+        return self._base[beta]
 
     def ct_row(self, p: int, beta: int) -> LaurentPoly:
         """T_{p,beta}(w) = sum_l ct[p,l,beta] w^l, zero when

@@ -202,6 +202,19 @@ def shift_aux(series, k):
                     [h + k for h in series.his])
 
 
+def bi_one(order):
+    """The unit BiSeries at q-order `order`: slice 0 is 1, every other
+    slice is 0, all fully known."""
+    return BiSeries([LaurentPoly(0, (1,))] + [LaurentPoly.zero()] * order)
+
+
+def coeff_of_aux(x, e):
+    """The aux^e coefficients of the BiSeries x across q-degrees, as a
+    QSeries at x's order: `BiSeries.coeff` at each q-power, so a slice
+    whose window stops below aux^e raises WindowUnderflow."""
+    return QSeries(x.order, [x.coeff(b, e) for b in range(x.order + 1)])
+
+
 def fp_series_by_d_chain(tables, base, p, shift):
     """F_p by the chain D^0(base), ..., D^p(base): the sum of
     ct[p,l,beta1] q^beta1 aux^e D^l(base) with e = l + nu*beta1 - p
@@ -493,9 +506,9 @@ def structure_sums_reference(tables, beta):
 def log_by_mercator(f):
     """log F = sum_k (-1)^(k+1) (F - 1)^k / k over k <= order, one full
     BiSeries product per power (F's q^0 slice is 1)."""
-    t = f - BiSeries.one(f.order)
+    t = f - bi_one(f.order)
     out = BiSeries([LaurentPoly.zero()] * (f.order + 1))
-    tk = BiSeries.one(f.order)
+    tk = bi_one(f.order)
     for k in range(1, f.order + 1):
         tk = tk * t
         c = Fraction((-1) ** (k + 1), k)
@@ -556,14 +569,14 @@ def residue_against_g_by_terms(md, series):
 
 def type_b_poly_parts_by_unit_series(ctx, b):
     """The two polynomial parts of type B's residue route, read off F_p
-    of the unit series `BiSeries.one(b)` (D^l 1 = 1): the G residue of
+    of the unit series `bi_one(b)` (D^l 1 = 1): the G residue of
     1 - F_p(1/hbar) at q^b, by `residue_against_g_by_terms`, and the
     q^b w^{n-2-r} coefficient of -front * (1 - F_p(w)), the front
     (1+w)^n / prod(1 + d_k w) known up to w^{n-1-r}, where slice b of
     F_p starts at w^-1."""
     md = ctx.md
     p, target = 1 + md.nu * b, md.n - 2 - md.r
-    one = BiSeries.one(b)
+    one = bi_one(b)
     res0 = residue_against_g_by_terms(
         md, one - fp_series(ctx.tables, one, p, +1)).coeff(b)
     head = BiSeries([_ch_coeffs(md, target + 1)] + [LaurentPoly.zero()] * b,
@@ -574,12 +587,13 @@ def type_b_poly_parts_by_unit_series(ctx, b):
 
 def f_bracket_reference(ctx, p):
     """The whole F-bracket (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w))
-    at the context's q-order, every slice up to its window: the product
-    `front * (F_0 - F_p) * F_0.inv()` that the invariant rows read one
-    coefficient of."""
+    at the context's q-order, every slice up to its window, on F built
+    whole by `hyper.f_w` (its windows pass the context's tables): the
+    product `front * (F_0 - F_p) * F_0.inv()` that the invariant rows
+    read one coefficient of."""
     md = ctx.md
     hi = md.n - md.r + p
-    f0 = ctx.f_w(hi)
+    f0 = f_w(md, ctx.order, hi)
     front = BiSeries([_ch_coeffs(md, hi)] + [LaurentPoly.zero()] * ctx.order,
                      [hi] + [INF_EXP] * ctx.order)
     return front * (f0 - fp_series(ctx.tables, f0, p, -1)) * f0.inv()

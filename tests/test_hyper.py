@@ -15,11 +15,13 @@ from fanogw.checks import check_theta_routes, check_w_regular, default_grid
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import (CtSums, FanoContext, fp_series, ftilde_hbar, f_w,
                           mu_by_residue, theta_by_residue)
-from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries
+from fanogw.series import (INF_EXP, BiSeries, LaurentPoly, QSeries,
+                           WindowUnderflow)
 from fanogw.tables import CoeffTables
 
-from helpers import (a_by_theta_products, corrupt_ctilde, ct_polynomial,
-                     ct_sums_by_terms, f_slice_oracle, f_w_cut,
+from helpers import (a_by_theta_products, bi_one, coeff_of_aux,
+                     corrupt_ctilde, ct_polynomial, ct_sums_by_terms,
+                     f_slice_oracle, f_w_cut,
                      fp_series_by_d_chain, ftilde_hbar_slice_oracle,
                      l_fixpoint_oracle, log_by_mercator, phi1_two_powers,
                      q_derivative, valid_geometries)
@@ -112,12 +114,12 @@ def test_slices_match_the_oracles_on_uneven_windows():
 
 
 def test_fp_of_the_unit_series_is_the_ct_polynomial():
-    """D^l 1 = 1, so F_p of BiSeries.one is the ct entries placed at
+    """D^l 1 = 1, so F_p of the unit series is the ct entries placed at
     aux^{sign*(p - nu*beta - l)}, fully known."""
     order = 3
     for md in valid_geometries(9, 3):
         tables = CoeffTables(md, p_max=md.n, beta_max=order)
-        one = BiSeries.one(order)
+        one = bi_one(order)
         for p in range(md.n + 1):
             for sign in (1, -1):
                 assert fp_series(tables, one, p, sign) \
@@ -191,8 +193,8 @@ def test_mu_dual_route():
             ctx = FanoContext(md, order)
             got = mu_by_residue(ctx)
             assert got == ctx.mu(), (md.label(), order)
-            assert got == log_by_mercator(ctx.ftilde_hbar()).residue(), \
-                (md.label(), order)
+            mercator = log_by_mercator(ctx.ftilde_hbar())
+            assert got == coeff_of_aux(mercator, -1), (md.label(), order)
 
 
 def test_phi_normalization_and_dual_route():
@@ -272,7 +274,7 @@ def test_fp_w_regular_at_zero():
     for md in (MD53, MD722):
         ctx = FanoContext(md, 6)
         for p in range(md.n):
-            fp = fp_series(ctx.tables, ctx.f_w(6), p, -1)
+            fp = fp_series(ctx.tables, f_w(md, 6, 6), p, -1)
             for b in range(fp.order + 1):
                 assert all(exp >= 0 for exp, _ in fp.slice(b).items()), (md, p, b)
 
@@ -380,13 +382,16 @@ def test_every_context_series_has_the_context_order():
 
 def test_context_f_w_is_the_wide_build_cut():
     """F slices taken from the context's tables, at the per-slice
-    windows the F-bracket asks for and at whole windows past the
-    tables' reach, equal `hyper.f_w` built whole and cut."""
+    windows the F-bracket asks for and at whole windows up to the
+    tables' reach w^n, equal `hyper.f_w` built whole and cut; a whole
+    window past that reach raises WindowUnderflow."""
     for md in valid_geometries(9, 3) + [MultiDegree(12, (11,))]:
         ctx = FanoContext(md, md.bmax + 1)
         target = md.n - 2 - md.r
-        for hi in (0, target, md.n, 2 * md.n - md.r):
+        for hi in (0, target, md.n):
             assert ctx.f_w(hi) == f_w_cut(md, ctx.order, (hi,) * (ctx.order + 1))
+        with pytest.raises(WindowUnderflow):
+            ctx.f_w(md.n + 1)
         for b in range(md.bmax + 1):
             p = 1 + md.nu * b
             for his in (tuple(max(target + p - md.nu * (b - k), p - 1)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from fanogw import hyper, invariants
 from fanogw.checks import (check_degree0, check_three_path,
                            check_type_b_residue_oracle, check_w_regular,
-                           default_grid)
+                           default_grid, run_geometry_suite)
+from fanogw.cli import main
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import (FanoContext, fp_series, ftilde_hbar, mu_by_residue,
                           theta_by_residue)
@@ -23,8 +24,8 @@ from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
 from fanogw.tables import CoeffTables
 
-from helpers import (a_double_residue_by_terms, chern_value_oracle,
-                     f_bracket_reference, n24_block_reference,
+from helpers import (a_double_residue_by_terms, bi_one, chern_value_oracle,
+                     coeff_of_aux, f_bracket_reference, n24_block_reference,
                      pairing_by_terms, q_derivative, q_shift,
                      residue_against_g_by_terms,
                      type_b_poly_parts_by_unit_series, valid_geometries)
@@ -173,9 +174,9 @@ def test_reflected_product_is_the_pairing(data):
         want = pairing_by_terms(x1, x2, order)
     except WindowUnderflow:
         with pytest.raises(WindowUnderflow):
-            (x1 * _reflect(x2)).coeff_of_aux(1)
+            coeff_of_aux(x1 * _reflect(x2), 1)
     else:
-        assert (x1 * _reflect(x2)).coeff_of_aux(1) == want
+        assert coeff_of_aux(x1 * _reflect(x2), 1) == want
 
 
 def test_kernel_residues_match_the_term_sums():
@@ -190,7 +191,7 @@ def test_kernel_residues_match_the_term_sums():
         inv = ft.inv()
         for p in range(md.n + 1):
             series = (ft - fp_series(ctx.tables, ft, p, +1)) * inv
-            assert [_residue_against_g(md, series, b, BiSeries.one(b))
+            assert [_residue_against_g(md, series, b, bi_one(b))
                     for b in range(4)] \
                 == list(residue_against_g_by_terms(md, series).coeffs), \
                 (md.label(), p)
@@ -201,12 +202,12 @@ def test_g_residue_needs_slice_windows_of_at_least_1():
     series = BiSeries([LaurentPoly(-1, (1, 2)), LaurentPoly(-2, (3,))])
     want = residue_against_g_by_terms(MD53, series)
     assert [_residue_against_g(MD53, BiSeries(series.slices, [1, 1]), b,
-                               BiSeries.one(b))
+                               bi_one(b))
             for b in (0, 1)] == list(want.coeffs)
     short = BiSeries(series.slices, [1, 0])
-    assert _residue_against_g(MD53, short, 0, BiSeries.one(0)) == want.coeff(0)
+    assert _residue_against_g(MD53, short, 0, bi_one(0)) == want.coeff(0)
     with pytest.raises(WindowUnderflow):
-        _residue_against_g(MD53, short, 1, BiSeries.one(1))
+        _residue_against_g(MD53, short, 1, bi_one(1))
 
 
 def test_g_residue_reads_a_right_factor_at_one_coefficient():
@@ -224,7 +225,7 @@ def test_g_residue_reads_a_right_factor_at_one_coefficient():
             ftb, invb = ft.truncate(b), inv.truncate(b)
             num = ftb - fp_series(ctx.tables, ftb, 1 + md.nu * b, +1)
             assert _residue_against_g(md, num, b, inv) \
-                == _residue_against_g(md, num * invb, b, BiSeries.one(b)), \
+                == _residue_against_g(md, num * invb, b, bi_one(b)), \
                 (md.label(), b)
             assert _residue_against_g(md, ftb - ftb, b, inv) == 0
             lows = [u.lo + v.lo for u, v in zip(num.slices, invb.slices[::-1])
@@ -437,14 +438,9 @@ def test_f_w_reads_stay_below_w_n(monkeypatch):
     assert [(md.label(), cap) for md, cap in caps if cap > md.n - 1] == []
 
 
-def test_corrupted_f_w_fails_w_regularity_and_three_path(monkeypatch):
-    """1 added at the top of the window of slice 1 of every F(w) the
-    context hands out fails `check_w_regular` and `check_three_path` on
-    every default-grid geometry.  On X_6(2,3) the three-path check
-    raises WindowUnderflow instead of returning False: the corrupted
-    F_p has negative w powers, so the bracket's windows fall short of
-    its read.  `check_type_b_residue_oracle` still passes: both of its
-    routes read that one F-bracket."""
+def _corrupt_f_w(monkeypatch):
+    """Add 1 at the top of the window of slice 1 of every F(w) the
+    context hands out."""
     real = FanoContext.f_w
 
     def corrupted(self, hi):
@@ -454,16 +450,39 @@ def test_corrupted_f_w_fails_w_regularity_and_three_path(monkeypatch):
         bumped = f.slices[1] + LaurentPoly(f.his[1], (1,))
         return BiSeries((f.slices[0], bumped) + f.slices[2:], f.his)
 
-    def passes(check, md):
-        try:
-            return check(md)
-        except WindowUnderflow:
-            return False
-
     monkeypatch.setattr(FanoContext, "f_w", corrupted)
+
+
+def test_corrupted_f_w_fails_w_regularity_and_three_path(monkeypatch):
+    """A corrupted F(w) (`_corrupt_f_w`) fails the `w-regularity` and
+    `three-path-consistency` verdicts of the suite on every default-grid
+    geometry.  `type-b-residue-oracle` still passes: both of its routes
+    read that one F-bracket."""
+    _corrupt_f_w(monkeypatch)
     for md in default_grid():
-        assert not passes(check_w_regular, md), md.label()
-        assert not passes(check_three_path, md), md.label()
+        verdicts = {r.name: r.ok for r in run_geometry_suite(md)}
+        assert not verdicts["w-regularity"], md.label()
+        assert not verdicts["three-path-consistency"], md.label()
+        assert verdicts["type-b-residue-oracle"], md.label()
+
+
+def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
+    """On X_6(2,3) the corrupted F_p has negative w powers, so the
+    bracket's windows fall short of its read: the three-path and
+    truncation-stability checks raise WindowUnderflow.  The suite still
+    returns all 14 verdicts, those two FAIL with the exception as their
+    detail, and `fanogw check` exits 2 with nothing on stderr."""
+    _corrupt_f_w(monkeypatch)
+    results = run_geometry_suite(MD623)
+    assert len(results) == 14
+    raised = [r for r in results if r.detail.startswith("WindowUnderflow: ")]
+    assert [r.name for r in raised] == ["three-path-consistency",
+                                        "truncation-stability"]
+    assert not any(r.ok for r in raised)
+    assert main(["check", "--ambient", "6", "--degrees", "2,3"]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert "FAIL X_6(2,3)     three-path-consistency" in out.out
 
 
 def test_type_b_residue_route_rejects_degree_zero():

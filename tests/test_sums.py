@@ -1,6 +1,7 @@
 """Structure sums: proven lemmas are exact assertions, conjectures are
 report rows with verdict mechanics."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,43 @@ def test_u1_beta2_r2_specialization():
         (Fraction(t) - Fraction(7, 2)) * (t - 4)
         + (8 - 2 * t) * s1 + s1 * s1 - s2 / 2)
     assert u1_beta2_conjectured(md, hj) == expected
+
+
+@functools.cache
+def beta2_sums() -> list:
+    """The structure sums at beta = 2 on the 485 geometries of
+    `valid_geometries(15, 5)`."""
+    return [compute_sums(tables_for_sums(md, 2), 2)
+            for md in valid_geometries(15, 5)]
+
+
+def harmonic_hj(j: int, d: int) -> Fraction:
+    """h_j(d) read as H_{d-1}^{(j)} = sum_{i=1..d-1} i^-j."""
+    return sum((Fraction(1, i**j) for i in range(1, d)), Fraction(0))
+
+
+def test_empirical_u1_beta2_with_harmonic_hj():
+    """Empirical, not proven: with h_j(d) = sum_{i=1..d-1} i^-j the
+    conjectured beta = 2 form of U1 equals brute force on all 485
+    geometries of `valid_geometries(15, 5)`, 334 of them nonzero.  The
+    `conjectures` verb still prints the form as stated."""
+    sums = beta2_sums()
+    assert len(sums) == 485
+    for sv in sums:
+        assert u1_beta2_conjectured(sv.md, harmonic_hj) == sv.u1, sv.md.label()
+    assert sum(sv.u1 != 0 for sv in sums) == 334
+
+
+def test_empirical_v3_beta2_has_the_degree_sum_for_n():
+    """Empirical, not proven: V3 at beta = 2 is ends(|d|, r) dd^2 on all
+    485 geometries of `valid_geometries(15, 5)`, where the printed form
+    (`v3_conjectured`, which the `conjectures` verb still reports) is
+    ends(n, r) dd^2: the data need |d| where it has n."""
+    for sv in beta2_sums():
+        t, r = sv.md.total, sv.md.r
+        ends = Fraction(6 * t**2 * r - 6 * t * (r**2 + r)
+                        + r * (r + 1) * (r + 2), 6)
+        assert sv.v3 == ends * sv.md.dd**2, sv.md.label()
 
 
 def test_sum_symmetry_left_right():

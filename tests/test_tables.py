@@ -4,6 +4,7 @@ the defining convolution identity."""
 import random
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ def test_c_beta0_is_kronecker():
     t = CoeffTables(MD53, p_max=4, beta_max=2)
     for p in range(5):
         for l in range(5):
-            assert t.c(p, l, 0) == (1 if p == l else 0)
+            assert Fraction(*t.c_entry(p, l, 0)) == (1 if p == l else 0)
 
 
 def test_ctilde_beta0_is_kronecker():
@@ -39,26 +40,26 @@ def test_c_values_cubic_threefold():
     assert c_entry_oracle(5, (3,), 0, 0, 1) == 6
     assert c_entry_oracle(5, (3,), 0, 1, 1) == 3
     t = CoeffTables(MD53, p_max=3, beta_max=1)
-    assert t.c(0, 0, 1) == 6
-    assert t.c(0, 1, 1) == 3
-    assert t.c(2, 0, 1) == 6
+    assert Fraction(*t.c_entry(0, 0, 1)) == 6
+    assert Fraction(*t.c_entry(0, 1, 1)) == 3
+    assert Fraction(*t.c_entry(2, 0, 1)) == 6
 
 
 def test_c_random_against_oracle():
     rng = random.Random(11)
     for md in (MD53, MultiDegree(7, (2, 2))):
-        t = CoeffTables(md, p_max=5, beta_max=2)
+        t = CoeffTables(md, p_max=6, beta_max=2)
         for _ in range(12):
             p = rng.randint(0, 5)
             l = rng.randint(0, 5)
             beta = rng.randint(0, 2)
-            assert t.c(p, l, beta) == c_entry_oracle(md.n, md.degrees, p, l,
-                                                     beta)
+            assert Fraction(*t.c_entry(p, l, beta)) == c_entry_oracle(
+                md.n, md.degrees, p, l, beta)
 
 
 def test_ctilde_beta1_collapses_to_minus_c():
     t = CoeffTables(MD53, p_max=3, beta_max=1)
-    assert t.ctilde(2, 0, 1) == -t.c(2, 0, 1) == -6
+    assert t.ctilde(2, 0, 1) == -Fraction(*t.c_entry(2, 0, 1)) == -6
 
 
 def test_ctilde_against_standalone_recursion():
@@ -74,9 +75,9 @@ def test_out_of_range_conventions():
     assert t.ctilde(2, -1, 0) == 0
     assert t.ctilde(-1, 0, 0) == 0
     assert t.ctilde(1, 0, 1) == 0  # nu*beta > p: entire term absent
-    assert t.c(3, -2, 1) == 0
+    assert Fraction(*t.c_entry(3, -2, 1)) == 0
     with pytest.raises(WindowUnderflow):
-        t.c(9, 0, 0)
+        t.c_entry(9, 0, 0)
 
 
 def test_convolution_identity_exhaustive_small():
@@ -110,13 +111,15 @@ def test_generating_function_reproduces_c_table():
             series = shift_aux(apply_d(base, -1, p), p)
             for beta in range(order + 1):
                 for l in range(hi - p + 1):
-                    assert series.coeff(beta, l) == t.c(p, l, beta), \
+                    want = Fraction(*t.c_entry(p, l, beta))
+                    assert series.coeff(beta, l) == want, \
                         (md, p, l, beta)
 
 
 def test_tables_match_the_oracles_over_valid_geometries():
-    """Every ct and every c entry at p_max = n, beta_max = 2, c rows
-    with beta > p_max // nu included (the ct solve never reads them)."""
+    """Every ct and every c entry at p_max = n, beta_max = 2.  A c row
+    with beta > p_max // nu reads a base slice that the ct solve never
+    reads, so none is stored, and the read raises WindowUnderflow."""
     for md in valid_geometries(7, 3):
         t = CoeffTables(md, p_max=md.n, beta_max=2)
         for (p, l, beta), v in ctilde_oracle(md.n, md.degrees, md.nu,
@@ -125,7 +128,11 @@ def test_tables_match_the_oracles_over_valid_geometries():
         for p in range(md.n + 1):
             for l in range(md.n + 1):
                 for beta in range(3):
-                    assert t.c(p, l, beta) == c_entry_oracle(
+                    if beta > md.n // md.nu:
+                        with pytest.raises(WindowUnderflow):
+                            t.c_entry(p, l, beta)
+                        continue
+                    assert Fraction(*t.c_entry(p, l, beta)) == c_entry_oracle(
                         md.n, md.degrees, p, l, beta), (md, p, l, beta)
 
 
@@ -206,15 +213,16 @@ def test_each_slice_step_is_one_kernel_call_of_each(monkeypatch):
 
 def test_stored_base_slices_match_the_oracle_deep():
     """Every stored base slice of CoeffTables(md, n, n) on the index-1
-    ladder, where the chain runs up to beta = n = 12, and the slices
-    `base` builds from 1 past the stored ones, against plainly
-    multiplied factors."""
+    ladder, where the chain runs up to beta = n = 12, against plainly
+    multiplied factors; a read past the stored slices, or above
+    w^p_max, raises WindowUnderflow."""
     for n in (8, 10, 12):
         md = MultiDegree(n, (n - 1,))
         t = CoeffTables(md, n, n)
         for beta in range(n + 1):
             assert t.base(beta, n) == LaurentPoly(0, f_slice_oracle(md, beta, n)), \
                 (md, beta)
-        for beta, cap in ((n + 1, n - 2), (n + 2, n), (3, n + 2)):
-            assert t.base(beta, cap) == LaurentPoly(
-                0, f_slice_oracle(md, beta, cap)), (md, beta, cap)
+        assert t.base(3, n - 2) == t.base(3, n)
+        for beta, cap in ((n + 1, n - 2), (n + 2, n), (3, n + 1)):
+            with pytest.raises(WindowUnderflow):
+                t.base(beta, cap)
