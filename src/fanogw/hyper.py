@@ -22,17 +22,17 @@ closed chain is mu -> L -> y -> Phi0 -> Phi1, and each integer power of
 L comes from the one list L^0..L^n that the ct-L sums read too.  Phi1
 is Phi0 L^-1 (lead (L - 1) + y^-3 B / (24 t n^3)), B a Horner form in
 L and X = L^n, so L^((r+1)/2) and y^(-1/2) are raised once, in Phi0.
-F(w, q) builds no slice of its own: slice k is w^(nu k) times the base
-slice k of the context's `CoeffTables`.  A(q) is Phi0 times four kernel pair
-sums of the ct-L sums, weighted by the Theta lemma; Theta itself is
-built only for its dual-route check, Theta^(1) as one kernel pair sum
-of the four ct-L sums against those weights.
+F(w, q) builds no slice of its own: `f_w` reads slice k as w^(nu k)
+times the base slice k of the context's `CoeffTables`.  A(q) is Phi0
+times four kernel pair sums of the ct-L sums, weighted by the Theta
+lemma; Theta itself is built only for its dual-route check, Theta^(1)
+as one kernel pair sum of the four ct-L sums against those weights.
 
 The context owns its hbar and F_p windows, so no reader passes one: one
 hbar window order + 1 for every series route (`ftilde_hbar`,
 `ftilde_hbar_inv`), F_p(w) at F's window p - 1 (`fp_w`).  F(w) is
-kept per window tuple (`f_w`), and the F-bracket derives its tuples
-(`invariants`).  A read past a window raises WindowUnderflow.
+kept per window tuple (`FanoContext.f_w`), and the F-bracket derives its
+tuples (`invariants`).  A read past a window raises WindowUnderflow.
 """
 
 from __future__ import annotations
@@ -64,16 +64,14 @@ def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
                     [hi] * (order + 1))
 
 
-def f_w(md: MultiDegree, order: int, hi: int) -> BiSeries:
-    """F(w, q) built whole: regular at w = 0, with the q^beta slice
-    carrying an explicit w^{nu*beta} prefactor in front of slice beta of
-    `tables.slice_chain`.  `FanoContext.f_w` reads the same slices off
-    its tables instead."""
-    nu = md.nu
-    slices = slice_chain(
-        md, [max(hi - nu * beta, 0) for beta in range(order + 1)])
-    return BiSeries([s.shift(nu * beta) for beta, s in enumerate(slices)],
-                    [hi] * (order + 1))
+def f_w(tables: CoeffTables, his) -> BiSeries:
+    """F(w, q) with slice k cut at w^his[k], for k < len(his): w^(nu k)
+    times the base slice k of the tables (`CoeffTables.base`), zero when
+    his[k] < nu k.  A context's tables reach w^(n + nu k): F-bracket
+    windows stay below that, so F builds no slice of its own."""
+    nu, base = tables.md.nu, tables.base
+    return BiSeries([base(k, h - nu * k).shift(nu * k) if h >= nu * k
+                     else LaurentPoly.zero() for k, h in enumerate(his)], his)
 
 
 def exp_neg_mu_over_aux(mu: QSeries) -> BiSeries:
@@ -235,20 +233,11 @@ class FanoContext:
         type B (`invariants.type_b_by_residues`)."""
         return self.memo(("ftinv",), lambda: self.ftilde_hbar().inv())
 
-    def f_w(self, hi) -> BiSeries:
-        """F with every slice q^0..q^order cut at window hi, or, for a
-        tuple hi, with slice k cut at hi[k] for k < len(hi) and the
-        slices above dropped; kept per window tuple.
-
-        Slice k of F is w^(nu k) times the base slice k of the context's
-        tables (`CoeffTables.base`), which reach w^(n + nu k): F-bracket
-        windows stay below that, so F builds no slice of its own there."""
-        nu = self.md.nu
-        his = (hi,) * (self.order + 1) if isinstance(hi, int) else tuple(hi)
-        base = self.tables.base
-        return self.memo(("fw", his), lambda: BiSeries(
-            [base(k, h - nu * k).shift(nu * k) if h >= nu * k
-             else LaurentPoly.zero() for k, h in enumerate(his)], his))
+    def f_w(self, his: tuple) -> BiSeries:
+        """F with slice k cut at his[k] for k < len(his), the slices
+        above dropped (`f_w` on the context's tables); kept per window
+        tuple."""
+        return self.memo(("fw", his), lambda: f_w(self.tables, his))
 
     def fp_hbar(self, p: int) -> BiSeries:
         return self.memo(("fph", p),
@@ -258,7 +247,8 @@ class FanoContext:
         """F_p(w, q) on F at window p - 1, the least at which every
         negative w power is known: F_p's window falls up to p below F's."""
         return self.memo(("fpw", p),
-                         lambda: fp_series(self.tables, self.f_w(p - 1), p, -1))
+                         lambda: fp_series(self.tables, self.f_w(
+                             (p - 1,) * (self.order + 1)), p, -1))
 
     def exp_neg_mu(self) -> BiSeries:
         return self.memo(("expmu",),

@@ -14,7 +14,7 @@ user-supplied interpretation table and skipped otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import Iterable, NamedTuple
 
 from .geometry import MultiDegree
@@ -228,7 +228,11 @@ def u1_strict_vanishing_conjectured(md: MultiDegree, beta: int) -> bool | None:
 def u1_beta2_conjectured(md: MultiDegree, hj) -> Rat | None:
     """The conjectured beta = 2 closed form.  `hj` maps (j, d) to a
     rational; the symbol h_j(d) has no standard definition, so None
-    (skip) is returned when no interpretation is supplied."""
+    (skip) is returned when no interpretation is supplied.
+
+    Its sum over the partitions of s <= m, of prod_j inner_j^k_j / k_j!,
+    is e_s = [x^s] exp(sum_j inner_j x^j), read off the recurrence
+    e_0 = 1, s e_s = sum_j j inner_j e_{s-j}."""
     if hj is None:
         return None
     m = 2 * md.total - md.n - md.r - 2
@@ -237,20 +241,11 @@ def u1_beta2_conjectured(md: MultiDegree, hj) -> Rat | None:
     inner = [Fraction(-2, j) * sum(Fraction(d**j) * Fraction(hj(j, d))
                                    for d in md.degrees)
              for j in range(1, m + 1)]
-    total = Fraction(0)
-
-    def rec(j: int, used: int, term: Rat):
-        nonlocal total
-        if j > m:
-            total += term * comb(2 * md.total - 2 * md.r - 3 - used, m - used)
-            return
-        k = 0
-        while used + j * k <= m:
-            rec(j + 1, used + j * k,
-                term * inner[j - 1] ** k / factorial(k))
-            k += 1
-
-    rec(1, 0, Fraction(1))
+    e = [Fraction(1)]
+    for s in range(1, m + 1):
+        e.append(sum(j * inner[j - 1] * e[s - j] for j in range(1, s + 1)) / s)
+    total = sum(e_s * comb(2 * md.total - 2 * md.r - 3 - s, m - s)
+                for s, e_s in enumerate(e))
     lead = Fraction(md.dfact**2 * (-1) ** (md.n + md.r), 2)
     return lead * total
 

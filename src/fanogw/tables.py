@@ -22,7 +22,7 @@ table is stored, `CoeffTables.c_entry` reads each entry on demand as
 sum_j C(p,j) beta^(p-j) base_beta[l-j].  Only the base slices the ct
 solve reads (beta <= p_max // nu, up to w^p_max) are stored, and
 `CoeffTables.base` hands out those alone, to the c reads and to the F(w)
-slices of `hyper.FanoContext.f_w` (slices k <= (n-1)//nu, cut below w^n).
+slices of `hyper.f_w` (slices k <= (n-1)//nu, cut below w^n).
 
 The ct numbers invert them through the convolution
 
@@ -49,7 +49,6 @@ p < 0 count as zero; at beta = 0 both tables are Kronecker deltas.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, lcm
 
 from .geometry import MultiDegree
@@ -73,11 +72,10 @@ def slice_chain(md: MultiDegree, caps,
     d_k + i*hbar and the denominator ((1 + beta*hbar)^n - 1)/hbar, so
     the chain gives the Ft(1/hbar) slices before their shift by
     hbar^-beta.  Every factor has lowest exponent 0, so a capped step is
-    exact up to its cap: the chain is carried at the largest cap any
-    later slice needs."""
-    n, s, out = md.n, _ONE, []
-    reach = list(accumulate(reversed(caps), max))[::-1]
-    for b, (cap, top) in enumerate(zip(caps, reach)):
+    exact up to its cap: the chain is carried at the largest cap, and
+    each slice is cut at its own."""
+    n, s, out, top = md.n, _ONE, [], max(caps)
+    for b, cap in enumerate(caps):
         if b:
             pairs = [(i, d) for d in md.degrees
                      for i in range(d * (b - 1) + 1, d * b + 1)]

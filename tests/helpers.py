@@ -12,9 +12,10 @@ from math import comb, gcd, prod
 from types import SimpleNamespace
 
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import f_w, fp_series, ftilde_hbar
+from fanogw.hyper import fp_series, ftilde_hbar
 from fanogw.invariants import _ch_coeffs, _g_expansion
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries, poly_shift
+from fanogw.tables import slice_chain
 
 
 def poly_mul(a, b, cap):
@@ -398,10 +399,21 @@ def a_by_theta_products(ctx):
     return total
 
 
+def f_w_whole(md, order, hi):
+    """F(w, q) built whole, every slice q^0..q^order at window hi, past
+    any context's tables: w^{nu*beta} in front of slice beta of
+    `tables.slice_chain`, run on caps max(hi - nu*beta, 0)."""
+    nu = md.nu
+    slices = slice_chain(
+        md, [max(hi - nu * beta, 0) for beta in range(order + 1)])
+    return BiSeries([s.shift(nu * beta) for beta, s in enumerate(slices)],
+                    [hi] * (order + 1))
+
+
 def f_w_cut(md, order, his):
-    """F(w, q) built whole by `hyper.f_w` at the widest window in his,
+    """F(w, q) built whole (`f_w_whole`) at the widest window in his,
     then slice k cut at his[k] and the slices above len(his) dropped."""
-    wide = f_w(md, order, max(his))
+    wide = f_w_whole(md, order, max(his))
     return BiSeries(wide.slices[: len(his)], his)
 
 
@@ -588,12 +600,12 @@ def type_b_poly_parts_by_unit_series(ctx, b):
 def f_bracket_reference(ctx, p):
     """The whole F-bracket (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w))
     at the context's q-order, every slice up to its window, on F built
-    whole by `hyper.f_w` (its windows pass the context's tables): the
+    whole (`f_w_whole`; its windows pass the context's tables): the
     product `front * (F_0 - F_p) * F_0.inv()` that the invariant rows
     read one coefficient of."""
     md = ctx.md
     hi = md.n - md.r + p
-    f0 = f_w(md, ctx.order, hi)
+    f0 = f_w_whole(md, ctx.order, hi)
     front = BiSeries([_ch_coeffs(md, hi)] + [LaurentPoly.zero()] * ctx.order,
                      [hi] + [INF_EXP] * ctx.order)
     return front * (f0 - fp_series(ctx.tables, f0, p, -1)) * f0.inv()

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 from fanogw import series
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import FanoContext, f_w, fp_series, ftilde_hbar
+from fanogw.hyper import FanoContext, fp_series, ftilde_hbar
 from fanogw.series import (INF_EXP, BiSeries, LaurentPoly, QSeries,
                            sum_of_products)
 
-from helpers import (is_canonical, laurent_repr, laurent_terms,
+from helpers import (f_w_whole, is_canonical, laurent_repr, laurent_terms,
                      long_division, poly_mul, shift_aux, terms_product,
                      terms_sum)
 
@@ -129,7 +129,7 @@ def test_the_hot_path_never_lifts(monkeypatch):
     called."""
     md = MultiDegree(6, (2, 3))
     ctx = FanoContext(md, 4)
-    tables, f0, ft = ctx.tables, f_w(md, 4, 7), ftilde_hbar(md, 4, 6)
+    tables, f0, ft = ctx.tables, f_w_whole(md, 4, 7), ftilde_hbar(md, 4, 6)
     L, phi0 = ctx.L(), ctx.phi0()
 
     def hot_path():

@@ -21,7 +21,7 @@ from fanogw.tables import CoeffTables
 
 from helpers import (a_by_theta_products, bi_one, coeff_of_aux,
                      corrupt_ctilde, ct_polynomial, ct_sums_by_terms,
-                     f_slice_oracle, f_w_cut,
+                     f_slice_oracle, f_w_cut, f_w_whole,
                      fp_series_by_d_chain, ftilde_hbar_slice_oracle,
                      l_fixpoint_oracle, log_by_mercator, phi1_two_powers,
                      q_derivative, valid_geometries)
@@ -66,7 +66,7 @@ def test_ftilde_hbar_slices():
 
 
 def test_f_w_slices():
-    fw = f_w(MD53, 2, 6)
+    fw = f_w(FanoContext(MD53, 2).tables, (5, 5, 5))
     assert fw.slice(0).coeff(0) == 1 and fw.slice(0).hi == 0
     # lowest w-exponent of the q^beta slice is nu*beta
     assert fw.slice(1).lo == 2 and fw.slice(2).lo == 4
@@ -79,7 +79,7 @@ def test_slices_match_long_division():
     order = 3
     for md in valid_geometries(7, 3):
         hi = 2 * md.n - md.r
-        fw = f_w(md, order, hi)
+        fw = f_w_whole(md, order, hi)
         assert fw.his == (hi,) * (order + 1)
         for beta in range(order + 1):
             shift = md.nu * beta
@@ -101,7 +101,7 @@ def test_slices_match_the_oracles_on_uneven_windows():
     order = 6
     for md in valid_geometries(9, 3):
         for hi in (md.nu * order // 2, 2 * md.n - md.r):
-            fw = f_w(md, order, hi)
+            fw = f_w_whole(md, order, hi)
             for beta in range(order + 1):
                 shift = md.nu * beta
                 want = f_slice_oracle(md, beta, max(hi - shift, 0))
@@ -128,7 +128,7 @@ def test_fp_of_the_unit_series_is_the_ct_polynomial():
 
 def test_fp_specials():
     ctx = FanoContext(MD53, 3)
-    ft, f = ftilde_hbar(MD53, 3, 5), ctx.f_w(5)
+    ft, f = ftilde_hbar(MD53, 3, 5), ctx.f_w((5,) * 4)
     assert fp_series(ctx.tables, ft, 0, +1) == ft
     assert fp_series(ctx.tables, f, 0, -1) == f
     # (q^0, w^0) coefficient of F_p is 1
@@ -274,7 +274,7 @@ def test_fp_w_regular_at_zero():
     for md in (MD53, MD722):
         ctx = FanoContext(md, 6)
         for p in range(md.n):
-            fp = fp_series(ctx.tables, f_w(md, 6, 6), p, -1)
+            fp = fp_series(ctx.tables, f_w_whole(md, 6, 6), p, -1)
             for b in range(fp.order + 1):
                 assert all(exp >= 0 for exp, _ in fp.slice(b).items()), (md, p, b)
 
@@ -296,7 +296,7 @@ def test_fp_series_matches_the_d_chain(md, data):
     if kind == "hbar":
         base = ftilde_hbar(md, order, hi)
     elif kind == "w":
-        base = f_w(md, order, hi)
+        base = f_w_whole(md, order, hi)
     else:
         base = BiSeries([LaurentPoly(md.nu * beta, f_slice_oracle(
             md, beta, max(hi - md.nu * beta, 0), tilde=True))
@@ -345,7 +345,7 @@ def test_w_regularity_reads_every_negative_exponent(monkeypatch):
 
     monkeypatch.setattr(CoeffTables, "__init__", corrupted)
     ctx = FanoContext(md, 8)
-    assert fp_series(ctx.tables, ctx.f_w(11), 11, -1).coeff(1, -2) == 1
+    assert fp_series(ctx.tables, ctx.f_w((11,) * 9), 11, -1).coeff(1, -2) == 1
     assert not check_w_regular(md)
 
 
@@ -383,15 +383,16 @@ def test_every_context_series_has_the_context_order():
 def test_context_f_w_is_the_wide_build_cut():
     """F slices taken from the context's tables, at the per-slice
     windows the F-bracket asks for and at whole windows up to the
-    tables' reach w^n, equal `hyper.f_w` built whole and cut; a whole
-    window past that reach raises WindowUnderflow."""
+    tables' reach w^n, equal F built whole and cut (`helpers.f_w_cut`);
+    a whole window past that reach raises WindowUnderflow."""
     for md in valid_geometries(9, 3) + [MultiDegree(12, (11,))]:
         ctx = FanoContext(md, md.bmax + 1)
         target = md.n - 2 - md.r
         for hi in (0, target, md.n):
-            assert ctx.f_w(hi) == f_w_cut(md, ctx.order, (hi,) * (ctx.order + 1))
+            whole = (hi,) * (ctx.order + 1)
+            assert ctx.f_w(whole) == f_w_cut(md, ctx.order, whole)
         with pytest.raises(WindowUnderflow):
-            ctx.f_w(md.n + 1)
+            ctx.f_w((md.n + 1,) * (ctx.order + 1))
         for b in range(md.bmax + 1):
             p = 1 + md.nu * b
             for his in (tuple(max(target + p - md.nu * (b - k), p - 1)

@@ -350,10 +350,11 @@ def test_fp_w_window_is_the_least(monkeypatch):
         ctx = FanoContext(md, 8)
         for p in range(md.n):
             assert min(ctx.fp_w(p).his) == -1, (md.label(), p)
-            assert min(fp_series(ctx.tables, ctx.f_w(p - 2), p, -1).his) < -1
+            f = ctx.f_w((p - 2,) * (ctx.order + 1))
+            assert min(fp_series(ctx.tables, f, p, -1).his) < -1
         assert check_w_regular(md)
     monkeypatch.setattr(FanoContext, "fp_w", lambda self, p: fp_series(
-        self.tables, self.f_w(p - 2), p, -1))
+        self.tables, self.f_w((p - 2,) * (self.order + 1)), p, -1))
     assert not check_w_regular(MD53)
 
 
@@ -394,28 +395,35 @@ def test_residue_oracle_reads_the_rows_routes_bracket(monkeypatch):
     route's F-bracket, numerator included: on each nu >= 2 default-grid
     geometry `check_type_b_residue_oracle` builds w-side F_p once per
     degree (bmax calls, where an Ft(w) bracket of its own took 2 bmax)
-    and builds no F(w) whole (`hyper.f_w`)."""
-    w_side, whole = [], []
-    fp, f_w = invariants.fp_series, hyper.f_w
+    and builds no F(w) whole: every `hyper.f_w` call reads the tables
+    of a context."""
+    w_side, read, contexts = [], [], []
+    fp, f_w, init = invariants.fp_series, hyper.f_w, FanoContext.__init__
 
     def recording_fp(tables, base, p, shift):
         if shift == -1:
             w_side.append(p)
         return fp(tables, base, p, shift)
 
-    def recording_f_w(*args, **kwargs):
-        whole.append(args)
-        return f_w(*args, **kwargs)
+    def recording_f_w(tables, his):
+        read.append(tables)
+        return f_w(tables, his)
+
+    def recording_init(self, *args):
+        init(self, *args)
+        contexts.append(self)
 
     monkeypatch.setattr(invariants, "fp_series", recording_fp)
     monkeypatch.setattr(hyper, "f_w", recording_f_w)
+    monkeypatch.setattr(FanoContext, "__init__", recording_init)
     for md in default_grid():
         if md.nu < 2:
             continue
         w_side.clear()
         assert check_type_b_residue_oracle(md), md.label()
         assert len(w_side) == md.bmax, md.label()
-    assert whole == []
+    assert read
+    assert all(any(t is ctx.tables for ctx in contexts) for t in read)
 
 
 def test_f_w_reads_stay_below_w_n(monkeypatch):
@@ -443,8 +451,8 @@ def _corrupt_f_w(monkeypatch):
     context hands out."""
     real = FanoContext.f_w
 
-    def corrupted(self, hi):
-        f = real(self, hi)
+    def corrupted(self, his):
+        f = real(self, his)
         if f.order < 1:
             return f
         bumped = f.slices[1] + LaurentPoly(f.his[1], (1,))

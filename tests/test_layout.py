@@ -236,9 +236,6 @@ def production_functions() -> dict:
 #: the production functions no run of the program reaches, each kept
 #: for a reason outside `src/`
 NEVER_CALLED = {
-    # the tracer (perfbench/spans.py) wraps it by name; tests build F(w)
-    # whole with it, past the context's tables
-    "hyper.f_w",
     # the tracer's hooks read it to count the terms of a product
     "series.LaurentPoly.coeffs",
     # the primitive checked read that `BiSeries.mul_coeff` is specified

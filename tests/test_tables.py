@@ -10,13 +10,13 @@ import pytest
 
 from fanogw import series, tables
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import f_w, ftilde_hbar
+from fanogw.hyper import ftilde_hbar
 from fanogw.invariants import invariant_table
 from fanogw.series import BiSeries, LaurentPoly, WindowUnderflow
 from fanogw.tables import CoeffTables
 
 from helpers import (apply_d, c_entry_oracle, corrupt_ctilde, ctilde_oracle,
-                     f_slice_oracle, shift_aux, valid_geometries)
+                     f_slice_oracle, f_w_whole, shift_aux, valid_geometries)
 
 MD53 = MultiDegree(5, (3,))
 
@@ -102,7 +102,7 @@ def test_generating_function_reproduces_c_table():
         order, hi = 2, 6
         # q -> q/w^nu moves slice beta down by nu*beta; build F wide
         # enough that every slice is still known up to w^hi
-        full = f_w(md, order, hi + md.nu * order)
+        full = f_w_whole(md, order, hi + md.nu * order)
         base = BiSeries([s.shift(-md.nu * beta)
                          for beta, s in enumerate(full.slices)],
                         [hi] * (order + 1))
