@@ -5,14 +5,16 @@ Shared by the `check` CLI verb and the acceptance tests, with the
 q-orders pinned; each check reads its context's windows (`fanogw.hyper`):
 
 * the algebraic L identity to q-order 12;
-* dual-route equality (mu, Phi0, Phi1, Theta) to q-order 8;
+* dual-route equality (mu, Phi0, Phi1, Theta) to q-order 8, Theta
+  from p = 1: at p = 0 Theta^{(0)} is Phi0 and Theta^{(1)} is Phi1;
 * regularizability and w-regularity to q-order 8;
 * the degree-0 Chern value (an oracle independent of the degree-0
   row), three-path consistency (with the degree-1 vanishing of the
   reduced invariant), SvR vanishing;
 * the double-residue oracle for A(q) to q-order 6, with type A checked
   against its second route at every degree up to that order;
-* the type-B residue oracle (run where nu >= 2);
+* the type-B residue oracle, the n/24 block by its residue route (run
+  where nu >= 2);
 * the proven structure-sum lemmas for beta <= 3;
 * truncation stability and the ct*c convolution identity.
 """
@@ -25,8 +27,8 @@ from typing import NamedTuple
 from .geometry import MultiDegree
 from .hyper import FanoContext, mu_by_residue, theta_by_residue
 from .invariants import (a_series, chern_degree0_oracle, context_for,
-                         invariant_table, svr_difference, type_a, type_b,
-                         type_b_by_residues)
+                         invariant_table, n24_block, n24_by_residue,
+                         svr_difference, type_a)
 from .series import QSeries
 from .sums import check_proven_identities, sums_by_degree, tables_for_sums
 from .tables import CoeffTables
@@ -65,9 +67,12 @@ def check_phi_routes(md: MultiDegree, order: int = 8) -> bool:
 
 
 def check_theta_routes(md: MultiDegree, order: int = 8) -> bool:
+    """Theta^{(level)}_p by its two routes for 1 <= p <= n-1: at p = 0
+    the closed route is Phi0 and Phi1 exactly (s0 = 1, s1 = s2 = s3 = 0),
+    which `check_phi_routes` compares already."""
     ctx = FanoContext(md, order)
     return all(ctx.theta(p, lvl).matches(theta_by_residue(ctx, p, lvl))
-               for p in range(md.n) for lvl in (0, 1))
+               for p in range(1, md.n) for lvl in (0, 1))
 
 
 def check_regularizable(md: MultiDegree, order: int = 8) -> bool:
@@ -128,19 +133,17 @@ def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
 
 
 def check_type_b_residue_oracle(md: MultiDegree) -> bool:
-    """The rows route of type B against its residue route: main parts
-    at h = 0 (on Ft(1/hbar)) and at infinity (the rows route's own
-    F-bracket, `invariants.f_residue_series`), less polynomial parts of
-    two ct entries each.  So it checks the residue at h = 0 against the
-    n/24 block, and the ct residue row against a second copy of it.
-    The oracle holds at every index, but it runs on
-    nu >= 2 only: on an index-1 geometry it would build one more context
-    and one more set of tables per run than the benchmark's check-grid
-    counts pin."""
+    """The type-B residue oracle, cut to the part of its predicate that
+    does not cancel: type B by residues equals the rows route exactly
+    when the n/24 block equals its residue route (`n24_by_residue`),
+    since both routes read the same F-bracket and ct residue row.  The
+    oracle holds at every index, but it runs on nu >= 2 only: on an
+    index-1 geometry it would build one more context and one more set
+    of tables per run than the benchmark's check-grid counts pin."""
     if md.nu < 2:
         return True
     ctx = context_for(md, md.bmax)
-    return all(type_b(ctx, b) == type_b_by_residues(ctx, b)
+    return all(n24_block(ctx, b) == n24_by_residue(ctx, b)
                for b in range(1, md.bmax + 1))
 
 

@@ -12,9 +12,7 @@ keeps the q-order, so every series a context hands out has its order.
 
 Every slice of F(w, q) and Ft(1/hbar, q) comes from one recurrence,
 `tables.slice_chain`: the q^beta slice is the q^(beta-1) slice times
-|d| new linear factors over one denominator of degree n.  There is no
-Ft(w) family: below w^n it is F(w), and no read goes higher
-(`invariants.f_residue_series`).
+|d| new linear factors over one denominator of degree n.
 
 `FanoContext` owns every per-context quantity: each is built once,
 through `FanoContext.memo`, and every caller reads it from there.  The
@@ -230,7 +228,7 @@ class FanoContext:
     def ftilde_hbar_inv(self) -> BiSeries:
         """Ft(1/hbar, q)^-1 at the window of `ftilde_hbar`: one inverse
         per context, read by `mu_by_residue` and the residue route of
-        type B (`invariants.type_b_by_residues`)."""
+        the n/24 block (`invariants.n24_by_residue`)."""
         return self.memo(("ftinv",), lambda: self.ftilde_hbar().inv())
 
     def f_w(self, his: tuple) -> BiSeries:

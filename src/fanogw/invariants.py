@@ -9,33 +9,30 @@ of type B (`type_b`) shares the closed rows with the standard invariant
 and the F-bracket with the difference.  The oracles are named functions:
 `a_series`, the double residue of A(q) (`FanoContext.A`), which also
 gives type A its second route (`checks.check_a_double_residue`);
-`type_b_by_residues`, for every b >= 1 at every index; and
-`chern_degree0_oracle`, which shares no code with the degree-0 row.
-Everything is exact.  The hbar-side reads (the double residue, type B
-at h = 0) take the context's one hbar window (`fanogw.hyper`); the w
-side reads the F-bracket at w^{n-2-r} from slices cut at the windows
-`_bracket_numerator` derives.
+`n24_by_residue`, the n/24 block by the residue at h = 0, for every
+b >= 1 at every index; and `chern_degree0_oracle`, which shares no code
+with the degree-0 row.  Everything is exact.  The hbar-side reads (the
+double residue, the residue at h = 0) take the context's one hbar
+window (`fanogw.hyper`); the w side reads the F-bracket at w^{n-2-r}
+from slices cut at the windows `_bracket_numerator` derives.
 
 A degree-b invariant reads one coefficient.  Each reader of q^b cuts its
 series at b and reads the last product through `BiSeries.mul_coeff` or
 `QSeries.mul_coeff`, which compute that coefficient alone.  The
-F-bracket (`f_residue_series`) is read at q^b w^{n-2-r}.  The same
-bracket on Ft(w), the main part at infinity of `type_b_by_residues`, is
-that number: Ft(w) is F(w) below w^n, and the bracket reads no higher
-(`f_residue_series` says why).  Type A is q^b of s0(p) A(q): the Phi0 in
-Theta^{(0)}_p cancels the 1/Phi0 of the formula at every truncation
-order.
+F-bracket (`f_residue_series`) is read at q^b w^{n-2-r}.  Type A is q^b
+of s0(p) A(q): the Phi0 in Theta^{(0)}_p cancels the 1/Phi0 of the
+formula at every truncation order.
 
 Type A and the closed rows (n/24 times the n/24 block at q^b, minus
 prod(d)/24 times the ct residue row) enter both sides of a row.  Each
 is kept per (context, degree) through `FanoContext.memo`, so the
 standard invariant and the rows route of type B read one value.  The
 F-bracket's numerator front * (F_0 - F_p) is kept per (context, degree)
-too, so both routes of type B and the difference build F_p once per
-row; F_0^-1 is made on each bracket read (`f_residue_series` says why).  The
-front (1+w)^n / prod(1 + d_k w) is kept once per context (`_front`).
-The residue route of type B reads the context's Ft(1/hbar)^-1, and its
-polynomial parts are two ct entries (`_type_b_poly_parts`).
+too, so type B and the difference build F_p once per row; F_0^-1 is
+made on each bracket read (`f_residue_series` says why).  The front
+(1+w)^n / prod(1 + d_k w) is kept once per context (`_front`).  The
+residue route of the n/24 block reads the context's Ft(1/hbar)^-1, and
+its polynomial part is two ct entries (`_type_b_poly_parts`).
 """
 
 from __future__ import annotations
@@ -112,9 +109,8 @@ def _ch_coeffs(md: MultiDegree, cap: int) -> LaurentPoly:
 
 def _front(ctx: FanoContext) -> LaurentPoly:
     """`_ch_coeffs` up to w^{n-1-r}, kept once per context: the ct
-    residue row and type B's polynomial part at infinity read its top
-    two coefficients, and the F-bracket's numerator its cut at
-    w^{n-2-r}."""
+    residue row reads its top two coefficients, and the F-bracket's
+    numerator its cut at w^{n-2-r}."""
     md = ctx.md
     return ctx.memo(("front",), lambda: _ch_coeffs(md, md.n - 1 - md.r))
 
@@ -223,14 +219,6 @@ def f_residue_series(ctx: FanoContext, b: int) -> Rat:
     window short of the read raises WindowUnderflow, never a wrong
     coefficient.
 
-    It is also the same bracket on Ft(w), the main part at infinity of
-    `type_b_by_residues`.  Slice k of Ft(w) is
-    w^(nu k) prod(d_k w + i) / prod((w + j)^n - w^n), and
-    (w + j)^n - w^n = (w + j)^n mod w^n, so it equals slice k of F(w)
-    below w^(n + nu k).  Every window the bracket takes is below that:
-    over its w^(nu k), slice k is cut at n-2-r for the inverse and at
-    max(n-1-r, nu(b-k)) <= n-1 for the numerator (`_bracket_numerator`).
-
     F_0 is inverted on each read, cut at q^b: keeping that inverse (or
     the bracket value) per context would move the inverse counts that
     the benchmark's trace pins, so it waits for their re-pin."""
@@ -241,8 +229,7 @@ def f_residue_series(ctx: FanoContext, b: int) -> Rat:
 
 def _bracket_numerator(ctx: FanoContext, b: int) -> BiSeries:
     """front * (F_0 - F_p) with p = 1 + nu*b, cut at q^b, kept per
-    (context, degree): both routes of type B and the difference read one
-    build.
+    (context, degree): type B and the difference read one build.
 
     Slice k of F_0, and so of its inverse, carries w^{nu k},
     so slice j of the numerator is read only up to
@@ -309,42 +296,39 @@ def _residue_against_g(md: MultiDegree, series: BiSeries, b: int,
     return (g * series).mul_coeff(right, b, -1)
 
 
-def type_b_by_residues(ctx: FanoContext, b: int) -> Rat:
-    """Type B by its oracle route (b >= 1): assembled from the residues
-    at h = 0, at h = infinity, and (via the residue theorem) at h = -d,
-    computed directly on the hypergeometric Laurent data.  Only q^b is
-    read, so every series is cut to q^b and each residue is read at q^b
-    alone (`BiSeries.mul_coeff`): the main part at h = 0 is
-    [q^b h^-1] G (Ft - Ft_p) Ft^-1, with the context's Ft^-1 cut at q^b.
-    The main part at infinity is the F-bracket on Ft(w), which is
-    `f_residue_series` (it says why), the rows route's own bracket."""
+def n24_by_residue(ctx: FanoContext, b: int) -> Rat:
+    """The n/24 block by its residue route (b >= 1): prod(d)/n times
+    the residue at h = 0, [q^b h^-1] G (Ft - Ft_p) Ft^-1, less its
+    polynomial part.  Type B by residues is prod(d)/24 times that
+    residue and the one at infinity, each less its polynomial part;
+    the second pair is minus the F-bracket and minus the ct residue
+    row, which the rows route of type B reads as they are, so the n/24
+    block is the part the two routes do not share.  Only q^b is read:
+    every series is cut at q^b and the residue is read at q^b alone
+    (`BiSeries.mul_coeff`), against the context's Ft^-1.  At b = 0 the
+    block is 0 and the residue side is not, so b = 0 is refused."""
     md = ctx.md
     _check_range(md, b)
     if b == 0:
-        raise ValueError("residue-route type B oracle needs b >= 1")
+        raise ValueError("residue route of the n/24 block needs b >= 1")
     p = 1 + md.nu * b
     ft = ctx.ftilde_hbar().truncate(b)
-    res0_main = _residue_against_g(
+    main = _residue_against_g(
         md, ft - fp_series(ctx.tables, ft, p, +1), b, ctx.ftilde_hbar_inv())
-    resinf_main = -f_residue_series(ctx, b)
-    res0_poly, resinf_poly = _type_b_poly_parts(ctx, b)
-    return Fraction(prod(md.degrees), 24) \
-        * (res0_main + resinf_main - res0_poly - resinf_poly)
+    return Fraction(prod(md.degrees), md.n) \
+        * (main - _type_b_poly_parts(ctx, b))
 
 
-def _type_b_poly_parts(ctx: FanoContext, b: int) -> tuple[Rat, Rat]:
-    """The parts `type_b_by_residues` subtracts when it moves the
-    residue at h = -d to h = 0 and infinity: its two residues with Ft
-    replaced by 1 (D^l 1 = 1).  As p = 1 + nu*b, slice q^b of 1 - F_p
-    is -(ct[p,0,b] h + ct[p,1,b]) in hbar and -(ct[p,0,b]/w + ct[p,1,b])
-    in w, so they are -(ct[p,0,b] G_{-2} + ct[p,1,b] G_{-1}) at h = 0
-    and ct[p,0,b] front_{n-1-r} + ct[p,1,b] front_{n-2-r} at infinity."""
+def _type_b_poly_parts(ctx: FanoContext, b: int) -> Rat:
+    """The polynomial part that `n24_by_residue` subtracts from the
+    residue at h = 0: that residue with Ft replaced by 1 (D^l 1 = 1).
+    As p = 1 + nu*b, slice q^b of 1 - F_p is -(ct[p,0,b] h + ct[p,1,b])
+    in hbar, so it is -(ct[p,0,b] G_{-2} + ct[p,1,b] G_{-1})."""
     md = ctx.md
     p = 1 + md.nu * b
-    ct0, ct1 = ctx.tables.ctilde(p, 0, b), ctx.tables.ctilde(p, 1, b)
-    g, front, top = _g_expansion(md, -1), _front(ctx), md.n - 1 - md.r
-    return (-(ct0 * g.coeff(-2) + ct1 * g.coeff(-1)),
-            ct0 * front.coeff(top) + ct1 * front.coeff(top - 1))
+    g = _g_expansion(md, -1)
+    return -(ctx.tables.ctilde(p, 0, b) * g.coeff(-2)
+             + ctx.tables.ctilde(p, 1, b) * g.coeff(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -638,6 +638,13 @@ class BiSeries:
             hs.append(h)
         return BiSeries(sl, hs)
 
+    def _band(self, other: "BiSeries", b: int, e: int) -> LaurentPoly:
+        """Slice b of self * other read in the band [e, e], or
+        WindowUnderflow when aux^e is past its window."""
+        c, h = _convolve_slices(self._product_terms(other, b), e, e)
+        _check_window(b, e, h)
+        return c
+
     def mul_coeff(self, other: "BiSeries", b: int, e: int) -> Rat:
         """(self * other).coeff(b, e), with the same window and the same
         WindowUnderflow: slice b of the product read in the band [e, e]
@@ -645,15 +652,16 @@ class BiSeries:
         n = min(self.order, other.order)
         if not 0 <= b <= n:
             raise WindowUnderflow(f"q^{b} slice beyond truncation order {n}")
-        c, h = _convolve_slices(self._product_terms(other, b), e, e)
-        _check_window(b, e, h)
-        return c.coeff(e)
+        return self._band(other, b, e).coeff(e)
 
     def mul_coeff_of_aux(self, other: "BiSeries", e: int) -> QSeries:
         """The aux^e coefficients of self * other across q-powers, as a
-        QSeries: `mul_coeff` at each q-power."""
+        QSeries: the band [e, e] of each q-power, moved to q^b and summed
+        on the stored integers."""
         n = min(self.order, other.order)
-        return QSeries(n, [self.mul_coeff(other, b, e) for b in range(n + 1)])
+        return QSeries.from_poly(n, sum_of_products(
+            (self._band(other, b, e).shift(b - e), _ONE)
+            for b in range(n + 1)))
 
     def inv(self) -> "BiSeries":
         """Inverse of a series whose q^0 slice is a unit: nonzero at

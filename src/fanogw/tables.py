@@ -14,8 +14,7 @@ builds each slice from the one before it,
 one `linear_product` of |d| factors, one `poly_mul` and one `poly_div`
 by a denominator of degree n per slice.  With every factor reversed and
 (w + beta)^n - w^n below, the same chain gives the Ft(1/hbar) slices of
-`hyper.ftilde_hbar`.  No Ft(w) slice is built: below w^n it is the F(w)
-slice (`invariants.f_residue_series` says why that is enough).
+`hyper.ftilde_hbar`.
 
 The c numbers are c[p,l,beta] = [w^l] (w + beta)^p base_beta(w); no c
 table is stored, `CoeffTables.c_entry` reads each entry on demand as

@@ -580,21 +580,14 @@ def residue_against_g_by_terms(md, series):
 
 
 def type_b_poly_parts_by_unit_series(ctx, b):
-    """The two polynomial parts of type B's residue route, read off F_p
-    of the unit series `bi_one(b)` (D^l 1 = 1): the G residue of
-    1 - F_p(1/hbar) at q^b, by `residue_against_g_by_terms`, and the
-    q^b w^{n-2-r} coefficient of -front * (1 - F_p(w)), the front
-    (1+w)^n / prod(1 + d_k w) known up to w^{n-1-r}, where slice b of
-    F_p starts at w^-1."""
+    """The polynomial part of the residue at h = 0 that
+    `invariants.n24_by_residue` subtracts, read off F_p of the unit
+    series `bi_one(b)` (D^l 1 = 1): the G residue of 1 - F_p(1/hbar) at
+    q^b, by `residue_against_g_by_terms`."""
     md = ctx.md
-    p, target = 1 + md.nu * b, md.n - 2 - md.r
     one = bi_one(b)
-    res0 = residue_against_g_by_terms(
-        md, one - fp_series(ctx.tables, one, p, +1)).coeff(b)
-    head = BiSeries([_ch_coeffs(md, target + 1)] + [LaurentPoly.zero()] * b,
-                    [target + 1] + [INF_EXP] * b)
-    resinf = -head.mul_coeff(one - fp_series(ctx.tables, one, p, -1), b, target)
-    return res0, resinf
+    return residue_against_g_by_terms(
+        md, one - fp_series(ctx.tables, one, 1 + md.nu * b, +1)).coeff(b)
 
 
 def f_bracket_reference(ctx, p):

@@ -124,9 +124,9 @@ def test_qseries_results_are_canonical_and_read_as_the_reference(
 
 def test_the_hot_path_never_lifts(monkeypatch):
     """With operands built, products, inverses, capped sums of
-    products, F_p and the QSeries ring operations run on the stored
-    integers: `_lift`, the entry point for outside data, is never
-    called."""
+    products, one-coefficient reads, F_p and the QSeries ring operations
+    run on the stored integers: `_lift`, the entry point for outside
+    data, is never called."""
     md = MultiDegree(6, (2, 3))
     ctx = FanoContext(md, 4)
     tables, f0, ft = ctx.tables, f_w_whole(md, 4, 7), ftilde_hbar(md, 4, 6)
@@ -139,6 +139,7 @@ def test_the_hot_path_never_lifts(monkeypatch):
                 sum_of_products(list(zip(f0.slices, ft.slices)), 5),
                 (f0.slice(2) + ft.slice(2)) * ft.slice(1) * Fraction(3, 7),
                 shift_aux(f0, -2).mul_coeff(ft, 3, -1),
+                fp_series(tables, ft, 3, +1).mul_coeff_of_aux(ft.inv(), 1),
                 (L * phi0 / phi0 - L.pow(Fraction(1, 2)) / L + 1)
                 .euler())
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanogw import hyper
+from fanogw import checks, hyper
 from fanogw.checks import check_theta_routes, check_w_regular, default_grid
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import (CtSums, FanoContext, fp_series, ftilde_hbar, f_w,
@@ -234,6 +234,29 @@ def test_theta_residue_route_builds_no_whole_product(monkeypatch):
     for md in (MD53, MD722, MultiDegree(6, (2, 3))):
         assert check_theta_routes(md, 6), md
     assert calls == {}
+
+
+def test_theta_routes_start_at_p_1(monkeypatch):
+    """At p = 0 the closed Theta is Phi0 and Phi1 exactly (s0 = 1 and
+    s1 = s2 = s3 = 0), on the default grid at orders 0, 3, 8 and 10, so
+    `check_theta_routes` leaves p = 0 to `check_phi_routes`: it makes no
+    `theta_by_residue(ctx, 0, level)` call."""
+    for md in default_grid():
+        for order in (0, 3, 8, 10):
+            ctx = FanoContext(md, order)
+            assert ctx.theta(0, 0) == ctx.phi0(), (md.label(), order)
+            assert ctx.theta(0, 1) == ctx.phi1(), (md.label(), order)
+    powers = []
+
+    def recording(ctx, p, level):
+        powers.append(p)
+        return theta_by_residue(ctx, p, level)
+
+    monkeypatch.setattr(checks, "theta_by_residue", recording)
+    for md in default_grid():
+        powers.clear()
+        assert check_theta_routes(md, 3), md.label()
+        assert sorted(set(powers)) == list(range(1, md.n)), md.label()
 
 
 def test_theta_dual_route_and_specials():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanogw import hyper, invariants
+from fanogw import checks, hyper, invariants
 from fanogw.checks import (check_degree0, check_three_path,
                            check_type_b_residue_oracle, check_w_regular,
                            default_grid, run_geometry_suite)
@@ -18,9 +18,9 @@ from fanogw.hyper import (FanoContext, fp_series, ftilde_hbar, mu_by_residue,
 from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                a_series, chern_degree0_oracle, context_for,
                                f_residue_series, invariant_row,
-                               invariant_table, n24_block, reduced_invariant,
-                               standard_invariant, svr_difference, type_a,
-                               type_b, type_b_by_residues)
+                               invariant_table, n24_block, n24_by_residue,
+                               reduced_invariant, standard_invariant,
+                               svr_difference, type_a, type_b)
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
 from fanogw.tables import CoeffTables
 
@@ -242,11 +242,9 @@ def test_g_residue_reads_a_right_factor_at_one_coefficient():
 
 
 def test_residue_route_keeps_one_ft_inverse_per_context(monkeypatch):
-    """`type_b_by_residues` and `mu_by_residue` read one Ft(1/hbar)^-1
-    per context, inverted at its full order and cut at each degree: the
-    one inverse with negative exponents (the hbar side; the main part at
-    infinity inverts F(w)_0, which has none) is of the context's
-    Ft(1/hbar)."""
+    """`n24_by_residue` and `mu_by_residue` read one Ft(1/hbar)^-1 per
+    context, inverted at its full order and cut at each degree: the one
+    inverse they make is of the context's Ft(1/hbar)."""
     inverted = []
     inv = BiSeries.inv
 
@@ -258,10 +256,9 @@ def test_residue_route_keeps_one_ft_inverse_per_context(monkeypatch):
     ctx = context_for(MD722, MD722.bmax)
     ft = ctx.ftilde_hbar()
     for b in range(1, MD722.bmax + 1):
-        type_b_by_residues(ctx, b)
+        n24_by_residue(ctx, b)
     assert mu_by_residue(ctx).matches(ctx.mu())
-    hbar_side = [s for s in inverted if any(x.lo < 0 for x in s.slices)]
-    assert len(hbar_side) == 1 and hbar_side[0] is ft
+    assert len(inverted) == 1 and inverted[0] is ft
     assert ft.order == ctx.order
 
 
@@ -292,7 +289,7 @@ def test_the_q_order_is_the_least():
         for b in range(1, md.bmax + 1):
             ctx = context_for(md, b - 1)
             assert ctx.order == b - 1
-            for read in (type_a, n24_block, type_b, type_b_by_residues,
+            for read in (type_a, n24_block, type_b, n24_by_residue,
                          svr_difference):
                 with pytest.raises(WindowUnderflow):
                     read(ctx, b)
@@ -309,17 +306,17 @@ def test_type_b_residue_oracle_nu_ge_2():
     for md in (MD53, MD722, MultiDegree(6, (3,))):
         ctx = context_for(md, md.bmax)
         for b in range(1, md.bmax + 1):
-            assert type_b(ctx, b) == type_b_by_residues(ctx, b)
+            assert n24_block(ctx, b) == n24_by_residue(ctx, b)
 
 
 def test_type_b_residue_route_at_index_one():
-    """The residue route needs no nu >= 2: it equals the rows route on
+    """The residue route needs no nu >= 2: it equals the n/24 block on
     every row b >= 1 of X_6(2,3) and X_8(7)."""
     for md in (MD623, MultiDegree(8, (7,))):
         assert md.nu == 1
         ctx = context_for(md, md.bmax)
         for b in range(1, md.bmax + 1):
-            assert type_b(ctx, b) == type_b_by_residues(ctx, b), (md, b)
+            assert n24_block(ctx, b) == n24_by_residue(ctx, b), (md, b)
 
 
 def test_hbar_window_is_the_least(monkeypatch):
@@ -359,9 +356,9 @@ def test_fp_w_window_is_the_least(monkeypatch):
 
 
 def test_type_b_poly_parts_are_the_unit_series_reads():
-    """Type B's residue route reads its polynomial parts as two ct
-    entries against two coefficients of G and of the front; they equal
-    the reads of F_p on the unit series
+    """The residue route of the n/24 block reads its polynomial part as
+    two ct entries against two coefficients of G; it equals the read of
+    F_p on the unit series
     (`helpers.type_b_poly_parts_by_unit_series`) on every row b >= 1 of
     every valid geometry with n <= 12 and r <= 3."""
     rows = 0
@@ -375,30 +372,49 @@ def test_type_b_poly_parts_are_the_unit_series_reads():
 
 
 def test_corrupted_type_b_parts_fail_the_residue_oracle(monkeypatch):
-    """The residue route of type B reads no piece of the rows route's
-    closed rows: a ct residue row off by 1, or polynomial parts off by
-    1, fails `check_type_b_residue_oracle` on every nu >= 2 geometry of
-    the default grid."""
+    """The residue route of the n/24 block shares no piece of the
+    block: a polynomial part at h = 0 off by 1, or the n/24 block
+    doubled, fails `check_type_b_residue_oracle` on every nu >= 2
+    geometry of the default grid, where n24_block(1) is nonzero."""
     grid = [md for md in default_grid() if md.nu >= 2]
-    assert grid and all(check_type_b_residue_oracle(md) for md in grid)
-    for name, bad in (
-            ("ct_residue_row", lambda real: lambda ctx, b: real(ctx, b) + 1),
-            ("_type_b_poly_parts", lambda real: lambda ctx, b: tuple(
-                x + 1 for x in real(ctx, b)))):
-        with monkeypatch.context() as m:
-            m.setattr(invariants, name, bad(getattr(invariants, name)))
-            assert not any(check_type_b_residue_oracle(md) for md in grid), name
+    assert len(grid) == 5 and all(check_type_b_residue_oracle(md)
+                                  for md in grid)
+    assert all(n24_block(context_for(md, 1), 1) != 0 for md in grid)
+    with monkeypatch.context() as m:
+        real = invariants._type_b_poly_parts
+        m.setattr(invariants, "_type_b_poly_parts",
+                  lambda ctx, b: real(ctx, b) + 1)
+        assert not any(check_type_b_residue_oracle(md) for md in grid)
+    with monkeypatch.context() as m:
+        real = invariants.n24_block
+        for module in (invariants, checks):
+            m.setattr(module, "n24_block", lambda ctx, b: 2 * real(ctx, b))
+        assert not any(check_type_b_residue_oracle(md) for md in grid)
 
 
-def test_residue_oracle_reads_the_rows_routes_bracket(monkeypatch):
-    """The main part at infinity of the residue route is the rows
-    route's F-bracket, numerator included: on each nu >= 2 default-grid
-    geometry `check_type_b_residue_oracle` builds w-side F_p once per
-    degree (bmax calls, where an Ft(w) bracket of its own took 2 bmax)
-    and builds no F(w) whole: every `hyper.f_w` call reads the tables
-    of a context."""
-    w_side, read, contexts = [], [], []
-    fp, f_w, init = invariants.fp_series, hyper.f_w, FanoContext.__init__
+def test_corrupted_ct_residue_row_fails_degree0_and_three_path(monkeypatch):
+    """A ct residue row off by 1 moves the standard invariant and type B
+    alike, so `consistent` holds; it fails the `degree0-chern` and
+    `three-path-consistency` verdicts of the suite (degree 0 against the
+    Chern oracle, degree 1 against the vanishing of the reduced
+    invariant) on every default-grid geometry."""
+    real = invariants.ct_residue_row
+    monkeypatch.setattr(invariants, "ct_residue_row",
+                        lambda ctx, b: real(ctx, b) + 1)
+    for md in default_grid():
+        verdicts = {r.name: r.ok for r in run_geometry_suite(md)}
+        assert not verdicts["degree0-chern"], md.label()
+        assert not verdicts["three-path-consistency"], md.label()
+
+
+def test_residue_oracle_reads_no_f_w_and_one_inverse(monkeypatch):
+    """The residue oracle reads no piece of the F-bracket: on each
+    nu >= 2 default-grid geometry `check_type_b_residue_oracle` makes no
+    `hyper.f_w` call, no w-side `fp_series` call, and one
+    `BiSeries.inv`, of its context's Ft(1/hbar)."""
+    w_side, f_ws, inverted, contexts = [], [], [], []
+    fp, f_w, inv = hyper.fp_series, hyper.f_w, BiSeries.inv
+    init = FanoContext.__init__
 
     def recording_fp(tables, base, p, shift):
         if shift == -1:
@@ -406,31 +422,39 @@ def test_residue_oracle_reads_the_rows_routes_bracket(monkeypatch):
         return fp(tables, base, p, shift)
 
     def recording_f_w(tables, his):
-        read.append(tables)
+        f_ws.append(his)
         return f_w(tables, his)
+
+    def recording_inv(self):
+        inverted.append(self)
+        return inv(self)
 
     def recording_init(self, *args):
         init(self, *args)
         contexts.append(self)
 
-    monkeypatch.setattr(invariants, "fp_series", recording_fp)
+    for module in (hyper, invariants):
+        monkeypatch.setattr(module, "fp_series", recording_fp)
     monkeypatch.setattr(hyper, "f_w", recording_f_w)
+    monkeypatch.setattr(BiSeries, "inv", recording_inv)
     monkeypatch.setattr(FanoContext, "__init__", recording_init)
-    for md in default_grid():
-        if md.nu < 2:
-            continue
-        w_side.clear()
+    grid = [md for md in default_grid() if md.nu >= 2]
+    assert len(grid) == 5
+    for md in grid:
+        for calls in (w_side, f_ws, inverted, contexts):
+            calls.clear()
         assert check_type_b_residue_oracle(md), md.label()
-        assert len(w_side) == md.bmax, md.label()
-    assert read
-    assert all(any(t is ctx.tables for ctx in contexts) for t in read)
+        assert w_side == [] and f_ws == [], md.label()
+        assert len(contexts) == 1, md.label()
+        assert len(inverted) == 1, md.label()
+        assert inverted[0] is contexts[0].ftilde_hbar(), md.label()
 
 
 def test_f_w_reads_stay_below_w_n(monkeypatch):
-    """Every base slice the F-bracket reads is cut below w^n, where
-    Ft(w) and F(w) agree (`f_residue_series`): over `invariant_table`
-    and `check_type_b_residue_oracle` on every valid geometry with
-    n <= 12 and r <= 3, no `CoeffTables.base` read asks past w^(n-1)."""
+    """Every base slice the F-bracket reads is cut below w^n: over
+    `invariant_table` and `check_type_b_residue_oracle` on every valid
+    geometry with n <= 12 and r <= 3, no `CoeffTables.base` read asks
+    past w^(n-1)."""
     caps = []
     base = CoeffTables.base
 
@@ -464,8 +488,8 @@ def _corrupt_f_w(monkeypatch):
 def test_corrupted_f_w_fails_w_regularity_and_three_path(monkeypatch):
     """A corrupted F(w) (`_corrupt_f_w`) fails the `w-regularity` and
     `three-path-consistency` verdicts of the suite on every default-grid
-    geometry.  `type-b-residue-oracle` still passes: both of its routes
-    read that one F-bracket."""
+    geometry.  `type-b-residue-oracle` still passes: it reads no
+    F(w)."""
     _corrupt_f_w(monkeypatch)
     for md in default_grid():
         verdicts = {r.name: r.ok for r in run_geometry_suite(md)}
@@ -494,12 +518,19 @@ def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
 
 
 def test_type_b_residue_route_rejects_degree_zero():
-    """At b = 0 the residue route would give 0, not type B (X_5(3):
-    type B is -1/2 there), so it refuses b = 0."""
+    """At b = 0 the residue side is not the n/24 block: on X_5(3) the
+    block is 0 and prod(d)/n times the residue at h = 0 less its
+    polynomial part is (n-1)/2 - sum 1/d_k = 5/3, so the residue route
+    refuses b = 0."""
     ctx = context_for(MD53, 1)
-    assert type_b(ctx, 0) == Fraction(-1, 2)
+    ft = ctx.ftilde_hbar().truncate(0)
+    main = _residue_against_g(MD53, ft - fp_series(ctx.tables, ft, 1, +1), 0,
+                              ctx.ftilde_hbar_inv())
+    residue_side = Fraction(3, 5) * (main - invariants._type_b_poly_parts(ctx, 0))
+    assert n24_block(ctx, 0) == 0
+    assert residue_side == Fraction(5, 3)
     with pytest.raises(ValueError, match="b >= 1"):
-        type_b_by_residues(ctx, 0)
+        n24_by_residue(ctx, 0)
 
 
 def test_type_b_degree0_is_residue_row_only():
