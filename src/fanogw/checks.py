@@ -33,6 +33,10 @@ from .series import QSeries
 from .sums import check_proven_identities, sums_by_degree, tables_for_sums
 from .tables import CoeffTables
 
+#: the beta bound of `check_sum_lemmas`, and the extra q-order at which
+#: `check_truncation_stability` recomputes the invariant table
+SUM_LEMMA_BETA_MAX, TRUNCATION_PAD = 3, 2
+
 #: the standard verification grid (the last geometry has index 1)
 GRID: tuple = ((5, (3,)), (6, (3,)), (7, (3,)), (7, (2, 2)), (9, (2, 2)),
                (6, (2, 3)))
@@ -147,13 +151,13 @@ def check_type_b_residue_oracle(md: MultiDegree) -> bool:
                for b in range(1, md.bmax + 1))
 
 
-def check_sum_lemmas(md: MultiDegree, beta_max: int = 3) -> bool:
+def check_sum_lemmas(md: MultiDegree) -> bool:
     return all(c.ok for c in check_proven_identities(
-        sums_by_degree(tables_for_sums(md, beta_max))))
+        sums_by_degree(tables_for_sums(md, SUM_LEMMA_BETA_MAX))))
 
 
-def check_truncation_stability(md: MultiDegree, extra: int = 2) -> bool:
-    return invariant_table(md) == invariant_table(md, pad=extra)
+def check_truncation_stability(md: MultiDegree) -> bool:
+    return invariant_table(md) == invariant_table(md, pad=TRUNCATION_PAD)
 
 
 def check_convolution(tables: CoeffTables) -> bool:
@@ -188,7 +192,7 @@ def run_geometry_suite(md: MultiDegree, pad: int = 0) -> list[CheckResult]:
         ("svr-vanishing", lambda: check_svr_vanishing(md)),
         ("a-double-residue", lambda: check_a_double_residue(md, 6 + pad)),
         ("type-b-residue-oracle", lambda: check_type_b_residue_oracle(md)),
-        ("structure-sum-lemmas", lambda: check_sum_lemmas(md, 3)),
+        ("structure-sum-lemmas", lambda: check_sum_lemmas(md)),
         ("truncation-stability", lambda: check_truncation_stability(md)),
         ("convolution-identity", lambda: check_convolution(tables)),
     ]

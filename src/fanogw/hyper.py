@@ -29,8 +29,8 @@ as one kernel pair sum of the four ct-L sums against those weights.
 The context owns its hbar and F_p windows, so no reader passes one: one
 hbar window order + 1 for every series route (`ftilde_hbar`,
 `ftilde_hbar_inv`), F_p(w) at F's window p - 1 (`fp_w`).  F(w) is
-kept per window tuple (`FanoContext.f_w`), and the F-bracket derives its
-tuples (`invariants`).  A read past a window raises WindowUnderflow.
+kept once (`FanoContext.f_w`), and each reader cuts it (`BiSeries.cut`).
+A read past a window raises WindowUnderflow.
 """
 
 from __future__ import annotations
@@ -54,22 +54,23 @@ def ftilde_hbar(md: MultiDegree, order: int, hi: int) -> BiSeries:
     """Ft(1/hbar, q): the q^beta slice is
     prod_k prod_i (d_k + i*hbar) / prod_j ((1 + j*hbar)^n - 1),
     a Laurent series with lowest exponent -beta: the reversed Ft chain
-    of `tables.slice_chain`, slice beta read up to hbar^(hi+beta)
-    before its shift."""
-    slices = slice_chain(md, [hi + beta for beta in range(order + 1)],
-                         hbar=True)
+    of `tables.slice_chain` carried to hbar^(hi+order), each slice cut
+    at hbar^hi after its shift."""
+    slices = slice_chain(md, order + 1, hi + order, hbar=True)
     return BiSeries([s.shift(-beta) for beta, s in enumerate(slices)],
                     [hi] * (order + 1))
 
 
-def f_w(tables: CoeffTables, his) -> BiSeries:
-    """F(w, q) with slice k cut at w^his[k], for k < len(his): w^(nu k)
-    times the base slice k of the tables (`CoeffTables.base`), zero when
-    his[k] < nu k.  A context's tables reach w^(n + nu k): F-bracket
-    windows stay below that, so F builds no slice of its own."""
-    nu, base = tables.md.nu, tables.base
-    return BiSeries([base(k, h - nu * k).shift(nu * k) if h >= nu * k
-                     else LaurentPoly.zero() for k, h in enumerate(his)], his)
+def f_w(tables: CoeffTables, order: int) -> BiSeries:
+    """F(w, q) to q^order on the tables: slice k is w^(nu k) times the
+    stored base slice k (`CoeffTables.base`), known up to w^(p_max + nu k),
+    and past the stored slices zero, known up to w^(nu k - 1).  Readers
+    cut it (`BiSeries.cut`), so F builds no slice of its own."""
+    nu, top = tables.md.nu, tables.p_max // tables.md.nu
+    return BiSeries([tables.base(k).shift(nu * k) if k <= top
+                     else LaurentPoly.zero() for k in range(order + 1)],
+                    [tables.p_max + nu * k if k <= top else nu * k - 1
+                     for k in range(order + 1)])
 
 
 def exp_neg_mu_over_aux(mu: QSeries) -> BiSeries:
@@ -231,11 +232,10 @@ class FanoContext:
         the n/24 block (`invariants.n24_by_residue`)."""
         return self.memo(("ftinv",), lambda: self.ftilde_hbar().inv())
 
-    def f_w(self, his: tuple) -> BiSeries:
-        """F with slice k cut at his[k] for k < len(his), the slices
-        above dropped (`f_w` on the context's tables); kept per window
-        tuple."""
-        return self.memo(("fw", his), lambda: f_w(self.tables, his))
+    def f_w(self) -> BiSeries:
+        """F(w, q) at the context's order on its tables (`f_w`), kept
+        once: every reader takes its own cut (`BiSeries.cut`)."""
+        return self.memo(("fw",), lambda: f_w(self.tables, self.order))
 
     def fp_hbar(self, p: int) -> BiSeries:
         return self.memo(("fph", p),
@@ -245,7 +245,7 @@ class FanoContext:
         """F_p(w, q) on F at window p - 1, the least at which every
         negative w power is known: F_p's window falls up to p below F's."""
         return self.memo(("fpw", p),
-                         lambda: fp_series(self.tables, self.f_w(
+                         lambda: fp_series(self.tables, self.f_w().cut(
                              (p - 1,) * (self.order + 1)), p, -1))
 
     def exp_neg_mu(self) -> BiSeries:

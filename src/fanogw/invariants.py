@@ -14,7 +14,7 @@ b >= 1 at every index; and `chern_degree0_oracle`, which shares no code
 with the degree-0 row.  Everything is exact.  The hbar-side reads (the
 double residue, the residue at h = 0) take the context's one hbar
 window (`fanogw.hyper`); the w side reads the F-bracket at w^{n-2-r}
-from slices cut at the windows `_bracket_numerator` derives.
+from cuts of the context's one F(w) (`FanoContext.f_w`).
 
 A degree-b invariant reads one coefficient.  Each reader of q^b cuts its
 series at b and reads the last product through `BiSeries.mul_coeff` or
@@ -224,7 +224,7 @@ def f_residue_series(ctx: FanoContext, b: int) -> Rat:
     the benchmark's trace pins, so it waits for their re-pin."""
     target = ctx.md.n - 2 - ctx.md.r
     return _bracket_numerator(ctx, b).mul_coeff(
-        ctx.f_w((target,) * (b + 1)).inv(), b, target)
+        ctx.f_w().cut((target,) * (b + 1)).inv(), b, target)
 
 
 def _bracket_numerator(ctx: FanoContext, b: int) -> BiSeries:
@@ -241,8 +241,8 @@ def _bracket_numerator(ctx: FanoContext, b: int) -> BiSeries:
     target = md.n - 2 - md.r
 
     def build():
-        f0 = ctx.f_w(tuple(max(target + p - md.nu * (b - k), p - 1)
-                           for k in range(b + 1)))
+        f0 = ctx.f_w().cut(tuple(max(target + p - md.nu * (b - k), p - 1)
+                                 for k in range(b + 1)))
         fp = fp_series(ctx.tables, f0, p, -1)
         front = _q0_series(_front(ctx).cut_above(target), target, b)
         return front * (f0 - fp)
@@ -312,9 +312,8 @@ def n24_by_residue(ctx: FanoContext, b: int) -> Rat:
     if b == 0:
         raise ValueError("residue route of the n/24 block needs b >= 1")
     p = 1 + md.nu * b
-    ft = ctx.ftilde_hbar().truncate(b)
-    main = _residue_against_g(
-        md, ft - fp_series(ctx.tables, ft, p, +1), b, ctx.ftilde_hbar_inv())
+    ft, fp = ctx.ftilde_hbar().truncate(b), ctx.fp_hbar(p).truncate(b)
+    main = _residue_against_g(md, ft - fp, b, ctx.ftilde_hbar_inv())
     return Fraction(prod(md.degrees), md.n) \
         * (main - _type_b_poly_parts(ctx, b))
 

@@ -599,16 +599,25 @@ class BiSeries:
         _check_window(beta, e, self.his[beta])
         return s.coeff(e)
 
+    def cut(self, his) -> "BiSeries":
+        """The first len(his) slices, slice k cut at aux^his[k]: exact,
+        as `truncate` says.  A window past slice k's own, or more slices
+        than the series holds, raises WindowUnderflow."""
+        if len(his) > len(self.his):
+            raise WindowUnderflow(f"cannot extend truncation order "
+                                  f"{self.order} to {len(his) - 1}")
+        for k, (h, known) in enumerate(zip(his, self.his)):
+            _check_window(k, h, known)
+        return BiSeries(self.slices[: len(his)], his)
+
     def truncate(self, order: int) -> "BiSeries":
-        """The slices q^0..q^order with their windows: exact, since slice
-        b of a sum, product, inverse or `hyper.fp_series` reads only
-        slices <= b."""
-        if order > self.order:
-            raise WindowUnderflow(
-                f"cannot extend truncation order {self.order} to {order}")
+        """The slices q^0..q^order with their windows (`cut`): exact,
+        since slice b of a sum, product, inverse or `hyper.fp_series`
+        reads only slices <= b."""
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        return BiSeries(self.slices[: order + 1], self.his[: order + 1])
+        past = (INF_EXP,) * (order - self.order)  # more than self holds
+        return self.cut(self.his[: order + 1] + past)
 
     # -- arithmetic
 

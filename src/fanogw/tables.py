@@ -20,8 +20,8 @@ The c numbers are c[p,l,beta] = [w^l] (w + beta)^p base_beta(w); no c
 table is stored, `CoeffTables.c_entry` reads each entry on demand as
 sum_j C(p,j) beta^(p-j) base_beta[l-j].  Only the base slices the ct
 solve reads (beta <= p_max // nu, up to w^p_max) are stored, and
-`CoeffTables.base` hands out those alone, to the c reads and to the F(w)
-slices of `hyper.f_w` (slices k <= (n-1)//nu, cut below w^n).
+`CoeffTables.base` hands out those alone, whole: to the c reads and to
+the one F(w) of `hyper.f_w`, which each reader cuts at its own window.
 
 The ct numbers invert them through the convolution
 
@@ -58,11 +58,10 @@ from .series import (LaurentPoly, Rat, WindowUnderflow, linear_product,
 _ONE = LaurentPoly.from_ints(0, (1,))
 
 
-def slice_chain(md: MultiDegree, caps,
+def slice_chain(md: MultiDegree, count: int, cap: int,
                 hbar: bool = False) -> list[LaurentPoly]:
-    """Slices 0, 1, ..., len(caps)-1 of F(w, q) without their
-    w^{nu*beta}, slice beta cut at w^caps[beta], each built from the
-    one before it; slice 0 is 1.
+    """Slices 0..count-1 of F(w, q) without their w^{nu*beta}, each cut
+    at w^cap >= w^0 and built from the one before it; slice 0 is 1.
 
     Slice beta is slice beta-1 times the |d| new numerator factors
     d_k w + i, d_k(beta-1) < i <= d_k beta, over (w + beta)^n.  With
@@ -71,20 +70,17 @@ def slice_chain(md: MultiDegree, caps,
     d_k + i*hbar and the denominator ((1 + beta*hbar)^n - 1)/hbar, so
     the chain gives the Ft(1/hbar) slices before their shift by
     hbar^-beta.  Every factor has lowest exponent 0, so a capped step is
-    exact up to its cap: the chain is carried at the largest cap, and
-    each slice is cut at its own."""
-    n, s, out, top = md.n, _ONE, [], max(caps)
-    for b, cap in enumerate(caps):
-        if b:
-            pairs = [(i, d) for d in md.degrees
-                     for i in range(d * (b - 1) + 1, d * b + 1)]
-            den = [comb(n, t) * b**(n - t) for t in range(n + (not hbar))]
-            if hbar:
-                pairs, den = [(d, i) for i, d in pairs], den[::-1]
-            num = linear_product(pairs, top)
-            s = poly_div(poly_mul(s, num, top) if b > 1 else num,
-                         LaurentPoly.from_ints(0, den), top)
-        out.append(s.cut_above(cap))
+    exact up to its cap; a reader that needs a slice shorter cuts it."""
+    n, out = md.n, [_ONE]
+    for b in range(1, count):
+        pairs = [(i, d) for d in md.degrees
+                 for i in range(d * (b - 1) + 1, d * b + 1)]
+        den = [comb(n, t) * b**(n - t) for t in range(n + (not hbar))]
+        if hbar:
+            pairs, den = [(d, i) for i, d in pairs], den[::-1]
+        num = linear_product(pairs, cap)
+        out.append(poly_div(poly_mul(out[-1], num, cap) if b > 1 else num,
+                            LaurentPoly.from_ints(0, den), cap))
     return out
 
 
@@ -101,8 +97,7 @@ class CoeffTables:
         self.md = md
         self.p_max = p_max
         self.beta_max = beta_max
-        self._base = slice_chain(
-            md, [p_max] * (min(beta_max, p_max // md.nu) + 1))
+        self._base = slice_chain(md, min(beta_max, p_max // md.nu) + 1, p_max)
         self._ct = {}
         self._shifted = {}
         for p in range(p_max + 1):
@@ -127,19 +122,19 @@ class CoeffTables:
             raise WindowUnderflow(
                 f"c({p},{l},{beta}) beyond built bounds "
                 f"(p, l<={self.p_max}, beta<={self.beta_max})")
-        base = self.base(beta, self.p_max)
+        base = self.base(beta)
         return (sum(comb(p, j) * beta**(p - j) * base.nums[l - j - base.lo]
                     for j in range(max(l - base.hi, 0),
                                    min(p, l - base.lo) + 1)),
                 base.den)
 
-    def base(self, beta: int, cap: int) -> LaurentPoly:
-        """The stored base_beta(w), known up to w^p_max >= w^cap; a read
+    def base(self, beta: int) -> LaurentPoly:
+        """The stored base_beta(w), whole, known up to w^p_max; a read
         past the stored slices raises WindowUnderflow."""
-        if beta >= len(self._base) or cap > self.p_max:
+        if beta >= len(self._base):
             raise WindowUnderflow(
-                f"base slice {beta} to w^{cap} beyond stored slices "
-                f"(beta<={len(self._base) - 1}, w^{self.p_max})")
+                f"base slice {beta} beyond stored slices "
+                f"(beta<={len(self._base) - 1})")
         return self._base[beta]
 
     def ct_row(self, p: int, beta: int) -> LaurentPoly:

@@ -402,10 +402,9 @@ def a_by_theta_products(ctx):
 def f_w_whole(md, order, hi):
     """F(w, q) built whole, every slice q^0..q^order at window hi, past
     any context's tables: w^{nu*beta} in front of slice beta of
-    `tables.slice_chain`, run on caps max(hi - nu*beta, 0)."""
+    `tables.slice_chain`, run at the one cap hi."""
     nu = md.nu
-    slices = slice_chain(
-        md, [max(hi - nu * beta, 0) for beta in range(order + 1)])
+    slices = slice_chain(md, order + 1, hi)
     return BiSeries([s.shift(nu * beta) for beta, s in enumerate(slices)],
                     [hi] * (order + 1))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fanogw import checks, hyper
 from fanogw.checks import check_theta_routes, check_w_regular, default_grid
 from fanogw.geometry import MultiDegree
-from fanogw.hyper import (CtSums, FanoContext, fp_series, ftilde_hbar, f_w,
+from fanogw.hyper import (CtSums, FanoContext, fp_series, ftilde_hbar,
                           mu_by_residue, theta_by_residue)
 from fanogw.series import (INF_EXP, BiSeries, LaurentPoly, QSeries,
                            WindowUnderflow)
@@ -66,7 +66,7 @@ def test_ftilde_hbar_slices():
 
 
 def test_f_w_slices():
-    fw = f_w(FanoContext(MD53, 2).tables, (5, 5, 5))
+    fw = FanoContext(MD53, 2).f_w().cut((5, 5, 5))
     assert fw.slice(0).coeff(0) == 1 and fw.slice(0).hi == 0
     # lowest w-exponent of the q^beta slice is nu*beta
     assert fw.slice(1).lo == 2 and fw.slice(2).lo == 4
@@ -128,7 +128,7 @@ def test_fp_of_the_unit_series_is_the_ct_polynomial():
 
 def test_fp_specials():
     ctx = FanoContext(MD53, 3)
-    ft, f = ftilde_hbar(MD53, 3, 5), ctx.f_w((5,) * 4)
+    ft, f = ftilde_hbar(MD53, 3, 5), ctx.f_w().cut((5,) * 4)
     assert fp_series(ctx.tables, ft, 0, +1) == ft
     assert fp_series(ctx.tables, f, 0, -1) == f
     # (q^0, w^0) coefficient of F_p is 1
@@ -368,7 +368,8 @@ def test_w_regularity_reads_every_negative_exponent(monkeypatch):
 
     monkeypatch.setattr(CoeffTables, "__init__", corrupted)
     ctx = FanoContext(md, 8)
-    assert fp_series(ctx.tables, ctx.f_w((11,) * 9), 11, -1).coeff(1, -2) == 1
+    assert fp_series(ctx.tables, ctx.f_w().cut((11,) * 9), 11,
+                     -1).coeff(1, -2) == 1
     assert not check_w_regular(md)
 
 
@@ -413,11 +414,12 @@ def test_context_f_w_is_the_wide_build_cut():
         target = md.n - 2 - md.r
         for hi in (0, target, md.n):
             whole = (hi,) * (ctx.order + 1)
-            assert ctx.f_w(whole) == f_w_cut(md, ctx.order, whole)
+            assert ctx.f_w().cut(whole) == f_w_cut(md, ctx.order, whole)
         with pytest.raises(WindowUnderflow):
-            ctx.f_w((md.n + 1,) * (ctx.order + 1))
+            ctx.f_w().cut((md.n + 1,) * (ctx.order + 1))
         for b in range(md.bmax + 1):
             p = 1 + md.nu * b
             for his in (tuple(max(target + p - md.nu * (b - k), p - 1)
                               for k in range(b + 1)), (target,) * (b + 1)):
-                assert ctx.f_w(his) == f_w_cut(md, ctx.order, his), (md, his)
+                assert ctx.f_w().cut(his) == f_w_cut(md, ctx.order, his), \
+                    (md, his)

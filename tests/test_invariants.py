@@ -22,7 +22,6 @@ from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                reduced_invariant, standard_invariant,
                                svr_difference, type_a, type_b)
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
-from fanogw.tables import CoeffTables
 
 from helpers import (a_double_residue_by_terms, bi_one, chern_value_oracle,
                      coeff_of_aux, f_bracket_reference, n24_block_reference,
@@ -347,11 +346,11 @@ def test_fp_w_window_is_the_least(monkeypatch):
         ctx = FanoContext(md, 8)
         for p in range(md.n):
             assert min(ctx.fp_w(p).his) == -1, (md.label(), p)
-            f = ctx.f_w((p - 2,) * (ctx.order + 1))
+            f = ctx.f_w().cut((p - 2,) * (ctx.order + 1))
             assert min(fp_series(ctx.tables, f, p, -1).his) < -1
         assert check_w_regular(md)
     monkeypatch.setattr(FanoContext, "fp_w", lambda self, p: fp_series(
-        self.tables, self.f_w((p - 2,) * (self.order + 1)), p, -1))
+        self.tables, self.f_w().cut((p - 2,) * (self.order + 1)), p, -1))
     assert not check_w_regular(MD53)
 
 
@@ -421,9 +420,9 @@ def test_residue_oracle_reads_no_f_w_and_one_inverse(monkeypatch):
             w_side.append(p)
         return fp(tables, base, p, shift)
 
-    def recording_f_w(tables, his):
-        f_ws.append(his)
-        return f_w(tables, his)
+    def recording_f_w(tables, order):
+        f_ws.append(order)
+        return f_w(tables, order)
 
     def recording_inv(self):
         inverted.append(self)
@@ -450,39 +449,94 @@ def test_residue_oracle_reads_no_f_w_and_one_inverse(monkeypatch):
         assert inverted[0] is contexts[0].ftilde_hbar(), md.label()
 
 
+def _patch_f_w_cuts(monkeypatch, after):
+    """Hand every reader of `FanoContext.f_w` an F(w) whose `cut(his)`
+    returns after(cut, his), the cut made as before."""
+    real = FanoContext.f_w
+
+    class Patched(BiSeries):
+        __slots__ = ()
+
+        def cut(self, his):
+            return after(BiSeries.cut(self, his), his)
+
+    def patched(self):
+        f = real(self)
+        return Patched(f.slices, f.his)
+
+    monkeypatch.setattr(FanoContext, "f_w", patched)
+
+
 def test_f_w_reads_stay_below_w_n(monkeypatch):
-    """Every base slice the F-bracket reads is cut below w^n: over
-    `invariant_table` and `check_type_b_residue_oracle` on every valid
-    geometry with n <= 12 and r <= 3, no `CoeffTables.base` read asks
-    past w^(n-1)."""
-    caps = []
-    base = CoeffTables.base
+    """Every cut of F(w) that the F-bracket reads stays below w^n in its
+    base slices: over `invariant_table` on every valid geometry with
+    n <= 12 and r <= 3, slice k is cut at or below w^(n-1+nu k)."""
+    cuts = []
 
-    def recording(self, beta, cap):
-        caps.append((self.md, cap))
-        return base(self, beta, cap)
+    def recording(f, his):
+        cuts.append(tuple(his))
+        return f
 
-    monkeypatch.setattr(CoeffTables, "base", recording)
+    _patch_f_w_cuts(monkeypatch, recording)
     for md in valid_geometries(12, 3):
+        cuts.clear()
         invariant_table(md)
-        check_type_b_residue_oracle(md)
-    assert caps
-    assert [(md.label(), cap) for md, cap in caps if cap > md.n - 1] == []
+        assert cuts, md.label()
+        assert [his for his in cuts
+                if any(h > md.n - 1 + md.nu * k for k, h in enumerate(his))] \
+            == [], md.label()
+
+
+def test_invariant_table_builds_one_f_w(monkeypatch):
+    """`invariant_table(X_8(7))` builds F(w) once: every bracket read
+    cuts the context's one `FanoContext.f_w`."""
+    builds = []
+    real = hyper.f_w
+
+    def recording(tables, order):
+        builds.append(order)
+        return real(tables, order)
+
+    monkeypatch.setattr(hyper, "f_w", recording)
+    invariant_table(MultiDegree(8, (7,)))
+    assert builds == [7]
+
+
+def test_every_inverted_f_is_a_cut_of_the_context_f_w(monkeypatch):
+    """On X_8(7) each F_0 that the F-bracket inverts (on each read,
+    `test_each_bracket_inverts_f0_cut_at_its_degree`) is a cut of the
+    context's one F(w)."""
+    inverted, contexts = [], []
+    inv, init = BiSeries.inv, FanoContext.__init__
+
+    def recording_inv(self):
+        inverted.append(self)
+        return inv(self)
+
+    def recording_init(self, *args):
+        init(self, *args)
+        contexts.append(self)
+
+    monkeypatch.setattr(BiSeries, "inv", recording_inv)
+    monkeypatch.setattr(FanoContext, "__init__", recording_init)
+    invariant_table(MultiDegree(8, (7,)))
+    assert len(contexts) == 1
+    f = contexts[0].f_w()
+    assert inverted
+    for s in inverted:
+        assert s == f.cut(s.his), s.order
 
 
 def _corrupt_f_w(monkeypatch):
-    """Add 1 at the top of the window of slice 1 of every F(w) the
-    context hands out."""
-    real = FanoContext.f_w
-
-    def corrupted(self, his):
-        f = real(self, his)
+    """Add 1 at the top of the window of slice 1 of every F(w) cut that
+    a reader of `FanoContext.f_w` takes."""
+    def bump(f, his):
         if f.order < 1:
             return f
         bumped = f.slices[1] + LaurentPoly(f.his[1], (1,))
         return BiSeries((f.slices[0], bumped) + f.slices[2:], f.his)
 
-    monkeypatch.setattr(FanoContext, "f_w", corrupted)
+    _patch_f_w_cuts(monkeypatch, bump)
 
 
 def test_corrupted_f_w_fails_w_regularity_and_three_path(monkeypatch):

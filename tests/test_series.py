@@ -340,6 +340,28 @@ def test_bs_truncate_bounds():
         a.truncate(-1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cut_is_the_constructors_cut(data):
+    """`BiSeries.cut(his)` keeps the first len(his) slices, each cut at
+    its window, as the constructor cuts them; a window past a slice's
+    own, or more slices than the series holds, raises WindowUnderflow;
+    truncate(b) is cut(his[:b+1])."""
+    order = data.draw(st.integers(0, 3))
+    u = windowed_bs(data, order)
+    count = data.draw(st.integers(1, order + 1))
+    his = [data.draw(st.integers(-3, 4)) if h == INF_EXP
+           else data.draw(st.integers(h - 3, h)) for h in u.his[:count]]
+    assert u.cut(his) == BiSeries(u.slices[:count], his)
+    assert u.truncate(count - 1) == u.cut(u.his[:count])
+    k = data.draw(st.integers(0, count - 1))
+    if u.his[k] != INF_EXP:
+        with pytest.raises(WindowUnderflow):
+            u.cut(his[:k] + [u.his[k] + 1] + his[k + 1:])
+    with pytest.raises(WindowUnderflow):
+        u.cut(list(u.his) + [0])
+
+
 def test_apply_d_examples():
     """D = 1 + aux^shift q d/dq by the reference chain and by fp_series
     (whose F_p over d_power_tables is D^p)."""
