@@ -2,7 +2,10 @@
 as named exact checks over one geometry.
 
 Shared by the `check` CLI verb and the acceptance tests, with the
-q-orders pinned; each check reads its context's windows (`fanogw.hyper`):
+q-orders pinned; each check reads its context's windows (`fanogw.hyper`).
+`run_geometry_suite(md, pad)` (`fanogw check --order K`) builds every
+context at its pinned order plus pad, except in truncation stability,
+which compares pads 0 and 2 itself:
 
 * the algebraic L identity to q-order 12;
 * dual-route equality (mu, Phi0, Phi1, Theta) to q-order 8, Theta
@@ -10,7 +13,8 @@ q-orders pinned; each check reads its context's windows (`fanogw.hyper`):
 * regularizability and w-regularity to q-order 8;
 * the degree-0 Chern value (an oracle independent of the degree-0
   row), three-path consistency (with the degree-1 vanishing of the
-  reduced invariant), SvR vanishing;
+  reduced invariant), the zero-class rows (difference, standard and
+  reduced all 0 above `svr_threshold`);
 * the double-residue oracle for A(q) to q-order 6, with type A checked
   against its second route at every degree up to that order;
 * the type-B residue oracle, the n/24 block by its residue route (run
@@ -28,6 +32,7 @@ from .geometry import MultiDegree
 from .hyper import FanoContext, mu_by_residue, theta_by_residue
 from .invariants import (a_series, chern_degree0_oracle, context_for,
                          invariant_table, n24_block, n24_by_residue,
+                         reduced_invariant, standard_invariant,
                          svr_difference, type_a)
 from .series import QSeries
 from .sums import check_proven_identities, sums_by_degree, tables_for_sums
@@ -100,8 +105,8 @@ def check_w_regular(md: MultiDegree, order: int = 8) -> bool:
     return True
 
 
-def check_degree0(md: MultiDegree) -> bool:
-    row = invariant_table(md, max_b=0)[0]
+def check_degree0(md: MultiDegree, pad: int = 0) -> bool:
+    row = invariant_table(md, max_b=0, pad=pad)[0]
     return row.standard == chern_degree0_oracle(md)
 
 
@@ -114,9 +119,15 @@ def check_three_path(md: MultiDegree, pad: int = 0) -> bool:
     return all(r.consistent for r in rows) and rows[1].reduced == 0
 
 
-def check_svr_vanishing(md: MultiDegree) -> bool:
-    ctx = context_for(md, md.bmax)
-    return all(svr_difference(ctx, b) == 0
+def check_svr_vanishing(md: MultiDegree, pad: int = 0) -> bool:
+    """The zero-class rows: above `svr_threshold`, 1 + nu*b > dim, so
+    the insertion H^(1+nu b) is the zero class on X, and the difference,
+    the standard and the reduced invariant all vanish a priori.  Type A
+    is not 0 in many of these rows, so each zero there is a cancellation
+    of type A against the closed rows, which `consistent` cannot see."""
+    ctx = context_for(md, md.bmax, pad)
+    return all(svr_difference(ctx, b) == standard_invariant(ctx, b)
+               == reduced_invariant(ctx, b) == 0
                for b in range(md.svr_threshold + 1, md.bmax + 1))
 
 
@@ -136,7 +147,7 @@ def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
                for b in range(min(md.bmax, order) + 1))
 
 
-def check_type_b_residue_oracle(md: MultiDegree) -> bool:
+def check_type_b_residue_oracle(md: MultiDegree, pad: int = 0) -> bool:
     """The type-B residue oracle, cut to the part of its predicate that
     does not cancel: type B by residues equals the rows route exactly
     when the n/24 block equals its residue route (`n24_by_residue`),
@@ -146,7 +157,7 @@ def check_type_b_residue_oracle(md: MultiDegree) -> bool:
     of tables per run than the benchmark's check-grid counts pin."""
     if md.nu < 2:
         return True
-    ctx = context_for(md, md.bmax)
+    ctx = context_for(md, md.bmax, pad)
     return all(n24_block(ctx, b) == n24_by_residue(ctx, b)
                for b in range(1, md.bmax + 1))
 
@@ -187,11 +198,12 @@ def run_geometry_suite(md: MultiDegree, pad: int = 0) -> list[CheckResult]:
         ("theta-dual-route", lambda: check_theta_routes(md, 8 + pad)),
         ("regularizability", lambda: check_regularizable(md, 8 + pad)),
         ("w-regularity", lambda: check_w_regular(md, 8 + pad)),
-        ("degree0-chern", lambda: check_degree0(md)),
+        ("degree0-chern", lambda: check_degree0(md, pad)),
         ("three-path-consistency", lambda: check_three_path(md, pad)),
-        ("svr-vanishing", lambda: check_svr_vanishing(md)),
+        ("svr-vanishing", lambda: check_svr_vanishing(md, pad)),
         ("a-double-residue", lambda: check_a_double_residue(md, 6 + pad)),
-        ("type-b-residue-oracle", lambda: check_type_b_residue_oracle(md)),
+        ("type-b-residue-oracle",
+         lambda: check_type_b_residue_oracle(md, pad)),
         ("structure-sum-lemmas", lambda: check_sum_lemmas(md)),
         ("truncation-stability", lambda: check_truncation_stability(md)),
         ("convolution-identity", lambda: check_convolution(tables)),

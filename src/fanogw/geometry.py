@@ -63,12 +63,17 @@ class MultiDegree:
 
     @property
     def bmax(self) -> int:
-        """Largest degree with a (possibly) nonzero one-point invariant."""
+        """Largest degree b of a table row, insertion power
+        1 + nu*b <= n.  The rows above `svr_threshold` are 0 a priori,
+        so the largest degree with a possibly nonzero invariant is
+        `svr_threshold`."""
         return (self.n - 1) // self.nu
 
     @property
     def svr_threshold(self) -> int:
-        """Degrees above this have standard = reduced a priori."""
+        """Largest degree b with 1 + nu*b <= dim: above it the insertion
+        H^(1+nu b) is the zero class on X, so standard, reduced and
+        their difference all vanish a priori."""
         return (self.n - 2 - self.r) // self.nu
 
     def theta_pairs(self) -> tuple[tuple, tuple]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
 from operator import mul
 
 from .geometry import MultiDegree
@@ -325,23 +325,24 @@ class FanoContext:
             s2 = sum e ct[p,e,beta] q^beta L^(e-1)      = dS0/dL
             s3 = sum C(e,2) ct[p,e,beta] q^beta L^(e-2) = (1/2) d2S0/dL2
 
-        where S0 is s0 read as a polynomial in L.  At L = 1, s0 and s1
-        have the single entries ct[p,1,b] and ct[p,0,b] at q^b for
-        p = 1 + nu*b, so the n/24 block reads those instead of a sum."""
+        where S0 is s0 read as a polynomial in L.  The q^beta terms are
+        the Theta-lemma weights of ct row (p, beta)
+        (`CoeffTables.ct_l_terms`).  At L = 1, s0 and s1 have the single
+        entries ct[p,1,b] and ct[p,0,b] at q^b for p = 1 + nu*b, so the
+        n/24 block reads those instead of a sum."""
         return self.memo(("ct", p), lambda: self._ct_sums(p))
 
     def _ct_sums(self, p: int) -> CtSums:
-        order, nu, ct = self.order, self.md.nu, self.tables.ctilde
+        order, nu = self.order, self.md.nu
         pows = [s.poly for s in self._l_powers()]
-        terms = [[], [], [], []]  # (c q^beta, L^k) pairs of each sum
+        terms = [[], [], [], []]  # (t q^beta, L^k) pairs of each sum
         for beta in range(min(order, p // nu) + 1):
             e = p - nu * beta
-            c0, c1 = ct(p, e, beta), ct(p, e - 1, beta)
-            for i, c, k in ((0, c0, e), (1, c1, e - 1), (2, e * c0, e - 1),
-                            (3, comb(e, 2) * c0, e - 2)):
-                if c:
-                    terms[i].append((LaurentPoly.from_ints(
-                        beta, (c.numerator,), c.denominator), pows[k]))
+            den, ts = self.tables.ct_l_terms(p, beta)
+            for out, t, k in zip(terms, ts, (e, e - 1, e - 1, e - 2)):
+                if t:
+                    out.append((LaurentPoly.from_ints(beta, (t,), den),
+                                pows[k]))
         return CtSums(*(QSeries.from_poly(order, sum_of_products(t, order))
                         for t in terms))
 

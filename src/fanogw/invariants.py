@@ -91,7 +91,7 @@ def chern_degree0_oracle(md: MultiDegree) -> Rat:
     m = dim - 1, of the total Chern class (1+h)^n / prod(1 + d_k h) is
     sum_j C(n, m-j) (-1)^j h_j(d), with h_j the complete homogeneous
     symmetric polynomial in the degrees.  It shares no code with the
-    standard invariant's degree-0 row (`ct_residue_row`, `_ch_coeffs`)."""
+    standard invariant's degree-0 row (`ct_residue_row`, `_front`)."""
     m = md.dim - 1
     coeff = sum(comb(md.n, m - j) * (-1) ** j
                 * sum(prod(ds) for ds in combinations_with_replacement(
@@ -100,19 +100,18 @@ def chern_degree0_oracle(md: MultiDegree) -> Rat:
     return -Fraction(prod(md.degrees), 24) * coeff
 
 
-def _ch_coeffs(md: MultiDegree, cap: int) -> LaurentPoly:
-    """(1+w)^n / prod(1 + d_k w) up to degree cap."""
-    num = [comb(md.n, j) for j in range(min(md.n, cap) + 1)]
-    den = linear_product(((1, d) for d in md.degrees), cap)
-    return poly_div(LaurentPoly.from_ints(0, num), den, cap)
-
-
 def _front(ctx: FanoContext) -> LaurentPoly:
-    """`_ch_coeffs` up to w^{n-1-r}, kept once per context: the ct
-    residue row reads its top two coefficients, and the F-bracket's
-    numerator its cut at w^{n-2-r}."""
+    """(1+w)^n / prod(1 + d_k w) up to w^{n-1-r}, kept once per context:
+    the ct residue row reads its top two coefficients, and the
+    F-bracket's numerator its cut at w^{n-2-r}."""
     md = ctx.md
-    return ctx.memo(("front",), lambda: _ch_coeffs(md, md.n - 1 - md.r))
+    cap = md.n - 1 - md.r  # below n, so (1+w)^n is cut there too
+
+    def build():
+        num = LaurentPoly.from_ints(0, [comb(md.n, j) for j in range(cap + 1)])
+        den = linear_product(((1, d) for d in md.degrees), cap)
+        return poly_div(num, den, cap)
+    return ctx.memo(("front",), build)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +158,15 @@ def type_a(ctx: FanoContext, b: int) -> Rat:
 # the n/24 block shared by the closed formula and type B
 
 
+def _ct_pair(ctx: FanoContext, b: int) -> tuple[Rat, Rat]:
+    """(ct[p,1,b], ct[p,0,b]) with p = 1 + nu*b: row (p, b) has e = 1,
+    so this is its (t0, t1) of `CoeffTables.ct_l_terms`, the one read
+    of the ct table by the n/24 block, the ct residue row and the
+    polynomial part of the residue route."""
+    den, (t0, t1, _, _) = ctx.tables.ct_l_terms(1 + ctx.md.nu * b, b)
+    return Fraction(t0, den), Fraction(t1, den)
+
+
 def n24_block(ctx: FanoContext, b: int) -> Rat:
     """[q^b] of the L/Phi0 rows of the genus-1 formula for insertion
     power p = 1 + nu*b, in difference form: each row carries (L^k - 1)
@@ -170,13 +178,13 @@ def n24_block(ctx: FanoContext, b: int) -> Rat:
     md = ctx.md
     p = 1 + md.nu * b
     e2 = Fraction(md.n - 1, 2) - md.inv_degree_sum()
-    s, ct = ctx.ct_sums(p), ctx.tables.ctilde
+    s, (c1, c0) = ctx.ct_sums(p), _ct_pair(ctx, b)
     dlog_phi0 = ctx.memo(("dlog_phi0",),
                          lambda: ctx.phi0().euler() / ctx.phi0())
-    return (-e2 * (s.s0.coeff(b) - ct(p, 1, b))
+    return (-e2 * (s.s0.coeff(b) - c1)
             - ctx.L().euler().mul_coeff(s.s3, b)
             - dlog_phi0.mul_coeff(s.s2, b)
-            - (s.s1.coeff(b) - ct(p, 0, b)))
+            - (s.s1.coeff(b) - c0))
 
 
 def _closed_rows(ctx: FanoContext, b: int) -> Rat:
@@ -192,11 +200,8 @@ def _closed_rows(ctx: FanoContext, b: int) -> Rat:
 def ct_residue_row(ctx: FanoContext, b: int) -> Rat:
     """Res_{w=0} (1+w)^n (ct[p,0,b] + ct[p,1,b] w) / (w^{n-r} prod(d_k w + 1))
     with p = 1 + nu*b."""
-    md = ctx.md
-    p = 1 + md.nu * b
-    g = _front(ctx)
-    return (ctx.tables.ctilde(p, 0, b) * g.coeff(md.n - md.r - 1)
-            + ctx.tables.ctilde(p, 1, b) * g.coeff(md.n - md.r - 2))
+    md, (c1, c0), g = ctx.md, _ct_pair(ctx, b), _front(ctx)
+    return c0 * g.coeff(md.n - md.r - 1) + c1 * g.coeff(md.n - md.r - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +328,8 @@ def _type_b_poly_parts(ctx: FanoContext, b: int) -> Rat:
     residue at h = 0: that residue with Ft replaced by 1 (D^l 1 = 1).
     As p = 1 + nu*b, slice q^b of 1 - F_p is -(ct[p,0,b] h + ct[p,1,b])
     in hbar, so it is -(ct[p,0,b] G_{-2} + ct[p,1,b] G_{-1})."""
-    md = ctx.md
-    p = 1 + md.nu * b
-    g = _g_expansion(md, -1)
-    return -(ctx.tables.ctilde(p, 0, b) * g.coeff(-2)
-             + ctx.tables.ctilde(p, 1, b) * g.coeff(-1))
+    (c1, c0), g = _ct_pair(ctx, b), _g_expansion(ctx.md, -1)
+    return -(c0 * g.coeff(-2) + c1 * g.coeff(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ def tables_for_sums(md: MultiDegree, beta_max: int) -> CoeffTables:
     return CoeffTables(md, p_max=md.n - 1, beta_max=beta_max)
 
 
+#: the (left, right) term pairs of S1, S2, S3, linear and binomial
+_PRODUCTS = ((0, 1), (0, 0), (2, 2), (0, 2), (0, 3))
+
+
 def _block_sums(tables: CoeffTables, block, beta: int) -> tuple:
     """(S1, S2, S3, linear, binomial) over the pairs (p1, p2) of one
     block and b1 + b2 = beta, with e1 = p1 - nu*b2, e2 = p2 - nu*b1:
@@ -55,30 +59,21 @@ def _block_sums(tables: CoeffTables, block, beta: int) -> tuple:
         linear   = sum ct[p2,e2,b1] ct[p1,e1,b2] e1
         binomial = sum ct[p2,e2,b1] ct[p1,e1,b2] C(e1,2)
 
-    each added up in integers on the stored ct numerators over one
-    common denominator."""
-    nu, ct = tables.md.nu, tables.ct_entry
-    terms = []  # (left, its den, ct[p1,e1-1,b2], ct[p1,e1,b2], e1, e2)
+    With the Theta-lemma terms t of rows (p2, b1) on the left and
+    (p1, b2) on the right (`CoeffTables.ct_l_terms`), these are the
+    products (t0, t1), (t0, t0), (t2, t2), (t0, t2) and (t0, t3), each
+    added up in integers over one common denominator."""
+    pairs = []  # (left den * right den, left terms, right terms)
     for p1, p2 in block:
         for b1 in range(beta + 1):
-            b2 = beta - b1
-            e1, e2 = p1 - nu * b2, p2 - nu * b1
-            left, d = ct(p2, e2, b1)
-            if left:
-                terms.append((left, d, ct(p1, e1 - 1, b2), ct(p1, e1, b2),
-                              e1, e2))
-    den = lcm(*[d * dr for _, d, r1, r2, _, _ in terms for _, dr in (r1, r2)])
-    s1 = s2 = s3 = lin = binw = 0
-    for left, d, (n1, d1), (n, dr), e1, e2 in terms:
-        s1 += left * n1 * (den // (d * d1))
-        if not n:
-            continue
-        right = left * n * (den // (d * dr))
-        s2 += right
-        s3 += right * e1 * e2
-        lin += right * e1
-        binw += right * comb(e1, 2)
-    return tuple(Fraction(x, den) for x in (s1, s2, s3, lin, binw))
+            dl, left = tables.ct_l_terms(p2, b1)
+            if left[0]:
+                dr, right = tables.ct_l_terms(p1, beta - b1)
+                pairs.append((dl * dr, left, right))
+    den = lcm(*[d for d, _, _ in pairs])
+    return tuple(Fraction(sum(left[i] * right[j] * (den // d)
+                              for d, left, right in pairs), den)
+                 for i, j in _PRODUCTS)
 
 
 def compute_sums(tables: CoeffTables, beta: int) -> SumValues:

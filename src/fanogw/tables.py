@@ -37,7 +37,9 @@ base slices:
                     up to w^(p - nu*beta).
 
 Each shifted row is kept (`CoeffTables.shifted_row`), and the F_p sums
-of `hyper.fp_series` read the same rows again.
+of `hyper.fp_series` read the same rows again.  The genus-1 formulas
+read a row through its top two entries only, weighted as the Theta
+lemma weighs them (`CoeffTables.ct_l_terms`).
 
 `convolution_defect` (behind `checks.check_convolution`) evaluates the
 convolution entry by entry from the binomial c reads: a different
@@ -161,7 +163,8 @@ class CoeffTables:
 
     def ct_entry(self, p: int, l: int, beta: int) -> tuple[int, int]:
         """ct[p,l,beta] as the stored numerator over its row's
-        denominator (not reduced); (0, 1) when p < 0 or l < 0."""
+        denominator (not reduced); (0, 1) when p < 0 or l < 0.  The
+        entry-by-entry read of `convolution_defect`."""
         if p < 0 or l < 0:
             return 0, 1
         row = self.ct_row(p, beta)
@@ -170,8 +173,18 @@ class CoeffTables:
                 f"ct({p},{l},{beta}) with l > p - nu*beta is never defined")
         return (row.nums[l - row.lo] if row.lo <= l <= row.hi else 0), row.den
 
-    def ctilde(self, p: int, l: int, beta: int) -> Rat:
-        return Fraction(*self.ct_entry(p, l, beta))
+    def ct_l_terms(self, p: int, beta: int) -> tuple[int, tuple]:
+        """(den, (t0, t1, t2, t3)): the ct weights of the Theta lemma on
+        row (p, beta), with e = p - nu*beta, as integers over the row's
+        denominator den: t0 = ct[p,e,beta], t1 = ct[p,e-1,beta],
+        t2 = e t0 and t3 = C(e,2) t0, the q^beta terms of s0..s3 at L^e,
+        L^(e-1), L^(e-1) and L^(e-2) (`hyper.FanoContext.ct_sums`).  The
+        bounds are those of `ct_row`; every term is 0 when e < 0."""
+        row, e = self.ct_row(p, beta), p - self.md.nu * beta
+        t0, t1 = (row.nums[l - row.lo] if row.lo <= l <= row.hi else 0
+                  for l in (e, e - 1))
+        # e (e - 1) / 2 is C(e, 2) for e >= 0, and t0 is 0 when e < 0
+        return row.den, (t0, t1, e * t0, e * (e - 1) // 2 * t0)
 
     def convolution_defect(self, p: int, l: int, beta: int) -> Rat:
         """LHS of the defining convolution minus its Kronecker RHS;

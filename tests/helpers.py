@@ -13,7 +13,6 @@ from types import SimpleNamespace
 
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import fp_series, ftilde_hbar
-from fanogw.invariants import _ch_coeffs, _g_expansion
 from fanogw.series import INF_EXP, BiSeries, LaurentPoly, QSeries, poly_shift
 from fanogw.tables import slice_chain
 
@@ -113,17 +112,32 @@ def l_fixpoint_oracle(md, order):
     return L
 
 
-def chern_value_oracle(n, degrees):
-    """-(prod d / 24) [h^{dim-1}] (1+h)^n / prod(1+d h) via long
-    division."""
-    dim = n - 1 - len(degrees)
-    cap = dim - 1
+def chern_series(n, degrees, cap):
+    """(1+h)^n / prod(1 + d h) up to h^cap, via long division."""
     num = [Fraction(comb(n, j)) for j in range(min(n, cap) + 1)]
     den = [Fraction(1)]
     for d in degrees:
         den = poly_mul(den, [Fraction(1), Fraction(d)], cap)
-    series = long_division(num, den, cap)
-    return -Fraction(prod(degrees), 24) * series[cap]
+    return long_division(num, den, cap)
+
+
+def chern_value_oracle(n, degrees):
+    """-(prod d / 24) [h^{dim-1}] (1+h)^n / prod(1+d h) via long
+    division."""
+    cap = n - 2 - len(degrees)
+    return -Fraction(prod(degrees), 24) * chern_series(n, degrees, cap)[cap]
+
+
+def g_terms(md, hi):
+    """G(h) = ((1+h)^n - 1) / (h^3 prod(d_k + h)) from h^-2 up to h^hi,
+    as {exponent: Fraction}: ((1+h)^n - 1)/h over prod(d_k + h) via
+    long division, moved down by h^2."""
+    cap = hi + 2
+    num = [Fraction(comb(md.n, j + 1)) for j in range(md.n)]
+    den = [Fraction(1)]
+    for d in md.degrees:
+        den = poly_mul(den, [Fraction(d), Fraction(1)], cap)
+    return laurent_terms(-2, long_division(num, den, cap))
 
 
 def corrupt_ctilde(monkeypatch, tables, p, l, beta):
@@ -230,7 +244,7 @@ def fp_series_by_d_chain(tables, base, p, shift):
     his = [INF_EXP] * (order + 1)
     for beta1 in range(min(order, p // nu) + 1):
         for l in range(p - nu * beta1 + 1):
-            ct = tables.ctilde(p, l, beta1)
+            ct = Fraction(*tables.ct_entry(p, l, beta1))
             if ct == 0:
                 continue
             e = l + nu * beta1 - p
@@ -254,7 +268,7 @@ def ct_polynomial(tables, order, p, sign):
     for beta in range(min(order, p // nu) + 1):
         vals = {}
         for l in range(p - nu * beta + 1):
-            ct = tables.ctilde(p, l, beta)
+            ct = Fraction(*tables.ct_entry(p, l, beta))
             if ct != 0:
                 vals[sign * (p - nu * beta - l)] = ct
         if vals:
@@ -317,7 +331,7 @@ def d_power_tables(nu, p):
 
     return SimpleNamespace(
         md=SimpleNamespace(nu=nu),
-        ctilde=lambda pp, l, beta: Fraction(int(l == pp == p and beta == 0)),
+        ct_entry=lambda pp, l, beta: (int(l == pp == p and beta == 0), 1),
         ct_row=ct_row,
         shifted_row=lambda pp, beta, s: poly_shift(ct_row(pp, beta), s))
 
@@ -343,7 +357,7 @@ def ct_l_sum(ctx, p, idx_drop, powfn, weightfn):
         e = p - md.nu * beta
         if e - idx_drop < 0:
             continue
-        ct = ctx.tables.ctilde(p, e - idx_drop, beta)
+        ct = Fraction(*ctx.tables.ct_entry(p, e - idx_drop, beta))
         wgt = Fraction(weightfn(e))
         if ct == 0 or wgt == 0:
             continue
@@ -447,7 +461,7 @@ def _ct_or_zero(tables, p, l, beta):
     top = p - tables.md.nu * beta
     if top < 0 or l > top:
         return Fraction(0)
-    return tables.ctilde(p, l, beta)
+    return Fraction(*tables.ct_entry(p, l, beta))
 
 
 def _u_sum(tables, beta, second_drop, weight):
@@ -566,7 +580,7 @@ def residue_against_g_by_terms(md, series):
     G[e] series[-1 - e] over the exponents e of G; a slice window below
     1 is refused."""
     depth = max((-s.lo for s in series.slices if s.nums), default=0)
-    g = _g_expansion(md, depth - 1)
+    g = g_terms(md, depth - 1)
     out = []
     for beta in range(series.order + 1):
         if series.his[beta] < 1:
@@ -598,6 +612,7 @@ def f_bracket_reference(ctx, p):
     md = ctx.md
     hi = md.n - md.r + p
     f0 = f_w_whole(md, ctx.order, hi)
-    front = BiSeries([_ch_coeffs(md, hi)] + [LaurentPoly.zero()] * ctx.order,
+    front = BiSeries([LaurentPoly(0, chern_series(md.n, md.degrees, hi))]
+                     + [LaurentPoly.zero()] * ctx.order,
                      [hi] + [INF_EXP] * ctx.order)
     return front * (f0 - fp_series(ctx.tables, f0, p, -1)) * f0.inv()

@@ -61,7 +61,8 @@ def test_criterion_5_three_path_consistency():
 
 def test_criterion_6_svr_vanishing():
     ok = all(check_svr_vanishing(md) for md in GRID)
-    report(6, "SvR difference vanishes exactly beyond b*nu > n-2-r", ok)
+    report(6, "standard, reduced and SvR difference vanish beyond "
+              "b*nu > n-2-r", ok)
 
 
 def test_criterion_7_a_double_residue():

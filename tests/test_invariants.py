@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanogw import checks, hyper, invariants
-from fanogw.checks import (check_degree0, check_three_path,
-                           check_type_b_residue_oracle, check_w_regular,
-                           default_grid, run_geometry_suite)
+from fanogw.checks import (check_degree0, check_svr_vanishing,
+                           check_three_path, check_type_b_residue_oracle,
+                           check_w_regular, default_grid, run_geometry_suite)
 from fanogw.cli import main
 from fanogw.geometry import MultiDegree
 from fanogw.hyper import (FanoContext, fp_series, ftilde_hbar, mu_by_residue,
@@ -645,11 +645,12 @@ def test_scaled_n24_block_fails_three_path_on_the_grid(monkeypatch):
 
 def test_scaled_chern_coefficients_fail_degree0_on_the_grid(monkeypatch):
     """The degree-0 oracle shares no code with the degree-0 row: scaling
-    `_ch_coeffs`, which the row reads through `ct_residue_row`, fails
-    `check_degree0` on every default-grid geometry."""
-    ch = invariants._ch_coeffs
-    monkeypatch.setattr(invariants, "_ch_coeffs",
-                        lambda *args, **kw: ch(*args, **kw) * Fraction(7, 3))
+    the Chern coefficients (1+w)^n / prod(1 + d_k w) of `_front`, which
+    the row reads through `ct_residue_row`, fails `check_degree0` on
+    every default-grid geometry."""
+    front = invariants._front
+    monkeypatch.setattr(invariants, "_front",
+                        lambda ctx: front(ctx) * Fraction(7, 3))
     for md in default_grid():
         assert not check_degree0(md), md.label()
 
@@ -659,6 +660,59 @@ def test_reduced_equals_standard_beyond_threshold():
         rows = invariant_table(md)
         for row in rows[md.svr_threshold + 1:]:
             assert row.standard == row.reduced
+
+
+def test_zero_class_rows_vanish():
+    """Above `svr_threshold` the insertion H^(1+nu b) is the zero class
+    on X, so standard, reduced and difference are all 0: pinned on all
+    248 such rows of the 132 geometries of `valid_geometries(12, 3)`
+    that have one.  Type A is not 0 in 166 of them, so those zeros are
+    cancellations of type A against the closed rows; and
+    `check_svr_vanishing` passes on every geometry."""
+    geometries = rows = type_a_nonzero = 0
+    for md in valid_geometries(12, 3):
+        assert check_svr_vanishing(md), md.label()
+        top = range(md.svr_threshold + 1, md.bmax + 1)
+        if not top:
+            continue
+        ctx = context_for(md, md.bmax)
+        for b in top:
+            assert standard_invariant(ctx, b) == reduced_invariant(ctx, b) \
+                == svr_difference(ctx, b) == 0, (md.label(), b)
+            type_a_nonzero += type_a(ctx, b) != 0
+        geometries, rows = geometries + 1, rows + len(top)
+    assert (geometries, rows, type_a_nonzero) == (132, 248, 166)
+
+
+@pytest.mark.parametrize("name", ["type_a", "n24_block"])
+def test_scaled_term_fails_svr_vanishing(monkeypatch, name):
+    """Type A or the n/24 block scaled by 7/5 leaves the zero-class rows
+    of X_6(2,3) (b = 3, 4, 5) nonzero, so `svr-vanishing` fails; both
+    enter each side of a row, so `consistent` cannot see either."""
+    assert check_svr_vanishing(MD623)
+    real = getattr(invariants, name)
+    monkeypatch.setattr(invariants, name,
+                        lambda ctx, b: real(ctx, b) * Fraction(7, 5))
+    assert all(r.consistent for r in invariant_table(MD623))
+    assert not check_svr_vanishing(MD623)
+
+
+@pytest.mark.parametrize("check", [check_degree0, check_svr_vanishing,
+                                   check_type_b_residue_oracle])
+def test_checks_build_their_context_at_the_padded_order(monkeypatch, check):
+    """`fanogw check --order K` reaches the checks that build their own
+    context: at pad 2 each builds it at its pad-0 q-order + 2."""
+    orders, build = [], FanoContext.__init__
+
+    def record(self, md, order):
+        orders.append(order)
+        build(self, md, order)
+
+    monkeypatch.setattr(FanoContext, "__init__", record)
+    assert check(MD722)
+    at_zero, orders[:] = list(orders), []
+    assert check(MD722, 2)
+    assert at_zero and orders == [order + 2 for order in at_zero]
 
 
 def test_frozen_sample_values():

@@ -148,6 +148,25 @@ def test_one_q_derivative():
     assert offenders == []
 
 
+def test_the_genus1_formulas_read_ct_rows_through_ct_l_terms():
+    """The ct table is read three ways: whole shifted rows (the ct solve
+    and `hyper.fp_series`), the Theta-lemma terms
+    `CoeffTables.ct_l_terms`, and `ct_entry` inside `tables.py` only,
+    for the convolution oracle.  No module defines or reads a
+    `ctilde`."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.name if isinstance(node, ast.FunctionDef)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name) else None)
+            if name == "ctilde" or (name == "ct_entry"
+                                    and isinstance(node, ast.Attribute)
+                                    and path.name != "tables.py"):
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
 def load_spans():
     """The tracer module, loaded without installing it (installing
     would rebind module globals for the rest of the session)."""

@@ -213,6 +213,6 @@ def test_sum_symmetry_left_right():
                     b2 = beta - b1
                     if p - md_nu * b1 < 0 or pp - md_nu * b2 < 0:
                         continue
-                    total += t.ctilde(p, p - md_nu * b1, b1) \
-                        * t.ctilde(pp, pp - md_nu * b2, b2)
+                    total += Fraction(*t.ct_entry(p, p - md_nu * b1, b1)) \
+                        * Fraction(*t.ct_entry(pp, pp - md_nu * b2, b2))
             assert total == forward

@@ -5,6 +5,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -32,7 +33,7 @@ def test_ctilde_beta0_is_kronecker():
     t = CoeffTables(MD53, p_max=4, beta_max=2)
     for p in range(5):
         for l in range(p + 1):
-            assert t.ctilde(p, l, 0) == (1 if p == l else 0)
+            assert Fraction(*t.ct_entry(p, l, 0)) == (1 if p == l else 0)
 
 
 def test_c_values_cubic_threefold():
@@ -59,7 +60,7 @@ def test_c_random_against_oracle():
 
 def test_ctilde_beta1_collapses_to_minus_c():
     t = CoeffTables(MD53, p_max=3, beta_max=1)
-    assert t.ctilde(2, 0, 1) == -Fraction(*t.c_entry(2, 0, 1)) == -6
+    assert Fraction(*t.ct_entry(2, 0, 1)) == -Fraction(*t.c_entry(2, 0, 1)) == -6
 
 
 def test_ctilde_against_standalone_recursion():
@@ -67,14 +68,46 @@ def test_ctilde_against_standalone_recursion():
         t = CoeffTables(md, p_max=4, beta_max=2)
         oracle = ctilde_oracle(md.n, md.degrees, md.nu, 4, 2)
         for (p, l, beta), v in oracle.items():
-            assert t.ctilde(p, l, beta) == v
+            assert Fraction(*t.ct_entry(p, l, beta)) == v
+
+
+def test_ct_l_terms_are_the_weighted_top_entries():
+    """`ct_l_terms(p, beta)` is, entry by entry, (top, second, e top,
+    C(e,2) top) of `ct_entry` with e = p - nu*beta, as integers over one
+    positive denominator, on every row p <= n, beta <= n // nu + 1 of
+    `valid_geometries(9, 3)`: rows with e = 0, e = 1, e >= 2 and e < 0
+    (all zero) each occur.  Past the built bounds it raises as
+    `ct_row` does."""
+    seen = set()
+    for md in valid_geometries(9, 3):
+        beta_max = md.n // md.nu + 1
+        t = CoeffTables(md, p_max=md.n, beta_max=beta_max)
+        for p in range(md.n + 1):
+            for beta in range(beta_max + 1):
+                e = p - md.nu * beta
+                den, terms = t.ct_l_terms(p, beta)
+                assert type(den) is int and den > 0
+                assert all(type(x) is int for x in terms)
+                got = [Fraction(x, den) for x in terms]
+                seen.add(min(e, 2) if e >= 0 else "negative")
+                if e < 0:
+                    assert got == [0] * 4, (md, p, beta)
+                    continue
+                top = Fraction(*t.ct_entry(p, e, beta))
+                second = Fraction(*t.ct_entry(p, e - 1, beta))
+                assert got == [top, second, e * top, comb(e, 2) * top], \
+                    (md, p, beta)
+    assert seen == {0, 1, 2, "negative"}
+    for p, beta in ((t.p_max + 1, 0), (0, t.beta_max + 1)):
+        with pytest.raises(WindowUnderflow):
+            t.ct_l_terms(p, beta)
 
 
 def test_out_of_range_conventions():
     t = CoeffTables(MD53, p_max=3, beta_max=1)
-    assert t.ctilde(2, -1, 0) == 0
-    assert t.ctilde(-1, 0, 0) == 0
-    assert t.ctilde(1, 0, 1) == 0  # nu*beta > p: entire term absent
+    assert Fraction(*t.ct_entry(2, -1, 0)) == 0
+    assert Fraction(*t.ct_entry(-1, 0, 0)) == 0
+    assert Fraction(*t.ct_entry(1, 0, 1)) == 0  # nu*beta > p: entire term absent
     assert Fraction(*t.c_entry(3, -2, 1)) == 0
     with pytest.raises(WindowUnderflow):
         t.c_entry(9, 0, 0)
@@ -124,7 +157,7 @@ def test_tables_match_the_oracles_over_valid_geometries():
         t = CoeffTables(md, p_max=md.n, beta_max=2)
         for (p, l, beta), v in ctilde_oracle(md.n, md.degrees, md.nu,
                                              md.n, 2).items():
-            assert t.ctilde(p, l, beta) == v, (md, p, l, beta)
+            assert Fraction(*t.ct_entry(p, l, beta)) == v, (md, p, l, beta)
         for p in range(md.n + 1):
             for l in range(md.n + 1):
                 for beta in range(3):
