@@ -2,9 +2,8 @@
 intersections in projective space.  A row's `consistent` holds by
 construction; the independent checks are type A's second route (in the
 `a-double-residue` check), the type-B residue oracle (every b >= 1 at
-every index; the check runs it where nu >= 2), the degree-1 vanishing
-and the degree-0 Chern oracle, which shares no code with the degree-0
-row."""
+every index), the degree-1 vanishing, the zero-class rows and the
+degree-0 Chern oracle, which shares no code with the degree-0 row."""
 
 from .geometry import MultiDegree
 from .hyper import FanoContext

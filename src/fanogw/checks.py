@@ -3,9 +3,11 @@ as named exact checks over one geometry.
 
 Shared by the `check` CLI verb and the acceptance tests, with the
 q-orders pinned; each check reads its context's windows (`fanogw.hyper`).
-`run_geometry_suite(md, pad)` (`fanogw check --order K`) builds every
+`run_geometry_suite(md, pad)` (`fanogw check --order K`) reads every
 context at its pinned order plus pad, except in truncation stability,
-which compares pads 0 and 2 itself:
+which compares pads 0 and 2 on contexts of its own.  Inside one suite
+run the checks share one context per q-order (`_context`), kept in a
+dict local to that run; a check called on its own builds its own:
 
 * the algebraic L identity to q-order 12;
 * dual-route equality (mu, Phi0, Phi1, Theta) to q-order 8, Theta
@@ -17,8 +19,7 @@ which compares pads 0 and 2 itself:
   reduced all 0 above `svr_threshold`);
 * the double-residue oracle for A(q) to q-order 6, with type A checked
   against its second route at every degree up to that order;
-* the type-B residue oracle, the n/24 block by its residue route (run
-  where nu >= 2);
+* the type-B residue oracle, the n/24 block by its residue route;
 * the proven structure-sum lemmas for beta <= 3;
 * truncation stability and the ct*c convolution identity.
 """
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 from .geometry import MultiDegree
 from .hyper import FanoContext, mu_by_residue, theta_by_residue
-from .invariants import (a_series, chern_degree0_oracle, context_for,
+from .invariants import (a_series, chern_degree0_oracle, invariant_row,
                          invariant_table, n24_block, n24_by_residue,
                          reduced_invariant, standard_invariant,
                          svr_difference, type_a)
@@ -57,46 +58,63 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def check_l_identity(md: MultiDegree, order: int = 12) -> bool:
-    ctx = FanoContext(md, order)
+def _context(md: MultiDegree, order: int, shared: dict | None) -> FanoContext:
+    """The context of md at q-order `order` that a check reads: the one
+    kept in `shared` (one per order, for one `run_geometry_suite` run),
+    or a new one when the check runs on its own (shared is None)."""
+    if shared is None:
+        return FanoContext(md, order)
+    if order not in shared:
+        shared[order] = FanoContext(md, order)
+    return shared[order]
+
+
+def check_l_identity(md: MultiDegree, order: int = 12,
+                     shared: dict | None = None) -> bool:
+    ctx = _context(md, order, shared)
     L = ctx.L()
     lhs = L.pow(md.n) - QSeries.q(order) * md.dd * L.pow(md.total)
     return (lhs - 1).is_zero()
 
 
-def check_mu_routes(md: MultiDegree, order: int = 8) -> bool:
-    ctx = FanoContext(md, order)
+def check_mu_routes(md: MultiDegree, order: int = 8,
+                    shared: dict | None = None) -> bool:
+    ctx = _context(md, order, shared)
     return ctx.mu().matches(mu_by_residue(ctx))
 
 
-def check_phi_routes(md: MultiDegree, order: int = 8) -> bool:
-    ctx = FanoContext(md, order)
+def check_phi_routes(md: MultiDegree, order: int = 8,
+                     shared: dict | None = None) -> bool:
+    ctx = _context(md, order, shared)
     return (ctx.phi0().matches(theta_by_residue(ctx, 0, 0))
             and ctx.phi1().matches(theta_by_residue(ctx, 0, 1)))
 
 
-def check_theta_routes(md: MultiDegree, order: int = 8) -> bool:
+def check_theta_routes(md: MultiDegree, order: int = 8,
+                       shared: dict | None = None) -> bool:
     """Theta^{(level)}_p by its two routes for 1 <= p <= n-1: at p = 0
     the closed route is Phi0 and Phi1 exactly (s0 = 1, s1 = s2 = s3 = 0),
     which `check_phi_routes` compares already."""
-    ctx = FanoContext(md, order)
+    ctx = _context(md, order, shared)
     return all(ctx.theta(p, lvl).matches(theta_by_residue(ctx, p, lvl))
                for p in range(1, md.n) for lvl in (0, 1))
 
 
-def check_regularizable(md: MultiDegree, order: int = 8) -> bool:
+def check_regularizable(md: MultiDegree, order: int = 8,
+                        shared: dict | None = None) -> bool:
     """exp(-mu/h) Ft(1/h, q) has no negative h powers."""
-    ctx = FanoContext(md, order)
+    ctx = _context(md, order, shared)
     e = ctx.regularized_fp(0)
     return all(exp >= 0
                for b in range(e.order + 1) for exp, _ in e.slice(b).items())
 
 
-def check_w_regular(md: MultiDegree, order: int = 8) -> bool:
+def check_w_regular(md: MultiDegree, order: int = 8,
+                    shared: dict | None = None) -> bool:
     """F_p has no negative w powers for p <= n-1, read at the window
     `FanoContext.fp_w` gives, which keeps every negative exponent
     known; a window below -1 fails the check."""
-    ctx = FanoContext(md, order)
+    ctx = _context(md, order, shared)
     for p in range(md.n):
         fp = ctx.fp_w(p)
         if min(fp.his) < -1 or any(exp < 0 for b in range(fp.order + 1)
@@ -105,39 +123,44 @@ def check_w_regular(md: MultiDegree, order: int = 8) -> bool:
     return True
 
 
-def check_degree0(md: MultiDegree, pad: int = 0) -> bool:
-    row = invariant_table(md, max_b=0, pad=pad)[0]
+def check_degree0(md: MultiDegree, pad: int = 0,
+                  shared: dict | None = None) -> bool:
+    row = invariant_row(_context(md, pad, shared), 0)
     return row.standard == chern_degree0_oracle(md)
 
 
-def check_three_path(md: MultiDegree, pad: int = 0) -> bool:
+def check_three_path(md: MultiDegree, pad: int = 0,
+                     shared: dict | None = None) -> bool:
     """Every row consistent, and the reduced invariant 0 in degree 1:
     no smooth genus-1 curve maps with degree 1, so the main component
     of the reduced moduli space is empty there.  Every valid geometry
     has degree 1, since nu <= n - 2."""
-    rows = invariant_table(md, pad=pad)
+    ctx = _context(md, md.bmax + pad, shared)
+    rows = [invariant_row(ctx, b) for b in range(md.bmax + 1)]
     return all(r.consistent for r in rows) and rows[1].reduced == 0
 
 
-def check_svr_vanishing(md: MultiDegree, pad: int = 0) -> bool:
+def check_svr_vanishing(md: MultiDegree, pad: int = 0,
+                        shared: dict | None = None) -> bool:
     """The zero-class rows: above `svr_threshold`, 1 + nu*b > dim, so
     the insertion H^(1+nu b) is the zero class on X, and the difference,
     the standard and the reduced invariant all vanish a priori.  Type A
     is not 0 in many of these rows, so each zero there is a cancellation
     of type A against the closed rows, which `consistent` cannot see."""
-    ctx = context_for(md, md.bmax, pad)
+    ctx = _context(md, md.bmax + pad, shared)
     return all(svr_difference(ctx, b) == standard_invariant(ctx, b)
                == reduced_invariant(ctx, b) == 0
                for b in range(md.svr_threshold + 1, md.bmax + 1))
 
 
-def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
+def check_a_double_residue(md: MultiDegree, order: int = 6,
+                           shared: dict | None = None) -> bool:
     """A(q) by its two routes, and type A by its second route: for every
     b up to A's order, type A equals 1/2 [q^b] Theta^{(0)}_p A / Phi0
     with p = 1 + nu*b, where A is the double residue and each Theta
     (Phi0 at p = 0) is its series route, read off the regularized F_p
     that the double residue reads."""
-    ctx = FanoContext(md, order)
+    ctx = _context(md, order, shared)
     a = a_series(ctx)
     if not ctx.A().matches(a):
         return False
@@ -147,17 +170,14 @@ def check_a_double_residue(md: MultiDegree, order: int = 6) -> bool:
                for b in range(min(md.bmax, order) + 1))
 
 
-def check_type_b_residue_oracle(md: MultiDegree, pad: int = 0) -> bool:
+def check_type_b_residue_oracle(md: MultiDegree, pad: int = 0,
+                                shared: dict | None = None) -> bool:
     """The type-B residue oracle, cut to the part of its predicate that
     does not cancel: type B by residues equals the rows route exactly
     when the n/24 block equals its residue route (`n24_by_residue`),
-    since both routes read the same F-bracket and ct residue row.  The
-    oracle holds at every index, but it runs on nu >= 2 only: on an
-    index-1 geometry it would build one more context and one more set
-    of tables per run than the benchmark's check-grid counts pin."""
-    if md.nu < 2:
-        return True
-    ctx = context_for(md, md.bmax, pad)
+    since both routes read the same F-bracket and ct residue row.  It
+    runs at every index."""
+    ctx = _context(md, md.bmax + pad, shared)
     return all(n24_block(ctx, b) == n24_by_residue(ctx, b)
                for b in range(1, md.bmax + 1))
 
@@ -189,21 +209,26 @@ def _run_check(name: str, fn) -> CheckResult:
 
 
 def run_geometry_suite(md: MultiDegree, pad: int = 0) -> list[CheckResult]:
-    """Every check on one geometry."""
+    """Every check on one geometry, the checks of one q-order reading one
+    context (`_context`); the contexts are freed when the suite returns."""
     tables = CoeffTables(md, p_max=md.n, beta_max=3)
+    shared: dict = {}
     checks = [
-        ("l-identity", lambda: check_l_identity(md, 12 + pad)),
-        ("mu-dual-route", lambda: check_mu_routes(md, 8 + pad)),
-        ("phi-dual-route", lambda: check_phi_routes(md, 8 + pad)),
-        ("theta-dual-route", lambda: check_theta_routes(md, 8 + pad)),
-        ("regularizability", lambda: check_regularizable(md, 8 + pad)),
-        ("w-regularity", lambda: check_w_regular(md, 8 + pad)),
-        ("degree0-chern", lambda: check_degree0(md, pad)),
-        ("three-path-consistency", lambda: check_three_path(md, pad)),
-        ("svr-vanishing", lambda: check_svr_vanishing(md, pad)),
-        ("a-double-residue", lambda: check_a_double_residue(md, 6 + pad)),
+        ("l-identity", lambda: check_l_identity(md, 12 + pad, shared)),
+        ("mu-dual-route", lambda: check_mu_routes(md, 8 + pad, shared)),
+        ("phi-dual-route", lambda: check_phi_routes(md, 8 + pad, shared)),
+        ("theta-dual-route", lambda: check_theta_routes(md, 8 + pad, shared)),
+        ("regularizability",
+         lambda: check_regularizable(md, 8 + pad, shared)),
+        ("w-regularity", lambda: check_w_regular(md, 8 + pad, shared)),
+        ("degree0-chern", lambda: check_degree0(md, pad, shared)),
+        ("three-path-consistency",
+         lambda: check_three_path(md, pad, shared)),
+        ("svr-vanishing", lambda: check_svr_vanishing(md, pad, shared)),
+        ("a-double-residue",
+         lambda: check_a_double_residue(md, 6 + pad, shared)),
         ("type-b-residue-oracle",
-         lambda: check_type_b_residue_oracle(md, pad)),
+         lambda: check_type_b_residue_oracle(md, pad, shared)),
         ("structure-sum-lemmas", lambda: check_sum_lemmas(md)),
         ("truncation-stability", lambda: check_truncation_stability(md)),
         ("convolution-identity", lambda: check_convolution(tables)),

@@ -27,12 +27,12 @@ Type A and the closed rows (n/24 times the n/24 block at q^b, minus
 prod(d)/24 times the ct residue row) enter both sides of a row.  Each
 is kept per (context, degree) through `FanoContext.memo`, so the
 standard invariant and the rows route of type B read one value.  The
-F-bracket's numerator front * (F_0 - F_p) is kept per (context, degree)
-too, so type B and the difference build F_p once per row; F_0^-1 is
-made on each bracket read (`f_residue_series` says why).  The front
-(1+w)^n / prod(1 + d_k w) is kept once per context (`_front`).  The
-residue route of the n/24 block reads the context's Ft(1/hbar)^-1, and
-its polynomial part is two ct entries (`_type_b_poly_parts`).
+F-bracket's value is kept per (context, degree) too, so type B and the
+difference build F_p once per row, and F_0^-1 is made once per context
+(`f_residue_series`).  The front (1+w)^n / prod(1 + d_k w) is kept
+once per context (`_front`).  The residue route of the n/24 block reads
+the context's Ft(1/hbar)^-1, and its polynomial part is two ct entries
+(`_type_b_poly_parts`).
 """
 
 from __future__ import annotations
@@ -218,23 +218,25 @@ def _q0_series(poly: LaurentPoly, hi: int, order: int) -> BiSeries:
 def f_residue_series(ctx: FanoContext, b: int) -> Rat:
     """The q^b w^{n-2-r} coefficient of the F-bracket
     (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) with p = 1 + nu*b: the
-    kept numerator (`_bracket_numerator`) read against F_0^-1 at
-    q^b w^{n-2-r} alone (`BiSeries.mul_coeff`).  F_0^-1 is known up to
-    w^{n-2-r}, which is enough because F_0 - F_p has no w^0 term; a
-    window short of the read raises WindowUnderflow, never a wrong
-    coefficient.
+    numerator (`_bracket_numerator`) read against F_0^-1 at
+    q^b w^{n-2-r} alone (`BiSeries.mul_coeff`), kept per (context,
+    degree): type B and the difference read one value.
 
-    F_0 is inverted on each read, cut at q^b: keeping that inverse (or
-    the bracket value) per context would move the inverse counts that
-    the benchmark's trace pins, so it waits for their re-pin."""
+    F_0^-1 is made once per context, on F_0 cut at w^{n-2-r} in every
+    slice up to the context's order, and each degree reads it as it is:
+    slice b of an inverse reads only slices <= b, with the same window,
+    so the read at q^b is the one an inverse cut at q^b gives.  That
+    window is enough because F_0 - F_p has no w^0 term; a window short
+    of the read raises WindowUnderflow, never a wrong coefficient."""
     target = ctx.md.n - 2 - ctx.md.r
-    return _bracket_numerator(ctx, b).mul_coeff(
-        ctx.f_w().cut((target,) * (b + 1)).inv(), b, target)
+    f0_inv = ctx.memo(("f0inv",), lambda: ctx.f_w().cut(
+        (target,) * (ctx.order + 1)).inv())
+    return ctx.memo(("bracket", b), lambda: _bracket_numerator(ctx, b)
+                    .mul_coeff(f0_inv, b, target))
 
 
 def _bracket_numerator(ctx: FanoContext, b: int) -> BiSeries:
-    """front * (F_0 - F_p) with p = 1 + nu*b, cut at q^b, kept per
-    (context, degree): type B and the difference read one build.
+    """front * (F_0 - F_p) with p = 1 + nu*b, cut at q^b.
 
     Slice k of F_0, and so of its inverse, carries w^{nu k},
     so slice j of the numerator is read only up to
@@ -244,14 +246,11 @@ def _bracket_numerator(ctx: FanoContext, b: int) -> BiSeries:
     md = ctx.md
     p = 1 + md.nu * b
     target = md.n - 2 - md.r
-
-    def build():
-        f0 = ctx.f_w().cut(tuple(max(target + p - md.nu * (b - k), p - 1)
-                                 for k in range(b + 1)))
-        fp = fp_series(ctx.tables, f0, p, -1)
-        front = _q0_series(_front(ctx).cut_above(target), target, b)
-        return front * (f0 - fp)
-    return ctx.memo(("bracket_num", b), build)
+    f0 = ctx.f_w().cut(tuple(max(target + p - md.nu * (b - k), p - 1)
+                             for k in range(b + 1)))
+    fp = fp_series(ctx.tables, f0, p, -1)
+    front = _q0_series(_front(ctx).cut_above(target), target, b)
+    return front * (f0 - fp)
 
 
 def svr_difference(ctx: FanoContext, b: int) -> Rat:

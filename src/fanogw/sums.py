@@ -45,10 +45,6 @@ def tables_for_sums(md: MultiDegree, beta_max: int) -> CoeffTables:
     return CoeffTables(md, p_max=md.n - 1, beta_max=beta_max)
 
 
-#: the (left, right) term pairs of S1, S2, S3, linear and binomial
-_PRODUCTS = ((0, 1), (0, 0), (2, 2), (0, 2), (0, 3))
-
-
 def _block_sums(tables: CoeffTables, block, beta: int) -> tuple:
     """(S1, S2, S3, linear, binomial) over the pairs (p1, p2) of one
     block and b1 + b2 = beta, with e1 = p1 - nu*b2, e2 = p2 - nu*b1:
@@ -61,19 +57,30 @@ def _block_sums(tables: CoeffTables, block, beta: int) -> tuple:
 
     With the Theta-lemma terms t of rows (p2, b1) on the left and
     (p1, b2) on the right (`CoeffTables.ct_l_terms`), these are the
-    products (t0, t1), (t0, t0), (t2, t2), (t0, t2) and (t0, t3), each
-    added up in integers over one common denominator."""
+    products (t0, t1), (t0, t0), (t2, t2), (t0, t2) and (t0, t3), all
+    five added up in integers over one common denominator in one pass
+    over the pairs.  Each row's terms are read once per call."""
+    terms = {(p, b): tables.ct_l_terms(p, b)
+             for p in {p for pair in block for p in pair}
+             for b in range(beta + 1)}
     pairs = []  # (left den * right den, left terms, right terms)
     for p1, p2 in block:
         for b1 in range(beta + 1):
-            dl, left = tables.ct_l_terms(p2, b1)
+            dl, left = terms[p2, b1]
             if left[0]:
-                dr, right = tables.ct_l_terms(p1, beta - b1)
+                dr, right = terms[p1, beta - b1]
                 pairs.append((dl * dr, left, right))
     den = lcm(*[d for d, _, _ in pairs])
-    return tuple(Fraction(sum(left[i] * right[j] * (den // d)
-                              for d, left, right in pairs), den)
-                 for i, j in _PRODUCTS)
+    s1 = s2 = s3 = lin = binw = 0
+    for d, (l0, _, l2, _), (r0, r1, r2, r3) in pairs:
+        k = den // d
+        a = l0 * k
+        s1 += a * r1
+        s2 += a * r0
+        s3 += l2 * k * r2
+        lin += a * r2
+        binw += a * r3
+    return tuple(Fraction(x, den) for x in (s1, s2, s3, lin, binw))
 
 
 def compute_sums(tables: CoeffTables, beta: int) -> SumValues:

@@ -181,8 +181,9 @@ class CoeffTables:
         L^(e-1), L^(e-1) and L^(e-2) (`hyper.FanoContext.ct_sums`).  The
         bounds are those of `ct_row`; every term is 0 when e < 0."""
         row, e = self.ct_row(p, beta), p - self.md.nu * beta
-        t0, t1 = (row.nums[l - row.lo] if row.lo <= l <= row.hi else 0
-                  for l in (e, e - 1))
+        nums, k = row.nums, e - row.lo  # ct[p,e,beta] is nums[k]
+        t0 = nums[k] if 0 <= k < len(nums) else 0
+        t1 = nums[k - 1] if 0 < k <= len(nums) else 0
         # e (e - 1) / 2 is C(e, 2) for e >= 0, and t0 is 0 when e < 0
         return row.den, (t0, t1, e * t0, e * (e - 1) // 2 * t0)
 

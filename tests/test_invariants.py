@@ -373,10 +373,11 @@ def test_type_b_poly_parts_are_the_unit_series_reads():
 def test_corrupted_type_b_parts_fail_the_residue_oracle(monkeypatch):
     """The residue route of the n/24 block shares no piece of the
     block: a polynomial part at h = 0 off by 1, or the n/24 block
-    doubled, fails `check_type_b_residue_oracle` on every nu >= 2
-    geometry of the default grid, where n24_block(1) is nonzero."""
-    grid = [md for md in default_grid() if md.nu >= 2]
-    assert len(grid) == 5 and all(check_type_b_residue_oracle(md)
+    doubled, fails `check_type_b_residue_oracle` on every geometry of
+    the default grid, where n24_block(1) is nonzero; the index-1
+    X_6(2,3) included, with n24_block(1) = -114."""
+    grid = default_grid()
+    assert len(grid) == 6 and all(check_type_b_residue_oracle(md)
                                   for md in grid)
     assert all(n24_block(context_for(md, 1), 1) != 0 for md in grid)
     with monkeypatch.context() as m:
@@ -503,9 +504,9 @@ def test_invariant_table_builds_one_f_w(monkeypatch):
 
 
 def test_every_inverted_f_is_a_cut_of_the_context_f_w(monkeypatch):
-    """On X_8(7) each F_0 that the F-bracket inverts (on each read,
-    `test_each_bracket_inverts_f0_cut_at_its_degree`) is a cut of the
-    context's one F(w)."""
+    """On X_8(7) the F_0 that the F-bracket inverts (once per context,
+    `test_invariant_table_inverts_f0_once`) is a cut of the context's
+    one F(w)."""
     inverted, contexts = [], []
     inv, init = BiSeries.inv, FanoContext.__init__
 
@@ -715,6 +716,50 @@ def test_checks_build_their_context_at_the_padded_order(monkeypatch, check):
     assert at_zero and orders == [order + 2 for order in at_zero]
 
 
+def _record_contexts(monkeypatch) -> list:
+    """The q-order of every `FanoContext` built from now on, in order."""
+    orders, build = [], FanoContext.__init__
+
+    def record(self, md, order):
+        orders.append(order)
+        build(self, md, order)
+
+    monkeypatch.setattr(FanoContext, "__init__", record)
+    return orders
+
+
+@pytest.mark.parametrize("pad", [0, 2])
+def test_suite_builds_one_context_per_order(monkeypatch, pad):
+    """One `run_geometry_suite` call builds one context for each
+    distinct q-order its checks read (12, 8, 6, bmax and 0, each plus
+    pad), and truncation stability its own two (bmax and bmax + 2)."""
+    orders = _record_contexts(monkeypatch)
+    for md in default_grid():
+        orders.clear()
+        run_geometry_suite(md, pad)
+        shared = {12 + pad, 8 + pad, 6 + pad, md.bmax + pad, pad}
+        assert sorted(orders) == sorted(
+            list(shared) + [md.bmax, md.bmax + checks.TRUNCATION_PAD]), \
+            md.label()
+
+
+@pytest.mark.parametrize("check, order", [
+    (checks.check_l_identity, 12), (checks.check_mu_routes, 8),
+    (checks.check_phi_routes, 8), (checks.check_theta_routes, 8),
+    (checks.check_regularizable, 8), (checks.check_w_regular, 8),
+    (check_degree0, 0), (check_three_path, MD53.bmax),
+    (check_svr_vanishing, MD53.bmax), (checks.check_a_double_residue, 6),
+    (check_type_b_residue_oracle, MD53.bmax)])
+def test_a_check_called_alone_builds_its_own_context(monkeypatch, check,
+                                                     order):
+    """A `check_*` function called on its own builds one context at its
+    q-order, and a second call builds another: no context outlives the
+    call that built it."""
+    orders = _record_contexts(monkeypatch)
+    assert check(MD53) and check(MD53)
+    assert orders == [order, order]
+
+
 def test_frozen_sample_values():
     """Values pinned by the cross-checked implementation (truncation-
     and route-stable; no external table exists to compare against)."""
@@ -757,20 +802,21 @@ def test_f_residue_series_reads_the_whole_bracket():
                 (md.label(), b)
 
 
-def test_each_bracket_inverts_f0_cut_at_its_degree(monkeypatch):
-    """invariant_table(X_8(7)) inverts F_0 once per bracket read: once
-    for type B and once for the difference at each b >= 1, once at
-    b = 0, each time on the b + 1 slices q^0..q^b."""
-    orders = []
+def test_invariant_table_inverts_f0_once(monkeypatch):
+    """invariant_table(X_8(7)) inverts F_0 once, for every bracket read
+    of its one context: on F_0 cut at w^{n-2-r} in each of the
+    order + 1 slices q^0..q^7."""
+    inverted = []
     real = BiSeries.inv
 
     def recording(self):
-        orders.append(self.order)
+        inverted.append(self.his)
         return real(self)
 
     monkeypatch.setattr(BiSeries, "inv", recording)
-    invariant_table(MultiDegree(8, (7,)))
-    assert sorted(orders) == [0] + [b for b in range(1, 8) for _ in (0, 1)]
+    md = MultiDegree(8, (7,))
+    invariant_table(md)
+    assert inverted == [(md.n - 2 - md.r,) * (md.bmax + 1)]
 
 
 def test_each_row_builds_its_bracket_numerator_once(monkeypatch):
