@@ -5,21 +5,23 @@ Shared by the `check` CLI verb and the acceptance tests, with the
 q-orders pinned; each check reads its context's windows (`fanogw.hyper`).
 `run_geometry_suite(md, pad)` (`fanogw check --order K`) reads every
 context at its pinned order plus pad, except in truncation stability,
-which compares pads 0 and 2 on contexts of its own.  Inside one suite
-run the checks share one context per q-order (`_context`), kept in a
-dict local to that run; a check called on its own builds its own:
+which compares pads 0 and 2.  Inside one suite run the checks share one
+context per q-order (`_context`), kept in a dict local to that run: the
+orders 12, 8 and bmax, plus pad, and truncation stability's bmax and
+bmax + 2, which at pad 0 are the row context and one more.  A check
+called on its own builds its own:
 
 * the algebraic L identity to q-order 12;
-* dual-route equality (mu, Phi0, Phi1, Theta) to q-order 8, Theta
-  from p = 1: at p = 0 Theta^{(0)} is Phi0 and Theta^{(1)} is Phi1;
-* regularizability and w-regularity to q-order 8;
-* the degree-0 Chern value (an oracle independent of the degree-0
-  row), three-path consistency (with the degree-1 vanishing of the
-  reduced invariant), the zero-class rows (difference, standard and
-  reduced all 0 above `svr_threshold`);
-* the double-residue oracle for A(q) to q-order 6, with type A checked
-  against its second route at every degree up to that order;
-* the type-B residue oracle, the n/24 block by its residue route;
+* on the series context, to q-order 8: dual-route equality (mu, Phi0,
+  Phi1, Theta; Theta from p = 1, since at p = 0 Theta^{(0)} is Phi0
+  and Theta^{(1)} is Phi1), regularizability, w-regularity, and the
+  double-residue oracle for A(q), with type A checked against its
+  second route at every degree up to that order (or bmax, if lower);
+* on the row context, to q-order bmax: the degree-0 Chern value (an
+  oracle independent of the degree-0 row), three-path consistency (with
+  the degree-1 vanishing of the reduced invariant), the zero-class rows
+  (difference, standard and reduced all 0 above `svr_threshold`), and
+  the type-B residue oracle, the n/24 block by its residue route;
 * the proven structure-sum lemmas for beta <= 3;
 * truncation stability and the ct*c convolution identity.
 """
@@ -32,15 +34,14 @@ from typing import NamedTuple
 from .geometry import MultiDegree
 from .hyper import FanoContext, mu_by_residue, theta_by_residue
 from .invariants import (a_series, chern_degree0_oracle, invariant_row,
-                         invariant_table, n24_block, n24_by_residue,
-                         reduced_invariant, standard_invariant,
-                         svr_difference, type_a)
+                         n24_block, n24_by_residue, reduced_invariant,
+                         standard_invariant, svr_difference, type_a)
 from .series import QSeries
 from .sums import check_proven_identities, sums_by_degree, tables_for_sums
 from .tables import CoeffTables
 
 #: the beta bound of `check_sum_lemmas`, and the extra q-order at which
-#: `check_truncation_stability` recomputes the invariant table
+#: `check_truncation_stability` recomputes the invariant rows
 SUM_LEMMA_BETA_MAX, TRUNCATION_PAD = 3, 2
 
 #: the standard verification grid (the last geometry has index 1)
@@ -123,9 +124,17 @@ def check_w_regular(md: MultiDegree, order: int = 8,
     return True
 
 
+def _rows(ctx: FanoContext) -> list:
+    """Every invariant row of ctx's geometry, b = 0..bmax, on ctx."""
+    return [invariant_row(ctx, b) for b in range(ctx.md.bmax + 1)]
+
+
 def check_degree0(md: MultiDegree, pad: int = 0,
                   shared: dict | None = None) -> bool:
-    row = invariant_row(_context(md, pad, shared), 0)
+    """The degree-0 row against the Chern oracle, read on the row
+    context (q-order bmax + pad): a row's value does not depend on the
+    order it is read at, which truncation stability checks."""
+    row = invariant_row(_context(md, md.bmax + pad, shared), 0)
     return row.standard == chern_degree0_oracle(md)
 
 
@@ -135,8 +144,7 @@ def check_three_path(md: MultiDegree, pad: int = 0,
     no smooth genus-1 curve maps with degree 1, so the main component
     of the reduced moduli space is empty there.  Every valid geometry
     has degree 1, since nu <= n - 2."""
-    ctx = _context(md, md.bmax + pad, shared)
-    rows = [invariant_row(ctx, b) for b in range(md.bmax + 1)]
+    rows = _rows(_context(md, md.bmax + pad, shared))
     return all(r.consistent for r in rows) and rows[1].reduced == 0
 
 
@@ -153,7 +161,7 @@ def check_svr_vanishing(md: MultiDegree, pad: int = 0,
                for b in range(md.svr_threshold + 1, md.bmax + 1))
 
 
-def check_a_double_residue(md: MultiDegree, order: int = 6,
+def check_a_double_residue(md: MultiDegree, order: int = 8,
                            shared: dict | None = None) -> bool:
     """A(q) by its two routes, and type A by its second route: for every
     b up to A's order, type A equals 1/2 [q^b] Theta^{(0)}_p A / Phi0
@@ -187,8 +195,12 @@ def check_sum_lemmas(md: MultiDegree) -> bool:
         sums_by_degree(tables_for_sums(md, SUM_LEMMA_BETA_MAX))))
 
 
-def check_truncation_stability(md: MultiDegree) -> bool:
-    return invariant_table(md) == invariant_table(md, pad=TRUNCATION_PAD)
+def check_truncation_stability(md: MultiDegree,
+                               shared: dict | None = None) -> bool:
+    """The invariant rows at q-order bmax and bmax + `TRUNCATION_PAD`
+    agree; in a suite run at pad 0 the first is the row context."""
+    return _rows(_context(md, md.bmax, shared)) == _rows(
+        _context(md, md.bmax + TRUNCATION_PAD, shared))
 
 
 def check_convolution(tables: CoeffTables) -> bool:
@@ -210,7 +222,11 @@ def _run_check(name: str, fn) -> CheckResult:
 
 def run_geometry_suite(md: MultiDegree, pad: int = 0) -> list[CheckResult]:
     """Every check on one geometry, the checks of one q-order reading one
-    context (`_context`); the contexts are freed when the suite returns."""
+    context (`_context`): the series context at 8 + pad, the row context
+    at bmax + pad, the L identity's at 12 + pad, and truncation
+    stability's bmax and bmax + 2 (the row context and one more at
+    pad 0).  The double residue reads the series context, so A is
+    compared to q^8.  The contexts are freed when the suite returns."""
     tables = CoeffTables(md, p_max=md.n, beta_max=3)
     shared: dict = {}
     checks = [
@@ -226,11 +242,12 @@ def run_geometry_suite(md: MultiDegree, pad: int = 0) -> list[CheckResult]:
          lambda: check_three_path(md, pad, shared)),
         ("svr-vanishing", lambda: check_svr_vanishing(md, pad, shared)),
         ("a-double-residue",
-         lambda: check_a_double_residue(md, 6 + pad, shared)),
+         lambda: check_a_double_residue(md, 8 + pad, shared)),
         ("type-b-residue-oracle",
          lambda: check_type_b_residue_oracle(md, pad, shared)),
         ("structure-sum-lemmas", lambda: check_sum_lemmas(md)),
-        ("truncation-stability", lambda: check_truncation_stability(md)),
+        ("truncation-stability",
+         lambda: check_truncation_stability(md, shared)),
         ("convolution-identity", lambda: check_convolution(tables)),
     ]
     return [_run_check(name, fn) for name, fn in checks]

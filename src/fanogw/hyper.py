@@ -6,9 +6,12 @@ closed route (Lagrange inversion in L(q), the Theta lemma).  The series
 route, residues of exact Laurent windows in the auxiliary variable, is
 `mu_by_residue(ctx)` and `theta_by_residue(ctx, p, level)`; Phi0 and
 Phi1 are its p = 0 reads; mu reads D log Ft = (D Ft) Ft^-1 against the
-context's one Ft(1/hbar)^-1.  L = 1 + D mu has its closed form only,
-checked against its algebraic identity.  D = q d/dq (`QSeries.euler`)
-keeps the q-order, so every series a context hands out has its order.
+context's one Ft(1/hbar)^-1.  Theta is read off the kept regularized
+F_p = exp(-mu/hbar) Ft_p (`FanoContext.regularized_fp`), the one product
+per p that regularizability and the double residue of A read too.
+L = 1 + D mu has its closed form only, checked against its algebraic
+identity.  D = q d/dq (`QSeries.euler`) keeps the q-order, so every
+series a context hands out has its order.
 
 Every slice of F(w, q) and Ft(1/hbar, q) comes from one recurrence,
 `tables.slice_chain`: the q^beta slice is the q^(beta-1) slice times
@@ -206,7 +209,6 @@ class FanoContext:
     def __init__(self, md: MultiDegree, order: int):
         self.md = md
         self.order = order
-        self.tables = CoeffTables(md, p_max=md.n, beta_max=order)
         self._cache: dict = {}
 
     def memo(self, key, build):
@@ -215,6 +217,13 @@ class FanoContext:
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
+
+    @property
+    def tables(self) -> CoeffTables:
+        """The ct and c tables to p = n and beta = order, built on first
+        read: a context that reads only mu and L builds none."""
+        return self.memo(("tables",), lambda: CoeffTables(
+            self.md, p_max=self.md.n, beta_max=self.order))
 
     # -- bivariate families
 
@@ -253,8 +262,9 @@ class FanoContext:
                          lambda: exp_neg_mu_over_aux(self.mu()))
 
     def regularized_fp(self, p: int) -> BiSeries:
-        """exp(-mu/hbar) * Ft_p(1/hbar, q), for the double residue and
-        the regularizability check; regular at hbar = 0 (the negative
+        """exp(-mu/hbar) * Ft_p(1/hbar, q), built once per p for the
+        double residue, the series route of Theta and the
+        regularizability check; regular at hbar = 0 (the negative
         coefficients vanish identically, which the acceptance suite
         verifies rather than assumes)."""
         return self.memo(("regfp", p),
@@ -381,10 +391,13 @@ def mu_by_residue(ctx: FanoContext) -> QSeries:
 
 
 def theta_by_residue(ctx: FanoContext, p: int, level: int) -> QSeries:
-    """Theta^{(level)}_p as the aux^level coefficient of
-    exp(-mu/hbar) Ft_p(1/hbar, q), read alone (`BiSeries.mul_coeff_of_aux`).
+    """Theta^{(level)}_p as the aux^level coefficients of the kept
+    exp(-mu/hbar) Ft_p(1/hbar, q) (`FanoContext.regularized_fp`), each
+    read through `BiSeries.coeff`, which checks the window.  The double
+    residue reads the same product, so one is built per (context, p).
     At p = 0 this is Phi0 (level 0) and Phi1 (level 1): their series
     route."""
     if level not in (0, 1):
         raise ValueError("theta level must be 0 or 1")
-    return ctx.exp_neg_mu().mul_coeff_of_aux(ctx.fp_hbar(p), level)
+    x = ctx.regularized_fp(p)
+    return QSeries(ctx.order, [x.coeff(b, level) for b in range(ctx.order + 1)])

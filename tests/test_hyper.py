@@ -219,21 +219,43 @@ def test_phi1_is_phi0_over_L_times_one_quotient():
             assert ctx.phi1() == want, (md.label(), order)
 
 
-def test_theta_residue_route_builds_no_whole_product(monkeypatch):
-    """`check_theta_routes` reads each Theta^(level)_p off
-    exp(-mu/hbar) Ft_p(1/hbar) at one hbar exponent: on a fresh context
-    it makes no `BiSeries.__mul__` call."""
-    calls = Counter()
-    real = BiSeries.__mul__
+def test_suite_builds_one_regularized_product_per_p(monkeypatch):
+    """The Theta and Phi routes, regularizability and the double residue
+    read one kept exp(-mu/hbar) Ft_p(1/hbar) per p: one suite run builds
+    that product once for each p in 0..n-1 and each p = 1 + nu*b of the
+    double residue's type-A rows, all on the series context (q-order 8),
+    and reads no band of it alone."""
+    exps, fps, built = [], {}, Counter()
+    real_exp, real_fp = hyper.exp_neg_mu_over_aux, hyper.fp_series
+    real_mul, real_band = BiSeries.__mul__, BiSeries.mul_coeff_of_aux
 
-    def counting(self, other):
-        calls["mul"] += 1
-        return real(self, other)
+    def exp_recording(mu):
+        exps.append(real_exp(mu))
+        return exps[-1]
 
-    monkeypatch.setattr(BiSeries, "__mul__", counting)
+    def fp_recording(tables, base, p, shift):
+        out = real_fp(tables, base, p, shift)
+        fps[id(out)] = (out, base.order, p)  # kept, so the id stays unique
+        return out
+
+    def mul_counting(self, other):
+        if any(self is e for e in exps):
+            built[fps[id(other)][1:]] += 1
+        return real_mul(self, other)
+
+    def band_guard(self, other, e):
+        assert not any(self is x for x in exps), "a band of exp(-mu/hbar)"
+        return real_band(self, other, e)
+
+    monkeypatch.setattr(hyper, "exp_neg_mu_over_aux", exp_recording)
+    monkeypatch.setattr(hyper, "fp_series", fp_recording)
+    monkeypatch.setattr(BiSeries, "__mul__", mul_counting)
+    monkeypatch.setattr(BiSeries, "mul_coeff_of_aux", band_guard)
     for md in (MD53, MD722, MultiDegree(6, (2, 3))):
-        assert check_theta_routes(md, 6), md
-    assert calls == {}
+        built.clear()
+        assert all(r.ok for r in checks.run_geometry_suite(md)), md.label()
+        ps = set(range(md.n)) | {1 + md.nu * b for b in range(md.bmax + 1)}
+        assert built == Counter((8, p) for p in ps), md.label()
 
 
 def test_theta_routes_start_at_p_1(monkeypatch):

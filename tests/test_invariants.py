@@ -21,7 +21,9 @@ from fanogw.invariants import (OutOfRange, _reflect, _residue_against_g,
                                invariant_table, n24_block, n24_by_residue,
                                reduced_invariant, standard_invariant,
                                svr_difference, type_a, type_b)
-from fanogw.series import INF_EXP, BiSeries, LaurentPoly, WindowUnderflow
+from fanogw.series import (INF_EXP, BiSeries, LaurentPoly, QSeries,
+                           WindowUnderflow)
+from fanogw.tables import CoeffTables
 
 from helpers import (a_double_residue_by_terms, bi_one, chern_value_oracle,
                      coeff_of_aux, f_bracket_reference, n24_block_reference,
@@ -123,7 +125,6 @@ def test_a_series_from_structure_sums():
     """Third route to A(q): substitute the Theta closed forms into the
     pairing sums and collect; the ct products collapse to the structure
     sums U1..U3 (first block) and V1..V3 (second block)."""
-    from fanogw.series import QSeries
     from fanogw.sums import compute_sums, tables_for_sums
     for md in (MD53, MD722, MD623):
         ctx = context_for(md, 5)
@@ -731,33 +732,107 @@ def _record_contexts(monkeypatch) -> list:
 @pytest.mark.parametrize("pad", [0, 2])
 def test_suite_builds_one_context_per_order(monkeypatch, pad):
     """One `run_geometry_suite` call builds one context for each
-    distinct q-order its checks read (12, 8, 6, bmax and 0, each plus
-    pad), and truncation stability its own two (bmax and bmax + 2)."""
+    distinct q-order its checks read: 12, 8 and bmax, each plus pad,
+    and truncation stability's bmax and bmax + 2.  At pad 0 that is
+    four contexts, the row context shared with truncation stability."""
     orders = _record_contexts(monkeypatch)
     for md in default_grid():
         orders.clear()
         run_geometry_suite(md, pad)
-        shared = {12 + pad, 8 + pad, 6 + pad, md.bmax + pad, pad}
-        assert sorted(orders) == sorted(
-            list(shared) + [md.bmax, md.bmax + checks.TRUNCATION_PAD]), \
-            md.label()
+        want = {12 + pad, 8 + pad, md.bmax + pad,
+                md.bmax, md.bmax + checks.TRUNCATION_PAD}
+        assert sorted(orders) == sorted(want), md.label()
+        if pad == 0:
+            assert len(orders) == 4, md.label()
 
 
-@pytest.mark.parametrize("check, order", [
-    (checks.check_l_identity, 12), (checks.check_mu_routes, 8),
-    (checks.check_phi_routes, 8), (checks.check_theta_routes, 8),
-    (checks.check_regularizable, 8), (checks.check_w_regular, 8),
-    (check_degree0, 0), (check_three_path, MD53.bmax),
-    (check_svr_vanishing, MD53.bmax), (checks.check_a_double_residue, 6),
-    (check_type_b_residue_oracle, MD53.bmax)])
+@pytest.mark.parametrize("check, orders", [
+    (checks.check_l_identity, (12,)), (checks.check_mu_routes, (8,)),
+    (checks.check_phi_routes, (8,)), (checks.check_theta_routes, (8,)),
+    (checks.check_regularizable, (8,)), (checks.check_w_regular, (8,)),
+    (check_degree0, (MD53.bmax,)), (check_three_path, (MD53.bmax,)),
+    (check_svr_vanishing, (MD53.bmax,)), (checks.check_a_double_residue, (8,)),
+    (check_type_b_residue_oracle, (MD53.bmax,)),
+    (checks.check_truncation_stability,
+     (MD53.bmax, MD53.bmax + checks.TRUNCATION_PAD))],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
 def test_a_check_called_alone_builds_its_own_context(monkeypatch, check,
-                                                     order):
-    """A `check_*` function called on its own builds one context at its
-    q-order, and a second call builds another: no context outlives the
-    call that built it."""
-    orders = _record_contexts(monkeypatch)
+                                                     orders):
+    """A `check_*` function called on its own builds its contexts, one
+    per q-order it reads, and a second call builds them again: no
+    context outlives the call that built it."""
+    built = _record_contexts(monkeypatch)
     assert check(MD53) and check(MD53)
-    assert orders == [order, order]
+    assert built == list(orders) * 2
+
+
+def test_l_identity_alone_builds_no_tables(monkeypatch):
+    """The order-12 context of `check_l_identity` reads only mu and L, so
+    it builds no `CoeffTables`: a context builds its tables on their
+    first read."""
+    built = []
+    real = CoeffTables.__init__
+
+    def record(self, md, p_max, beta_max):
+        built.append(beta_max)
+        real(self, md, p_max, beta_max)
+
+    monkeypatch.setattr(CoeffTables, "__init__", record)
+    for md in default_grid():
+        assert checks.check_l_identity(md), md.label()
+    assert built == []
+    assert FanoContext(MD53, 3).tables.beta_max == 3 and built == [3]
+
+
+def _scaled_slice(x: BiSeries, b: int) -> BiSeries:
+    """x with its q^b slice scaled by 7/5, windows kept."""
+    return BiSeries([s * Fraction(7, 5) if k == b else s
+                     for k, s in enumerate(x.slices)], x.his)
+
+
+@pytest.mark.parametrize("md", [MD722, MD623], ids=lambda md: md.label())
+def test_scaled_regularized_fp_fails_both_readers(monkeypatch, md):
+    """The Theta routes, the Phi routes, regularizability and the double
+    residue share one `regularized_fp(p)` per p, so a fault in it must
+    still fail a check on each side: built with the q^1 slice of its
+    Ft_p factor scaled by 7/5, p >= 1 fails `theta-dual-route` and
+    `a-double-residue`, and p = 0 fails `phi-dual-route` and
+    `regularizability`."""
+    real = FanoContext.regularized_fp
+    for target in range(md.n):
+        def faulty(ctx, p, target=target):
+            if p != target:
+                return real(ctx, p)
+            return ctx.exp_neg_mu() * _scaled_slice(ctx.fp_hbar(p), 1)
+
+        monkeypatch.setattr(FanoContext, "regularized_fp", faulty)
+        failed = {r.name for r in run_geometry_suite(md) if not r.ok}
+        want = ({"theta-dual-route", "a-double-residue"} if target
+                else {"phi-dual-route", "regularizability"})
+        assert want <= failed, (md.label(), target, failed)
+
+
+@pytest.mark.parametrize("md", [MD722, MD623], ids=lambda md: md.label())
+@pytest.mark.parametrize("top", [False, True], ids=["whole", "q8"])
+def test_scaled_closed_a_fails_the_double_residue(monkeypatch, md, top):
+    """The closed A(q) scaled by 7/5, whole or in its q^8 coefficient
+    alone, fails `a-double-residue`, which reads A to q-order 8 on the
+    series context: a check at a lower order cannot see the q^8 fault."""
+    real = FanoContext.A
+
+    def faulty(ctx):
+        a = real(ctx)
+        if not top:
+            return a * Fraction(7, 5)
+        if ctx.order < 8:  # the row contexts hold no q^8
+            return a
+        return a + QSeries(ctx.order, [0] * 8 + [a.coeff(8) * Fraction(2, 5)])
+
+    assert real(FanoContext(md, 8)).coeff(8) != 0
+    monkeypatch.setattr(FanoContext, "A", faulty)
+    failed = {r.name for r in run_geometry_suite(md) if not r.ok}
+    assert "a-double-residue" in failed, md.label()
+    assert not checks.check_a_double_residue(md)
 
 
 def test_frozen_sample_values():

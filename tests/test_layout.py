@@ -257,9 +257,6 @@ def production_functions() -> dict:
 NEVER_CALLED = {
     # the tracer's hooks read it to count the terms of a product
     "series.LaurentPoly.coeffs",
-    # the primitive checked read that `BiSeries.mul_coeff` is specified
-    # against, and the one `helpers.coeff_of_aux` reads
-    "series.BiSeries.coeff",
 }
 
 
