@@ -373,6 +373,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (OverflowError, MemoryError) as exc:
+        # a size beyond what a list can hold, such as --ambient 10**20
+        print(f"error: input too large to compute ({type(exc).__name__})",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ import fanogw.checks
 import fanogw.sums
 from fanogw.cli import fmt_rat, main
 from fanogw.geometry import MultiDegree
+from fanogw.hyper import FanoContext
 from fanogw.sums import u1_beta2_conjectured
 
 from helpers import corrupt_ctilde
@@ -62,6 +63,21 @@ def test_compute_rejects_projective_space(capsys, degrees):
                          "--degrees", degrees)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "projective space" in err
+
+
+@pytest.mark.parametrize("ambient, error", [
+    ("100000000000000000000", "OverflowError"),
+    ("9223372036854775807", "MemoryError")])
+def test_compute_rejects_an_ambient_too_large_to_represent(capsys, ambient,
+                                                           error):
+    """An ambient past what a list of that length can hold exits 1 with
+    one error line: 10^20 does not fit an index, and a list of
+    2^63 - 1 powers of L cannot be allocated.  Both fail before any
+    allocation."""
+    code, out, err = run(capsys, "compute", "--ambient", ambient,
+                         "--degrees", "2")
+    assert code == 1 and out == ""
+    assert err == f"error: input too large to compute ({error})\n"
 
 
 def test_grid_rejects_projective_space(tmp_path, capsys):
@@ -267,11 +283,11 @@ def test_check_fails_on_a_scaled_type_a(monkeypatch, capsys):
 @pytest.mark.parametrize("n,degrees", [(6, (2, 3)), (8, (7,)), (10, (9,))])
 def test_a_double_residue_catches_a_scaled_type_a(monkeypatch, n, degrees):
     md = MultiDegree(n, degrees)
-    assert fanogw.checks.check_a_double_residue(md)
+    assert fanogw.checks.check_a_double_residue(FanoContext(md, 8))
     real = fanogw.checks.type_a
     monkeypatch.setattr(fanogw.checks, "type_a",
                         lambda ctx, b: real(ctx, b) * Fraction(7, 3))
-    assert not fanogw.checks.check_a_double_residue(md)
+    assert not fanogw.checks.check_a_double_residue(FanoContext(md, 8))
 
 
 @pytest.mark.parametrize("n,degrees", [(8, (7,)), (10, (9,))])
@@ -283,7 +299,7 @@ def test_a_double_residue_reads_type_a_up_to_its_order(monkeypatch, n,
     real = fanogw.checks.type_a
     monkeypatch.setattr(fanogw.checks, "type_a", lambda ctx, b: real(ctx, b)
                         * (Fraction(7, 3) if b == 6 else 1))
-    assert not fanogw.checks.check_a_double_residue(md, 6)
+    assert not fanogw.checks.check_a_double_residue(FanoContext(md, 6))
 
 
 def test_check_grid_file(tmp_path, capsys):

@@ -277,7 +277,7 @@ def test_theta_routes_start_at_p_1(monkeypatch):
     monkeypatch.setattr(checks, "theta_by_residue", recording)
     for md in default_grid():
         powers.clear()
-        assert check_theta_routes(md, 3), md.label()
+        assert check_theta_routes(FanoContext(md, 3)), md.label()
         assert sorted(set(powers)) == list(range(1, md.n)), md.label()
 
 
@@ -374,7 +374,7 @@ def test_ct_sums_match_the_term_by_term_reference(md, order):
                                         (11, (2, 2, 2)), (10, (3, 3)),
                                         (12, (11,))])
 def test_w_regularity_beyond_the_grid(n, degrees):
-    assert check_w_regular(MultiDegree(n, degrees))
+    assert check_w_regular(FanoContext(MultiDegree(n, degrees), 8))
 
 
 def test_w_regularity_reads_every_negative_exponent(monkeypatch):
@@ -392,13 +392,13 @@ def test_w_regularity_reads_every_negative_exponent(monkeypatch):
     ctx = FanoContext(md, 8)
     assert fp_series(ctx.tables, ctx.f_w().cut((11,) * 9), 11,
                      -1).coeff(1, -2) == 1
-    assert not check_w_regular(md)
+    assert not check_w_regular(ctx)
 
 
 def test_w_regularity_fails_below_a_known_window(monkeypatch):
     unknown = BiSeries([LaurentPoly(0, (1,))], [-2])
     monkeypatch.setattr(FanoContext, "fp_w", lambda self, p: unknown)
-    assert not check_w_regular(MD53)
+    assert not check_w_regular(FanoContext(MD53, 8))
 
 
 def test_a_from_pair_sums_is_the_sum_of_theta_products():

@@ -36,6 +36,11 @@ MD722 = MultiDegree(7, (2, 2))
 MD623 = MultiDegree(6, (2, 3))
 
 
+def _row_context(md: MultiDegree) -> FanoContext:
+    """The context the suite's row checks read at pad 0: q-order bmax."""
+    return FanoContext(md, md.bmax)
+
+
 def test_chern_degree0_values():
     assert chern_degree0_oracle(MD53) == Fraction(-1, 2)
     assert chern_degree0_oracle(MultiDegree(6, (2, 2))) == Fraction(-1, 2)
@@ -349,10 +354,10 @@ def test_fp_w_window_is_the_least(monkeypatch):
             assert min(ctx.fp_w(p).his) == -1, (md.label(), p)
             f = ctx.f_w().cut((p - 2,) * (ctx.order + 1))
             assert min(fp_series(ctx.tables, f, p, -1).his) < -1
-        assert check_w_regular(md)
+        assert check_w_regular(ctx)
     monkeypatch.setattr(FanoContext, "fp_w", lambda self, p: fp_series(
         self.tables, self.f_w().cut((p - 2,) * (self.order + 1)), p, -1))
-    assert not check_w_regular(MD53)
+    assert not check_w_regular(FanoContext(MD53, 8))
 
 
 def test_type_b_poly_parts_are_the_unit_series_reads():
@@ -378,19 +383,21 @@ def test_corrupted_type_b_parts_fail_the_residue_oracle(monkeypatch):
     the default grid, where n24_block(1) is nonzero; the index-1
     X_6(2,3) included, with n24_block(1) = -114."""
     grid = default_grid()
-    assert len(grid) == 6 and all(check_type_b_residue_oracle(md)
+    assert len(grid) == 6 and all(check_type_b_residue_oracle(_row_context(md))
                                   for md in grid)
     assert all(n24_block(context_for(md, 1), 1) != 0 for md in grid)
     with monkeypatch.context() as m:
         real = invariants._type_b_poly_parts
         m.setattr(invariants, "_type_b_poly_parts",
                   lambda ctx, b: real(ctx, b) + 1)
-        assert not any(check_type_b_residue_oracle(md) for md in grid)
+        assert not any(check_type_b_residue_oracle(_row_context(md))
+                       for md in grid)
     with monkeypatch.context() as m:
         real = invariants.n24_block
         for module in (invariants, checks):
             m.setattr(module, "n24_block", lambda ctx, b: 2 * real(ctx, b))
-        assert not any(check_type_b_residue_oracle(md) for md in grid)
+        assert not any(check_type_b_residue_oracle(_row_context(md))
+                       for md in grid)
 
 
 def test_corrupted_ct_residue_row_fails_degree0_and_three_path(monkeypatch):
@@ -444,7 +451,7 @@ def test_residue_oracle_reads_no_f_w_and_one_inverse(monkeypatch):
     for md in grid:
         for calls in (w_side, f_ws, inverted, contexts):
             calls.clear()
-        assert check_type_b_residue_oracle(md), md.label()
+        assert check_type_b_residue_oracle(_row_context(md)), md.label()
         assert w_side == [] and f_ws == [], md.label()
         assert len(contexts) == 1, md.label()
         assert len(inverted) == 1, md.label()
@@ -642,7 +649,7 @@ def test_scaled_n24_block_fails_three_path_on_the_grid(monkeypatch):
                         lambda ctx, p: n24(ctx, p) * Fraction(5, 2))
     for md in default_grid():
         assert all(r.consistent for r in invariant_table(md)), md.label()
-        assert not check_three_path(md), md.label()
+        assert not check_three_path(_row_context(md)), md.label()
 
 
 def test_scaled_chern_coefficients_fail_degree0_on_the_grid(monkeypatch):
@@ -654,7 +661,7 @@ def test_scaled_chern_coefficients_fail_degree0_on_the_grid(monkeypatch):
     monkeypatch.setattr(invariants, "_front",
                         lambda ctx: front(ctx) * Fraction(7, 3))
     for md in default_grid():
-        assert not check_degree0(md), md.label()
+        assert not check_degree0(_row_context(md)), md.label()
 
 
 def test_reduced_equals_standard_beyond_threshold():
@@ -673,7 +680,7 @@ def test_zero_class_rows_vanish():
     `check_svr_vanishing` passes on every geometry."""
     geometries = rows = type_a_nonzero = 0
     for md in valid_geometries(12, 3):
-        assert check_svr_vanishing(md), md.label()
+        assert check_svr_vanishing(_row_context(md)), md.label()
         top = range(md.svr_threshold + 1, md.bmax + 1)
         if not top:
             continue
@@ -691,97 +698,104 @@ def test_scaled_term_fails_svr_vanishing(monkeypatch, name):
     """Type A or the n/24 block scaled by 7/5 leaves the zero-class rows
     of X_6(2,3) (b = 3, 4, 5) nonzero, so `svr-vanishing` fails; both
     enter each side of a row, so `consistent` cannot see either."""
-    assert check_svr_vanishing(MD623)
+    assert check_svr_vanishing(_row_context(MD623))
     real = getattr(invariants, name)
     monkeypatch.setattr(invariants, name,
                         lambda ctx, b: real(ctx, b) * Fraction(7, 5))
     assert all(r.consistent for r in invariant_table(MD623))
-    assert not check_svr_vanishing(MD623)
+    assert not check_svr_vanishing(_row_context(MD623))
 
 
-@pytest.mark.parametrize("check", [check_degree0, check_svr_vanishing,
-                                   check_type_b_residue_oracle])
-def test_checks_build_their_context_at_the_padded_order(monkeypatch, check):
-    """`fanogw check --order K` reaches the checks that build their own
-    context: at pad 2 each builds it at its pad-0 q-order + 2."""
-    orders, build = [], FanoContext.__init__
+def _record_builds(monkeypatch, cls) -> list:
+    """Every `cls` object built from now on, in order."""
+    built, build = [], cls.__init__
 
-    def record(self, md, order):
-        orders.append(order)
-        build(self, md, order)
+    def record(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        built.append(self)
 
-    monkeypatch.setattr(FanoContext, "__init__", record)
-    assert check(MD722)
-    at_zero, orders[:] = list(orders), []
-    assert check(MD722, 2)
-    assert at_zero and orders == [order + 2 for order in at_zero]
+    monkeypatch.setattr(cls, "__init__", record)
+    return built
 
 
-def _record_contexts(monkeypatch) -> list:
-    """The q-order of every `FanoContext` built from now on, in order."""
-    orders, build = [], FanoContext.__init__
-
-    def record(self, md, order):
-        orders.append(order)
-        build(self, md, order)
-
-    monkeypatch.setattr(FanoContext, "__init__", record)
-    return orders
-
-
-@pytest.mark.parametrize("pad", [0, 2])
+@pytest.mark.parametrize("pad", [0, 1, 2])
 def test_suite_builds_one_context_per_order(monkeypatch, pad):
-    """One `run_geometry_suite` call builds one context for each
-    distinct q-order its checks read: 12, 8 and bmax, each plus pad,
-    and truncation stability's bmax and bmax + 2.  At pad 0 that is
-    four contexts, the row context shared with truncation stability."""
-    orders = _record_contexts(monkeypatch)
+    """One `run_geometry_suite` call builds one context for each pinned
+    q-order its checks read, 12, 8, bmax and bmax + `TRUNCATION_PAD`,
+    each plus pad: four contexts on every default-grid geometry at
+    every pad.  At pad 0 it builds four `CoeffTables`: the suite's one,
+    read by the sum lemmas and the convolution identity, and one for
+    each context but the L identity's."""
+    contexts = _record_builds(monkeypatch, FanoContext)
+    tables = _record_builds(monkeypatch, CoeffTables)
     for md in default_grid():
-        orders.clear()
+        contexts.clear()
+        tables.clear()
         run_geometry_suite(md, pad)
-        want = {12 + pad, 8 + pad, md.bmax + pad,
-                md.bmax, md.bmax + checks.TRUNCATION_PAD}
-        assert sorted(orders) == sorted(want), md.label()
+        want = {12, 8, md.bmax, md.bmax + checks.TRUNCATION_PAD}
+        assert sorted(ctx.order for ctx in contexts) \
+            == sorted(order + pad for order in want), md.label()
+        assert len(contexts) == 4, md.label()
         if pad == 0:
-            assert len(orders) == 4, md.label()
+            assert len(tables) == 4, md.label()
 
 
-@pytest.mark.parametrize("check, orders", [
+#: the q-orders of the contexts each check is handed in a suite run at
+#: pad 0 on X_5(3); None for the checks that read the suite's tables
+SUITE_ARGS = [
     (checks.check_l_identity, (12,)), (checks.check_mu_routes, (8,)),
     (checks.check_phi_routes, (8,)), (checks.check_theta_routes, (8,)),
     (checks.check_regularizable, (8,)), (checks.check_w_regular, (8,)),
     (check_degree0, (MD53.bmax,)), (check_three_path, (MD53.bmax,)),
     (check_svr_vanishing, (MD53.bmax,)), (checks.check_a_double_residue, (8,)),
     (check_type_b_residue_oracle, (MD53.bmax,)),
+    (checks.check_sum_lemmas, None),
     (checks.check_truncation_stability,
-     (MD53.bmax, MD53.bmax + checks.TRUNCATION_PAD))],
-    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None)
-def test_a_check_called_alone_builds_its_own_context(monkeypatch, check,
-                                                     orders):
-    """A `check_*` function called on its own builds its contexts, one
-    per q-order it reads, and a second call builds them again: no
-    context outlives the call that built it."""
-    built = _record_contexts(monkeypatch)
-    assert check(MD53) and check(MD53)
-    assert built == list(orders) * 2
+     (MD53.bmax, MD53.bmax + checks.TRUNCATION_PAD)),
+    (checks.check_convolution, None)]
+
+
+@pytest.mark.parametrize("check, orders", SUITE_ARGS,
+                         ids=[check.__name__ for check, _ in SUITE_ARGS])
+def test_a_check_reads_only_what_it_is_handed(monkeypatch, check, orders):
+    """Each check, handed its contexts (their tables built) or the
+    suite's `CoeffTables` for X_5(3), passes and builds no `FanoContext`
+    and no `CoeffTables` of its own."""
+    if orders is None:
+        args = [CoeffTables(MD53, p_max=MD53.n,
+                            beta_max=checks.SUM_LEMMA_BETA_MAX)]
+    else:
+        args = [FanoContext(MD53, order) for order in orders]
+        for ctx in args:
+            assert ctx.tables.beta_max == ctx.order
+    contexts = _record_builds(monkeypatch, FanoContext)
+    tables = _record_builds(monkeypatch, CoeffTables)
+    assert check(*args)
+    assert contexts == [] and tables == []
 
 
 def test_l_identity_alone_builds_no_tables(monkeypatch):
-    """The order-12 context of `check_l_identity` reads only mu and L, so
-    it builds no `CoeffTables`: a context builds its tables on their
-    first read."""
-    built = []
-    real = CoeffTables.__init__
+    """The suite hands `check_l_identity` its order-12 context, which
+    reads only mu and L, so the check builds no `CoeffTables`: a context
+    builds its tables on their first read.  The suite calls each check
+    through the module's globals, so a wrapper put there (as the
+    benchmark's tracer does) sees the call."""
+    built, seen = _record_builds(monkeypatch, CoeffTables), []
+    real = checks.check_l_identity
 
-    def record(self, md, p_max, beta_max):
-        built.append(beta_max)
-        real(self, md, p_max, beta_max)
+    def wrapped(ctx):
+        before = len(built)
+        ok = real(ctx)
+        seen.append((ctx.order, len(built) - before))
+        return ok
 
-    monkeypatch.setattr(CoeffTables, "__init__", record)
+    monkeypatch.setattr(checks, "check_l_identity", wrapped)
     for md in default_grid():
-        assert checks.check_l_identity(md), md.label()
-    assert built == []
-    assert FanoContext(MD53, 3).tables.beta_max == 3 and built == [3]
+        assert all(r.ok for r in run_geometry_suite(md)), md.label()
+    assert seen == [(12, 0)] * len(default_grid())
+    built.clear()
+    assert FanoContext(MD53, 3).tables.beta_max == 3
+    assert [tables.beta_max for tables in built] == [3]
 
 
 def _scaled_slice(x: BiSeries, b: int) -> BiSeries:
@@ -832,7 +846,7 @@ def test_scaled_closed_a_fails_the_double_residue(monkeypatch, md, top):
     monkeypatch.setattr(FanoContext, "A", faulty)
     failed = {r.name for r in run_geometry_suite(md) if not r.ok}
     assert "a-double-residue" in failed, md.label()
-    assert not checks.check_a_double_residue(md)
+    assert not checks.check_a_double_residue(FanoContext(md, 8))
 
 
 def test_frozen_sample_values():

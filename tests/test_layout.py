@@ -134,6 +134,27 @@ def test_no_route_parameter():
     assert offenders == []
 
 
+def test_checks_take_only_what_they_read():
+    """Every `checks.check_*` takes the contexts or tables it reads and
+    nothing else: no parameter has a default, and none is an `order`,
+    `pad` or `shared` knob.  `run_geometry_suite` alone maps a check to
+    its q-order."""
+    from fanogw import checks
+
+    found, offenders = 0, []
+    for name, fn in vars(checks).items():
+        if not (name.startswith("check_")
+                and getattr(fn, "__module__", None) == checks.__name__):
+            continue
+        found += 1
+        code = fn.__code__
+        params = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        if fn.__defaults__ or fn.__kwdefaults__ \
+                or {"order", "pad", "shared"} & set(params):
+            offenders.append(f"{name}{params}")
+    assert found == 14 and offenders == []
+
+
 def test_one_q_derivative():
     """D = q d/dq (`QSeries.euler`) is the one q-derivative, and it keeps
     the q-order: no module defines or calls a `deriv`, which would lose

@@ -15,6 +15,7 @@ from fanogw.sums import (SumValues, check_proven_identities, compute_sums,
                          tables_for_sums, u1_beta2_conjectured,
                          u1_degree1_lemma, u1_vanishing_hypothesis, u2_lemma,
                          v2_conjectured, v3_conjectured)
+from fanogw.tables import CoeffTables
 
 from helpers import (structure_sums_reference, u1_degree1_hypersurface,
                      valid_geometries)
@@ -79,6 +80,18 @@ def test_sums_match_the_weighted_loop_reference(md, beta):
     assert sorted(names) == sorted(want)
     for name in names:
         assert getattr(sv, name) == want[name], (md.label(), beta, name)
+
+
+def test_sums_do_not_depend_on_the_table_bound_in_p():
+    """The check suite reads its sum lemmas off tables to p = n, which
+    it shares with the convolution identity: they give the `SumValues`
+    of `tables_for_sums` (p <= n - 1) on all 166 valid geometries with
+    n <= 12 and r <= 3."""
+    geometries = valid_geometries(12, 3)
+    assert len(geometries) == 166
+    for md in geometries:
+        assert sums_by_degree(CoeffTables(md, p_max=md.n, beta_max=3)) \
+            == sums_by_degree(tables_for_sums(md, 3)), md.label()
 
 
 def test_insufficient_bounds():
