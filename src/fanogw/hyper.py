@@ -103,8 +103,8 @@ def fp_series(tables: CoeffTables, base: BiSeries, p: int, shift: int) -> BiSeri
         P[beta1, b] = aux^(s*(nu*beta1 - p)) * T(b + aux^s),
 
     where T(x) = sum_l ct[p,l,beta1] x^l is the ct row and T(x + b)
-    its Taylor shift, read from `CoeffTables.shifted_row` (the ct solve
-    has already made it for every bracket row).  Over the unit series
+    its Taylor shift, read from `CoeffTables.shifted_row`, which keeps
+    each shift once.  Over the unit series
     1 (slice 0 is 1, every other slice 0) F_p is
     sum ct[p,l,beta] q^beta aux^(-s*(p-nu*beta-l)), since D^l 1 = 1.
 
@@ -278,6 +278,12 @@ class FanoContext:
     def L(self) -> QSeries:
         return self.memo(("L",), lambda: l_closed(self.mu()))
 
+    def d_l(self) -> QSeries:
+        """D L (D = q d/dq), kept once: the Theta lemma weighs s3 by
+        D L Phi0 (`_theta_weights`), and the n/24 block reads it against
+        s3 on every row (`invariants.n24_block`)."""
+        return self.memo(("DL",), lambda: self.L().euler())
+
     def _l_powers(self) -> list:
         """L^0..L^n: every integer power of L the context reads (L^e in
         the ct-L sums, L^|d| in y, X = L^n in Phi1)."""
@@ -363,7 +369,7 @@ class FanoContext:
             Theta^{(1)}_p = Phi1 s0 + Phi0 s1 + D Phi0 s2 + D L Phi0 s3."""
         def build():
             phi0 = self.phi0()
-            return (self.phi1(), phi0, phi0.euler(), self.L().euler() * phi0)
+            return (self.phi1(), phi0, phi0.euler(), self.d_l() * phi0)
         return self.memo(("theta_w",), build)
 
     def _theta_lemma(self, p: int, level: int) -> QSeries:

@@ -28,7 +28,12 @@ prod(d)/24 times the ct residue row) enter both sides of a row.  Each
 is kept per (context, degree) through `FanoContext.memo`, so the
 standard invariant and the rows route of type B read one value.  The
 F-bracket's value is kept per (context, degree) too, so type B and the
-difference build F_p once per row, and F_0^-1 is made once per context
+difference read one value, and no F_p is built for it: a row is
+O(b^2) integer dot products of the kept Taylor-shifted ct rows against
+the context's one bracket table K[m,k] = F_0[m] H[k],
+H = front * F_0^-1 (`_bracket_table`).  F_0^-1 is made once per
+context, on F_0 cut at the graded windows w^(n-1-r+nu*k), and each
+entry of the table is kept only in the band of w it is read in
 (`f_residue_series`).  The front (1+w)^n / prod(1 + d_k w) is kept
 once per context (`_front`).  The residue route of the n/24 block reads
 the context's Ft(1/hbar)^-1, and its polynomial part is two ct entries
@@ -43,9 +48,10 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .geometry import MultiDegree
-from .hyper import FanoContext, fp_series
+from .hyper import FanoContext
 from .series import (INF_EXP, BiSeries, LaurentPoly, QSeries, Rat,
-                     linear_product, poly_div)
+                     WindowUnderflow, linear_product, poly_div,
+                     product_window, sum_of_products)
 
 
 class OutOfRange(ValueError):
@@ -174,7 +180,8 @@ def n24_block(ctx: FanoContext, b: int) -> Rat:
     degree-0 genus-1 axiom).  Only q^b is read: the two ct-L sums at
     L = 1 have the single ct entries ct[p,1,b] and ct[p,0,b] there, and
     the two products are read through `QSeries.mul_coeff` against D L
-    and against D Phi0 / Phi0 (D = q d/dq), kept once per context."""
+    (`FanoContext.d_l`) and against D Phi0 / Phi0 (D = q d/dq), each
+    kept once per context."""
     md = ctx.md
     p = 1 + md.nu * b
     e2 = Fraction(md.n - 1, 2) - md.inv_degree_sum()
@@ -182,7 +189,7 @@ def n24_block(ctx: FanoContext, b: int) -> Rat:
     dlog_phi0 = ctx.memo(("dlog_phi0",),
                          lambda: ctx.phi0().euler() / ctx.phi0())
     return (-e2 * (s.s0.coeff(b) - c1)
-            - ctx.L().euler().mul_coeff(s.s3, b)
+            - ctx.d_l().mul_coeff(s.s3, b)
             - dlog_phi0.mul_coeff(s.s2, b)
             - (s.s1.coeff(b) - c0))
 
@@ -215,42 +222,82 @@ def _q0_series(poly: LaurentPoly, hi: int, order: int) -> BiSeries:
                     [hi] + [INF_EXP] * order)
 
 
+_MINUS_ONE = LaurentPoly.from_ints(0, (-1,))
+
+
 def f_residue_series(ctx: FanoContext, b: int) -> Rat:
-    """The q^b w^{n-2-r} coefficient of the F-bracket
-    (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) with p = 1 + nu*b: the
-    numerator (`_bracket_numerator`) read against F_0^-1 at
-    q^b w^{n-2-r} alone (`BiSeries.mul_coeff`), kept per (context,
-    degree): type B and the difference read one value.
+    """The q^b w^T coefficient, T = n-2-r, of the F-bracket
+    (1+w)^n (F_0 - F_p) / (F_0 prod(1 + d_k w)) with p = 1 + nu*b, read
+    off the context's bracket table (`_bracket_table`) and kept per
+    (context, degree): type B and the difference read one value.
 
-    F_0^-1 is made once per context, on F_0 cut at w^{n-2-r} in every
-    slice up to the context's order, and each degree reads it as it is:
-    slice b of an inverse reads only slices <= b, with the same window,
-    so the read at q^b is the one an inverse cut at q^b gives.  That
-    window is enough because F_0 - F_p has no w^0 term; a window short
-    of the read raises WindowUnderflow, never a wrong coefficient."""
-    target = ctx.md.n - 2 - ctx.md.r
-    f0_inv = ctx.memo(("f0inv",), lambda: ctx.f_w().cut(
-        (target,) * (ctx.order + 1)).inv())
-    return ctx.memo(("bracket", b), lambda: _bracket_numerator(ctx, b)
-                    .mul_coeff(f0_inv, b, target))
+    Slice B of F_p is the sum over beta1 + m = B of
+    w^(nu*beta1 - p) T_{p,beta1}(w + m) F_0[m] (`hyper.fp_series`), so
+    with K[m,k] = F_0[m] H[k], H = front * F_0^-1, the value is
+
+        sum_{m+k=b} K[m,k]_T
+          - sum_{beta1+m+k=b} sum_l t_l K[m,k]_{T+p-nu*beta1-l},
+
+    t the kept Taylor-shifted ct row `CoeffTables.shifted_row(p, beta1,
+    m)`, which the ct solve has made: one integer dot product per
+    (beta1, m, k), read in the band w^T..w^(T+1+nu(m+k)) of K[m,k].  The
+    ct rows are read first; they stop at the context's order and at
+    p = n.  A read past a window, or past the table's order, raises
+    WindowUnderflow, never a wrong coefficient."""
+    return ctx.memo(("bracket", b), lambda: _bracket_row(ctx, b))
 
 
-def _bracket_numerator(ctx: FanoContext, b: int) -> BiSeries:
-    """front * (F_0 - F_p) with p = 1 + nu*b, cut at q^b.
+def _bracket_table(ctx: FanoContext) -> dict:
+    """(m, k) -> (K[m,k], hi) for m + k up to min(order, bmax), kept
+    once per context: K[m,k] = F_0[m] H[k], H = front * F_0^-1, kept in
+    the band w^T..w^(T+1+nu(m+k)) that the rows read, and known up to
+    w^hi, the least of the band's top and the product's window.
 
-    Slice k of F_0, and so of its inverse, carries w^{nu k},
-    so slice j of the numerator is read only up to
-    w^max(n-2-r - nu(b-j), -1).  F_p's window falls up to p below its
-    base's, so slice k of F_0 is cut at max(n-2-r+p - nu(b-k), p-1)
-    before `fp_series` runs; the front is known up to w^{n-2-r}."""
-    md = ctx.md
-    p = 1 + md.nu * b
-    target = md.n - 2 - md.r
-    f0 = ctx.f_w().cut(tuple(max(target + p - md.nu * (b - k), p - 1)
-                             for k in range(b + 1)))
-    fp = fp_series(ctx.tables, f0, p, -1)
-    front = _q0_series(_front(ctx).cut_above(target), target, b)
-    return front * (f0 - fp)
+    F_0 is F(w) cut at w^(T+1+nu*k) in slice k, T = n-2-r: the
+    context's one inverse.  Slice k of F_0, and so of F_0^-1 and of H,
+    starts at w^(nu*k), so these graded windows give H[k] up to
+    w^(T+1+nu*k) (the front is known up to w^(T+1)) and K[m,k] up to
+    the top of its band."""
+    def build():
+        md = ctx.md
+        target, top = md.n - 2 - md.r, min(ctx.order, md.bmax)
+        f0 = ctx.f_w().cut(tuple(target + 1 + md.nu * k
+                                 for k in range(top + 1)))
+        h = _q0_series(_front(ctx), target + 1, top) * f0.inv()
+        table = {}
+        for m, (u, u_hi) in enumerate(zip(f0.slices, f0.his)):
+            for k, (v, v_hi) in enumerate(zip(h.slices[:top + 1 - m],
+                                              h.his)):
+                hi = min(target + 1 + md.nu * (m + k),
+                         product_window(u, u_hi, v, v_hi))
+                table[m, k] = sum_of_products(((u, v),), hi, target), hi
+        return table
+    return ctx.memo(("bracket_table",), build)
+
+
+def _bracket_row(ctx: FanoContext, b: int) -> Rat:
+    """`f_residue_series` at degree b.  F_0 - F_p is minus the sum of
+    the F_p terms and -F_0, so the row is minus one band read at w^T:
+    each entry K[m,k] against its ct row w^(nu*beta1 - p)
+    T_{p,beta1}(w + m), and each K[m, b-m] against -1."""
+    md, tables = ctx.md, ctx.tables
+    p, target = 1 + md.nu * b, md.n - 2 - md.r
+    terms = [(tables.shifted_row(p, beta1, m).shift(md.nu * beta1 - p),
+              m, b - m - beta1)
+             for m in range(b + 1) for beta1 in range(b - m + 1)]
+    terms += [(_MINUS_ONE, m, b - m) for m in range(b + 1)]
+    table = _bracket_table(ctx)
+    if (0, b) not in table:
+        raise WindowUnderflow(
+            f"F-bracket row q^{b} beyond the bracket table's order")
+    pairs = []
+    for fac, m, k in terms:
+        entry, hi = table[m, k]
+        if fac.nums and target - fac.lo > hi:
+            raise WindowUnderflow(f"w^{target - fac.lo} of K[{m},{k}] "
+                                  f"outside its window (hi={hi})")
+        pairs.append((fac, entry))
+    return -sum_of_products(pairs, target, target).coeff(target)
 
 
 def svr_difference(ctx: FanoContext, b: int) -> Rat:

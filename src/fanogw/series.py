@@ -23,9 +23,10 @@ Three types:
   its window: the largest auxiliary exponent that is exactly known, or
   INF_EXP (math.inf) for a fully known slice, which adding a finite
   exponent leaves fixed.  Products and inverses take their windows
-  from one rule, `_window`: u known up to u_hi times v known up to v_hi
-  is known up to min(u_hi + lowest(v), v_hi + lowest(u)), a slice that
-  is zero up to its window having lowest exponent window + 1.
+  from one rule, `product_window`: u known up to u_hi times v known up
+  to v_hi is known up to min(u_hi + lowest(v), v_hi + lowest(u)), a
+  slice that is zero up to its window having lowest exponent
+  window + 1.
   BiSeries.inv inverts a series whose q^0 slice is a unit (nonzero at
   aux^0, nothing below) and raises NotInvertible on any other; it reads
   its input's window, and a fully known q^0 slice has an infinite
@@ -39,12 +40,13 @@ sum_of_products, the sum of products of Laurent slices kept in a band
 of exponents lo..h.  sum_of_products is the kernel's one accumulation
 loop: a sum (`LaurentPoly.__add__`) is the sum of its terms' products
 with 1.  Every other module uses the kernel instead of its own loops.
-The band [e, e] reads one coefficient: BiSeries.mul_coeff(other, b, e)
-is (self * other).coeff(b, e), window and WindowUnderflow included,
-without the rest of the product, mul_coeff_of_aux(other, e) is
-that read at every q-power, and QSeries.mul_coeff(other, k) is
-(self * other).coeff(k); BiSeries.truncate keeps the first slices,
-an exact prefix of every sum, product and inverse.  poly_pow
+The band [e, e] reads one coefficient, one integer dot product per
+pair: BiSeries.mul_coeff(other, b, e) is (self * other).coeff(b, e),
+window and WindowUnderflow included, without the rest of the
+product, mul_coeff_of_aux(other, e) is that read at every q-power, and
+QSeries.mul_coeff(other, k) is (self * other).coeff(k);
+BiSeries.truncate keeps the first slices, an exact prefix of every
+sum, product and inverse.  poly_pow
 needs no log or exp: g = a**alpha solves a g' = alpha a' g, which
 fixes each coefficient of g from the lower ones in one short sum.
 No BiSeries log is kept either: with D = q d/dq, D log F = (D F) F^-1
@@ -62,7 +64,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm, perm
-from operator import index
+from operator import index, mul
 from typing import Iterable
 
 Rat = Fraction
@@ -239,9 +241,10 @@ _ONE = _raw(0, (1,), 1)
 def sum_of_products(pairs, h=INF_EXP, lo=-INF_EXP) -> LaurentPoly:
     """sum of u * v over (u, v) pairs of LaurentPolys, keeping only the
     exponents lo..h (the defaults keep them all; lo = h reads one
-    coefficient): one schoolbook loop over the numerators, accumulated
-    on one common denominator.  It is the kernel's one accumulation
-    loop: a sum of polynomials is their products with 1."""
+    coefficient, one dot product per pair): one schoolbook loop over
+    the numerators, accumulated on one common denominator.  It is the
+    kernel's one accumulation loop: a sum of polynomials is their
+    products with 1."""
     terms = []  # (lowest exponent, first and last+1 index kept, numerators, den)
     for u, v in pairs:
         a, b = u.nums, v.nums
@@ -258,6 +261,11 @@ def sum_of_products(pairs, h=INF_EXP, lo=-INF_EXP) -> LaurentPoly:
     acc = [0] * (max([t[0] + t[2] for t in terms]) - base)
     for t_lo, m, n, a, b, t_d in terms:
         s, k0 = d // t_d, t_lo - base
+        if n - m == 1:  # one coefficient: a dot product, summed in C
+            i0, i1 = max(m - len(b) + 1, 0), min(len(a), n)
+            acc[k0 + m] += s * sum(map(mul, a[i0:i1],
+                                       reversed(b[m - i1 + 1:m - i0 + 1])))
+            continue
         for i in range(max(m - len(b) + 1, 0), min(len(a), n)):
             x = a[i]
             if x:
@@ -530,7 +538,7 @@ class QSeries:
 # bivariate series: q-power series of Laurent slices
 
 
-def _window(u: LaurentPoly, u_hi, v: LaurentPoly, v_hi):
+def product_window(u: LaurentPoly, u_hi, v: LaurentPoly, v_hi):
     """The exact window of u * v for u known up to u_hi and v up to
     v_hi.  A slice that is zero up to its window has lowest exponent
     window + 1 (INF_EXP when fully known)."""
@@ -548,12 +556,12 @@ def _check_window(beta: int, e: int, hi) -> None:
 
 def _convolve_slices(terms, lo=-INF_EXP, hi=INF_EXP) -> tuple[LaurentPoly, int]:
     """sum of u * v over (u, u_hi, v, v_hi) terms, kept in lo..hi, with
-    its exact window: the least `_window` of the terms, fixed first to
-    cap every product."""
+    its exact window: the least `product_window` of the terms, fixed
+    first to cap every product."""
     terms = list(terms)
     h = INF_EXP
     for t in terms:
-        h = min(h, _window(*t))
+        h = min(h, product_window(*t))
     return sum_of_products(((u, v) for u, _, v, _ in terms), min(h, hi), lo), h
 
 
@@ -675,8 +683,8 @@ class BiSeries:
     def inv(self) -> "BiSeries":
         """Inverse of a series whose q^0 slice is a unit: nonzero at
         aux^0 and nothing below, else NotInvertible.  The windows follow
-        from the input's by `_window`; a fully known q^0 slice has an
-        infinite inverse, so it raises WindowUnderflow."""
+        from the input's by `product_window`; a fully known q^0 slice
+        has an infinite inverse, so it raises WindowUnderflow."""
         s0, top0 = self.slices[0], self.his[0]
         if s0.is_zero() or s0.lo != 0:
             raise NotInvertible("q^0 slice is not a unit within its window")
@@ -690,7 +698,7 @@ class BiSeries:
             acc, h = _convolve_slices(
                 (self.slices[j], self.his[j], out_sl[b - j], out_hs[b - j])
                 for j in range(1, b + 1))
-            h = _window(acc, h, inv0, top0)
+            h = product_window(acc, h, inv0, top0)
             out_sl.append(sum_of_products([(-acc, inv0)], h))
             out_hs.append(h)
         return BiSeries(out_sl, out_hs)

@@ -37,7 +37,8 @@ base slices:
                     up to w^(p - nu*beta).
 
 Each shifted row is kept (`CoeffTables.shifted_row`), and the F_p sums
-of `hyper.fp_series` read the same rows again.  The genus-1 formulas
+of `hyper.fp_series` and the F-bracket rows of
+`invariants.f_residue_series` read the same rows again.  The genus-1 formulas
 read a row through its top two entries only, weighted as the Theta
 lemma weighs them (`CoeffTables.ct_l_terms`).
 
@@ -151,7 +152,7 @@ class CoeffTables:
     def shifted_row(self, p: int, beta: int, s: int) -> LaurentPoly:
         """T_{p,beta}(w + s), the Taylor shift of `ct_row`, computed once
         per (p, beta, s) and kept: the ct solve makes every shift that
-        `hyper.fp_series` reads for an F-bracket row."""
+        an F-bracket row reads (`invariants.f_residue_series`)."""
         key = (p, beta, s)
         row = self._shifted.get(key)
         if row is None:

@@ -442,7 +442,7 @@ def test_residue_oracle_reads_no_f_w_and_one_inverse(monkeypatch):
         contexts.append(self)
 
     for module in (hyper, invariants):
-        monkeypatch.setattr(module, "fp_series", recording_fp)
+        monkeypatch.setattr(module, "fp_series", recording_fp, raising=False)
     monkeypatch.setattr(hyper, "f_w", recording_f_w)
     monkeypatch.setattr(BiSeries, "inv", recording_inv)
     monkeypatch.setattr(FanoContext, "__init__", recording_init)
@@ -561,17 +561,30 @@ def test_corrupted_f_w_fails_w_regularity_and_three_path(monkeypatch):
         assert verdicts["type-b-residue-oracle"], md.label()
 
 
+def _shorten_f_w(monkeypatch):
+    """Hand every reader of `FanoContext.f_w` its cut with slice 1 known
+    one power of w less than it asked for."""
+    def shorten(f, his):
+        if f.order < 1:
+            return f
+        return f.cut((his[0], his[1] - 1) + tuple(his[2:]))
+
+    _patch_f_w_cuts(monkeypatch, shorten)
+
+
 def test_a_check_that_raises_fails_alone(monkeypatch, capsys):
-    """On X_6(2,3) the corrupted F_p has negative w powers, so the
-    bracket's windows fall short of its read: the three-path and
+    """On X_6(2,3) an F(w) cut short in slice 1 (`_shorten_f_w`) leaves
+    the bracket table's entries K[1,k] and K[0,k], k >= 1, short of the
+    band the rows read: the three-path, SvR-vanishing and
     truncation-stability checks raise WindowUnderflow.  The suite still
-    returns all 14 verdicts, those two FAIL with the exception as their
-    detail, and `fanogw check` exits 2 with nothing on stderr."""
-    _corrupt_f_w(monkeypatch)
+    returns all 14 verdicts, those three FAIL with the exception as
+    their detail, and `fanogw check` exits 2 with nothing on stderr."""
+    _shorten_f_w(monkeypatch)
     results = run_geometry_suite(MD623)
     assert len(results) == 14
     raised = [r for r in results if r.detail.startswith("WindowUnderflow: ")]
     assert [r.name for r in raised] == ["three-path-consistency",
+                                        "svr-vanishing",
                                         "truncation-stability"]
     assert not any(r.ok for r in raised)
     assert main(["check", "--ambient", "6", "--degrees", "2,3"]) == 2
@@ -893,8 +906,9 @@ def test_f_residue_series_reads_the_whole_bracket():
 
 def test_invariant_table_inverts_f0_once(monkeypatch):
     """invariant_table(X_8(7)) inverts F_0 once, for every bracket read
-    of its one context: on F_0 cut at w^{n-2-r} in each of the
-    order + 1 slices q^0..q^7."""
+    of its one context: on F_0 cut at w^{n-1-r+nu*k} in slice k, for
+    the order + 1 slices q^0..q^7 (the bracket table's graded
+    windows)."""
     inverted = []
     real = BiSeries.inv
 
@@ -905,23 +919,83 @@ def test_invariant_table_inverts_f0_once(monkeypatch):
     monkeypatch.setattr(BiSeries, "inv", recording)
     md = MultiDegree(8, (7,))
     invariant_table(md)
-    assert inverted == [(md.n - 2 - md.r,) * (md.bmax + 1)]
+    assert inverted == [tuple(md.n - 1 - md.r + md.nu * k
+                              for k in range(md.bmax + 1))]
 
 
-def test_each_row_builds_its_bracket_numerator_once(monkeypatch):
-    """invariant_table(X_8(7)) reads the F-bracket twice per row b >= 1
-    (type B and the difference) but builds F_p for it once per degree:
-    8 `fp_series` calls, one per row."""
-    calls = []
-    real = invariants.fp_series
+def test_invariant_table_builds_one_bracket_table_and_no_f_p(monkeypatch):
+    """invariant_table reads the F-bracket twice per row b >= 1 (type B
+    and the difference) off one bracket table per context, built once,
+    and makes no `fp_series` call: on X_8(7), X_6(2,3) and X_5(3)."""
+    calls, tables = [], []
+    real_fp, real_memo = hyper.fp_series, FanoContext.memo
 
-    def recording(tables, base, p, shift):
-        calls.append(p)
-        return real(tables, base, p, shift)
+    def recording_fp(*args):
+        calls.append(args[2])
+        return real_fp(*args)
 
-    monkeypatch.setattr(invariants, "fp_series", recording)
-    invariant_table(MultiDegree(8, (7,)))
-    assert sorted(calls) == [1 + b for b in range(8)]
+    def recording_memo(self, key, build):
+        def counted():
+            if key == ("bracket_table",):
+                tables.append(self)
+            return build()
+        return real_memo(self, key, counted)
+
+    for module in (hyper, invariants):
+        monkeypatch.setattr(module, "fp_series", recording_fp, raising=False)
+    monkeypatch.setattr(FanoContext, "memo", recording_memo)
+    contexts = _record_builds(monkeypatch, FanoContext)
+    for md in (MultiDegree(8, (7,)), MD623, MD53):
+        contexts.clear()
+        tables.clear()
+        invariant_table(md)
+        assert calls == [], md.label()
+        assert len(contexts) == 1 and tables == contexts, md.label()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(valid_geometries(12, 3)), st.integers(0, 2))
+def test_f_residue_series_is_the_whole_bracket_on_random_geometries(md, pad):
+    """On random valid geometries with n <= 12 and r <= 3, at pads 0..2,
+    every row read off the bracket table is the q^b w^{n-2-r}
+    coefficient of the whole bracket (`helpers.f_bracket_reference`)."""
+    ctx = context_for(md, md.bmax, pad)
+    for b in range(md.bmax + 1):
+        ref = f_bracket_reference(ctx, 1 + md.nu * b)
+        assert f_residue_series(ctx, b) == ref.coeff(b, md.n - 2 - md.r), b
+
+
+#: per scaled entry of the bracket table, the default-grid geometries on
+#: which no row reads it: there bmax = 1 < m + k, so the table holds no
+#: such entry
+UNREAD_ENTRIES = {(1, 0): [], (1, 1): ["X_6(3)", "X_7(3)", "X_9(2,2)"]}
+
+
+@pytest.mark.parametrize("key", sorted(UNREAD_ENTRIES))
+def test_a_scaled_bracket_table_entry_fails_check(monkeypatch, capsys, key):
+    """One entry K[m,k] of the bracket table scaled by 7/5 makes
+    `fanogw check` exit 2 on every default-grid geometry where a row
+    reads it: K[1,0] = F_0[1] * front on all six, and K[1,1], which
+    reads slice 1 of the graded F_0^-1, wherever bmax >= 2 (at row 2,
+    by `svr-vanishing`).  Where no row reads the entry
+    (`UNREAD_ENTRIES`), the check passes."""
+    real = invariants._bracket_table
+
+    def scaled(ctx):
+        table = dict(real(ctx))
+        if key in table:
+            entry, hi = table[key]
+            table[key] = entry * Fraction(7, 5), hi
+        return table
+
+    monkeypatch.setattr(invariants, "_bracket_table", scaled)
+    for md in default_grid():
+        unread = md.label() in UNREAD_ENTRIES[key]
+        assert unread == (md.bmax < sum(key)), md.label()
+        args = ["--ambient", str(md.n),
+                "--degrees", ",".join(map(str, md.degrees))]
+        assert main(["check"] + args) == (0 if unread else 2), md.label()
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("pad", [0, 2])

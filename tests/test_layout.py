@@ -170,8 +170,9 @@ def test_one_q_derivative():
 
 
 def test_the_genus1_formulas_read_ct_rows_through_ct_l_terms():
-    """The ct table is read three ways: whole shifted rows (the ct solve
-    and `hyper.fp_series`), the Theta-lemma terms
+    """The ct table is read three ways: whole shifted rows (the ct
+    solve, `hyper.fp_series` and the F-bracket's dot products in
+    `invariants.f_residue_series`), the Theta-lemma terms
     `CoeffTables.ct_l_terms`, and `ct_entry` inside `tables.py` only,
     for the convolution oracle.  No module defines or reads a
     `ctilde`."""
